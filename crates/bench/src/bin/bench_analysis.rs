@@ -4,7 +4,7 @@
 //! liveness + dead-code report, and the relative leakage check — on the
 //! Montgomery and p01 kernels. These numbers bound the overhead the
 //! analyses add per proposal/verification, so they are tracked across
-//! releases like the backend throughput numbers.
+//! releases.
 //!
 //! ```text
 //! cargo run --release -p stoke-bench --bin bench-analysis -- [--quick] [--out PATH]

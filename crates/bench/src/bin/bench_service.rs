@@ -20,7 +20,7 @@ use stoke_x86::flow::LocSet;
 use stoke_x86::{Gpr, Program};
 
 /// The Montgomery kernel under the paper's register convention — the same
-/// workload `bench-emulation` and the `serve` example use.
+/// workload the `serve` example uses.
 fn montgomery_spec() -> TargetSpec {
     let gcc: Program = MONT_GCC_O3.parse().expect("paper gcc code parses");
     TargetSpec::new(

@@ -97,25 +97,8 @@ impl SearchObserver for StreamingProgress {
     }
 
     fn on_chain_progress(&self, progress: &ChainProgress) {
-        // The incremental-backend counters are cumulative per cost
-        // function and zero on every other backend, so only print them
-        // when they carry signal.
-        let incremental = if progress.checkpoint_restores > 0 {
-            format!(
-                ", {} instrs skipped over {} restores{}",
-                progress.instructions_skipped,
-                progress.checkpoint_restores,
-                if progress.columns_reordered > 0 {
-                    format!(" ({} reorders)", progress.columns_reordered)
-                } else {
-                    String::new()
-                }
-            )
-        } else {
-            String::new()
-        };
         eprintln!(
-            "  [{}] {:?} chain {}: {}/{} proposals, best cost {:.1} (current eq' {:.1} + perf {:.1}){}",
+            "  [{}] {:?} chain {}: {}/{} proposals, best cost {:.1} (current eq' {:.1} + perf {:.1})",
             self.kernel,
             progress.phase,
             progress.chain,
@@ -123,8 +106,7 @@ impl SearchObserver for StreamingProgress {
             progress.iterations,
             progress.best_cost,
             progress.correctness,
-            progress.performance,
-            incremental
+            progress.performance
         );
         self.collected.on_chain_progress(progress);
     }
@@ -553,7 +535,6 @@ fn write_obs_report(rows: &[ObsRow]) {
                     r#""proposals":{},"accepted":{},"total_s":{:.4},"#,
                     r#""synthesis_s":{:.4},"optimization_s":{:.4},"#,
                     r#""testcases":{},"evaluations":{},"early_terminations":{},"#,
-                    r#""instructions_skipped":{},"checkpoint_restores":{},"#,
                     r#""counterexamples":{},"leakage_rejections":{},"#,
                     r#""validations_proven":{},"validations_refuted":{},"moves":[{}]}}"#
                 ),
@@ -568,8 +549,6 @@ fn write_obs_report(rows: &[ObsRow]) {
                 snap.counter("stoke_testcases_total"),
                 snap.counter("stoke_evaluations_total"),
                 snap.counter("stoke_early_terminations_total"),
-                snap.counter("stoke_instructions_skipped_total"),
-                snap.counter("stoke_checkpoint_restores_total"),
                 snap.counter("stoke_counterexamples_total"),
                 snap.counter("stoke_leakage_rejections_total"),
                 snap.counter(r#"stoke_validations_total{verdict="proven"}"#),

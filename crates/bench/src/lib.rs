@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: helpers shared by the Criterion benches and the
 //! `experiments` binary that regenerates every figure and table of the
-//! paper's evaluation (see DESIGN.md for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results).
+//! paper's evaluation (see the README's "Reproducing the paper's figures"
+//! section for the figure index and how to run it).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,7 +1,9 @@
 //! Search configuration: the MCMC parameters of Figure 11 plus the knobs
-//! this reproduction adds (iteration budgets, thread counts, cost-function
-//! variants), and the validating [`ConfigBuilder`] used by the
-//! session-based driver API.
+//! this reproduction adds (iteration budgets, thread counts, cost-model and
+//! verifier selection), and the validating [`ConfigBuilder`] used by the
+//! session-based driver API. How rewrites are executed is not
+//! configurable: every search evaluates `eq'` through the one batched
+//! engine (see [`cost`](crate::cost)).
 
 use crate::error::ConfigError;
 use crate::model::CostModelSpec;
@@ -18,74 +20,6 @@ pub enum EqMetric {
     /// the minimum distance over all same-width registers, plus a small
     /// misplacement penalty `wm`.
     Improved,
-}
-
-/// Which execution backend evaluates candidate rewrites over the test
-/// suite (see the README's "Execution backends" section).
-///
-/// All backends share one set of instruction semantics and are
-/// bit-identical in every observable — final states, fault counters,
-/// cost terms, early-termination decisions, evaluation statistics — so
-/// switching backends never changes a search result, only its speed.
-/// (`Incremental` with a non-zero
-/// [`reorder_interval`](Config::reorder_interval) is the one documented
-/// exception: accept decisions and results stay identical, but the number
-/// of test cases *charged* per bounded evaluation may shrink.)
-///
-/// ```
-/// use stoke::{BackendSpec, Config};
-///
-/// assert_eq!(Config::default().backend, BackendSpec::Batched);
-/// let config = Config::builder()
-///     .backend(BackendSpec::Prepared)
-///     .build()
-///     .expect("valid configuration");
-/// assert_eq!(config.backend, BackendSpec::Prepared);
-/// assert_eq!("interp".parse(), Ok(BackendSpec::Interp));
-/// assert_eq!("incremental".parse(), Ok(BackendSpec::Incremental));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendSpec {
-    /// Decode and execute each instruction per test case
-    /// ([`stoke_emu::run_instrs`]): the reference semantics. Simplest to
-    /// audit, slowest to run.
-    Interp,
-    /// Decode once per proposal, execute many
-    /// ([`stoke_emu::PreparedProgram`]): hoists decode and use-set
-    /// analysis out of the per-case loop.
-    Prepared,
-    /// Execute all test cases in lockstep over a structure-of-arrays
-    /// state ([`stoke_emu::BatchedProgram`]): amortizes dispatch across
-    /// the suite and lets the §4.5 early exit kill doomed test cases
-    /// per instruction step. The default.
-    #[default]
-    Batched,
-    /// The batched engine plus prefix checkpointing
-    /// ([`stoke_emu::PrefixCheckpoints`]): the accepted rewrite's batch
-    /// state is snapshotted every
-    /// [`checkpoint_interval`](Config::checkpoint_interval) instructions,
-    /// and a proposal that modifies the rewrite from instruction `f`
-    /// onwards resumes execution from the deepest snapshot at or before
-    /// `f` instead of re-running the unchanged prefix. Fastest inside an
-    /// MCMC chain (where every proposal is a one- or two-slot edit);
-    /// equivalent to `Batched` for hintless evaluations.
-    Incremental,
-}
-
-impl std::str::FromStr for BackendSpec {
-    type Err = ConfigError;
-
-    fn from_str(s: &str) -> Result<BackendSpec, ConfigError> {
-        match s {
-            "interp" => Ok(BackendSpec::Interp),
-            "prepared" => Ok(BackendSpec::Prepared),
-            "batched" => Ok(BackendSpec::Batched),
-            "incremental" => Ok(BackendSpec::Incremental),
-            _ => Err(ConfigError::UnknownBackend {
-                name: s.to_string(),
-            }),
-        }
-    }
 }
 
 /// Configuration of a STOKE search.
@@ -156,10 +90,6 @@ pub struct Config {
     /// correctness-only and weighted variants built in and
     /// [`CostModelSpec::Custom`] for third-party models.
     pub cost_model: CostModelSpec,
-    /// Which execution backend evaluates rewrites over the test suite
-    /// (see [`BackendSpec`]); backends differ only in speed, never in
-    /// results.
-    pub backend: BackendSpec,
     /// Which verifier validates surviving candidates (see
     /// [`VerifierSpec`]): the paper's cascade by default. An explicit
     /// [`Session::with_verifier`](crate::driver::Session::with_verifier)
@@ -170,24 +100,6 @@ pub struct Config {
     /// test suite). Off by default so that results remain bit-identical
     /// with earlier releases.
     pub strip_dead_code: bool,
-    /// Snapshot spacing (in instructions) of the
-    /// [`BackendSpec::Incremental`] backend's prefix checkpoints. `0`
-    /// (the default) auto-tunes to ⌊√len⌋ of the evaluated program, the
-    /// classic balance between snapshot cost (∝ len / interval per
-    /// accepted proposal) and wasted re-execution (∝ interval / 2 per
-    /// proposal). Ignored by the other backends.
-    pub checkpoint_interval: usize,
-    /// How often (in bounded evaluations) the incremental backend
-    /// re-sorts its test-case evaluation order most-discriminating-first,
-    /// so the §4.5 early exit trips after fewer cases. `0` (the default)
-    /// keeps the suite order, which keeps
-    /// [`EvalStats::testcases_run`](crate::cost::EvalStats::testcases_run)
-    /// bit-identical to the other backends; any other value preserves
-    /// every accept decision and
-    /// search result (totals and threshold comparisons are
-    /// order-invariant) but may charge fewer test cases per early exit.
-    /// Ignored by the other backends.
-    pub reorder_interval: u64,
 }
 
 impl Default for Config {
@@ -245,11 +157,8 @@ impl Default for Config {
                 .filter(|g| *g != Gpr::Rsp)
                 .collect(),
             cost_model: CostModelSpec::Paper,
-            backend: BackendSpec::default(),
             verifier: VerifierSpec::default(),
             strip_dead_code: false,
-            checkpoint_interval: 0,
-            reorder_interval: 0,
         }
     }
 }
@@ -479,20 +388,11 @@ impl ConfigBuilder {
         register_pool: Vec<Gpr>,
         /// Which cost model scores candidate rewrites.
         cost_model: CostModelSpec,
-        /// Which execution backend evaluates rewrites over the test
-        /// suite.
-        backend: BackendSpec,
         /// Which verifier validates surviving candidates.
         verifier: VerifierSpec,
         /// Whether to strip statically dead instructions from the final
         /// reported rewrite.
         strip_dead_code: bool,
-        /// Snapshot spacing of the incremental backend's prefix
-        /// checkpoints (`0` auto-tunes to ⌊√len⌋).
-        checkpoint_interval: usize,
-        /// How often (in bounded evaluations) the incremental backend
-        /// re-sorts test cases most-discriminating-first (`0` disables).
-        reorder_interval: u64,
     }
 
     /// Validate every invariant and return the configuration.
@@ -648,42 +548,6 @@ mod tests {
             Config::builder().num_testcases(0).build(),
             Err(ConfigError::ZeroTestcases)
         );
-    }
-
-    #[test]
-    fn backend_defaults_parses_and_builds() {
-        assert_eq!(Config::default().backend, BackendSpec::Batched);
-        assert_eq!("interp".parse(), Ok(BackendSpec::Interp));
-        assert_eq!("prepared".parse(), Ok(BackendSpec::Prepared));
-        assert_eq!("batched".parse(), Ok(BackendSpec::Batched));
-        assert_eq!("incremental".parse(), Ok(BackendSpec::Incremental));
-        assert_eq!(
-            "jit".parse::<BackendSpec>(),
-            Err(ConfigError::UnknownBackend {
-                name: "jit".to_string()
-            })
-        );
-        let c = Config::builder()
-            .backend(BackendSpec::Interp)
-            .build()
-            .unwrap();
-        assert_eq!(c.backend, BackendSpec::Interp);
-    }
-
-    #[test]
-    fn incremental_knobs_default_off_and_build() {
-        let c = Config::default();
-        assert_eq!(c.checkpoint_interval, 0, "0 means auto-tune from length");
-        assert_eq!(c.reorder_interval, 0, "adaptive ordering is opt-in");
-        let c = Config::builder()
-            .backend(BackendSpec::Incremental)
-            .checkpoint_interval(4)
-            .reorder_interval(64)
-            .build()
-            .unwrap();
-        assert_eq!(c.backend, BackendSpec::Incremental);
-        assert_eq!(c.checkpoint_interval, 4);
-        assert_eq!(c.reorder_interval, 64);
     }
 
     #[test]

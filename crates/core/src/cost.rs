@@ -8,21 +8,16 @@
 //! (whose default, [`PaperCost`](crate::model::PaperCost), is what the
 //! search pipeline uses) and the concrete [`CostFn`] convenience type kept
 //! for benchmarks, examples and tests that want to evaluate `eq'`
-//! directly. Both evaluate rewrites through the execution backend selected
-//! by [`Config::backend`](crate::config::Config::backend) — the
-//! interpreter, the decode-once [`PreparedProgram`], the batched
-//! structure-of-arrays [`BatchedProgram`] (the default), or the
-//! incremental prefix-checkpoint backend layered on the batched engine.
-//! The backends share one set of instruction semantics, and the `eq'`
-//! evaluators below are written so that every observable — totals,
-//! early-termination decisions, the number of test cases charged to
-//! [`EvalStats`] — is bit-identical across them.
+//! directly. Both evaluate `eq'` through one engine: the batched
+//! structure-of-arrays [`BatchedProgram`], which runs every test case in
+//! lockstep and applies the §4.5 early-termination bound per instruction
+//! step. The interpreter ([`stoke_emu::run_instrs`]) shares its
+//! instruction semantics and serves as the differential oracle in tests.
 
-use crate::config::{BackendSpec, Config, EqMetric};
+use crate::config::{Config, EqMetric};
 use crate::testcase::{TestSuite, Testcase};
 use stoke_emu::{
-    BatchState, BatchedProgram, ColumnRef, Faults, MachineState, Memory, PrefixCheckpoints,
-    PreparedMeta, PreparedProgram,
+    BatchState, BatchedProgram, ColumnRef, Faults, MachineState, Memory, PreparedProgram,
 };
 use stoke_x86::{Flag, Gpr, Instruction, Xmm};
 
@@ -54,18 +49,6 @@ pub struct EvalStats {
     pub evaluations: u64,
     /// Number of evaluations cut short by the early-termination bound.
     pub early_terminations: u64,
-    /// Instruction steps the incremental backend skipped by resuming from
-    /// a prefix checkpoint instead of re-executing from instruction 0
-    /// (always 0 for the other backends).
-    pub instructions_skipped: u64,
-    /// Number of evaluations the incremental backend served from a prefix
-    /// checkpoint (always 0 for the other backends).
-    pub checkpoint_restores: u64,
-    /// Number of times the incremental backend re-sorted its test-case
-    /// evaluation order most-discriminating-first (always 0 unless
-    /// [`Config::reorder_interval`](crate::config::Config::reorder_interval)
-    /// is non-zero).
-    pub columns_reordered: u64,
 }
 
 impl EvalStats {
@@ -78,15 +61,6 @@ impl EvalStats {
             early_terminations: self
                 .early_terminations
                 .saturating_sub(earlier.early_terminations),
-            instructions_skipped: self
-                .instructions_skipped
-                .saturating_sub(earlier.instructions_skipped),
-            checkpoint_restores: self
-                .checkpoint_restores
-                .saturating_sub(earlier.checkpoint_restores),
-            columns_reordered: self
-                .columns_reordered
-                .saturating_sub(earlier.columns_reordered),
         }
     }
 }
@@ -97,10 +71,10 @@ pub(crate) fn err_term(config: &Config, faults: &Faults) -> u64 {
 }
 
 /// A rewrite's final machine state as the cost terms read it, abstracted
-/// over where the state lives: an owned [`MachineState`] (interpreter and
-/// prepared backends) or a [`ColumnRef`] borrowing one column of a batch
-/// (the batched backend compares columns in place, without extracting
-/// them).
+/// over where the state lives: an owned [`MachineState`] (single-case
+/// evaluation and the public per-term helpers) or a [`ColumnRef`]
+/// borrowing one column of a batch (the engine compares columns in place,
+/// without extracting them).
 pub(crate) trait OutView {
     fn gpr64(&self, g: Gpr) -> u64;
     fn xmm(&self, x: Xmm) -> stoke_emu::XmmValue;
@@ -268,68 +242,13 @@ pub(crate) fn case_cost_prepared(
 }
 
 /// Evaluate the full correctness term `eq'(R; T, τ)` (Equation 8) of a
-/// prepared rewrite across the whole suite, updating `stats`.
+/// prepared rewrite across the whole suite, updating `stats`: one lockstep
+/// pass of the batched engine over every test case, then a sequential walk
+/// of the per-case results in suite order.
 ///
-/// With `bound = Some(b)`, evaluation stops as soon as the running sum
+/// With `bound = Some(b)`, the walk stops as soon as the running sum
 /// exceeds `b` (the early-termination optimization of §4.5) and returns
 /// `None`. The second component is the number of test cases evaluated.
-pub(crate) fn eq_prime_prepared(
-    config: &Config,
-    suite: &TestSuite,
-    prepared: &PreparedProgram<'_>,
-    stats: &mut EvalStats,
-    bound: Option<f64>,
-) -> (Option<u64>, usize) {
-    stats.evaluations += 1;
-    let mut total = 0u64;
-    for (i, case) in suite.cases.iter().enumerate() {
-        stats.testcases_run += 1;
-        total += case_cost_prepared(config, suite, case, prepared).total();
-        if let Some(bound) = bound {
-            if (total as f64) > bound {
-                stats.early_terminations += 1;
-                return (None, i + 1);
-            }
-        }
-    }
-    (Some(total), suite.cases.len())
-}
-
-/// `eq'` through the interpreter ([`stoke_emu::run_instr_refs`]): every
-/// instruction is re-analyzed per test case. The reference arm of
-/// [`eq_prime_backend`]; same contract as [`eq_prime_prepared`].
-pub(crate) fn eq_prime_interp(
-    config: &Config,
-    suite: &TestSuite,
-    prepared: &PreparedProgram<'_>,
-    stats: &mut EvalStats,
-    bound: Option<f64>,
-) -> (Option<u64>, usize) {
-    stats.evaluations += 1;
-    let mut total = 0u64;
-    for (i, case) in suite.cases.iter().enumerate() {
-        stats.testcases_run += 1;
-        let outcome = stoke_emu::run_instr_refs(prepared.instructions(), &case.input);
-        total += CaseCost {
-            reg: reg_term(config, suite, case, &outcome.state),
-            mem: mem_term(suite, case, &outcome.state),
-            err: err_term(config, &outcome.faults),
-        }
-        .total();
-        if let Some(bound) = bound {
-            if (total as f64) > bound {
-                stats.early_terminations += 1;
-                return (None, i + 1);
-            }
-        }
-    }
-    (Some(total), suite.cases.len())
-}
-
-/// `eq'` through the batched backend: one lockstep pass over the whole
-/// suite, then an exact sequential walk of the per-column results. Same
-/// contract as [`eq_prime_prepared`], and bit-identical to it in totals,
-/// early-termination decisions, and statistics.
 ///
 /// With a bound, the §4.5 check additionally runs as a per-instruction-step
 /// predicate *during* execution: a column's accumulated `err(·)` cost is a
@@ -338,7 +257,7 @@ pub(crate) fn eq_prime_interp(
 /// the bound, the sequential walk below is guaranteed to early-terminate at
 /// or before case `k` — columns `k+1..` can never be read, and are killed
 /// so they stop costing work for the remaining instructions.
-pub(crate) fn eq_prime_batched(
+pub(crate) fn eq_prime(
     config: &Config,
     suite: &TestSuite,
     prepared: &PreparedProgram<'_>,
@@ -392,143 +311,6 @@ pub(crate) fn eq_prime_batched(
     (Some(total), suite.cases.len())
 }
 
-/// `eq'` through the incremental backend: the batched engine of
-/// [`eq_prime_batched`] plus prefix checkpointing. With
-/// `reuse = Some(f)` — the caller's promise that the first `f` dense
-/// instructions of `prepared` are identical to the program last committed
-/// through [`CostFn::commit_baseline`] — the scratch batch is restored
-/// from the deepest checkpoint at or before `f` and only the suffix
-/// executes. Hintless calls (`reuse = None`, or no usable checkpoint)
-/// reload and run from 0, exactly like the batched arm.
-///
-/// Observables (totals, early-termination decisions, statistics) are
-/// bit-identical to [`eq_prime_batched`] when the evaluation order is the
-/// suite order. With a non-zero
-/// [`Config::reorder_interval`](crate::config::Config::reorder_interval)
-/// the per-case walk runs in a most-discriminating-first permutation:
-/// the §4.5 decision is order-invariant (every term is non-negative, so
-/// some prefix of the running sum exceeds the bound iff the total does)
-/// and unbounded totals are plain sums, so accept decisions and results
-/// never change — only `testcases_run` may shrink.
-pub(crate) fn eq_prime_incremental(
-    config: &Config,
-    suite: &TestSuite,
-    prepared: &PreparedProgram<'_>,
-    scratch: &mut EvalScratch,
-    stats: &mut EvalStats,
-    bound: Option<f64>,
-    reuse: Option<usize>,
-) -> (Option<u64>, usize) {
-    stats.evaluations += 1;
-    let batched = BatchedProgram::new(prepared);
-    let EvalScratch {
-        ref mut batch,
-        ref mut ckpt,
-        ref mut perm,
-        ref mut hits,
-        ref mut bounded_evals,
-        pmeta: _,
-    } = *scratch;
-    let n_cases = suite.cases.len();
-    if perm.len() != n_cases {
-        perm.clear();
-        perm.extend(0..n_cases);
-        hits.clear();
-        hits.resize(n_cases, 0);
-    }
-    if config.reorder_interval > 0 && bound.is_some() {
-        *bounded_evals += 1;
-        if *bounded_evals >= config.reorder_interval {
-            *bounded_evals = 0;
-            perm.sort_by(|&a, &b| hits[b].cmp(&hits[a]));
-            stats.columns_reordered += 1;
-        }
-    }
-    let resume = match reuse {
-        Some(upto) => match ckpt.restore(batch, upto) {
-            Some(pos) => {
-                stats.checkpoint_restores += 1;
-                stats.instructions_skipped += pos as u64;
-                pos
-            }
-            None => {
-                batch.reload(suite.cases.iter().map(|c| &c.input));
-                0
-            }
-        },
-        None => {
-            batch.reload(suite.cases.iter().map(|c| &c.input));
-            0
-        }
-    };
-    match bound {
-        None => batched.run_lockstep_with_from(batch, resume, |_| true),
-        // The same err(·) lower-bound column kill as the batched arm, but
-        // accumulated in the walk's (possibly permuted) order so that the
-        // kills stay ahead of the walk below.
-        Some(b) => batched.run_lockstep_with_from(batch, resume, |state| {
-            let n = state.width();
-            let mut prefix = 0u64;
-            let mut dead_from = n;
-            for (k, &col) in perm.iter().enumerate() {
-                prefix += err_term(config, &state.faults(col));
-                if (prefix as f64) > b {
-                    dead_from = k + 1;
-                    break;
-                }
-            }
-            for &col in &perm[dead_from..] {
-                state.kill(col);
-            }
-            true
-        }),
-    }
-    let mut total = 0u64;
-    for (k, &ci) in perm.iter().enumerate() {
-        stats.testcases_run += 1;
-        let case = &suite.cases[ci];
-        let col = batch.column(ci);
-        total += CaseCost {
-            reg: reg_term(config, suite, case, &col),
-            mem: mem_term(suite, case, &col),
-            err: err_term(config, &col.faults()),
-        }
-        .total();
-        if let Some(b) = bound {
-            if (total as f64) > b {
-                stats.early_terminations += 1;
-                hits[ci] += 1;
-                return (None, k + 1);
-            }
-        }
-    }
-    (Some(total), n_cases)
-}
-
-/// Evaluate `eq'` through the execution backend selected by
-/// [`Config::backend`]. All arms share the contract (and the exact
-/// statistics accounting) of [`eq_prime_prepared`]. The `reuse` prefix
-/// hint (see [`CostFn::set_reuse_prefix`]) only reaches the incremental
-/// arm; the other backends always evaluate in full.
-pub(crate) fn eq_prime_backend(
-    config: &Config,
-    suite: &TestSuite,
-    prepared: &PreparedProgram<'_>,
-    scratch: &mut EvalScratch,
-    stats: &mut EvalStats,
-    bound: Option<f64>,
-    reuse: Option<usize>,
-) -> (Option<u64>, usize) {
-    match config.backend {
-        BackendSpec::Interp => eq_prime_interp(config, suite, prepared, stats, bound),
-        BackendSpec::Prepared => eq_prime_prepared(config, suite, prepared, stats, bound),
-        BackendSpec::Batched => eq_prime_batched(config, suite, prepared, scratch, stats, bound),
-        BackendSpec::Incremental => {
-            eq_prime_incremental(config, suite, prepared, scratch, stats, bound, reuse)
-        }
-    }
-}
-
 /// Whether a candidate passes every test case of `suite` (`eq' == 0`).
 /// Does not touch any statistics — used by the re-rank / verification
 /// stage, whose probe executions are not part of the search statistics.
@@ -539,45 +321,19 @@ pub(crate) fn passes_suite(
 ) -> bool {
     let mut stats = EvalStats::default();
     let mut scratch = EvalScratch::default();
-    eq_prime_backend(
-        config,
-        suite,
-        prepared,
-        &mut scratch,
-        &mut stats,
-        None,
-        None,
-    )
-    .0 == Some(0)
+    eq_prime(config, suite, prepared, &mut scratch, &mut stats, None).0 == Some(0)
 }
 
 /// Reusable evaluation buffers, owned by [`CostFn`] and lent to cost
 /// models through [`EvalContext`](crate::model::EvalContext).
 ///
-/// This holds the batched backend's [`BatchState`] — reloading one scratch
-/// batch per evaluation is what keeps the hot path allocation-free — plus
-/// the incremental backend's prefix checkpoints and adaptive test-case
-/// ordering state. The struct is deliberately opaque so future backends
-/// can add buffers without breaking the `EvalContext` API.
+/// This holds the engine's [`BatchState`]: reloading one scratch batch per
+/// evaluation is what keeps the hot path allocation-free. The struct is
+/// deliberately opaque so the engine can add buffers without breaking the
+/// `EvalContext` API.
 #[derive(Debug, Clone, Default)]
 pub struct EvalScratch {
     pub(crate) batch: BatchState,
-    /// Prefix checkpoints of the last committed baseline rewrite
-    /// (incremental backend only; see [`CostFn::commit_baseline`]).
-    pub(crate) ckpt: PrefixCheckpoints,
-    /// Evaluation order over test-case columns: `perm[k]` is the k-th
-    /// column walked. Identity until a reorder pass fires.
-    pub(crate) perm: Vec<usize>,
-    /// Per-column discrimination counters: how often each test case
-    /// tripped the §4.5 early exit.
-    pub(crate) hits: Vec<u64>,
-    /// Bounded evaluations since the last reorder pass.
-    pub(crate) bounded_evals: u64,
-    /// Decoded metadata of the last committed baseline rewrite, so the
-    /// incremental backend's per-proposal preparation decodes only the
-    /// instructions a proposal changed
-    /// ([`PreparedProgram::new_diffed`]).
-    pub(crate) pmeta: PreparedMeta,
 }
 
 /// The cost function of §4: `c(R; T) = eq'(R; T, τ) + perf_weight · H(R)`.
@@ -586,11 +342,6 @@ pub struct CostFn {
     config: Config,
     suite: TestSuite,
     scratch: EvalScratch,
-    /// One-shot prefix-reuse hint for the next evaluation (incremental
-    /// backend only); consumed by [`eval_context`](CostFn::eval_context),
-    /// [`eq_prime`](CostFn::eq_prime) and
-    /// [`eq_prime_bounded`](CostFn::eq_prime_bounded).
-    reuse_prefix: Option<usize>,
     /// Static latency of the target, kept for reporting speedups.
     pub target_latency: u64,
     /// Evaluation statistics.
@@ -604,77 +355,17 @@ impl CostFn {
             config,
             suite,
             scratch: EvalScratch::default(),
-            reuse_prefix: None,
             target_latency,
             stats: EvalStats::default(),
         }
     }
 
-    /// Set the prefix-reuse hint for the *next* evaluation: `Some(f)`
-    /// promises that the first `f` dense instructions of the rewrite about
-    /// to be evaluated are identical to the program last passed to
-    /// [`commit_baseline`](CostFn::commit_baseline). The hint is one-shot
-    /// — it is consumed (and cleared) by the next call to
-    /// [`eval_context`](CostFn::eval_context),
-    /// [`eq_prime`](CostFn::eq_prime) or
-    /// [`eq_prime_bounded`](CostFn::eq_prime_bounded) — and it is ignored
-    /// by every backend except [`BackendSpec::Incremental`]. A wrong hint
-    /// is unsound: the incremental backend trusts it and will resume from
-    /// a checkpoint mid-program.
-    pub fn set_reuse_prefix(&mut self, prefix: Option<usize>) {
-        self.reuse_prefix = prefix;
-    }
-
-    /// Commit `prepared` as the incremental backend's baseline rewrite:
-    /// drop checkpoints past `keep_prefix` (dense instruction count of the
-    /// unchanged prefix), then re-execute from the deepest surviving
-    /// checkpoint, snapshotting the suite's column states every
-    /// [`Config::checkpoint_interval`](crate::config::Config::checkpoint_interval)
-    /// instructions (`0` auto-tunes to `max(1, ⌊√len⌋)`, balancing
-    /// snapshot cost against expected re-execution length).
-    ///
-    /// Call this after *accepting* a proposal (and once at chain start for
-    /// the initial rewrite). Rejected proposals need no call — they only
-    /// touch the scratch batch, never the checkpoints. No-op unless the
-    /// configured backend is [`BackendSpec::Incremental`].
-    pub fn commit_baseline(&mut self, prepared: &PreparedProgram<'_>, keep_prefix: usize) {
-        if self.config.backend != BackendSpec::Incremental {
-            return;
-        }
-        let batched = BatchedProgram::new(prepared);
-        let interval = if self.config.checkpoint_interval > 0 {
-            self.config.checkpoint_interval
-        } else {
-            batched.len().isqrt().max(1)
-        };
-        self.scratch.ckpt.commit(
-            &batched,
-            &mut self.scratch.batch,
-            self.suite.cases.iter().map(|c| &c.input),
-            keep_prefix,
-            interval,
-        );
-        // Keep the committed program's decoded form so the next proposals'
-        // preparation can reuse it for everything they did not change.
-        self.scratch.pmeta.store(prepared);
-    }
-
-    /// Prepare a rewrite for evaluation through this cost function's
-    /// backend. For [`BackendSpec::Incremental`] this decodes only the
-    /// instructions that differ from the last
-    /// [committed](CostFn::commit_baseline) baseline (the result is
-    /// identical to [`PreparedProgram::new`], just cheaper for the
-    /// single-slot edits MCMC proposals make); every other backend decodes
-    /// in full.
+    /// Prepare a rewrite for evaluation: a plain [`PreparedProgram::new`].
     pub fn prepare_rewrite<'a>(
         &self,
         rewrite: impl IntoIterator<Item = &'a Instruction>,
     ) -> PreparedProgram<'a> {
-        if self.config.backend == BackendSpec::Incremental {
-            PreparedProgram::new_diffed(rewrite, &self.scratch.pmeta)
-        } else {
-            PreparedProgram::new(rewrite)
-        }
+        PreparedProgram::new(rewrite)
     }
 
     /// The test suite (e.g. to add validator counterexamples).
@@ -682,8 +373,10 @@ impl CostFn {
         &self.suite
     }
 
-    /// Mutable access to the test suite.
+    /// Mutable access to the test suite. The scratch batch is reset, so
+    /// the next evaluation loads the (possibly changed) inputs in full.
     pub fn suite_mut(&mut self) -> &mut TestSuite {
+        self.scratch = EvalScratch::default();
         &mut self.suite
     }
 
@@ -708,7 +401,6 @@ impl CostFn {
             scratch: &mut self.scratch,
             target_latency: self.target_latency,
             stats: &mut self.stats,
-            reuse_prefix: self.reuse_prefix.take(),
         }
     }
 
@@ -745,19 +437,16 @@ impl CostFn {
     /// Evaluate the full correctness term `eq'(R; T, τ)` (Equation 8).
     ///
     /// The rewrite is prepared once and then executed on every test case
-    /// through the backend selected by
-    /// [`Config::backend`](crate::config::Config::backend).
+    /// in lockstep by the batched engine.
     pub fn eq_prime(&mut self, rewrite: &[Instruction]) -> u64 {
-        let prepared = self.prepare_rewrite(rewrite);
-        let reuse = self.reuse_prefix.take();
-        eq_prime_backend(
+        let prepared = PreparedProgram::new(rewrite);
+        eq_prime(
             &self.config,
             &self.suite,
             &prepared,
             &mut self.scratch,
             &mut self.stats,
             None,
-            reuse,
         )
         .0
         .expect("unbounded evaluation always completes")
@@ -784,16 +473,14 @@ impl CostFn {
         rewrite: &[Instruction],
         bound: f64,
     ) -> (Option<u64>, usize) {
-        let prepared = self.prepare_rewrite(rewrite);
-        let reuse = self.reuse_prefix.take();
-        eq_prime_backend(
+        let prepared = PreparedProgram::new(rewrite);
+        eq_prime(
             &self.config,
             &self.suite,
             &prepared,
             &mut self.scratch,
             &mut self.stats,
             Some(bound),
-            reuse,
         )
     }
 }
@@ -901,9 +588,38 @@ mod tests {
         assert_eq!(evaluated, cost.suite().len());
     }
 
+    /// The differential oracle for `eq'`: a sequential walk of the
+    /// interpreter over the suite, scored with the public per-term
+    /// helpers. Returns what [`CostFn::eq_prime_bounded`] must report and
+    /// the [`EvalStats`] it must charge.
+    fn oracle(
+        cost: &CostFn,
+        rewrite: &[Instruction],
+        bound: Option<f64>,
+    ) -> ((Option<u64>, usize), EvalStats) {
+        let mut stats = EvalStats {
+            evaluations: 1,
+            ..EvalStats::default()
+        };
+        let mut total = 0u64;
+        for (i, case) in cost.suite().cases.iter().enumerate() {
+            stats.testcases_run += 1;
+            let out = stoke_emu::run_instrs(rewrite, &case.input);
+            total += cost.reg_term(case, &out.state)
+                + cost.mem_term(case, &out.state)
+                + cost.err_term(&out.faults);
+            if bound.is_some_and(|b| (total as f64) > b) {
+                stats.early_terminations += 1;
+                return ((None, i + 1), stats);
+            }
+        }
+        ((Some(total), cost.suite().len()), stats)
+    }
+
+    /// The batched engine against the interpreter oracle: totals,
+    /// early-exit decisions, cases evaluated and every statistic.
     #[test]
     fn backends_agree_on_totals_decisions_and_stats() {
-        use crate::config::BackendSpec;
         let programs: [Program; 4] = [
             "movq rdi, rax\naddq rsi, rax".parse().unwrap(),
             "movq rdi, rax\nsubq rsi, rax".parse().unwrap(),
@@ -912,33 +628,47 @@ mod tests {
         ];
         for bound in [None, Some(5.0), Some(60.0), Some(1e18)] {
             for program in &programs {
-                let mut results = Vec::new();
-                for backend in [
-                    BackendSpec::Interp,
-                    BackendSpec::Prepared,
-                    BackendSpec::Batched,
-                    // Hintless incremental evaluation reloads and runs in
-                    // full, so even the new checkpoint counters stay 0.
-                    BackendSpec::Incremental,
-                ] {
-                    let (mut cost, _) = setup(EqMetric::Improved);
-                    cost.config_mut().backend = backend;
-                    let out = match bound {
-                        None => (Some(cost.eq_prime(program.instrs())), cost.suite().len()),
-                        Some(b) => cost.eq_prime_bounded(program.instrs(), b),
-                    };
-                    results.push((backend, out, cost.stats));
-                }
-                let (_, first_out, first_stats) = results[0];
-                for (backend, out, stats) in &results[1..] {
-                    assert_eq!(*out, first_out, "{backend:?} diverges on {program}");
-                    assert_eq!(
-                        *stats, first_stats,
-                        "{backend:?} stats diverge on {program}"
-                    );
-                }
+                let (mut cost, _) = setup(EqMetric::Improved);
+                let want = oracle(&cost, program.instrs(), bound);
+                let out = match bound {
+                    None => (Some(cost.eq_prime(program.instrs())), cost.suite().len()),
+                    Some(b) => cost.eq_prime_bounded(program.instrs(), b),
+                };
+                assert_eq!((out, cost.stats), want, "{program} at {bound:?}");
             }
         }
+    }
+
+    // Regression test: `suite_mut` used to leave the scratch batch's
+    // reload invariant (same inputs as the last load) stale, so the next
+    // evaluation restored only each column's dirty range from the *new*
+    // inputs and scored against a mix of old and new memory images.
+    #[test]
+    fn suite_mut_resets_the_scratch_batch() {
+        use crate::testcase::InputSpec;
+        let target: Program = "movq (rdi), rax".parse().unwrap();
+        let spec = TargetSpec::new(
+            target.clone(),
+            vec![
+                InputSpec::pointer(Gpr::Rdi, 64),
+                InputSpec::value64(Gpr::Rsi),
+            ],
+            stoke_x86::flow::LocSet::from_gprs([Gpr::Rax]),
+        );
+        let suite = generate_testcases(&spec, 4, 7);
+        let rewrite: Program = "movq rsi, (rdi)\nmovq 8(rdi), rax".parse().unwrap();
+        let mut cost = CostFn::new(Config::quick_test(), suite, target.static_latency());
+        cost.eq_prime(rewrite.instrs());
+        cost.suite_mut().cases.swap(0, 1);
+        let after_swap = cost.eq_prime(rewrite.instrs());
+        let mut fresh = CostFn::new(
+            Config::quick_test(),
+            cost.suite().clone(),
+            target.static_latency(),
+        );
+        assert_eq!(after_swap, fresh.eq_prime(rewrite.instrs()));
+        let want = oracle(&fresh, rewrite.instrs(), None).0 .0;
+        assert_eq!(Some(after_swap), want);
     }
 
     #[test]

@@ -425,7 +425,7 @@ impl Session {
     }
 
     /// Record search metrics — per-phase wall time, proposals and
-    /// acceptances split by move kind, evaluation-backend work, validator
+    /// acceptances split by move kind, evaluation work, validator
     /// verdicts, search outcomes — into `registry`. The registry is shared:
     /// several sessions (or a whole service) can feed one registry, and
     /// callers export it with

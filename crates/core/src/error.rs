@@ -69,13 +69,6 @@ pub enum ConfigError {
     /// `num_testcases` is zero: with an empty suite every rewrite has
     /// cost 0, so synthesis instantly "succeeds" with garbage.
     ZeroTestcases,
-    /// A backend name failed to parse as a
-    /// [`BackendSpec`](crate::config::BackendSpec); the recognized names
-    /// are `interp`, `prepared` and `batched`.
-    UnknownBackend {
-        /// The unrecognized name.
-        name: String,
-    },
     /// A [`CostModelSpec::Weighted`](crate::model::CostModelSpec::Weighted)
     /// term weight is out of range: weights must be finite and
     /// non-negative, and the correctness weight strictly positive — a
@@ -134,13 +127,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroTestcases => {
                 write!(f, "`num_testcases` must be at least 1")
-            }
-            ConfigError::UnknownBackend { name } => {
-                write!(
-                    f,
-                    "unknown execution backend `{name}` \
-                     (expected `interp`, `prepared`, `batched` or `incremental`)"
-                )
             }
             ConfigError::InvalidCostWeight { field, value } => {
                 write!(

@@ -22,11 +22,12 @@
 //! is [`PaperCost`]) and validation strategies implement [`Verifier`]
 //! (installed with [`Session::with_verifier`]; the default [`Cascade`]
 //! runs tests, then the symbolic validator with counterexample feedback).
-//! Both evaluate rewrites through the execution backend selected by
-//! [`Config::backend`](config::Config::backend) ([`BackendSpec`]) — the
-//! batched structure-of-arrays [`stoke_emu::BatchedProgram`] by default,
-//! with the decode-once [`stoke_emu::PreparedProgram`] and the plain
-//! interpreter as bit-identical reference semantics. The execution and
+//! Both evaluate rewrites through one execution engine, the batched
+//! structure-of-arrays [`stoke_emu::BatchedProgram`], which runs every test
+//! case in lockstep over a rewrite decoded once into a
+//! [`stoke_emu::PreparedProgram`]. The plain interpreter
+//! ([`stoke_emu::run_instrs`]) shares its instruction semantics and is the
+//! differential oracle the engine is tested against. The execution and
 //! verification substrates live in the companion crates `stoke-emu` and
 //! `stoke-verify`.
 //!
@@ -75,12 +76,12 @@ pub mod telemetry;
 pub mod testcase;
 pub mod verifier;
 
-pub use config::{BackendSpec, Config, ConfigBuilder, EqMetric};
+pub use config::{Config, ConfigBuilder, EqMetric};
 pub use cost::{CaseCost, CostFn, EvalScratch, EvalStats};
 pub use driver::{Budget, BudgetClock, CancelToken, ChainControl, RunRequest, Session};
 pub use error::{ConfigError, StokeError};
 pub use mcmc::{
-    Chain, ChainResult, EditSpan, MoveKind, MoveStats, Proposer, Rewrite, StopReason, TracePoint,
+    Chain, ChainResult, MoveKind, MoveStats, Proposer, Rewrite, StopReason, TracePoint,
 };
 pub use model::{
     ConstantTimePenalty, CorrectnessOnly, Cost, CostModel, CostModelFactory, CostModelSpec,

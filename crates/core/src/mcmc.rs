@@ -173,38 +173,6 @@ impl MoveStats {
     }
 }
 
-/// The slot range a proposal modified, reported by [`Proposer::propose`]
-/// alongside the [`MoveKind`].
-///
-/// Both bounds are inclusive slot indices into the rewrite. The invariant
-/// is one-sided: every slot *outside* `first_modified..=last_modified` is
-/// guaranteed unchanged (slots inside the span may happen to be unchanged
-/// too — the span is conservative). A proposal whose span is `None` is
-/// provably identical to the current rewrite: the move drew parameters
-/// that made it a no-op, such as a swap of a slot with itself.
-///
-/// The incremental evaluation backend turns the span into a prefix-reuse
-/// hint: the first `first_modified` slots are untouched, so their dense
-/// instructions can be replayed from a checkpoint instead of re-executed
-/// (see [`CostFn::set_reuse_prefix`](crate::cost::CostFn::set_reuse_prefix)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EditSpan {
-    /// Index of the first slot the move may have changed.
-    pub first_modified: usize,
-    /// Index of the last slot the move may have changed (inclusive).
-    pub last_modified: usize,
-}
-
-impl EditSpan {
-    /// A span covering the single slot `slot`.
-    fn single(slot: usize) -> Option<EditSpan> {
-        Some(EditSpan {
-            first_modified: slot,
-            last_modified: slot,
-        })
-    }
-}
-
 /// Samples proposals from the distribution `q(·)` of §4.3.
 pub struct Proposer {
     config: Config,
@@ -350,10 +318,8 @@ impl Proposer {
     }
 
     /// Propose a modified rewrite (the proposal `R*` of §3.2). Returns the
-    /// new rewrite, the move kind that produced it, and the [`EditSpan`]
-    /// of slots the move may have changed (`None` when the proposal is
-    /// provably identical to `current`).
-    pub fn propose(&mut self, current: &Rewrite) -> (Rewrite, MoveKind, Option<EditSpan>) {
+    /// new rewrite and the move kind that produced it.
+    pub fn propose(&mut self, current: &Rewrite) -> (Rewrite, MoveKind) {
         let cdf = self.config.move_cdf();
         let u = self.rng.gen::<f64>();
         let kind = if u < cdf[0] {
@@ -366,7 +332,6 @@ impl Proposer {
             MoveKind::Instruction
         };
         let mut next = current.clone();
-        let mut span = None;
         match kind {
             MoveKind::Opcode => {
                 if let Some(slot) = self.random_filled_slot(current) {
@@ -381,7 +346,6 @@ impl Proposer {
                     if !class.is_empty() {
                         let op = class[rng.gen_range(0..class.len())];
                         next.slots[slot] = Some(instr.with_opcode(op));
-                        span = EditSpan::single(slot);
                     }
                 }
             }
@@ -397,7 +361,6 @@ impl Proposer {
                             .is_ok()
                         {
                             next.slots[slot] = Some(candidate);
-                            span = EditSpan::single(slot);
                         }
                     }
                 }
@@ -406,12 +369,6 @@ impl Proposer {
                 let a = self.rng.gen_range(0..current.len());
                 let b = self.rng.gen_range(0..current.len());
                 next.slots.swap(a, b);
-                if a != b {
-                    span = Some(EditSpan {
-                        first_modified: a.min(b),
-                        last_modified: a.max(b),
-                    });
-                }
             }
             MoveKind::Instruction => {
                 let slot = self.rng.gen_range(0..current.len());
@@ -420,10 +377,9 @@ impl Proposer {
                 } else {
                     next.slots[slot] = Some(self.random_instruction());
                 }
-                span = EditSpan::single(slot);
             }
         }
-        (next, kind, span)
+        (next, kind)
     }
 
     /// A uniformly random non-`UNUSED` slot index, sampled by rank instead
@@ -558,7 +514,7 @@ impl<'a> Chain<'a> {
 
     /// Fully score a rewrite through the chain's cost model.
     fn score(&mut self, rewrite: &Rewrite) -> Cost {
-        let prepared = self.cost_fn.prepare_rewrite(rewrite.slots.iter().flatten());
+        let prepared = rewrite.prepare();
         self.model
             .score(&prepared, &mut self.cost_fn.eval_context())
     }
@@ -598,12 +554,6 @@ impl<'a> Chain<'a> {
         let mut trace = Vec::new();
         let mut stop = StopReason::Completed;
         let start_stats = self.cost_fn.stats;
-        // Commit the starting rewrite as the incremental backend's
-        // checkpoint baseline (a no-op for every other backend).
-        {
-            let prepared = self.cost_fn.prepare_rewrite(current.slots.iter().flatten());
-            self.cost_fn.commit_baseline(&prepared, 0);
-        }
 
         for iteration in 0..iterations {
             if !ctrl.admit_proposal() {
@@ -611,24 +561,14 @@ impl<'a> Chain<'a> {
                 break;
             }
             proposals += 1;
-            let (candidate, kind, span) = self.proposer.propose(&current);
-            // Dense instructions the candidate provably shares with the
-            // committed baseline: everything strictly before the first
-            // modified slot (the whole program when the move was a no-op).
-            let reuse_prefix = match &span {
-                Some(s) => current.slots[..s.first_modified].iter().flatten().count(),
-                None => current.num_instructions(),
-            };
-            self.cost_fn.set_reuse_prefix(Some(reuse_prefix));
+            let (candidate, kind) = self.proposer.propose(&current);
             let accept = if config.early_termination {
                 // §4.5: sample the acceptance threshold p first, derive the
                 // maximum cost we could accept, and stop evaluating test
                 // cases as soon as the bound is exceeded.
                 let p: f64 = self.proposer.rng().gen::<f64>().max(1e-300);
                 let bound = current_cost - p.ln() / config.beta;
-                let prepared = self
-                    .cost_fn
-                    .prepare_rewrite(candidate.slots.iter().flatten());
+                let prepared = candidate.prepare();
                 let mut ctx = self.cost_fn.eval_context();
                 let performance = self.model.perf_term(&prepared, &mut ctx);
                 let eq_bound = bound - performance;
@@ -658,13 +598,6 @@ impl<'a> Chain<'a> {
                 current_terms = cost;
                 current_cost = cost.total();
                 accepted += 1;
-                // Re-anchor the incremental backend's checkpoints on the
-                // newly accepted rewrite, keeping the snapshots of the
-                // prefix the move did not touch (no-op otherwise).
-                {
-                    let prepared = self.cost_fn.prepare_rewrite(current.slots.iter().flatten());
-                    self.cost_fn.commit_baseline(&prepared, reuse_prefix);
-                }
                 if current_cost < best_cost {
                     best = current.clone();
                     best_cost = current_cost;
@@ -681,7 +614,6 @@ impl<'a> Chain<'a> {
                     instructions: current.num_instructions(),
                 });
             }
-            let stats = self.cost_fn.stats;
             ctrl.maybe_report(proposals, |target, phase, chain| ChainProgress {
                 target,
                 phase,
@@ -692,9 +624,6 @@ impl<'a> Chain<'a> {
                 correctness: current_terms.correctness,
                 performance: current_terms.performance,
                 best_cost,
-                instructions_skipped: stats.instructions_skipped,
-                checkpoint_restores: stats.checkpoint_restores,
-                columns_reordered: stats.columns_reordered,
             });
             // Stop a pure-synthesis run as soon as a zero-cost rewrite is
             // found; further proposals cannot improve it.
@@ -774,7 +703,7 @@ mod tests {
         let mut chain = Chain::new(&mut cf, 3, false);
         let mut r = chain.proposer_mut().random_rewrite();
         for _ in 0..2000 {
-            let (next, _, _) = chain.proposer_mut().propose(&r);
+            let (next, _) = chain.proposer_mut().propose(&r);
             assert_eq!(next.len(), r.len());
             // Every filled slot must be a valid instruction.
             for slot in next.slots().iter().flatten() {
@@ -795,7 +724,7 @@ mod tests {
         let r = chain.proposer_mut().random_rewrite();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..500 {
-            let (_, kind, _) = chain.proposer_mut().propose(&r);
+            let (_, kind) = chain.proposer_mut().propose(&r);
             seen.insert(kind);
         }
         assert_eq!(
@@ -804,34 +733,6 @@ mod tests {
             "expected all four move kinds, saw {:?}",
             seen
         );
-    }
-
-    #[test]
-    fn edit_spans_bound_all_changes() {
-        let mut cf = cost_fn();
-        let mut chain = Chain::new(&mut cf, 23, false);
-        let mut r = chain.proposer_mut().random_rewrite();
-        for _ in 0..2000 {
-            let (next, _, span) = chain.proposer_mut().propose(&r);
-            match span {
-                None => assert_eq!(next, r, "a None span promises an identical proposal"),
-                Some(s) => {
-                    assert!(s.first_modified <= s.last_modified);
-                    assert!(s.last_modified < r.len());
-                    assert_eq!(
-                        &next.slots()[..s.first_modified],
-                        &r.slots()[..s.first_modified],
-                        "slots before the span must be untouched"
-                    );
-                    assert_eq!(
-                        &next.slots()[s.last_modified + 1..],
-                        &r.slots()[s.last_modified + 1..],
-                        "slots after the span must be untouched"
-                    );
-                }
-            }
-            r = next;
-        }
     }
 
     #[test]

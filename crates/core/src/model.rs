@@ -75,7 +75,7 @@
 //! ```
 
 use crate::config::Config;
-use crate::cost::{eq_prime_backend, EvalScratch, EvalStats};
+use crate::cost::{eq_prime, EvalScratch, EvalStats};
 use crate::testcase::TestSuite;
 use std::fmt;
 use std::sync::Arc;
@@ -125,25 +125,14 @@ pub struct EvalContext<'a> {
     pub config: &'a Config,
     /// The test suite `τ` the rewrite is evaluated on.
     pub suite: &'a TestSuite,
-    /// Reusable evaluation buffers (the batched backend's scratch state),
-    /// so models evaluating through
-    /// [`Config::backend`](crate::config::Config::backend) stay
-    /// allocation-free across proposals.
+    /// Reusable evaluation buffers (the batched engine's scratch state),
+    /// so models evaluating `eq'` stay allocation-free across proposals.
     pub scratch: &'a mut EvalScratch,
     /// Static latency of the target, `H(T)`.
     pub target_latency: u64,
     /// Evaluation statistics (evaluations, test cases run, early
     /// terminations) the model must keep up to date.
     pub stats: &'a mut EvalStats,
-    /// One-shot prefix-reuse hint for the incremental backend: `Some(f)`
-    /// promises that the first `f` dense instructions of the rewrite being
-    /// scored are identical to the baseline last committed through
-    /// [`CostFn::commit_baseline`](crate::cost::CostFn::commit_baseline);
-    /// `None` requests a full evaluation. Models that evaluate through the
-    /// configured backend should `take()` it and pass it down (as
-    /// [`PaperCost`] does); every backend other than the incremental one
-    /// ignores it, so forwarding is always safe.
-    pub reuse_prefix: Option<usize>,
 }
 
 /// A pluggable scoring policy for candidate rewrites.
@@ -241,15 +230,13 @@ impl CostModel for PaperCost {
         bound: Option<f64>,
         ctx: &mut EvalContext<'_>,
     ) -> Option<f64> {
-        let reuse = ctx.reuse_prefix.take();
-        eq_prime_backend(
+        eq_prime(
             ctx.config,
             ctx.suite,
             rewrite,
             ctx.scratch,
             ctx.stats,
             bound,
-            reuse,
         )
         .0
         .map(|eq| eq as f64)

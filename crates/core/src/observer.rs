@@ -47,18 +47,6 @@ pub struct ChainProgress {
     pub performance: f64,
     /// Lowest cost the chain has seen.
     pub best_cost: f64,
-    /// Cumulative instruction steps the incremental backend skipped by
-    /// resuming from prefix checkpoints (see
-    /// [`EvalStats::instructions_skipped`](crate::cost::EvalStats::instructions_skipped));
-    /// 0 for the other backends.
-    pub instructions_skipped: u64,
-    /// Cumulative evaluations served from a prefix checkpoint; 0 for the
-    /// other backends.
-    pub checkpoint_restores: u64,
-    /// Cumulative adaptive test-case reorder passes; 0 unless the
-    /// incremental backend runs with a non-zero
-    /// [`reorder_interval`](crate::config::Config::reorder_interval).
-    pub columns_reordered: u64,
 }
 
 /// Final accounting for one finished MCMC chain, reported through
@@ -79,8 +67,8 @@ pub struct ChainStats {
     pub accepted: u64,
     /// Proposal and acceptance counts split by move kind.
     pub moves: MoveStats,
-    /// Evaluation-backend work this chain performed (test cases executed,
-    /// early terminations, checkpoint restores, ...).
+    /// Evaluation work this chain performed (evaluations, test cases
+    /// executed, early terminations).
     pub eval: EvalStats,
 }
 
@@ -393,9 +381,6 @@ mod tests {
                             correctness: 0.0,
                             performance: 0.0,
                             best_cost: 0.0,
-                            instructions_skipped: 0,
-                            checkpoint_restores: 0,
-                            columns_reordered: 0,
                         });
                     }
                 });

@@ -64,9 +64,6 @@ struct Handles {
     testcases: Counter,
     evaluations: Counter,
     early_terminations: Counter,
-    instructions_skipped: Counter,
-    checkpoint_restores: Counter,
-    columns_reordered: Counter,
     candidates: Counter,
     validations_proven: Counter,
     validations_refuted: Counter,
@@ -100,9 +97,6 @@ impl Handles {
             testcases: registry.counter("stoke_testcases_total"),
             evaluations: registry.counter("stoke_evaluations_total"),
             early_terminations: registry.counter("stoke_early_terminations_total"),
-            instructions_skipped: registry.counter("stoke_instructions_skipped_total"),
-            checkpoint_restores: registry.counter("stoke_checkpoint_restores_total"),
-            columns_reordered: registry.counter("stoke_columns_reordered_total"),
             candidates: registry.counter("stoke_candidates_total"),
             validations_proven: registry
                 .counter_with("stoke_validations_total", &[("verdict", "proven")]),
@@ -282,13 +276,6 @@ impl SearchObserver for MetricsObserver {
             handles
                 .early_terminations
                 .add(stats.eval.early_terminations);
-            handles
-                .instructions_skipped
-                .add(stats.eval.instructions_skipped);
-            handles
-                .checkpoint_restores
-                .add(stats.eval.checkpoint_restores);
-            handles.columns_reordered.add(stats.eval.columns_reordered);
         }
         self.emit(TraceRecord::Event {
             name: "chain_end".into(),
@@ -422,7 +409,6 @@ mod tests {
                 testcases_run: 24,
                 evaluations: 3,
                 early_terminations: 1,
-                ..Default::default()
             },
         });
         let snap = registry.snapshot();

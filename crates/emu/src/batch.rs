@@ -1,7 +1,7 @@
-//! The batched lockstep execution backend: all test cases at once.
+//! The batched lockstep execution engine: all test cases at once.
 //!
 //! The MCMC inner loop evaluates one candidate rewrite on *every* test
-//! case of a suite. The prepared backend
+//! case of a suite. A per-case prepared run
 //! ([`PreparedProgram::run_prepared`]) hoists decode out of that loop but
 //! still walks the program once per case — the instruction dispatch, the
 //! operand decoding and the machine-state clone are all repeated N times.
@@ -18,7 +18,7 @@
 //!   once per instruction *step* instead of once per instruction *per
 //!   case*; inside a handler the opcode/operand branches are perfectly
 //!   predicted because every column executes the same instruction.
-//! - **No per-case clone.** The prepared backend clones a full
+//! - **No per-case clone.** A prepared run clones a full
 //!   [`MachineState`] (two heap allocations) per case; a reusable
 //!   `BatchState` is reloaded in place, so the steady state of the search
 //!   loop performs no allocation at all.
@@ -31,7 +31,7 @@
 //! Execution semantics are shared with the interpreter through the
 //! crate-internal `Cpu` trait: the column view implements the same
 //! primitive accesses and runs the identical provided `execute` body, so
-//! the batched backend is bit-identical to
+//! the batched engine is bit-identical to
 //! [`run_prepared`](PreparedProgram::run_prepared) by construction (and by
 //! the randomized property suite `prop_batched` at the workspace root).
 
@@ -54,7 +54,7 @@ use stoke_x86::{
 ///
 /// A `BatchState` is a reusable scratch buffer: [`load`](BatchState::load)
 /// re-fills it in place, reusing every allocation, which is what makes the
-/// batched backend allocation-free in the search's steady state.
+/// batched engine allocation-free in the search's steady state.
 #[derive(Debug, Clone, Default)]
 pub struct BatchState {
     /// Number of columns (test cases).
@@ -755,11 +755,6 @@ impl<'p> BatchedProgram<'p> {
         self.prepared.static_latency()
     }
 
-    /// Apply instruction `idx` across all live columns of `state`.
-    fn step(&self, idx: usize, state: &mut BatchState) {
-        (self.handlers[idx])(self, idx, state);
-    }
-
     /// Run the program across all live columns of `state`, in lockstep:
     /// instruction 0 on every column, then instruction 1, and so on.
     /// Columns killed before the call stay dead; execution stops early if
@@ -777,23 +772,9 @@ impl<'p> BatchedProgram<'p> {
     pub fn run_lockstep_with(
         &self,
         state: &mut BatchState,
-        after_step: impl FnMut(&mut BatchState) -> bool,
-    ) {
-        self.run_lockstep_with_from(state, 0, after_step);
-    }
-
-    /// [`run_lockstep_with`](BatchedProgram::run_lockstep_with) starting at
-    /// instruction index `from` instead of 0: the suffix `from..len` runs,
-    /// the prefix is assumed to have already been applied to `state` (e.g.
-    /// restored from a [`PrefixCheckpoints`] snapshot). `from == len`
-    /// executes nothing.
-    pub fn run_lockstep_with_from(
-        &self,
-        state: &mut BatchState,
-        from: usize,
         mut after_step: impl FnMut(&mut BatchState) -> bool,
     ) {
-        for (idx, handler) in self.handlers.iter().enumerate().skip(from) {
+        for (idx, handler) in self.handlers.iter().enumerate() {
             if state.live_cols == 0 {
                 return;
             }
@@ -824,275 +805,6 @@ impl<'p> BatchedProgram<'p> {
                 faults: state.faults(col),
             })
             .collect()
-    }
-}
-
-/// A full snapshot of a [`BatchState`] taken after `pos` instructions of a
-/// committed program: every column row, defined-ness mask, fault counter,
-/// memory image and dirty range. Restoring it is equivalent to reloading
-/// the batch from its inputs and executing the committed program's first
-/// `pos` instructions.
-#[derive(Debug, Clone, Default)]
-struct Checkpoint {
-    /// Number of leading instructions of the committed program whose
-    /// effects this snapshot contains.
-    pos: usize,
-    /// Batch width the snapshot was taken at.
-    n: usize,
-    /// Input-image epoch ([`PrefixCheckpoints::epoch`]) the memory buffers
-    /// were last captured under. A matching epoch proves the buffers
-    /// already equal the input images outside their recorded dirty ranges,
-    /// so re-capture can copy only dirty ranges instead of full images.
-    epoch: u64,
-    gprs: Vec<u64>,
-    xmms: Vec<XmmValue>,
-    flags: Vec<bool>,
-    gpr_defined: Vec<bool>,
-    xmm_defined: Vec<bool>,
-    flag_defined: Vec<bool>,
-    memories: Vec<Memory>,
-    faults: Vec<Faults>,
-    dirty: Vec<(u64, u64)>,
-}
-
-impl Checkpoint {
-    /// Overwrite this snapshot with the current batch state (reusing every
-    /// allocation, including the per-column memory images).
-    ///
-    /// Register rows, masks and fault counters are copied wholesale (they
-    /// are small); memory images are the expensive part, so when this
-    /// buffer's images are provably based on the same inputs — same
-    /// `epoch`, same width — only the union of each column's previous and
-    /// current dirty range is copied. Everything outside that union
-    /// already equals the input image in both buffer and batch, because
-    /// sandboxed stores never touch it.
-    fn capture(&mut self, state: &BatchState, pos: usize, epoch: u64) {
-        let base_ok = self.epoch == epoch
-            && self.n == state.n
-            && self.memories.len() == state.n
-            && self.dirty.len() == state.n;
-        self.pos = pos;
-        self.n = state.n;
-        self.epoch = epoch;
-        self.gprs.clear();
-        self.gprs.extend_from_slice(&state.gprs);
-        self.xmms.clear();
-        self.xmms.extend_from_slice(&state.xmms);
-        self.flags.clear();
-        self.flags.extend_from_slice(&state.flags);
-        self.gpr_defined.clear();
-        self.gpr_defined.extend_from_slice(&state.gpr_defined);
-        self.xmm_defined.clear();
-        self.xmm_defined.extend_from_slice(&state.xmm_defined);
-        self.flag_defined.clear();
-        self.flag_defined.extend_from_slice(&state.flag_defined);
-        self.faults.clear();
-        self.faults.extend_from_slice(&state.faults);
-        if base_ok {
-            for col in 0..state.n {
-                let (slo, shi) = state.dirty[col];
-                let (clo, chi) = self.dirty[col];
-                let lo = slo.min(clo);
-                let hi = shi.max(chi);
-                if lo < hi {
-                    self.memories[col].copy_range_from(&state.memories[col], lo, hi);
-                }
-                debug_assert_eq!(
-                    self.memories[col], state.memories[col],
-                    "dirty-range capture requires buffers based on the same inputs"
-                );
-            }
-        } else {
-            self.memories.truncate(state.n);
-            while self.memories.len() < state.n {
-                self.memories.push(Memory::new());
-            }
-            for (mine, theirs) in self.memories.iter_mut().zip(&state.memories) {
-                mine.copy_from(theirs);
-            }
-        }
-        self.dirty.clear();
-        self.dirty.extend_from_slice(&state.dirty);
-    }
-
-    /// Restore this snapshot into `state`. The batch must currently hold
-    /// scratch derived from the *same* inputs the snapshot was built from
-    /// (the usual reload invariant): each column's memory is then brought
-    /// back to the snapshot by copying only the union of the two dirty
-    /// ranges, every column is revived, and registers, flags, defined-ness
-    /// masks and fault counters are copied wholesale.
-    fn restore(&self, state: &mut BatchState) {
-        debug_assert_eq!(self.n, state.n, "checkpoint width mismatch");
-        state.gprs.copy_from_slice(&self.gprs);
-        state.xmms.copy_from_slice(&self.xmms);
-        state.flags.copy_from_slice(&self.flags);
-        state.gpr_defined.copy_from_slice(&self.gpr_defined);
-        state.xmm_defined.copy_from_slice(&self.xmm_defined);
-        state.flag_defined.copy_from_slice(&self.flag_defined);
-        state.faults.copy_from_slice(&self.faults);
-        state.live.fill(true);
-        state.live_cols = state.n;
-        for col in 0..state.n {
-            let (slo, shi) = state.dirty[col];
-            let (clo, chi) = self.dirty[col];
-            let lo = slo.min(clo);
-            let hi = shi.max(chi);
-            if lo < hi {
-                state.memories[col].copy_range_from(&self.memories[col], lo, hi);
-            }
-            state.dirty[col] = self.dirty[col];
-            debug_assert_eq!(
-                state.memories[col], self.memories[col],
-                "checkpoint restore requires scratch derived from the same inputs"
-            );
-        }
-    }
-}
-
-/// Prefix checkpoints over a committed straight-line program: the engine
-/// behind `BackendSpec::Incremental`.
-///
-/// The MCMC proposals of §4.3 differ from the current rewrite in at most
-/// two instruction slots, so the execution of the unmodified *prefix* is
-/// byte-identical between the current rewrite and the proposal. This store
-/// snapshots the whole [`BatchState`] every `interval` instructions of the
-/// last *committed* (accepted) program; evaluating a proposal whose first
-/// modified instruction is at dense index `f` then
-/// [`restore`](PrefixCheckpoints::restore)s the deepest snapshot at
-/// position ≤ `f` and executes only the suffix
-/// ([`BatchedProgram::run_lockstep_with_from`]).
-///
-/// Protocol:
-///
-/// - [`commit`](PrefixCheckpoints::commit) after a proposal is *accepted*
-///   (and once for the starting rewrite, with `keep_prefix = 0`):
-///   snapshots at positions > `keep_prefix` are invalidated, the batch is
-///   restored from the deepest survivor (or reloaded from the inputs), and
-///   the new program is re-executed from there, snapshotting along the
-///   way. Rejected proposals need nothing — the snapshots still describe
-///   the current program.
-/// - Snapshots *and recycled snapshot buffers* are tied to the inputs
-///   loaded at commit time: call [`clear`](PrefixCheckpoints::clear) after
-///   the suite changes (it also invalidates the allocation pool's claim to
-///   the old input images, forcing the next captures to rebuild them). A
-///   width change invalidates every snapshot automatically.
-#[derive(Debug, Clone, Default)]
-pub struct PrefixCheckpoints {
-    /// Valid snapshots, sorted by `pos` ascending.
-    checkpoints: Vec<Checkpoint>,
-    /// Invalidated snapshots kept as an allocation pool.
-    spare: Vec<Checkpoint>,
-    /// Snapshot spacing the current snapshots were built with.
-    interval: usize,
-    /// Input-image epoch: bumped by [`clear`](PrefixCheckpoints::clear) so
-    /// that [`Checkpoint::capture`] falls back to full memory copies for
-    /// buffers built against a previous suite, and copies only dirty
-    /// ranges otherwise.
-    epoch: u64,
-}
-
-impl PrefixCheckpoints {
-    /// An empty store: the first [`commit`](PrefixCheckpoints::commit)
-    /// builds the initial snapshots.
-    pub fn new() -> PrefixCheckpoints {
-        PrefixCheckpoints::default()
-    }
-
-    /// Drop every snapshot (keeping their allocations for reuse). Also
-    /// marks every buffer as based on unknown inputs, so this is the call
-    /// to make when the suite changes.
-    pub fn clear(&mut self) {
-        self.epoch += 1;
-        self.spare.append(&mut self.checkpoints);
-    }
-
-    /// Number of valid snapshots currently held.
-    pub fn len(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// Whether no snapshot is currently held.
-    pub fn is_empty(&self) -> bool {
-        self.checkpoints.is_empty()
-    }
-
-    /// Restore the deepest snapshot at position ≤ `upto` into `state` and
-    /// return its position — the caller then executes only `pos..` of the
-    /// program. Returns `None` (and leaves `state` untouched) when no such
-    /// snapshot exists or the batch width changed; the caller falls back
-    /// to a full [`reload`](BatchState::reload) + run from 0.
-    pub fn restore(&self, state: &mut BatchState, upto: usize) -> Option<usize> {
-        let cp = self
-            .checkpoints
-            .iter()
-            .rev()
-            .find(|c| c.pos <= upto && c.n == state.n && state.n > 0)?;
-        cp.restore(state);
-        Some(cp.pos)
-    }
-
-    /// Commit `program` as the new baseline, reusing snapshots at
-    /// positions ≤ `keep_prefix` (the dense length of the prefix shared
-    /// with the previously committed program; pass 0 for an unrelated
-    /// program or a fresh suite).
-    ///
-    /// Invalidated snapshots are recycled; the batch is restored from the
-    /// deepest survivor (or reloaded from `inputs`, which must be the same
-    /// states every evaluation of this batch uses), and the program is
-    /// re-executed from there with a snapshot every `interval`
-    /// instructions plus one at the program's end (so proposals editing
-    /// past the end — e.g. filling a trailing `UNUSED` slot — skip the
-    /// entire committed program). On return the batch holds the program's
-    /// final state.
-    pub fn commit<'s, I>(
-        &mut self,
-        program: &BatchedProgram<'_>,
-        state: &mut BatchState,
-        inputs: I,
-        keep_prefix: usize,
-        interval: usize,
-    ) where
-        I: IntoIterator<Item = &'s MachineState>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let interval = interval.max(1);
-        let len = program.len();
-        let inputs = inputs.into_iter();
-        if interval != self.interval {
-            self.clear();
-            self.interval = interval;
-        }
-        // Invalidate snapshots the edit (or a width change) made stale.
-        let mut i = 0;
-        while i < self.checkpoints.len() {
-            let c = &self.checkpoints[i];
-            if c.pos > keep_prefix || c.pos > len || c.n != inputs.len() {
-                self.spare.push(self.checkpoints.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        self.checkpoints.sort_by_key(|c| c.pos);
-        let resume = match self.restore(state, keep_prefix) {
-            Some(pos) => pos,
-            None => {
-                state.reload(inputs);
-                0
-            }
-        };
-        for idx in resume..len {
-            if state.live_cols == 0 {
-                break;
-            }
-            program.step(idx, state);
-            let pos = idx + 1;
-            if (pos.is_multiple_of(interval) || pos == len) && pos > resume {
-                let mut cp = self.spare.pop().unwrap_or_default();
-                cp.capture(state, pos, self.epoch);
-                self.checkpoints.push(cp);
-            }
-        }
-        debug_assert!(self.checkpoints.windows(2).all(|w| w[0].pos < w[1].pos));
     }
 }
 
@@ -1751,7 +1463,7 @@ fn step_no_uses(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 
 /// The general handler: per live column, count undefined reads over the
 /// prepared use spans (same elements, same order as the sequential
-/// backends), then execute the shared instruction semantics against the
+/// interpreter and prepared runs), then execute the shared instruction semantics against the
 /// column view.
 fn step_generic(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
     let p = bp.prepared;

@@ -79,9 +79,10 @@ pub fn run_instrs(instrs: &[Instruction], input: &MachineState) -> Outcome {
 }
 
 /// Run a sequence of borrowed instructions through the per-step
-/// interpreter (see [`run`]). This is the reference execution path of the
-/// `Interp` backend: per-instruction analysis (the undefined-read counter)
-/// is recomputed on every step, with no preparation pass.
+/// interpreter (see [`run`]). This is the reference execution path that
+/// the batched engine is checked against: per-instruction analysis (the
+/// undefined-read counter) is recomputed on every step, with no
+/// preparation pass.
 pub fn run_instr_refs<'a>(
     instrs: impl IntoIterator<Item = &'a Instruction>,
     input: &MachineState,

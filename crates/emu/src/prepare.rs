@@ -1,4 +1,4 @@
-//! The decode-once / execute-many evaluation backend.
+//! The decode-once form of an instruction sequence.
 //!
 //! The MCMC inner loop evaluates one candidate rewrite on *every* test
 //! case of a suite, and the interpreter ([`run_instrs`](crate::run_instrs))
@@ -9,11 +9,11 @@
 //! per-case loop: an instruction sequence is decoded once (typically once
 //! per MCMC proposal) into a dense, pre-resolved form, and
 //! [`run_prepared`](PreparedProgram::run_prepared) then executes it across
-//! all test cases.
+//! all test cases. The batched engine ([`crate::batch`]) builds its handler
+//! table from the same decoded form.
 //!
 //! Execution semantics are shared with the interpreter — both paths drive
-//! the same sandboxed step function — so the two backends cannot drift
-//! apart; `run_prepared` is bit-identical to `run_instrs` by construction
+//! the same sandboxed step function — so the two cannot drift apart; `run_prepared` is bit-identical to `run_instrs` by construction
 //! (and by the randomized property test `prop_prepared` at the workspace
 //! root).
 
@@ -58,7 +58,7 @@ pub(crate) struct UseSpans {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PreparedProgram<'a> {
-    // Crate-visible so the batched backend (`crate::batch`) can reuse the
+    // Crate-visible so the batched engine (`crate::batch`) can reuse the
     // decoded form — instruction list, flattened use lists and spans —
     // without re-deriving it per proposal.
     pub(crate) instrs: Vec<&'a Instruction>,
@@ -103,111 +103,6 @@ impl<'a> PreparedProgram<'a> {
     /// Prepare a whole [`Program`].
     pub fn of_program(program: &'a Program) -> PreparedProgram<'a> {
         PreparedProgram::new(program.iter())
-    }
-
-    /// Prepare `instrs`, reusing the decoded metadata of a previously
-    /// [stored](PreparedMeta::store) program for every instruction of the
-    /// longest common prefix and suffix. MCMC proposals differ from the
-    /// committed rewrite in at most two slots, so this replaces the O(ℓ)
-    /// per-proposal use-set derivation with two `memcpy`s plus decoding of
-    /// the (typically one-instruction) middle.
-    ///
-    /// The common affix is found by comparing instructions, not trusted
-    /// from a hint, so the result is identical to
-    /// [`new`](PreparedProgram::new) for *any* input — an empty or
-    /// unrelated `meta` merely decodes everything afresh.
-    pub fn new_diffed(
-        instrs: impl IntoIterator<Item = &'a Instruction>,
-        meta: &PreparedMeta,
-    ) -> PreparedProgram<'a> {
-        let instrs: Vec<&'a Instruction> = instrs.into_iter().collect();
-        let (new_len, old_len) = (instrs.len(), meta.instrs.len());
-        let max = new_len.min(old_len);
-        let mut prefix = 0;
-        while prefix < max && *instrs[prefix] == meta.instrs[prefix] {
-            prefix += 1;
-        }
-        let mut suffix = 0;
-        while suffix < max - prefix
-            && *instrs[new_len - 1 - suffix] == meta.instrs[old_len - 1 - suffix]
-        {
-            suffix += 1;
-        }
-        // Prefix: the stored flat use lists and spans are bytewise what
-        // `new` would derive.
-        let pend = if prefix == 0 {
-            UseSpans::default()
-        } else {
-            meta.spans[prefix - 1]
-        };
-        let mut prepared = PreparedProgram {
-            gpr_uses: meta.gpr_uses[..pend.gpr.1 as usize].to_vec(),
-            xmm_uses: meta.xmm_uses[..pend.xmm.1 as usize].to_vec(),
-            flag_uses: meta.flag_uses[..pend.flag.1 as usize].to_vec(),
-            spans: meta.spans[..prefix].to_vec(),
-            latency: meta.lat[..prefix].iter().map(|&l| u64::from(l)).sum(),
-            instrs,
-        };
-        // Middle: decode exactly as `new` does.
-        for i in prefix..new_len - suffix {
-            let instr = prepared.instrs[i];
-            let gpr_start = prepared.gpr_uses.len() as u32;
-            instr.gpr_uses_into(&mut prepared.gpr_uses);
-            let xmm_start = prepared.xmm_uses.len() as u32;
-            instr.xmm_uses_into(&mut prepared.xmm_uses);
-            let flag_start = prepared.flag_uses.len() as u32;
-            prepared.flag_uses.extend(instr.flag_uses());
-            prepared.spans.push(UseSpans {
-                gpr: (gpr_start, prepared.gpr_uses.len() as u32),
-                xmm: (xmm_start, prepared.xmm_uses.len() as u32),
-                flag: (flag_start, prepared.flag_uses.len() as u32),
-            });
-            prepared.latency += u64::from(instr.latency());
-        }
-        // Suffix: the stored flat use lists again, with every span rebased
-        // onto this program's offsets.
-        if suffix > 0 {
-            let s0 = old_len - suffix;
-            let start = meta.spans[s0];
-            // Per-list offset deltas; negative (a shrinking edit) is fine,
-            // the wrapping add below round-trips through two's complement.
-            let base = (
-                (prepared.gpr_uses.len() as u32).wrapping_sub(start.gpr.0),
-                (prepared.xmm_uses.len() as u32).wrapping_sub(start.xmm.0),
-                (prepared.flag_uses.len() as u32).wrapping_sub(start.flag.0),
-            );
-            prepared
-                .gpr_uses
-                .extend_from_slice(&meta.gpr_uses[start.gpr.0 as usize..]);
-            prepared
-                .xmm_uses
-                .extend_from_slice(&meta.xmm_uses[start.xmm.0 as usize..]);
-            prepared
-                .flag_uses
-                .extend_from_slice(&meta.flag_uses[start.flag.0 as usize..]);
-            for s in &meta.spans[s0..] {
-                prepared.spans.push(UseSpans {
-                    gpr: (s.gpr.0.wrapping_add(base.0), s.gpr.1.wrapping_add(base.0)),
-                    xmm: (s.xmm.0.wrapping_add(base.1), s.xmm.1.wrapping_add(base.1)),
-                    flag: (s.flag.0.wrapping_add(base.2), s.flag.1.wrapping_add(base.2)),
-                });
-            }
-            prepared.latency += meta.lat[s0..].iter().map(|&l| u64::from(l)).sum::<u64>();
-        }
-        #[cfg(debug_assertions)]
-        {
-            let full = PreparedProgram::new(prepared.instrs.iter().copied());
-            debug_assert_eq!(prepared.gpr_uses, full.gpr_uses);
-            debug_assert_eq!(prepared.xmm_uses, full.xmm_uses);
-            debug_assert_eq!(prepared.flag_uses, full.flag_uses);
-            debug_assert_eq!(prepared.latency, full.latency);
-            debug_assert!(prepared
-                .spans
-                .iter()
-                .zip(&full.spans)
-                .all(|(a, b)| a.gpr == b.gpr && a.xmm == b.xmm && a.flag == b.flag));
-        }
-        prepared
     }
 
     /// Number of instructions.
@@ -280,53 +175,6 @@ impl<'a> PreparedProgram<'a> {
     }
 }
 
-/// An owned copy of one prepared program — its instructions and decoded
-/// metadata (flat use lists, spans, per-instruction latencies) — kept
-/// across proposals so [`PreparedProgram::new_diffed`] can decode only the
-/// instructions a proposal actually changed. The incremental backend
-/// stores the committed rewrite here on every accept.
-#[derive(Debug, Clone, Default)]
-pub struct PreparedMeta {
-    instrs: Vec<Instruction>,
-    gpr_uses: Vec<Reg>,
-    xmm_uses: Vec<Xmm>,
-    flag_uses: Vec<Flag>,
-    spans: Vec<UseSpans>,
-    lat: Vec<u32>,
-}
-
-impl PreparedMeta {
-    /// An empty store; [`new_diffed`](PreparedProgram::new_diffed) against
-    /// it decodes everything afresh.
-    pub fn new() -> PreparedMeta {
-        PreparedMeta::default()
-    }
-
-    /// Overwrite this store with `prepared`'s instructions and metadata
-    /// (reusing allocations).
-    pub fn store(&mut self, prepared: &PreparedProgram<'_>) {
-        self.instrs.clear();
-        self.instrs
-            .extend(prepared.instrs.iter().map(|&i| i.clone()));
-        self.gpr_uses.clone_from(&prepared.gpr_uses);
-        self.xmm_uses.clone_from(&prepared.xmm_uses);
-        self.flag_uses.clone_from(&prepared.flag_uses);
-        self.spans.clone_from(&prepared.spans);
-        self.lat.clear();
-        self.lat.extend(prepared.instrs.iter().map(|i| i.latency()));
-    }
-
-    /// Number of stored instructions.
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// Whether nothing is stored.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,43 +227,6 @@ mod tests {
             PreparedProgram::of_program(&p).static_latency(),
             p.static_latency()
         );
-    }
-
-    #[test]
-    fn diffed_prepare_is_identical_to_full_prepare() {
-        let old: Program = "movq rdi, rax\naddq rsi, rax\nadcq rdi, rax\nxorq rcx, rcx"
-            .parse()
-            .unwrap();
-        let prepared = PreparedProgram::of_program(&old);
-        let mut meta = PreparedMeta::new();
-        assert!(meta.is_empty());
-        meta.store(&prepared);
-        assert_eq!(meta.len(), old.len());
-        // A single-slot edit, a deletion, an insertion, an unrelated
-        // program, and the unchanged program itself.
-        let variants = [
-            "movq rdi, rax\nsubq rsi, rax\nadcq rdi, rax\nxorq rcx, rcx",
-            "movq rdi, rax\nadcq rdi, rax\nxorq rcx, rcx",
-            "movq rdi, rax\naddq rsi, rax\nnegq rax\nadcq rdi, rax\nxorq rcx, rcx",
-            "negq rdi\nnotq rsi",
-            "movq rdi, rax\naddq rsi, rax\nadcq rdi, rax\nxorq rcx, rcx",
-        ];
-        for text in variants {
-            let p: Program = text.parse().unwrap();
-            let diffed = PreparedProgram::new_diffed(p.iter(), &meta);
-            let full = PreparedProgram::of_program(&p);
-            assert_eq!(diffed.len(), full.len());
-            assert_eq!(diffed.static_latency(), full.static_latency());
-            for i in 0..full.len() {
-                assert_eq!(diffed.gpr_uses_of(i), full.gpr_uses_of(i), "{text} @ {i}");
-                assert_eq!(diffed.xmm_uses_of(i), full.xmm_uses_of(i), "{text} @ {i}");
-                assert_eq!(diffed.flag_uses_of(i), full.flag_uses_of(i), "{text} @ {i}");
-            }
-            let a = diffed.run_prepared(&input());
-            let b = full.run_prepared(&input());
-            assert_eq!(a.state, b.state);
-            assert_eq!(a.faults, b.faults);
-        }
     }
 
     #[test]

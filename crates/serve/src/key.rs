@@ -6,7 +6,7 @@
 //! (see [`stoke_x86::canon`]), the interface (inputs and live-outs) is
 //! expressed in canonical registers, and the whole text is prefixed with a
 //! fingerprint of the pipeline configuration — opcode pool, cost model,
-//! verifier, backend and correctness weights — so a rewrite proven under
+//! verifier and correctness weights — so a rewrite proven under
 //! one pipeline is never served to a submission that demands different
 //! guarantees.
 //!
@@ -15,7 +15,7 @@
 //! programs with distinct canonical forms *cannot* alias.
 
 use std::collections::BTreeSet;
-use stoke::{BackendSpec, Config, InputKind, TargetSpec};
+use stoke::{Config, InputKind, TargetSpec};
 use stoke_x86::canon::{canonicalize, pinned_registers, Renaming};
 use stoke_x86::{Gpr, Program};
 
@@ -32,9 +32,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// A fingerprint of everything about the evaluation pipeline that affects
 /// which rewrites are acceptable: the opcode/immediate/register pools, the
-/// cost model, the verifier, the execution backend, the equality metric
-/// and its weights, and the test-suite size. Two sessions with the same
-/// fingerprint make interchangeable correctness claims.
+/// cost model, the verifier, the equality metric and its weights, and the
+/// test-suite size. Two sessions with the same fingerprint make
+/// interchangeable correctness claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineFingerprint(u64);
 
@@ -42,16 +42,8 @@ impl PipelineFingerprint {
     /// Fingerprint a configuration plus the name of the verifier in use
     /// (`"cascade"` for the session default).
     pub fn new(config: &Config, verifier_name: &str) -> PipelineFingerprint {
-        let backend = match config.backend {
-            BackendSpec::Interp => "interp",
-            BackendSpec::Prepared => "prepared",
-            BackendSpec::Batched => "batched",
-            BackendSpec::Incremental => "incremental",
-        };
         let mut text = String::new();
-        text.push_str("backend=");
-        text.push_str(backend);
-        text.push_str(";cost=");
+        text.push_str("cost=");
         text.push_str(config.cost_model.synthesis_model().name());
         text.push('/');
         text.push_str(config.cost_model.optimization_model().name());
@@ -327,37 +319,6 @@ mod tests {
             CacheKey::for_spec(&spec, fp(&leakage)).text(),
             "flipping the leakage option must change the cache key"
         );
-    }
-
-    #[test]
-    fn fingerprint_separates_every_backend() {
-        // Cached rewrites carry the backend they were searched under;
-        // keys must never alias across backends (in particular not across
-        // `Batched` and the checkpoint-reusing `Incremental`).
-        let fp = |c: &Config| PipelineFingerprint::new(c, "cascade");
-        let configs: Vec<Config> = [
-            BackendSpec::Interp,
-            BackendSpec::Prepared,
-            BackendSpec::Batched,
-            BackendSpec::Incremental,
-        ]
-        .into_iter()
-        .map(|backend| Config {
-            backend,
-            ..Config::default()
-        })
-        .collect();
-        for (i, a) in configs.iter().enumerate() {
-            for b in &configs[i + 1..] {
-                assert_ne!(
-                    fp(a),
-                    fp(b),
-                    "backends {:?} and {:?} must not share a fingerprint",
-                    a.backend,
-                    b.backend
-                );
-            }
-        }
     }
 
     #[test]

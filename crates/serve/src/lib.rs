@@ -11,8 +11,8 @@
 //! The economics come from the [`RewriteCache`]: targets are keyed by a
 //! canonical form — registers alpha-renamed into canonical order,
 //! immediates normalized where the machine semantics make it safe, the
-//! whole thing fingerprinted with the opcode pool, cost model, verifier
-//! and backend — so a kernel that was already solved is *served*, not
+//! whole thing fingerprinted with the opcode pool, cost model and
+//! verifier — so a kernel that was already solved is *served*, not
 //! searched (zero proposals), no matter which registers the resubmission
 //! happens to use. A submission within a small edit distance of a cached
 //! entry instead *warm-starts*: its synthesis chains begin from the

@@ -585,6 +585,13 @@ impl Service {
                 submitted: Instant::now(),
             });
             q.stats.submitted += 1;
+            // Announce the job before a worker can see it: a worker takes
+            // the queue lock to pop the job and emit `Started`, so emitting
+            // `Submitted` under the same lock keeps the two in order.
+            self.shared.emit(JobEvent::Submitted {
+                job: id,
+                priority: options.priority,
+            });
             self.shared.work.notify_one();
             (id, options.priority)
         };
@@ -600,7 +607,6 @@ impl Service {
                 Value::Str(format!("{priority:?}").to_ascii_lowercase()),
             )],
         );
-        self.shared.emit(JobEvent::Submitted { job: id, priority });
         id
     }
 

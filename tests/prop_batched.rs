@@ -1,18 +1,17 @@
-//! Property tests for the batched lockstep backend: for random programs
+//! Property tests for the batched lockstep engine: for random programs
 //! (drawn from the MCMC proposal distribution, i.e. exactly the population
 //! the search evaluates) and random suites of varying width — including
 //! N = 0, N = 1 and all-faulting columns — `BatchedProgram` produces
 //! outcomes bit-identical to `PreparedProgram::run_prepared` per column,
-//! and the three `BackendSpec` arms of the cost function agree on `eq'`
-//! totals, §4.5 early-termination decisions, and evaluation statistics.
+//! and the cost function's `eq'` agrees with a sequential interpreter
+//! oracle on totals, §4.5 early-termination decisions, and evaluation
+//! statistics.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stoke_suite::emu::{BatchedProgram, MachineState, PreparedProgram};
-use stoke_suite::stoke::{
-    generate_testcases, BackendSpec, Config, CostFn, EvalStats, Proposer, TargetSpec,
-};
+use stoke_suite::emu::{run_instrs, BatchedProgram, MachineState, PreparedProgram};
+use stoke_suite::stoke::{generate_testcases, Config, CostFn, EvalStats, Proposer, TargetSpec};
 use stoke_suite::x86::{Flag, Gpr, Instruction, Program, Xmm};
 
 /// A random machine state: a random subset of registers and flags defined
@@ -64,28 +63,50 @@ fn random_program(seed: u64, len: usize) -> Vec<Instruction> {
     (0..len).map(|_| proposer.random_instruction()).collect()
 }
 
-/// Evaluate `eq'` (bounded or not) through one backend, returning the
-/// result, the number of test cases evaluated, and the statistics.
-fn eval_backend(
-    backend: BackendSpec,
-    rewrite: &[Instruction],
-    suite_width: usize,
-    suite_seed: u64,
-    bound: Option<f64>,
-) -> (Option<u64>, usize, EvalStats) {
+/// A cost function over a random suite of `suite_width` cases for a
+/// fixed two-input target.
+fn cost_fn(suite_width: usize, suite_seed: u64) -> CostFn {
     let target: Program = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
     let spec = TargetSpec::with_gprs(target.clone(), &[Gpr::Rdi, Gpr::Rsi], &[Gpr::Rax]);
     let suite = generate_testcases(&spec, suite_width, suite_seed);
-    let config = Config {
-        backend,
-        ..Config::quick_test()
-    };
-    let mut cost = CostFn::new(config, suite, target.static_latency());
+    CostFn::new(Config::quick_test(), suite, target.static_latency())
+}
+
+/// An `eq'` outcome: the total (`None` on an early exit), the number of
+/// test cases evaluated, and the statistics charged.
+type Eval = (Option<u64>, usize, EvalStats);
+
+/// Evaluate `eq'` (bounded or not) through the engine, returning the
+/// result, the number of test cases evaluated, and the statistics.
+fn eval_engine(cost: &mut CostFn, rewrite: &[Instruction], bound: Option<f64>) -> Eval {
     let (res, evaluated) = match bound {
-        None => (Some(cost.eq_prime(rewrite)), suite_width),
+        None => (Some(cost.eq_prime(rewrite)), cost.suite().len()),
         Some(b) => cost.eq_prime_bounded(rewrite, b),
     };
     (res, evaluated, cost.stats)
+}
+
+/// The oracle: the interpreter run case by case in suite order, scored by
+/// the cost function's public per-term helpers, with the §4.5 exit taken
+/// after the first case whose running sum exceeds the bound.
+fn eval_oracle(cost: &CostFn, rewrite: &[Instruction], bound: Option<f64>) -> Eval {
+    let mut stats = EvalStats {
+        evaluations: 1,
+        ..EvalStats::default()
+    };
+    let mut total = 0u64;
+    for (i, case) in cost.suite().cases.iter().enumerate() {
+        stats.testcases_run += 1;
+        let out = run_instrs(rewrite, &case.input);
+        total += cost.reg_term(case, &out.state)
+            + cost.mem_term(case, &out.state)
+            + cost.err_term(&out.faults);
+        if bound.is_some_and(|b| (total as f64) > b) {
+            stats.early_terminations += 1;
+            return (None, i + 1, stats);
+        }
+    }
+    (Some(total), cost.suite().len(), stats)
 }
 
 proptest! {
@@ -138,11 +159,11 @@ proptest! {
         }
     }
 
-    /// All three `BackendSpec` arms return the same `eq'` total, the same
-    /// §4.5 early-termination decision, the same number of test cases
-    /// evaluated, and the same statistics — for random rewrites, random
-    /// suites of varying width, and random bounds (including bounds low
-    /// enough to trip on the first case).
+    /// The engine returns the oracle's `eq'` total, §4.5
+    /// early-termination decision, number of test cases evaluated, and
+    /// statistics — for random rewrites, random suites of varying width,
+    /// and random bounds (including bounds low enough to trip on the first
+    /// case).
     #[test]
     fn backends_agree_on_eq_prime_and_early_exit(
         program_seed in any::<u64>(),
@@ -158,16 +179,9 @@ proptest! {
             2 => Some(raw_bound as f64),
             _ => Some(1e18),
         };
-        let reference = eval_backend(BackendSpec::Interp, &rewrite, n, suite_seed, bound);
-        for backend in [BackendSpec::Prepared, BackendSpec::Batched] {
-            let got = eval_backend(backend, &rewrite, n, suite_seed, bound);
-            prop_assert_eq!(
-                &got,
-                &reference,
-                "{:?} diverges from Interp (bound {:?})",
-                backend,
-                bound
-            );
-        }
+        let mut cost = cost_fn(n, suite_seed);
+        let want = eval_oracle(&cost, &rewrite, bound);
+        let got = eval_engine(&mut cost, &rewrite, bound);
+        prop_assert_eq!(&got, &want, "engine diverges from the oracle (bound {:?})", bound);
     }
 }
