@@ -21,11 +21,12 @@
 
 use std::fs;
 use std::io::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use stoke::{
-    generate_testcases, Chain, ChainProgress, CollectingObserver, Config, CostFn, EqMetric,
-    MoveStats, Phase, Rewrite, SearchEvent, SearchObserver, StokeResult, ValidationVerdict,
+    generate_testcases, Chain, ChainProgress, Config, CostFn, EqMetric, MoveStats, Phase, Rewrite,
+    SearchObserver, StokeResult, ValidationVerdict,
 };
 use stoke_bench::{run_kernel_instrumented, spec_for, sweep_config};
 use stoke_emu::{run as emulate, TimingModel};
@@ -34,66 +35,40 @@ use stoke_verify::Validator;
 use stoke_workloads::{all_kernels, hackers_delight, kernels};
 use stoke_x86::Program;
 
-/// Streams pipeline events to stderr as they happen and delegates storage
-/// to a [`CollectingObserver`] for the per-kernel summary printed after
-/// each run.
+/// Streams pipeline events to stderr as they happen and counts the ones
+/// the per-kernel summary reports.
 struct StreamingProgress {
     kernel: String,
-    collected: CollectingObserver,
+    phases: AtomicUsize,
+    candidates: AtomicUsize,
+    proven: AtomicUsize,
 }
 
 impl StreamingProgress {
-    /// Cap on retained events: each run's summary only counts event
-    /// kinds, so old events are evicted (and counted) instead of letting
-    /// a long sweep grow the buffer without bound.
-    const EVENT_CAPACITY: usize = 4096;
-
     fn new(kernel: &str) -> StreamingProgress {
         StreamingProgress {
             kernel: kernel.to_string(),
-            collected: CollectingObserver::with_capacity(Self::EVENT_CAPACITY),
+            phases: AtomicUsize::new(0),
+            candidates: AtomicUsize::new(0),
+            proven: AtomicUsize::new(0),
         }
     }
 
-    /// One line summarizing the collected events of the finished run.
-    /// Draining (rather than cloning) the buffer keeps the progress loop
-    /// O(events) overall instead of O(events²).
+    /// One line summarizing the finished run.
     fn summary(&self) -> String {
-        let dropped = self.collected.dropped();
-        let events = self.collected.drain();
-        let phases = events
-            .iter()
-            .filter(|e| matches!(e, SearchEvent::PhaseStart { .. }))
-            .count();
-        let candidates = events
-            .iter()
-            .filter(|e| matches!(e, SearchEvent::Candidate { .. }))
-            .count();
-        let proven = events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    SearchEvent::Validation {
-                        verdict: ValidationVerdict::Proven,
-                        ..
-                    }
-                )
-            })
-            .count();
-        let tail = if dropped > 0 {
-            format!(" ({dropped} early events evicted)")
-        } else {
-            String::new()
-        };
-        format!("{phases} phases, {candidates} candidates re-ranked, {proven} proven{tail}")
+        format!(
+            "{} phases, {} candidates re-ranked, {} proven",
+            self.phases.load(Ordering::Relaxed),
+            self.candidates.load(Ordering::Relaxed),
+            self.proven.load(Ordering::Relaxed)
+        )
     }
 }
 
 impl SearchObserver for StreamingProgress {
-    fn on_phase_start(&self, target: usize, phase: Phase) {
+    fn on_phase_start(&self, _target: usize, phase: Phase) {
         eprintln!("  [{}] phase {:?}", self.kernel, phase);
-        self.collected.on_phase_start(target, phase);
+        self.phases.fetch_add(1, Ordering::Relaxed);
     }
 
     fn on_chain_progress(&self, progress: &ChainProgress) {
@@ -108,22 +83,23 @@ impl SearchObserver for StreamingProgress {
             progress.correctness,
             progress.performance
         );
-        self.collected.on_chain_progress(progress);
     }
 
-    fn on_candidate(&self, target: usize, candidate: &Program, cost: f64) {
+    fn on_candidate(&self, _target: usize, candidate: &Program, cost: f64) {
         eprintln!(
             "  [{}] candidate: {} instructions, cost {:.1}",
             self.kernel,
             candidate.len(),
             cost
         );
-        self.collected.on_candidate(target, candidate, cost);
+        self.candidates.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_validation(&self, target: usize, verdict: ValidationVerdict) {
+    fn on_validation(&self, _target: usize, verdict: ValidationVerdict) {
         eprintln!("  [{}] validation: {:?}", self.kernel, verdict);
-        self.collected.on_validation(target, verdict);
+        if verdict == ValidationVerdict::Proven {
+            self.proven.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -395,8 +371,8 @@ fn fig10(iterations: u64, threads: usize, obs: &ObsMode) {
         let o0 = t.cycles(&kernel.target_o0()).max(1);
         let o2 = t.cycles(&kernel.baseline_o2()).max(1);
         let o3 = t.cycles(&kernel.baseline_o3()).max(1);
-        // Pipeline events stream to stderr live as the search runs; the
-        // collected copy becomes the one-line summary below.
+        // Pipeline events stream to stderr live as the search runs; their
+        // counts become the one-line summary below.
         let observer = Arc::new(StreamingProgress::new(kernel.name));
         let registry = if obs.metrics {
             Some(Arc::new(MetricsRegistry::new()))

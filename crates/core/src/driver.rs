@@ -1009,7 +1009,7 @@ mod tests {
     use super::*;
     use crate::config::ConfigBuilder;
     use crate::error::ConfigError;
-    use crate::observer::{CollectingObserver, SearchEvent};
+    use stoke_obs::{RingSink, TraceRecord, Value};
     use stoke_x86::Gpr;
 
     fn quick_config() -> Config {
@@ -1252,28 +1252,41 @@ mod tests {
 
     #[test]
     fn observer_sees_phases_in_pipeline_order() {
-        let observer = Arc::new(CollectingObserver::new());
-        let session = Session::new(quick_config()).with_observer(observer.clone());
+        let ring = Arc::new(RingSink::new(1 << 16));
+        let session = Session::new(quick_config()).with_trace(ring.clone());
         session.run(&clumsy_add()).expect("run succeeds");
+        assert_eq!(ring.dropped(), 0);
+        let records: Vec<TraceRecord> = ring.records().into_iter().map(|(_, r)| r).collect();
+        let phases: Vec<&str> = records
+            .iter()
+            .filter_map(|r| match r {
+                TraceRecord::SpanStart { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            observer.phases(),
-            vec![
-                Phase::Testcases,
-                Phase::Synthesis,
-                Phase::Optimization,
-                Phase::Validation
+            phases,
+            [
+                "phase:testcases",
+                "phase:synthesis",
+                "phase:optimization",
+                "phase:validation"
             ]
         );
         // The optimization phase produced at least one candidate event.
-        assert!(observer
-            .events()
-            .iter()
-            .any(|e| matches!(e, SearchEvent::Candidate { .. })));
+        let is_event = |r: &TraceRecord, want: &str| matches!(r, TraceRecord::Event { name, .. } if name == want);
+        assert!(records.iter().any(|r| is_event(r, "candidate")));
         // Progress reports carry the right phase tags.
-        for event in observer.events() {
-            if let SearchEvent::Progress(p) = event {
-                assert!(matches!(p.phase, Phase::Synthesis | Phase::Optimization));
-                assert!(p.proposals <= p.iterations);
+        for record in records.iter().filter(|r| is_event(r, "progress")) {
+            assert!(matches!(
+                record.field("phase"),
+                Some(Value::Str(p)) if p == "synthesis" || p == "optimization"
+            ));
+            match (record.field("proposals"), record.field("iterations")) {
+                (Some(Value::U64(proposals)), Some(Value::U64(iterations))) => {
+                    assert!(proposals <= iterations)
+                }
+                other => panic!("progress without proposal counts: {other:?}"),
             }
         }
     }
@@ -1375,19 +1388,19 @@ mod tests {
 
     #[test]
     fn batch_observer_tags_events_with_target_indices() {
-        let observer = Arc::new(CollectingObserver::new());
+        let ring = Arc::new(RingSink::new(1 << 16));
         let config = Config {
             synthesis_iterations: 500,
             optimization_iterations: 2_000,
             ..quick_config()
         };
-        let session = Session::new(config).with_observer(observer.clone());
+        let session = Session::new(config).with_trace(ring.clone());
         session.run_batch(&[clumsy_add(), clumsy_add()]);
-        let targets: std::collections::BTreeSet<usize> = observer
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                SearchEvent::PhaseStart { target, .. } => Some(*target),
+        let targets: std::collections::BTreeSet<u64> = ring
+            .records()
+            .into_iter()
+            .filter_map(|(_, r)| match r {
+                TraceRecord::SpanStart { target, .. } => Some(target),
                 _ => None,
             })
             .collect();

@@ -72,7 +72,7 @@ pub mod mcmc;
 pub mod model;
 pub mod observer;
 pub mod search;
-pub mod telemetry;
+mod telemetry;
 pub mod testcase;
 pub mod verifier;
 
@@ -88,11 +88,9 @@ pub use model::{
     EvalContext, PaperCost, Weighted,
 };
 pub use observer::{
-    ChainProgress, ChainStats, CollectingObserver, NullObserver, Phase, SearchEvent,
-    SearchObserver, TeeObserver, ValidationVerdict,
+    ChainProgress, ChainStats, NullObserver, Phase, SearchObserver, TeeObserver, ValidationVerdict,
 };
 pub use search::{SearchStats, StokeResult, Verification};
-pub use telemetry::MetricsObserver;
 pub use testcase::{generate_testcases, InputKind, InputSpec, TargetSpec, TestSuite, Testcase};
 pub use verifier::{
     Cascade, LeakageCheck, Symbolic, TestOnly, Verdict, Verifier, VerifierSpec, VerifyContext,

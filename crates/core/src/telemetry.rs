@@ -135,10 +135,8 @@ impl Handles {
 ///
 /// [`Session::with_metrics`](crate::Session::with_metrics) and
 /// [`Session::with_trace`](crate::Session::with_trace) install one of these
-/// automatically; construct one directly to instrument hand-driven chains
-/// or to compose with other observers via
-/// [`TeeObserver`](crate::observer::TeeObserver).
-pub struct MetricsObserver {
+/// behind the caller's observer for every run.
+pub(crate) struct MetricsObserver {
     trace: Option<Arc<dyn TraceSink>>,
     handles: Option<Handles>,
     /// Per-target currently open phase span, for wall-time accounting.
@@ -148,21 +146,8 @@ pub struct MetricsObserver {
 }
 
 impl MetricsObserver {
-    /// An adapter recording metrics into `registry`.
-    pub fn new(registry: &MetricsRegistry) -> MetricsObserver {
-        MetricsObserver {
-            trace: None,
-            handles: Some(Handles::new(registry)),
-            open_phase: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// Also stream structured trace records to `sink`.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> MetricsObserver {
-        self.trace = Some(sink);
-        self
-    }
-
+    /// An adapter recording into `metrics` and streaming to `trace`,
+    /// either of which may be absent.
     pub(crate) fn from_parts(
         metrics: Option<Arc<MetricsRegistry>>,
         trace: Option<Arc<dyn TraceSink>>,
@@ -222,6 +207,7 @@ impl SearchObserver for MetricsObserver {
                 ),
                 ("chain".into(), Value::U64(progress.chain as u64)),
                 ("proposals".into(), Value::U64(progress.proposals)),
+                ("iterations".into(), Value::U64(progress.iterations)),
                 ("cost".into(), Value::F64(progress.current_cost)),
                 ("correctness".into(), Value::F64(progress.correctness)),
                 ("performance".into(), Value::F64(progress.performance)),
@@ -346,9 +332,9 @@ mod tests {
 
     #[test]
     fn phase_transitions_observe_wall_time_and_spans() {
-        let registry = MetricsRegistry::new();
+        let registry = Arc::new(MetricsRegistry::new());
         let ring = Arc::new(RingSink::new(64));
-        let obs = MetricsObserver::new(&registry).with_trace(ring.clone());
+        let obs = MetricsObserver::from_parts(Some(registry.clone()), Some(ring.clone()));
         obs.on_phase_start(0, Phase::Synthesis);
         obs.on_phase_start(0, Phase::Optimization);
         let result = StokeResult {
@@ -392,8 +378,8 @@ mod tests {
 
     #[test]
     fn chain_end_accumulates_per_move_counters() {
-        let registry = MetricsRegistry::new();
-        let obs = MetricsObserver::new(&registry);
+        let registry = Arc::new(MetricsRegistry::new());
+        let obs = MetricsObserver::from_parts(Some(registry.clone()), None);
         let mut moves = MoveStats::default();
         moves.record(MoveKind::Swap, true);
         moves.record(MoveKind::Swap, false);

@@ -83,6 +83,19 @@ pub enum TraceRecord {
     },
 }
 
+impl TraceRecord {
+    /// The value of field `key` of an [`TraceRecord::Event`]; `None` for
+    /// other kinds or a missing key.
+    pub fn field(&self, key: &str) -> Option<&Value> {
+        match self {
+            TraceRecord::Event { fields, .. } => {
+                fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// An error produced while parsing or validating a trace stream.
 ///
 /// `line` is 1-based; records produced by [`parse_line`] (which sees a single
@@ -866,5 +879,60 @@ mod tests {
         }
         // Timestamps are non-decreasing in arrival order.
         assert!(records[0].0 <= records[1].0);
+    }
+
+    #[test]
+    fn concurrent_jobs_interleave_but_stay_ordered_per_target() {
+        // Two "jobs" record into one shared ring from separate threads;
+        // the ring may interleave them arbitrarily, but filtering by
+        // target must recover each job's record order exactly.
+        let ring = RingSink::new(1024);
+        std::thread::scope(|scope| {
+            for target in 0..2u64 {
+                let ring = &ring;
+                scope.spawn(move || {
+                    for i in 0..100u64 {
+                        ring.record(TraceRecord::SpanStart {
+                            name: "phase:synthesis".into(),
+                            target,
+                        });
+                        ring.record(TraceRecord::Event {
+                            name: "progress".into(),
+                            target,
+                            fields: vec![("proposals".into(), Value::U64(i))],
+                        });
+                    }
+                });
+            }
+        });
+        let records = ring.records();
+        assert_eq!(records.len(), 400);
+        assert_eq!(ring.dropped(), 0);
+        // Timestamps are stamped under the ring's lock, so they stay
+        // non-decreasing across writers.
+        assert!(records.windows(2).all(|w| w[0].0 <= w[1].0));
+        for target in 0..2u64 {
+            let mut expect_progress = false;
+            let mut next_proposals = 0u64;
+            let mut seen = 0;
+            for (_, record) in &records {
+                match record {
+                    TraceRecord::SpanStart { target: t, .. } if *t == target => {
+                        assert!(!expect_progress, "job {target} records out of order");
+                        expect_progress = true;
+                        seen += 1;
+                    }
+                    TraceRecord::Event { target: t, .. } if *t == target => {
+                        assert!(expect_progress, "job {target} records out of order");
+                        assert_eq!(record.field("proposals"), Some(&Value::U64(next_proposals)));
+                        expect_progress = false;
+                        next_proposals += 1;
+                        seen += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(seen, 200);
+        }
     }
 }

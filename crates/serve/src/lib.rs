@@ -5,8 +5,8 @@
 //! threads that drain a priority [job queue](Service::submit) of
 //! [`TargetSpec`](stoke::TargetSpec)s, each job bounded by its own
 //! [`Budget`](stoke::Budget) (composed with a batch-wide one) and
-//! cancellable from any thread, with progress streamed as typed
-//! [`JobEvent`]s.
+//! cancellable from any thread, with every lifecycle step recorded as a
+//! structured trace event through [`ServeConfig::trace`].
 //!
 //! The economics come from the [`RewriteCache`]: targets are keyed by a
 //! canonical form — registers alpha-renamed into canonical order,
@@ -67,6 +67,6 @@ pub mod service;
 pub use cache::{CacheConfig, CacheStats, CachedRewrite, PersistError, RewriteCache};
 pub use key::{edit_distance_within, fnv1a64, CacheKey, PipelineFingerprint};
 pub use service::{
-    Disposition, JobEvent, JobId, JobOutcome, JobStatus, Priority, ServeConfig, ServeError,
-    Service, ServiceStats, SubmitOptions,
+    Disposition, JobId, JobOutcome, JobStatus, Priority, ServeConfig, ServeError, Service,
+    ServiceStats, SubmitOptions,
 };

@@ -9,13 +9,12 @@ use crate::key::{CacheKey, PipelineFingerprint};
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stoke::{
-    Budget, BudgetClock, ChainProgress, Config, Phase, RunRequest, SearchObserver, SearchStats,
-    Session, StokeError, StokeResult, TargetSpec, ValidationVerdict, Verifier,
+    Budget, BudgetClock, Config, RunRequest, SearchStats, Session, StokeError, StokeResult,
+    TargetSpec, Verifier,
 };
 use stoke_emu::TimingModel;
 use stoke_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceRecord, TraceSink, Value};
@@ -26,7 +25,7 @@ use stoke_x86::Program;
 pub struct JobId(u64);
 
 impl JobId {
-    /// The raw id (also used as the observer target index of the job).
+    /// The raw id (also the `target` of the job's trace records).
     pub fn value(&self) -> u64 {
         self.0
     }
@@ -108,85 +107,6 @@ pub struct JobOutcome {
     /// Time from pickup to completion (≈ `stats.total_time` for cold
     /// searches, ~zero for cache hits).
     pub run_time: Duration,
-}
-
-/// Typed progress events streamed from the service, consumable from any
-/// thread via [`Service::subscribe`]. `Phase`/`Progress`/`Candidate`/
-/// `Validation` relay the [`SearchObserver`] callbacks of the underlying
-/// session run, tagged with the job id.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobEvent {
-    /// The job entered the queue.
-    Submitted {
-        /// The job.
-        job: JobId,
-        /// Its scheduling priority.
-        priority: Priority,
-    },
-    /// A worker picked the job up.
-    Started {
-        /// The job.
-        job: JobId,
-    },
-    /// A canonically-equal cached rewrite was served; no search ran.
-    CacheHit {
-        /// The job.
-        job: JobId,
-    },
-    /// A near-miss cache entry is seeding the synthesis chains.
-    WarmStart {
-        /// The job.
-        job: JobId,
-        /// Canonical edit distance to the seeding entry.
-        distance: usize,
-    },
-    /// A pipeline phase started.
-    PhaseStart {
-        /// The job.
-        job: JobId,
-        /// The phase.
-        phase: Phase,
-    },
-    /// Periodic chain progress.
-    Progress {
-        /// The job.
-        job: JobId,
-        /// The chain's progress report.
-        progress: ChainProgress,
-    },
-    /// A candidate entered the re-rank stage.
-    Candidate {
-        /// The job.
-        job: JobId,
-        /// Candidate length in instructions.
-        instructions: usize,
-        /// Its search cost.
-        cost: f64,
-    },
-    /// A symbolic validation query finished.
-    Validation {
-        /// The job.
-        job: JobId,
-        /// The verdict.
-        verdict: ValidationVerdict,
-    },
-    /// The job finished (see [`Service::wait`] for the outcome).
-    Completed {
-        /// The job.
-        job: JobId,
-        /// Where its result came from.
-        disposition: Disposition,
-    },
-    /// The job's run returned an error (including budget exhaustion).
-    Failed {
-        /// The job.
-        job: JobId,
-    },
-    /// The job was cancelled while queued and will never run.
-    Cancelled {
-        /// The job.
-        job: JobId,
-    },
 }
 
 /// Counters describing service activity, from [`Service::stats`].
@@ -280,8 +200,12 @@ pub struct ServeConfig {
     /// counters under the `stoke_serve_*` families, and every job's
     /// session records its search metrics into the same registry.
     pub metrics: Option<Arc<MetricsRegistry>>,
-    /// Optional structured trace sink receiving job lifecycle events and
-    /// every job session's span/event records.
+    /// Optional structured trace sink: the service's record of what every
+    /// job did. It receives the lifecycle events `job_submitted`,
+    /// `job_started`, `job_completed` / `job_failed` (with the
+    /// `disposition`, plus the warm-start `distance`) and `job_cancelled`,
+    /// and every job session's span/event records, all with
+    /// `target` = [`JobId::value`].
     pub trace: Option<Arc<dyn TraceSink>>,
 }
 
@@ -398,16 +322,22 @@ struct Shared {
     done: Condvar,
     batch_clock: Arc<BudgetClock>,
     cache: Mutex<RewriteCache>,
-    subscribers: Mutex<Vec<Sender<JobEvent>>>,
     registry: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
     metrics: Option<ServeMetrics>,
 }
 
 impl Shared {
-    fn emit(&self, event: JobEvent) {
-        let mut subs = self.subscribers.lock().expect("subscriber lock");
-        subs.retain(|tx| tx.send(event.clone()).is_ok());
+    /// Mark a queued job cancelled. Called under the queue lock, so the
+    /// job is counted and traced before any `wait` caller sees it.
+    fn withdraw(&self, q: &mut QueueState, job: JobId) {
+        q.jobs.get_mut(&job).expect("record exists").status = JobStatus::Cancelled;
+        q.stats.cancelled += 1;
+        if let Some(m) = &self.metrics {
+            m.cancelled.inc();
+        }
+        self.trace_event("job_cancelled", job, Vec::new());
+        self.done.notify_all();
     }
 
     fn trace_event(&self, name: &str, job: JobId, fields: Vec<(String, Value)>) {
@@ -418,44 +348,6 @@ impl Shared {
                 fields,
             });
         }
-    }
-}
-
-/// An observer adapter forwarding one job's session callbacks into the
-/// service event stream.
-struct JobObserver {
-    job: JobId,
-    shared: Arc<Shared>,
-}
-
-impl SearchObserver for JobObserver {
-    fn on_phase_start(&self, _target: usize, phase: Phase) {
-        self.shared.emit(JobEvent::PhaseStart {
-            job: self.job,
-            phase,
-        });
-    }
-
-    fn on_chain_progress(&self, progress: &ChainProgress) {
-        self.shared.emit(JobEvent::Progress {
-            job: self.job,
-            progress: *progress,
-        });
-    }
-
-    fn on_candidate(&self, _target: usize, candidate: &Program, cost: f64) {
-        self.shared.emit(JobEvent::Candidate {
-            job: self.job,
-            instructions: candidate.len(),
-            cost,
-        });
-    }
-
-    fn on_validation(&self, _target: usize, verdict: ValidationVerdict) {
-        self.shared.emit(JobEvent::Validation {
-            job: self.job,
-            verdict,
-        });
     }
 }
 
@@ -529,7 +421,6 @@ impl Service {
             done: Condvar::new(),
             batch_clock: Arc::new(BudgetClock::start(&config.batch_budget)),
             cache: Mutex::new(cache),
-            subscribers: Mutex::new(Vec::new()),
             metrics: config.metrics.as_deref().map(ServeMetrics::new),
             registry: config.metrics,
             trace: config.trace,
@@ -556,45 +447,38 @@ impl Service {
     /// Submit a target with an explicit priority and/or budget; returns
     /// immediately.
     pub fn submit_with(&self, spec: TargetSpec, options: SubmitOptions) -> JobId {
-        let (id, priority) = {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            let id = JobId(q.next_id);
-            q.next_id += 1;
-            let seq = q.next_seq;
-            q.next_seq += 1;
-            // A caller-provided budget is used as-is (its cancel token is
-            // shared with the caller); otherwise the job gets a fresh,
-            // independently cancellable copy of the service template.
-            let budget = options
-                .budget
-                .unwrap_or_else(|| self.shared.job_budget.detached());
-            q.jobs.insert(
-                id,
-                JobRecord {
-                    status: JobStatus::Queued,
-                    cancel: budget.cancel_token(),
-                    outcome: None,
-                },
-            );
-            q.pending.push(PendingJob {
-                seq,
-                id,
-                priority: options.priority,
-                spec,
-                budget,
-                submitted: Instant::now(),
-            });
-            q.stats.submitted += 1;
-            // Announce the job before a worker can see it: a worker takes
-            // the queue lock to pop the job and emit `Started`, so emitting
-            // `Submitted` under the same lock keeps the two in order.
-            self.shared.emit(JobEvent::Submitted {
-                job: id,
-                priority: options.priority,
-            });
-            self.shared.work.notify_one();
-            (id, options.priority)
-        };
+        let mut q = self.shared.queue.lock().expect("queue lock");
+        let id = JobId(q.next_id);
+        q.next_id += 1;
+        let seq = q.next_seq;
+        q.next_seq += 1;
+        // A caller-provided budget is used as-is (its cancel token is
+        // shared with the caller); otherwise the job gets a fresh,
+        // independently cancellable copy of the service template.
+        let budget = options
+            .budget
+            .unwrap_or_else(|| self.shared.job_budget.detached());
+        q.jobs.insert(
+            id,
+            JobRecord {
+                status: JobStatus::Queued,
+                cancel: budget.cancel_token(),
+                outcome: None,
+            },
+        );
+        q.pending.push(PendingJob {
+            seq,
+            id,
+            priority: options.priority,
+            spec,
+            budget,
+            submitted: Instant::now(),
+        });
+        q.stats.submitted += 1;
+        // Account for the job before a worker can see it: a worker takes
+        // the queue lock to pop the job, so recording here keeps
+        // `job_submitted` ahead of `job_started` in the trace and the
+        // queue-depth gauge from dipping below zero.
         if let Some(m) = &self.shared.metrics {
             m.submitted.inc();
             m.queue_depth.inc();
@@ -604,9 +488,10 @@ impl Service {
             id,
             vec![(
                 "priority".to_string(),
-                Value::Str(format!("{priority:?}").to_ascii_lowercase()),
+                Value::Str(format!("{:?}", options.priority).to_ascii_lowercase()),
             )],
         );
+        self.shared.work.notify_one();
         id
     }
 
@@ -643,50 +528,25 @@ impl Service {
     /// job's budget is cancelled, preempting its chains at the next
     /// proposal. Returns `false` for unknown or already-finished jobs.
     pub fn cancel(&self, job: JobId) -> bool {
-        let cancelled = {
-            let mut q = self.shared.queue.lock().expect("queue lock");
-            match q.jobs.get_mut(&job) {
-                None => return false,
-                Some(record) => match record.status {
-                    JobStatus::Done | JobStatus::Cancelled => return false,
-                    JobStatus::Queued => {
-                        record.status = JobStatus::Cancelled;
-                        record.cancel.cancel();
-                        q.stats.cancelled += 1;
-                        self.shared.done.notify_all();
-                        true
-                    }
-                    JobStatus::Running => {
-                        record.cancel.cancel();
-                        false
-                    }
-                },
-            }
+        let mut q = self.shared.queue.lock().expect("queue lock");
+        let Some(record) = q.jobs.get_mut(&job) else {
+            return false;
         };
-        if cancelled {
-            // The heap entry is left in place (a worker skips it on
-            // pickup), so the queue-depth gauge is untouched here: it
-            // tracks heap occupancy and drops when the entry is popped.
-            if let Some(m) = &self.shared.metrics {
-                m.cancelled.inc();
+        match record.status {
+            JobStatus::Done | JobStatus::Cancelled => false,
+            JobStatus::Running => {
+                record.cancel.cancel();
+                true
             }
-            self.shared.trace_event("job_cancelled", job, Vec::new());
-            self.shared.emit(JobEvent::Cancelled { job });
+            JobStatus::Queued => {
+                record.cancel.cancel();
+                // The heap entry is left in place (a worker skips it on
+                // pickup), so the queue-depth gauge is untouched here: it
+                // tracks heap occupancy and drops when the entry is popped.
+                self.shared.withdraw(&mut q, job);
+                true
+            }
         }
-        true
-    }
-
-    /// Subscribe to the service's [`JobEvent`] stream. Every subscriber
-    /// receives every event from subscription time on; dropping the
-    /// receiver unsubscribes.
-    pub fn subscribe(&self) -> Receiver<JobEvent> {
-        let (tx, rx) = mpsc::channel();
-        self.shared
-            .subscribers
-            .lock()
-            .expect("subscriber lock")
-            .push(tx);
-        rx
     }
 
     /// A snapshot of the service counters.
@@ -717,37 +577,22 @@ impl Service {
     }
 
     fn shutdown_impl(&mut self) -> Result<(), ServeError> {
-        let withdrawn: Vec<JobId> = {
+        {
             let mut q = self.shared.queue.lock().expect("queue lock");
-            if q.shutdown {
-                Vec::new()
-            } else {
+            if !q.shutdown {
                 q.shutdown = true;
-                let mut withdrawn = Vec::new();
                 while let Some(job) = q.pending.pop() {
                     if let Some(m) = &self.shared.metrics {
                         m.queue_depth.dec();
                     }
-                    if let Some(record) = q.jobs.get_mut(&job.id) {
-                        if record.status == JobStatus::Queued {
-                            record.status = JobStatus::Cancelled;
-                            q.stats.cancelled += 1;
-                            withdrawn.push(job.id);
-                        }
+                    if q.jobs[&job.id].status == JobStatus::Queued {
+                        self.shared.withdraw(&mut q, job.id);
                     }
                 }
-                withdrawn
             }
-        };
+        }
         self.shared.work.notify_all();
         self.shared.done.notify_all();
-        for job in withdrawn {
-            if let Some(m) = &self.shared.metrics {
-                m.cancelled.inc();
-            }
-            self.shared.trace_event("job_cancelled", job, Vec::new());
-            self.shared.emit(JobEvent::Cancelled { job });
-        }
         for handle in std::mem::take(&mut self.workers) {
             let _ = handle.join();
         }
@@ -801,7 +646,7 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
         m.queue_depth.dec();
     }
     // Jobs cancelled while queued are skipped (the cancel call already
-    // marked the record and emitted the event).
+    // marked the record and recorded `job_cancelled`).
     {
         let mut q = shared.queue.lock().expect("queue lock");
         let record = q.jobs.get_mut(&id).expect("record exists for queued job");
@@ -819,7 +664,6 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
             Value::U64(queue_time.as_micros() as u64),
         )],
     );
-    shared.emit(JobEvent::Started { job: id });
     let started = Instant::now();
 
     let key = CacheKey::for_spec(&spec, shared.fingerprint);
@@ -838,7 +682,6 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
             verification: hit.verification,
             stats: SearchStats::default(),
         };
-        shared.emit(JobEvent::CacheHit { job: id });
         complete(
             shared,
             id,
@@ -869,18 +712,8 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
             distance,
         )
     });
-    if let Some((_, distance)) = &warm {
-        shared.emit(JobEvent::WarmStart {
-            job: id,
-            distance: *distance,
-        });
-    }
-
     // 3. Full pipeline run under the composed job + batch clocks.
-    let mut session = Session::new(shared.config.clone()).with_observer(Arc::new(JobObserver {
-        job: id,
-        shared: shared.clone(),
-    }));
+    let mut session = Session::new(shared.config.clone());
     if let Some(verifier) = &shared.verifier {
         session = session.with_verifier(verifier.clone());
     }
@@ -933,28 +766,42 @@ fn complete(
     run_time: Duration,
 ) {
     let failed = result.is_err();
-    {
-        let mut q = shared.queue.lock().expect("queue lock");
-        if failed {
-            q.stats.failed += 1;
-        } else {
-            q.stats.completed += 1;
-        }
-        match disposition {
-            Disposition::CacheHit => q.stats.cache_hits += 1,
-            Disposition::WarmStart { .. } => q.stats.warm_starts += 1,
-            Disposition::ColdSearch => q.stats.cold_searches += 1,
-        }
-        let record = q.jobs.get_mut(&id).expect("record exists");
-        record.status = JobStatus::Done;
-        record.outcome = Some(JobOutcome {
-            job: id,
-            disposition,
-            result,
-            queue_time,
-            run_time,
-        });
-        shared.done.notify_all();
+    let mut fields = vec![
+        (
+            "disposition".to_string(),
+            Value::Str(
+                match disposition {
+                    Disposition::CacheHit => "cache_hit",
+                    Disposition::WarmStart { .. } => "warm_start",
+                    Disposition::ColdSearch => "cold_search",
+                }
+                .to_string(),
+            ),
+        ),
+        (
+            "queue_us".to_string(),
+            Value::U64(queue_time.as_micros() as u64),
+        ),
+        (
+            "run_us".to_string(),
+            Value::U64(run_time.as_micros() as u64),
+        ),
+    ];
+    if let Disposition::WarmStart { distance } = disposition {
+        fields.push(("distance".to_string(), Value::U64(distance as u64)));
+    }
+    // Everything is recorded before `wait` callers can see the outcome,
+    // so a returned `wait` implies the job's metrics and trace are final.
+    let mut q = shared.queue.lock().expect("queue lock");
+    if failed {
+        q.stats.failed += 1;
+    } else {
+        q.stats.completed += 1;
+    }
+    match disposition {
+        Disposition::CacheHit => q.stats.cache_hits += 1,
+        Disposition::WarmStart { .. } => q.stats.warm_starts += 1,
+        Disposition::ColdSearch => q.stats.cold_searches += 1,
     }
     if let Some(m) = &shared.metrics {
         if failed {
@@ -970,11 +817,6 @@ fn complete(
         m.queue_seconds.observe(queue_time.as_secs_f64());
         m.run_seconds.observe(run_time.as_secs_f64());
     }
-    let disposition_name = match disposition {
-        Disposition::CacheHit => "cache_hit",
-        Disposition::WarmStart { .. } => "warm_start",
-        Disposition::ColdSearch => "cold_search",
-    };
     shared.trace_event(
         if failed {
             "job_failed"
@@ -982,29 +824,18 @@ fn complete(
             "job_completed"
         },
         id,
-        vec![
-            (
-                "disposition".to_string(),
-                Value::Str(disposition_name.to_string()),
-            ),
-            (
-                "queue_us".to_string(),
-                Value::U64(queue_time.as_micros() as u64),
-            ),
-            (
-                "run_us".to_string(),
-                Value::U64(run_time.as_micros() as u64),
-            ),
-        ],
+        fields,
     );
-    shared.emit(if failed {
-        JobEvent::Failed { job: id }
-    } else {
-        JobEvent::Completed {
-            job: id,
-            disposition,
-        }
+    let record = q.jobs.get_mut(&id).expect("record exists");
+    record.status = JobStatus::Done;
+    record.outcome = Some(JobOutcome {
+        job: id,
+        disposition,
+        result,
+        queue_time,
+        run_time,
     });
+    shared.done.notify_all();
 }
 
 #[cfg(test)]

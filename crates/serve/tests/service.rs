@@ -1,12 +1,11 @@
 //! End-to-end service tests: cache-hit serving after register renaming
 //! (the acceptance-critical zero-proposal resubmission), warm starts from
-//! near-miss entries, cancellation, budgets, events, and persistence
-//! across service restarts.
+//! near-miss entries, cancellation, budgets, the lifecycle trace, and
+//! persistence across service restarts.
 
-use std::sync::mpsc::RecvTimeoutError;
 use std::time::{Duration, Instant};
 use stoke::{generate_testcases, Budget, Config, CostFn, StokeError, TargetSpec};
-use stoke_serve::{Disposition, JobEvent, JobStatus, ServeConfig, ServeError, Service};
+use stoke_serve::{Disposition, JobId, JobStatus, ServeConfig, ServeError, Service};
 use stoke_x86::canon::Renaming;
 use stoke_x86::{Gpr, Program};
 
@@ -122,13 +121,31 @@ fn warm_start_from_near_miss_beats_cold_start() {
     let cold = stoke::Session::new(quick_config()).run(&near_miss).unwrap();
     assert!(cold.stats.synthesis_proposals > 0);
 
-    let service = Service::start(ServeConfig::new(quick_config())).unwrap();
+    let ring = std::sync::Arc::new(stoke_obs::RingSink::new(1 << 16));
+    let mut config = ServeConfig::new(quick_config());
+    config.trace = Some(ring.clone());
+    let service = Service::start(config).unwrap();
     let seed_job = service.submit(clumsy_add());
     assert!(service.wait(seed_job).unwrap().result.is_ok());
 
     let warm_job = service.submit(near_miss.clone());
     let warm = service.wait(warm_job).unwrap();
     assert_eq!(warm.disposition, Disposition::WarmStart { distance: 1 });
+    // The trace's completion record names the warm start and its distance.
+    let records = ring.records();
+    let completed = records
+        .iter()
+        .map(|(_, r)| r)
+        .find(|r| {
+            matches!(r, stoke_obs::TraceRecord::Event { name, target, .. }
+                if name == "job_completed" && *target == warm_job.value())
+        })
+        .expect("job_completed event");
+    assert_eq!(
+        completed.field("disposition"),
+        Some(&stoke_obs::Value::Str("warm_start".into()))
+    );
+    assert_eq!(completed.field("distance"), Some(&stoke_obs::Value::U64(1)));
     let warm_result = warm.result.unwrap();
     assert!(warm_result.stats.synthesis_succeeded);
     assert!(
@@ -149,53 +166,66 @@ fn warm_start_from_near_miss_beats_cold_start() {
 
 #[test]
 fn event_stream_reports_the_job_lifecycle() {
-    let service = Service::start(ServeConfig::new(quick_config())).unwrap();
-    let events = service.subscribe();
+    use std::sync::Arc;
+    use stoke_obs::{validate_trace, JsonlSink, RingSink, TraceRecord, TraceSink, Value};
+
+    let ring = Arc::new(RingSink::new(1 << 16));
+    let mut config = ServeConfig::new(quick_config());
+    config.trace = Some(ring.clone());
+    let service = Service::start(config).unwrap();
     let spec = clumsy_add();
     let first = service.submit(spec.clone());
     let second = service.submit(spec);
     service.wait(first).unwrap();
     service.wait(second).unwrap();
+    service.shutdown().unwrap();
+    assert_eq!(ring.dropped(), 0);
+    let records: Vec<TraceRecord> = ring.records().into_iter().map(|(_, r)| r).collect();
 
-    let mut seen = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match events.recv_timeout(Duration::from_millis(100)) {
-            Ok(event) => {
-                let done = matches!(&event, JobEvent::Completed { job, .. } if *job == second);
-                seen.push(event);
-                if done {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {}
-            Err(e) => panic!("event stream ended early: {e:?}"),
+    let position = |job: JobId, want: &str| {
+        records
+            .iter()
+            .position(|r| {
+                matches!(r, TraceRecord::Event { name, target, .. }
+                    if name == want && *target == job.value())
+            })
+            .unwrap_or_else(|| panic!("{job}: no {want} event"))
+    };
+    for job in [first, second] {
+        let submitted = position(job, "job_submitted");
+        let started = position(job, "job_started");
+        let completed = position(job, "job_completed");
+        assert!(
+            submitted < started && started < completed,
+            "{job}: submitted at {submitted}, started at {started}, completed at {completed}"
+        );
+    }
+    // The first job runs cold; the second is served from the cache.
+    let disposition = |job: JobId| records[position(job, "job_completed")].field("disposition");
+    assert_eq!(disposition(first), Some(&Value::Str("cold_search".into())));
+    assert_eq!(disposition(second), Some(&Value::Str("cache_hit".into())));
+    // Only the cold search ran a session, whose records carry the job id.
+    let searched = |job: JobId| {
+        records.iter().any(|r| {
+            matches!(r, TraceRecord::SpanStart { name, target }
+                if name == "phase:synthesis" && *target == job.value())
+        })
+    };
+    assert!(searched(first));
+    assert!(!searched(second));
+
+    // Encoded as JSONL, the ring's records form a valid trace.
+    let path = std::env::temp_dir().join(format!("stoke-serve-trace-{}.jsonl", std::process::id()));
+    {
+        let sink = JsonlSink::create(&path, "serve-lifecycle-test").unwrap();
+        for record in &records {
+            sink.record(record.clone());
         }
     }
-
-    let position = |want: &JobEvent| seen.iter().position(|e| e == want);
-    for job in [first, second] {
-        let started = position(&JobEvent::Started { job }).expect("Started event");
-        assert!(seen[..started]
-            .iter()
-            .any(|e| matches!(e, JobEvent::Submitted { job: j, .. } if *j == job)));
-    }
-    // The first job runs cold; the second is announced and completed as a
-    // cache hit, strictly after its start.
-    let hit = position(&JobEvent::CacheHit { job: second }).expect("CacheHit event");
-    let done = position(&JobEvent::Completed {
-        job: second,
-        disposition: Disposition::CacheHit,
-    })
-    .expect("Completed event");
-    assert!(position(&JobEvent::Started { job: second }).unwrap() < hit);
-    assert!(hit < done);
-    assert!(position(&JobEvent::Completed {
-        job: first,
-        disposition: Disposition::ColdSearch,
-    })
-    .is_some());
-    service.shutdown().unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let summary = validate_trace(text.lines()).unwrap();
+    assert_eq!(summary.records, records.len() as u64 + 1);
 }
 
 #[test]

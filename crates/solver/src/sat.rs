@@ -147,6 +147,9 @@ pub struct Solver {
     phase: Vec<bool>,
     /// Set when an empty/contradictory clause has been added.
     unsat: bool,
+    /// Statistics: clauses added or learnt, including unit clauses and
+    /// clauses simplified away at level 0 (which `clauses` never stores).
+    added_clauses: usize,
     /// Statistics: number of conflicts seen.
     conflicts: u64,
     /// Statistics: number of decisions made.
@@ -182,9 +185,11 @@ impl Solver {
         self.assign.len()
     }
 
-    /// Number of clauses added (including learnt clauses).
+    /// Number of clauses added (including learnt clauses). Unit clauses
+    /// and clauses already decided at level 0 count too, though the solver
+    /// never stores them.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.added_clauses
     }
 
     /// Number of conflicts encountered so far.
@@ -198,6 +203,7 @@ impl Solver {
     /// ignored as trivially true. Adding an empty clause makes the
     /// instance unsatisfiable.
     pub fn add_clause(&mut self, lits: &[Lit]) {
+        self.added_clauses += 1;
         debug_assert_eq!(
             self.trail_lim.len(),
             0,
@@ -463,6 +469,7 @@ impl Solver {
                     return SatResult::Unsat;
                 }
                 let (learnt, backjump) = self.analyze(conflict);
+                self.added_clauses += 1;
                 self.backtrack(backjump);
                 self.decay_activity();
                 if learnt.len() == 1 {

@@ -10,7 +10,7 @@
 
 use crate::semantics::SymExecutor;
 use crate::symstate::SymState;
-use stoke_solver::{check, CheckResult, TermId, TermPool};
+use stoke_solver::{CheckResult, Checker, TermId, TermPool};
 use stoke_x86::flow::LocSet;
 use stoke_x86::{Flag, Gpr, Opcode, Program, Xmm};
 
@@ -55,7 +55,8 @@ pub struct ValidationStats {
     pub terms: usize,
     /// Number of SAT variables in the blasted query.
     pub sat_vars: usize,
-    /// Number of CNF clauses in the blasted query.
+    /// Number of CNF clauses in the blasted query, learnt clauses
+    /// included.
     pub clauses: usize,
 }
 
@@ -150,14 +151,13 @@ impl Validator {
         }
 
         let some_difference = pool.bool_or(&differences);
-        let stats_terms = pool.len();
-        let result = check(&pool, &[some_difference]);
+        let mut checker = Checker::new();
+        checker.assert_true(&pool, some_difference);
+        let result = checker.check(&pool);
         let stats = ValidationStats {
-            terms: stats_terms,
-            // The convenience `check` entry point hides the checker, so the
-            // SAT statistics are only approximate (terms dominate anyway).
-            sat_vars: 0,
-            clauses: 0,
+            terms: pool.len(),
+            sat_vars: checker.num_sat_vars(),
+            clauses: checker.num_clauses(),
         };
         match result {
             CheckResult::Unsat => (EquivResult::Equivalent, stats),
@@ -224,6 +224,32 @@ mod tests {
             &[Gpr::Rax],
         );
         assert!(res.is_equivalent());
+    }
+
+    #[test]
+    fn proof_reports_real_sat_counts() {
+        let counts = |target: &str, rewrite: &str| {
+            let t: Program = target.parse().unwrap();
+            let r: Program = rewrite.parse().unwrap();
+            let (result, stats) = Validator::new(live(&[Gpr::Rax])).prove(&t, &r);
+            assert!(result.is_equivalent());
+            stats
+        };
+        // The doc example: x * 2 == lea (x,x,1).
+        let stats = counts("movq rdi, rax\nimulq 2, rax", "leaq (rdi,rdi,1), rax");
+        assert!(
+            stats.terms > 0 && stats.sat_vars > 0 && stats.clauses > 0,
+            "{stats:?}"
+        );
+        // A pair the term pool cannot fold bit-blasts two 64-bit adders.
+        let stats = counts(
+            "movq rdi, rax\naddq rdi, rax\naddq rsi, rax",
+            "leaq (rsi,rdi,2), rax",
+        );
+        assert!(
+            stats.sat_vars > 64 && stats.clauses > stats.sat_vars,
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Integration tests for the session-based driver API through the facade
 //! crate: builder validation, budgets and cross-thread cancellation,
-//! observer ordering, and the multi-target batch entry point.
+//! phase ordering in the trace, and the multi-target batch entry point.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use stoke_suite::obs::{RingSink, TraceRecord};
 use stoke_suite::stoke::{
-    Budget, CollectingObserver, Config, ConfigError, InputSpec, Phase, Session, StokeError,
-    TargetSpec, Verification,
+    Budget, Config, ConfigError, InputSpec, Session, StokeError, TargetSpec, Verification,
 };
 use stoke_suite::workloads::hackers_delight;
 use stoke_suite::x86::Gpr;
@@ -88,8 +88,8 @@ fn batch_runs_a_small_workload_end_to_end() {
             TargetSpec::new(kernel.target_o0(), inputs, kernel.live_out.clone())
         })
         .collect();
-    let observer = Arc::new(CollectingObserver::new());
-    let session = Session::new(quick_config()).with_observer(observer.clone());
+    let ring = Arc::new(RingSink::new(1 << 16));
+    let session = Session::new(quick_config()).with_trace(ring.clone());
     let results = session.run_batch(&specs);
     assert_eq!(results.len(), 2);
     for (kernel, result) in kernels.iter().zip(&results) {
@@ -102,24 +102,23 @@ fn batch_runs_a_small_workload_end_to_end() {
         assert_ne!(result.verification, Verification::TargetReturned);
     }
     // Each target went through the full pipeline, phases in order.
+    assert_eq!(ring.dropped(), 0);
+    let records = ring.records();
     for target in 0..2 {
-        let phases: Vec<Phase> = observer
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                stoke_suite::stoke::SearchEvent::PhaseStart { target: t, phase } if t == target => {
-                    Some(phase)
-                }
+        let phases: Vec<&str> = records
+            .iter()
+            .filter_map(|(_, r)| match r {
+                TraceRecord::SpanStart { target: t, name } if *t == target => Some(name.as_str()),
                 _ => None,
             })
             .collect();
         assert_eq!(
             phases,
-            vec![
-                Phase::Testcases,
-                Phase::Synthesis,
-                Phase::Optimization,
-                Phase::Validation
+            [
+                "phase:testcases",
+                "phase:synthesis",
+                "phase:optimization",
+                "phase:validation"
             ],
             "target {target} phases out of order"
         );
