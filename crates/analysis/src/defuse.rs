@@ -1,11 +1,11 @@
 //! Per-instruction def/use extraction.
 //!
 //! The same information is available from two sources: the instruction
-//! metadata in `stoke-x86`, and the use lists a
-//! [`stoke_emu::PreparedProgram`] has already flattened for the
-//! undefined-read fault counter. [`DefUse::of_prepared`] reuses the
+//! metadata in `stoke-x86`, and the use lists each
+//! [`stoke_emu::Decoded`] entry of a prepared program already holds for
+//! the undefined-read fault counter. [`DefUse::of_prepared`] reuses the
 //! latter so an analysis running per proposal shares the decode work the
-//! evaluation backend has already paid for; a unit test pins the two
+//! evaluation engine has already paid for; a unit test pins the two
 //! sources to identical results.
 
 use stoke_emu::PreparedProgram;
@@ -39,21 +39,22 @@ impl DefUse {
     }
 
     /// Extract def/use information for instruction `index` of a prepared
-    /// program, reading the use sets from the program's flattened use
-    /// lists instead of re-deriving them.
+    /// program, reading the use sets from its decoded use lists instead
+    /// of re-deriving them.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range.
     pub fn of_prepared(prepared: &PreparedProgram<'_>, index: usize) -> DefUse {
-        let instr = prepared
-            .instructions()
-            .nth(index)
-            .expect("index within prepared program");
+        let decoded = &prepared.decoded()[index];
+        let instr = decoded.instruction();
         let mut uses = LocSet::new();
-        for r in prepared.gpr_uses_of(index) {
+        for r in decoded.gpr_uses() {
             uses.gprs.insert(r.parent());
         }
-        for x in prepared.xmm_uses_of(index) {
+        for x in decoded.xmm_uses() {
             uses.xmms.insert(*x);
         }
-        for f in prepared.flag_uses_of(index) {
+        for f in decoded.flag_uses() {
             uses.flags.insert(*f);
         }
         let mut defs = LocSet::new();

@@ -9,16 +9,15 @@
 //! search pipeline uses) and the concrete [`CostFn`] convenience type kept
 //! for benchmarks, examples and tests that want to evaluate `eq'`
 //! directly. Both evaluate `eq'` through one engine: the batched
-//! structure-of-arrays [`BatchedProgram`], which runs every test case in
-//! lockstep and applies the §4.5 early-termination bound per instruction
-//! step. The interpreter ([`stoke_emu::run_instrs`]) shares its
+//! structure-of-arrays run of a [`PreparedProgram`]
+//! ([`run_lockstep`](PreparedProgram::run_lockstep)), which executes every
+//! test case in lockstep and applies the §4.5 early-termination bound per
+//! instruction step. The interpreter ([`stoke_emu::run_instrs`]) shares its
 //! instruction semantics and serves as the differential oracle in tests.
 
 use crate::config::{Config, EqMetric};
 use crate::testcase::{TestSuite, Testcase};
-use stoke_emu::{
-    BatchState, BatchedProgram, ColumnRef, Faults, MachineState, Memory, PreparedProgram,
-};
+use stoke_emu::{BatchState, ColumnRef, Faults, MachineState, Memory, PreparedProgram};
 use stoke_x86::{Flag, Gpr, Instruction, Xmm};
 
 /// The correctness-related cost of one rewrite on one test case.
@@ -266,15 +265,14 @@ pub(crate) fn eq_prime(
     bound: Option<f64>,
 ) -> (Option<u64>, usize) {
     stats.evaluations += 1;
-    let batched = BatchedProgram::new(prepared);
     let batch = &mut scratch.batch;
     // The scratch batch is only ever (re)filled from this cost function's
     // own suite, so after the first evaluation the memory images can be
     // restored from the store journal instead of re-copied.
     batch.reload(suite.cases.iter().map(|c| &c.input));
     match bound {
-        None => batched.run_lockstep(batch),
-        Some(b) => batched.run_lockstep_with(batch, |state| {
+        None => prepared.run_lockstep(batch),
+        Some(b) => prepared.run_lockstep_with(batch, |state| {
             let n = state.width();
             let mut prefix = 0u64;
             let mut dead_from = n;

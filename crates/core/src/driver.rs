@@ -988,7 +988,7 @@ impl TargetRun<'_> {
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| !dead.contains(i))
-                .map(|(_, instr)| instr.clone())
+                .map(|(_, instr)| *instr)
                 .collect();
         }
         if stripped.len() == program.len() {

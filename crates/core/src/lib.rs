@@ -22,10 +22,12 @@
 //! is [`PaperCost`]) and validation strategies implement [`Verifier`]
 //! (installed with [`Session::with_verifier`]; the default [`Cascade`]
 //! runs tests, then the symbolic validator with counterexample feedback).
-//! Both evaluate rewrites through one execution engine, the batched
-//! structure-of-arrays [`stoke_emu::BatchedProgram`], which runs every test
-//! case in lockstep over a rewrite decoded once into a
-//! [`stoke_emu::PreparedProgram`]. The plain interpreter
+//! Both evaluate rewrites through one execution engine: a rewrite decoded
+//! once into a [`stoke_emu::PreparedProgram`] runs every test case in
+//! lockstep over the batched structure-of-arrays state
+//! ([`stoke_emu::BatchState`]). An MCMC chain keeps its rewrite's decoded
+//! form in a [`stoke_emu::DecodeCache`] and re-decodes only the slots a
+//! proposal touches. The plain interpreter
 //! ([`stoke_emu::run_instrs`]) shares its instruction semantics and is the
 //! differential oracle the engine is tested against. The execution and
 //! verification substrates live in the companion crates `stoke-emu` and
@@ -81,7 +83,7 @@ pub use cost::{CaseCost, CostFn, EvalScratch, EvalStats};
 pub use driver::{Budget, BudgetClock, CancelToken, ChainControl, RunRequest, Session};
 pub use error::{ConfigError, StokeError};
 pub use mcmc::{
-    Chain, ChainResult, MoveKind, MoveStats, Proposer, Rewrite, StopReason, TracePoint,
+    Chain, ChainResult, MoveKind, MoveStats, Proposer, Rewrite, StopReason, TracePoint, Undo,
 };
 pub use model::{
     ConstantTimePenalty, CorrectnessOnly, Cost, CostModel, CostModelFactory, CostModelSpec,

@@ -10,18 +10,33 @@ use crate::observer::ChainProgress;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use stoke_emu::PreparedProgram;
+use stoke_emu::DecodeCache;
 use stoke_x86::{
     Instruction, Mem, OpcodeClasses, Operand, OperandKind, Program, Scale, SlotSpec, Width,
+    MAX_OPERANDS,
 };
 
 /// A candidate rewrite: a fixed number ℓ of instruction slots, each either
 /// an instruction or the distinguished `UNUSED` token. Fixing ℓ keeps the
 /// dimensionality of the search space constant, which the MCMC
 /// formulation requires (§4.3).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Rewrite {
     slots: Vec<Option<Instruction>>,
+}
+
+impl Clone for Rewrite {
+    fn clone(&self) -> Rewrite {
+        Rewrite {
+            slots: self.slots.clone(),
+        }
+    }
+
+    /// Copies into the existing slot buffer: no allocation once the buffer
+    /// holds ℓ slots (the chain's `best` buffers rely on this).
+    fn clone_from(&mut self, source: &Rewrite) {
+        self.slots.clone_from(&source.slots);
+    }
 }
 
 impl Rewrite {
@@ -41,7 +56,7 @@ impl Rewrite {
     /// the chain optimize a *different* program than the target, and
     /// silently at that.
     pub fn from_program(program: &Program, ell: usize) -> Rewrite {
-        let mut slots: Vec<Option<Instruction>> = program.iter().cloned().map(Some).collect();
+        let mut slots: Vec<Option<Instruction>> = program.iter().copied().map(Some).collect();
         slots.resize(ell.max(slots.len()), None);
         Rewrite { slots }
     }
@@ -68,19 +83,12 @@ impl Rewrite {
 
     /// The dense program obtained by dropping `UNUSED` slots.
     pub fn to_program(&self) -> Program {
-        self.slots.iter().flatten().cloned().collect()
+        self.slots.iter().flatten().copied().collect()
     }
 
-    /// The dense instruction sequence (borrowed clone).
+    /// The dense instruction sequence (a copy).
     pub fn instructions(&self) -> Vec<Instruction> {
-        self.slots.iter().flatten().cloned().collect()
-    }
-
-    /// Decode the dense instruction sequence (skipping `UNUSED` slots)
-    /// once into the execute-many form of
-    /// [`stoke_emu::PreparedProgram`], without cloning any instruction.
-    pub fn prepare(&self) -> PreparedProgram<'_> {
-        PreparedProgram::new(self.slots.iter().flatten())
+        self.slots.iter().flatten().copied().collect()
     }
 }
 
@@ -95,6 +103,39 @@ pub enum MoveKind {
     Swap,
     /// Replace a slot with a random instruction or `UNUSED`.
     Instruction,
+}
+
+/// How to take back one in-place proposal
+/// ([`Proposer::propose_in_place`]): the previous contents of the (at most
+/// two) slots the move overwrote. A move that changed nothing records
+/// nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Undo {
+    saved: [(usize, Option<Instruction>); 2],
+    len: u8,
+}
+
+impl Undo {
+    fn save(&mut self, rewrite: &Rewrite, slot: usize) {
+        self.saved[usize::from(self.len)] = (slot, rewrite.slots[slot]);
+        self.len += 1;
+    }
+
+    /// The slots the move wrote, in the order it wrote them (a swap of a
+    /// slot with itself lists it twice).
+    pub fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.saved[..usize::from(self.len)]
+            .iter()
+            .map(|(slot, _)| *slot)
+    }
+
+    /// Restore the slots the move overwrote, returning `rewrite` to its
+    /// state before the move.
+    pub fn revert(&self, rewrite: &mut Rewrite) {
+        for (slot, old) in self.saved[..usize::from(self.len)].iter().rev() {
+            rewrite.slots[*slot] = *old;
+        }
+    }
 }
 
 /// Per-move-kind proposal and acceptance counters — the MCMC mixing
@@ -263,20 +304,18 @@ impl Proposer {
     /// distribution used when undoing the move (register-preferred).
     fn random_operand_for_slot(&mut self, spec: &SlotSpec) -> Operand {
         // Collect the admissible kinds and pick one uniformly.
-        let mut kinds: Vec<u8> = Vec::new();
-        if spec.reg.is_some() {
-            kinds.push(0);
+        let mut kinds = [0u8; 4];
+        let mut n = 0;
+        for (kind, admissible) in [spec.reg.is_some(), spec.imm, spec.mem, spec.xmm]
+            .into_iter()
+            .enumerate()
+        {
+            if admissible {
+                kinds[n] = kind as u8;
+                n += 1;
+            }
         }
-        if spec.imm {
-            kinds.push(1);
-        }
-        if spec.mem {
-            kinds.push(2);
-        }
-        if spec.xmm {
-            kinds.push(3);
-        }
-        match kinds.choose(&mut self.rng) {
+        match kinds[..n].choose(&mut self.rng) {
             Some(0) => self.random_reg(spec.reg.expect("checked")),
             Some(1) => self.random_imm(),
             Some(2) => self.random_mem(),
@@ -306,20 +345,31 @@ impl Proposer {
                 .choose(&mut self.rng)
                 .expect("non-empty opcode universe");
             let sig = opcode.signature();
-            let operands: Vec<Operand> = sig
-                .iter()
-                .map(|s| self.random_operand_for_slot(s))
-                .collect();
+            let mut operands = [Operand::Imm(0); MAX_OPERANDS];
+            for (operand, spec) in operands.iter_mut().zip(sig) {
+                *operand = self.random_operand_for_slot(spec);
+            }
             // Reject the rare invalid combination (two memory operands).
-            if let Ok(instr) = Instruction::new(opcode, operands) {
+            if let Ok(instr) = Instruction::new(opcode, &operands[..sig.len()]) {
                 return instr;
             }
         }
     }
 
     /// Propose a modified rewrite (the proposal `R*` of §3.2). Returns the
-    /// new rewrite and the move kind that produced it.
+    /// new rewrite and the move kind that produced it. A copy of `current`
+    /// followed by [`propose_in_place`](Proposer::propose_in_place): the
+    /// same candidate and the same RNG draws.
     pub fn propose(&mut self, current: &Rewrite) -> (Rewrite, MoveKind) {
+        let mut next = current.clone();
+        let (kind, _) = self.propose_in_place(&mut next);
+        (next, kind)
+    }
+
+    /// Turn `rewrite` into the proposal `R*` in place, touching at most
+    /// two slots, and return the move kind with the [`Undo`] that takes
+    /// the move back. Allocates nothing.
+    pub fn propose_in_place(&mut self, rewrite: &mut Rewrite) -> (MoveKind, Undo) {
         let cdf = self.config.move_cdf();
         let u = self.rng.gen::<f64>();
         let kind = if u < cdf[0] {
@@ -331,55 +381,55 @@ impl Proposer {
         } else {
             MoveKind::Instruction
         };
-        let mut next = current.clone();
+        let mut undo = Undo::default();
         match kind {
             MoveKind::Opcode => {
-                if let Some(slot) = self.random_filled_slot(current) {
-                    let instr = current.slots[slot].as_ref().expect("filled slot");
-                    // Split the borrows: the class is read from `classes`
-                    // while `rng` draws, avoiding the clone of the class
-                    // vector this arm used to make on every proposal.
-                    let Proposer { classes, rng, .. } = self;
-                    let class = classes.class_of(instr);
+                if let Some(slot) = self.random_filled_slot(rewrite) {
+                    let instr = rewrite.slots[slot].expect("filled slot");
+                    let class = self.classes.class_of(&instr);
                     // Same RNG stream as `class.choose(rng)`: one draw
                     // when the class is non-empty, none otherwise.
                     if !class.is_empty() {
-                        let op = class[rng.gen_range(0..class.len())];
-                        next.slots[slot] = Some(instr.with_opcode(op));
+                        let op = class[self.rng.gen_range(0..class.len())];
+                        undo.save(rewrite, slot);
+                        rewrite.slots[slot] = Some(instr.with_opcode(op));
                     }
                 }
             }
             MoveKind::Operand => {
-                if let Some(slot) = self.random_filled_slot(current) {
-                    let instr = current.slots[slot].as_ref().expect("filled slot");
+                if let Some(slot) = self.random_filled_slot(rewrite) {
+                    let instr = rewrite.slots[slot].expect("filled slot");
                     if !instr.operands().is_empty() {
                         let oi = self.rng.gen_range(0..instr.operands().len());
                         let new_operand = self.random_operand_same_kind(&instr.operands()[oi]);
                         let candidate = instr.with_operand(oi, new_operand);
                         // Keep the single-memory-operand invariant.
-                        if Instruction::new(candidate.opcode(), candidate.operands().to_vec())
-                            .is_ok()
-                        {
-                            next.slots[slot] = Some(candidate);
+                        if candidate.is_valid() {
+                            undo.save(rewrite, slot);
+                            rewrite.slots[slot] = Some(candidate);
                         }
                     }
                 }
             }
             MoveKind::Swap => {
-                let a = self.rng.gen_range(0..current.len());
-                let b = self.rng.gen_range(0..current.len());
-                next.slots.swap(a, b);
+                let a = self.rng.gen_range(0..rewrite.len());
+                let b = self.rng.gen_range(0..rewrite.len());
+                undo.save(rewrite, a);
+                undo.save(rewrite, b);
+                rewrite.slots.swap(a, b);
             }
             MoveKind::Instruction => {
-                let slot = self.rng.gen_range(0..current.len());
-                if self.rng.gen::<f64>() < self.config.pu {
-                    next.slots[slot] = None;
+                let slot = self.rng.gen_range(0..rewrite.len());
+                let new = if self.rng.gen::<f64>() < self.config.pu {
+                    None
                 } else {
-                    next.slots[slot] = Some(self.random_instruction());
-                }
+                    Some(self.random_instruction())
+                };
+                undo.save(rewrite, slot);
+                rewrite.slots[slot] = new;
             }
         }
-        (next, kind)
+        (kind, undo)
     }
 
     /// A uniformly random non-`UNUSED` slot index, sampled by rank instead
@@ -398,6 +448,13 @@ impl Proposer {
             .filter(|(_, s)| s.is_some())
             .nth(k)
             .map(|(i, _)| i)
+    }
+}
+
+/// Re-decode the slots a move (or its revert) wrote.
+fn redecode(decoded: &mut DecodeCache, rewrite: &Rewrite, undo: &Undo) {
+    for slot in undo.slots() {
+        decoded.set(slot, rewrite.slots[slot].as_ref());
     }
 }
 
@@ -460,8 +517,12 @@ pub struct ChainResult {
 /// selected by the configuration's
 /// [`cost_model`](crate::config::Config::cost_model) (its synthesis or
 /// optimization variant depending on `use_perf`), or any model injected
-/// with [`Chain::with_model`]. Each proposal is decoded once into a
-/// [`PreparedProgram`] and then evaluated across all test cases.
+/// with [`Chain::with_model`]. The chain moves one rewrite in place and
+/// keeps its decoded form in a [`DecodeCache`]: a proposal re-decodes
+/// only the slots it touched, the model scores the cache's dense
+/// [`PreparedProgram`](stoke_emu::PreparedProgram) across all test
+/// cases, and a rejection reverts the move with its [`Undo`]. In the
+/// steady state a proposal allocates nothing.
 pub struct Chain<'a> {
     cost_fn: &'a mut CostFn,
     model: Box<dyn CostModel>,
@@ -512,11 +573,10 @@ impl<'a> Chain<'a> {
         &mut self.proposer
     }
 
-    /// Fully score a rewrite through the chain's cost model.
-    fn score(&mut self, rewrite: &Rewrite) -> Cost {
-        let prepared = rewrite.prepare();
+    /// Fully score the decoded rewrite through the chain's cost model.
+    fn score(&mut self, decoded: &mut DecodeCache) -> Cost {
         self.model
-            .score(&prepared, &mut self.cost_fn.eval_context())
+            .score(&decoded.prepared(), &mut self.cost_fn.eval_context())
     }
 
     /// Run the chain for `iterations` proposals starting from `start`.
@@ -537,13 +597,19 @@ impl<'a> Chain<'a> {
         ctrl: &ChainControl<'_>,
     ) -> ChainResult {
         let config = self.cost_fn.config().clone();
+        // One rewrite, moved in place by each proposal and moved back on
+        // rejection, with its decoded form kept in step slot by slot.
         let mut current = start;
-        let mut current_terms = self.score(&current);
+        let mut decoded = DecodeCache::new(current.slots());
+        let mut current_terms = self.score(&mut decoded);
         let mut current_cost = current_terms.total();
+        // The best rewrites live in buffers allocated here and refreshed
+        // with `clone_from`, so an improvement allocates nothing.
         let mut best = current.clone();
         let mut best_cost = current_cost;
-        let mut best_correct = current_terms.is_correct().then(|| current.clone());
-        let mut best_correct_cost = if current_terms.is_correct() {
+        let mut best_correct = current.clone();
+        let mut found_correct = current_terms.is_correct();
+        let mut best_correct_cost = if found_correct {
             current_cost
         } else {
             f64::INFINITY
@@ -561,14 +627,15 @@ impl<'a> Chain<'a> {
                 break;
             }
             proposals += 1;
-            let (candidate, kind) = self.proposer.propose(&current);
+            let (kind, undo) = self.proposer.propose_in_place(&mut current);
+            redecode(&mut decoded, &current, &undo);
             let accept = if config.early_termination {
                 // §4.5: sample the acceptance threshold p first, derive the
                 // maximum cost we could accept, and stop evaluating test
                 // cases as soon as the bound is exceeded.
                 let p: f64 = self.proposer.rng().gen::<f64>().max(1e-300);
                 let bound = current_cost - p.ln() / config.beta;
-                let prepared = candidate.prepare();
+                let prepared = decoded.prepared();
                 let mut ctx = self.cost_fn.eval_context();
                 let performance = self.model.perf_term(&prepared, &mut ctx);
                 let eq_bound = bound - performance;
@@ -583,7 +650,7 @@ impl<'a> Chain<'a> {
                         })
                 }
             } else {
-                let cost = self.score(&candidate);
+                let cost = self.score(&mut decoded);
                 let delta = cost.total() - current_cost;
                 let p: f64 = self.proposer.rng().gen();
                 if delta <= 0.0 || p < (-config.beta * delta).exp() {
@@ -593,18 +660,24 @@ impl<'a> Chain<'a> {
                 }
             };
             moves.record(kind, accept.is_some());
-            if let Some(cost) = accept {
-                current = candidate;
-                current_terms = cost;
-                current_cost = cost.total();
-                accepted += 1;
-                if current_cost < best_cost {
-                    best = current.clone();
-                    best_cost = current_cost;
+            match accept {
+                Some(cost) => {
+                    current_terms = cost;
+                    current_cost = cost.total();
+                    accepted += 1;
+                    if current_cost < best_cost {
+                        best.clone_from(&current);
+                        best_cost = current_cost;
+                    }
+                    if cost.is_correct() && current_cost < best_correct_cost {
+                        best_correct.clone_from(&current);
+                        best_correct_cost = current_cost;
+                        found_correct = true;
+                    }
                 }
-                if cost.is_correct() && current_cost < best_correct_cost {
-                    best_correct = Some(current.clone());
-                    best_correct_cost = current_cost;
+                None => {
+                    undo.revert(&mut current);
+                    redecode(&mut decoded, &current, &undo);
                 }
             }
             if self.trace_every > 0 && iteration % self.trace_every == 0 {
@@ -641,7 +714,7 @@ impl<'a> Chain<'a> {
         ChainResult {
             best,
             best_cost,
-            best_correct,
+            best_correct: found_correct.then_some(best_correct),
             best_correct_cost,
             last: current,
             proposals,
@@ -708,7 +781,7 @@ mod tests {
             // Every filled slot must be a valid instruction.
             for slot in next.slots().iter().flatten() {
                 assert!(
-                    Instruction::new(slot.opcode(), slot.operands().to_vec()).is_ok(),
+                    Instruction::new(slot.opcode(), slot.operands()).is_ok(),
                     "invalid instruction proposed: {}",
                     slot
                 );

@@ -7,14 +7,16 @@
 //! operand decoding and the machine-state clone are all repeated N times.
 //! This module inverts the loops: a [`BatchState`] stores the CPU state of
 //! all N cases as a structure of arrays (one *column* per test case —
-//! per-register vectors of width N), and a [`BatchedProgram`] applies each
-//! instruction's semantics across all live columns in one pass before
-//! moving to the next instruction.
+//! per-register vectors of width N), and
+//! [`PreparedProgram::run_lockstep`] applies each instruction's semantics
+//! across all live columns in one pass before moving to the next
+//! instruction.
 //!
 //! Why this is faster than N sequential runs of the same semantics:
 //!
-//! - **Dispatch amortization.** Each instruction is dispatched through a
-//!   fn-pointer handler table built at prepare time (threaded-code style),
+//! - **Dispatch amortization.** Each instruction is dispatched through the
+//!   fn-pointer handler its [`Decoded`] entry selected at decode time
+//!   (threaded-code style),
 //!   once per instruction *step* instead of once per instruction *per
 //!   case*; inside a handler the opcode/operand branches are perfectly
 //!   predicted because every column executes the same instruction.
@@ -24,7 +26,7 @@
 //!   loop performs no allocation at all.
 //! - **Early-exit granularity.** A per-column fault/liveness mask lets the
 //!   §4.5 early-termination bound kill columns *during* execution (see
-//!   [`BatchedProgram::run_lockstep_with`]): once the cost bound provably
+//!   [`PreparedProgram::run_lockstep_with`]): once the cost bound provably
 //!   trips, dead columns stop costing work per instruction step instead of
 //!   per test case.
 //!
@@ -35,7 +37,9 @@
 //! [`run_prepared`](PreparedProgram::run_prepared) by construction (and by
 //! the randomized property suite `prop_batched` at the workspace root).
 
-use crate::exec::{Cpu, Faults, Outcome};
+use crate::exec::{Cpu, Faults};
+use crate::prepare::Decoded;
+#[cfg(doc)]
 use crate::prepare::PreparedProgram;
 use crate::state::{merge_reg_write, MachineState, Memory, XmmValue};
 use stoke_x86::{
@@ -394,16 +398,16 @@ impl Cpu for Col<'_> {
     }
 }
 
-/// One entry of the precomputed dispatch table: advances every live column
-/// of the batch by the instruction at `idx`.
-type Handler = for<'p> fn(&BatchedProgram<'p>, usize, &mut BatchState);
+/// A decoded instruction's dispatch entry: advances every live column of
+/// the batch by that instruction.
+pub(crate) type Handler = fn(&Decoded, &mut BatchState);
 
 /// The registers and flags an instruction's undefined-read scan must
 /// check, pre-resolved to architectural indices. Copied verbatim from the
-/// prepared use spans at decode time, so a specialized handler counts
-/// undefined reads element-for-element like the sequential scan.
-#[derive(Debug, Clone, Copy, Default)]
-struct Uses {
+/// decoded use lists, so a specialized handler counts undefined reads
+/// element-for-element like the sequential scan.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Uses {
     gpr: [u8; 2],
     ngpr: u8,
     flag: [u8; 4],
@@ -432,21 +436,21 @@ impl Uses {
 
 /// A pre-decoded scalar source: a 64-bit register row or an immediate
 /// already truncated to the operation width.
-#[derive(Debug, Clone, Copy)]
-enum Src {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Src {
     Reg(u8),
     Imm(u64),
 }
 
-/// The pre-decoded form of one instruction, built once per proposal by
-/// [`BatchedProgram::new`]. The hot shapes of compiled code — 64-bit moves
-/// between registers, immediates and `disp(base)` memory, and the flag-
-/// writing 64-bit ALU/compare forms — get dedicated handlers whose column
-/// loops touch contiguous structure-of-arrays rows with no per-column
-/// operand decoding; everything else (`Other`) runs the shared `Cpu`
-/// semantics through the generic handler.
-#[derive(Debug, Clone, Copy)]
-enum Micro {
+/// The pre-decoded form of one instruction, built by [`Decoded::new`]. The
+/// hot shapes of compiled code — 64-bit moves between registers,
+/// immediates and `disp(base)` memory, and the flag-writing 64-bit
+/// ALU/compare forms — get dedicated handlers whose column loops touch
+/// contiguous structure-of-arrays rows with no per-column operand
+/// decoding; everything else (`Other`) runs the shared `Cpu` semantics
+/// through the generic handler.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Micro {
     /// `movq disp(base), dst`
     LoadQ {
         base: u8,
@@ -501,20 +505,44 @@ enum Micro {
     Other,
 }
 
-/// Decode one instruction into its [`Micro`] form, verifying against the
-/// prepared use spans: a shape is only specialized when its undefined-read
-/// scan fits the pre-resolved [`Uses`] rows the dedicated handlers walk
-/// (no SSE uses; flag uses only for `set{cc}` — which keeps `adc`/`sbb`
-/// and `cmov` on the generic path).
-fn decode(instr: &Instruction, p: &PreparedProgram<'_>, idx: usize) -> Micro {
-    let spans = &p.spans[idx];
-    if spans.xmm.0 != spans.xmm.1 {
+/// Decode one instruction into its [`Micro`] form and pick its handler,
+/// given its decoded use lists: a shape is only specialized when its
+/// undefined-read scan fits the pre-resolved [`Uses`] rows the dedicated
+/// handlers walk (no SSE uses; flag uses only for `set{cc}` — which keeps
+/// `adc`/`sbb` and `cmov` on the generic path).
+pub(crate) fn select(
+    instr: &Instruction,
+    gpr_uses: &[Reg],
+    xmm_uses: &[Xmm],
+    flag_uses: &[Flag],
+) -> (Micro, Handler) {
+    let micro = micro_of(instr, gpr_uses, xmm_uses, flag_uses);
+    let handler = match micro {
+        Micro::LoadQ { .. } => step_load_q as Handler,
+        Micro::StoreQ { .. } => step_store_q as Handler,
+        Micro::MovRR { .. } => step_mov_rr as Handler,
+        Micro::MovIR { .. } => step_mov_ir as Handler,
+        Micro::AluQ { .. } => step_alu_q as Handler,
+        Micro::SetR { .. } => step_set_r as Handler,
+        Micro::ShiftQ { .. } => step_shift_q as Handler,
+        Micro::Mul1Q { .. } => step_mul1_q as Handler,
+        Micro::Imul2Q { .. } => step_imul2_q as Handler,
+        Micro::Other => match instr.opcode() {
+            Opcode::Nop => step_nop as Handler,
+            _ if gpr_uses.is_empty() && xmm_uses.is_empty() && flag_uses.is_empty() => {
+                step_no_uses as Handler
+            }
+            _ => step_generic as Handler,
+        },
+    };
+    (micro, handler)
+}
+
+fn micro_of(instr: &Instruction, gpr_uses: &[Reg], xmm_uses: &[Xmm], flag_uses: &[Flag]) -> Micro {
+    if !xmm_uses.is_empty() {
         return Micro::Other;
     }
-    let Some(uses) = Uses::of(
-        &p.gpr_uses[spans.gpr.0 as usize..spans.gpr.1 as usize],
-        &p.flag_uses[spans.flag.0 as usize..spans.flag.1 as usize],
-    ) else {
+    let Some(uses) = Uses::of(gpr_uses, flag_uses) else {
         return Micro::Other;
     };
     if uses.nflag != 0 && !matches!(instr.opcode(), Opcode::Set(_)) {
@@ -667,147 +695,6 @@ fn decode(instr: &Instruction, p: &PreparedProgram<'_>, idx: usize) -> Micro {
     }
 }
 
-/// A [`PreparedProgram`] paired with a per-instruction fn-pointer handler
-/// table (threaded-code style), executing across all live columns of a
-/// [`BatchState`] in lockstep.
-///
-/// Handlers are selected once at prepare time — per MCMC proposal — so the
-/// per-step dispatch is a single indirect call, and the per-column inner
-/// loop runs one instruction's semantics with perfectly predictable
-/// branches.
-///
-/// ```
-/// use stoke_emu::{BatchedProgram, MachineState, PreparedProgram};
-/// use stoke_x86::{Gpr, Program};
-///
-/// let p: Program = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
-/// let prepared = PreparedProgram::of_program(&p);
-/// let batched = BatchedProgram::new(&prepared);
-/// let inputs: Vec<MachineState> = (0..4)
-///     .map(|i| {
-///         let mut s = MachineState::new();
-///         s.set_gpr64(Gpr::Rdi, i);
-///         s.set_gpr64(Gpr::Rsi, 40);
-///         s
-///     })
-///     .collect();
-/// for (i, out) in batched.run_batch(&inputs).iter().enumerate() {
-///     assert_eq!(out.state.read_gpr64(Gpr::Rax), 40 + i as u64);
-///     assert!(out.faults.is_clean());
-/// }
-/// ```
-pub struct BatchedProgram<'p> {
-    prepared: &'p PreparedProgram<'p>,
-    handlers: Vec<Handler>,
-    micros: Vec<Micro>,
-}
-
-impl<'p> BatchedProgram<'p> {
-    /// Build the handler table for a prepared program.
-    pub fn new(prepared: &'p PreparedProgram<'p>) -> BatchedProgram<'p> {
-        let mut handlers = Vec::with_capacity(prepared.instrs.len());
-        let mut micros = Vec::with_capacity(prepared.instrs.len());
-        for (idx, instr) in prepared.instrs.iter().enumerate() {
-            let micro = decode(instr, prepared, idx);
-            let spans = &prepared.spans[idx];
-            let no_uses = spans.gpr.0 == spans.gpr.1
-                && spans.xmm.0 == spans.xmm.1
-                && spans.flag.0 == spans.flag.1;
-            let handler = match micro {
-                Micro::LoadQ { .. } => step_load_q as Handler,
-                Micro::StoreQ { .. } => step_store_q as Handler,
-                Micro::MovRR { .. } => step_mov_rr as Handler,
-                Micro::MovIR { .. } => step_mov_ir as Handler,
-                Micro::AluQ { .. } => step_alu_q as Handler,
-                Micro::SetR { .. } => step_set_r as Handler,
-                Micro::ShiftQ { .. } => step_shift_q as Handler,
-                Micro::Mul1Q { .. } => step_mul1_q as Handler,
-                Micro::Imul2Q { .. } => step_imul2_q as Handler,
-                Micro::Other => match instr.opcode() {
-                    Opcode::Nop => step_nop as Handler,
-                    _ if no_uses => step_no_uses as Handler,
-                    _ => step_generic as Handler,
-                },
-            };
-            handlers.push(handler);
-            micros.push(micro);
-        }
-        BatchedProgram {
-            prepared,
-            handlers,
-            micros,
-        }
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.handlers.len()
-    }
-
-    /// Whether the program is empty.
-    pub fn is_empty(&self) -> bool {
-        self.handlers.is_empty()
-    }
-
-    /// The cached static latency `H(R)` (Equation 13) of the underlying
-    /// prepared program.
-    pub fn static_latency(&self) -> u64 {
-        self.prepared.static_latency()
-    }
-
-    /// Run the program across all live columns of `state`, in lockstep:
-    /// instruction 0 on every column, then instruction 1, and so on.
-    /// Columns killed before the call stay dead; execution stops early if
-    /// no column is live.
-    pub fn run_lockstep(&self, state: &mut BatchState) {
-        self.run_lockstep_with(state, |_| true);
-    }
-
-    /// [`run_lockstep`](BatchedProgram::run_lockstep) with a
-    /// per-instruction-step predicate: after each instruction has been
-    /// applied to every live column, `after_step` may inspect the batch,
-    /// [`kill`](BatchState::kill) columns that a cost bound has already
-    /// ruled out (the §4.5 early exit), and return `false` to abandon the
-    /// whole run.
-    pub fn run_lockstep_with(
-        &self,
-        state: &mut BatchState,
-        mut after_step: impl FnMut(&mut BatchState) -> bool,
-    ) {
-        for (idx, handler) in self.handlers.iter().enumerate() {
-            if state.live_cols == 0 {
-                return;
-            }
-            handler(self, idx, state);
-            if !after_step(state) {
-                return;
-            }
-        }
-    }
-
-    /// Convenience entry point: load `inputs` into a fresh batch, run to
-    /// completion, and extract one [`Outcome`] per column — the batched
-    /// equivalent of calling
-    /// [`run_prepared`](PreparedProgram::run_prepared) per input. Hot
-    /// paths should instead hold a reusable [`BatchState`] and call
-    /// [`load`](BatchState::load) + [`run_lockstep`](Self::run_lockstep).
-    pub fn run_batch<'s, I>(&self, inputs: I) -> Vec<Outcome>
-    where
-        I: IntoIterator<Item = &'s MachineState>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let mut state = BatchState::new();
-        state.load(inputs);
-        self.run_lockstep(&mut state);
-        (0..state.width())
-            .map(|col| Outcome {
-                state: state.column_state(col),
-                faults: state.faults(col),
-            })
-            .collect()
-    }
-}
-
 /// Row-pass undefined-read counter for the all-live fast paths: walks each
 /// pre-resolved use row once across all columns, accumulating branchlessly
 /// into the per-column fault counters. Counts exactly what the per-column
@@ -874,13 +761,13 @@ fn count_undef(state: &mut BatchState, col: usize, uses: &Uses) {
 }
 
 /// Specialized handler for `movq disp(base), dst`.
-fn step_load_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
+fn step_load_q(d: &Decoded, state: &mut BatchState) {
     let Micro::LoadQ {
         base,
         disp,
         dst,
         uses,
-    } = bp.micros[idx]
+    } = d.micro
     else {
         unreachable!("handler matches its micro-op")
     };
@@ -932,13 +819,13 @@ fn step_load_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 }
 
 /// Specialized handler for `movq src, disp(base)`.
-fn step_store_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
+fn step_store_q(d: &Decoded, state: &mut BatchState) {
     let Micro::StoreQ {
         src,
         base,
         disp,
         uses,
-    } = bp.micros[idx]
+    } = d.micro
     else {
         unreachable!("handler matches its micro-op")
     };
@@ -982,13 +869,13 @@ fn step_store_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 
 /// Specialized handler for the register-to-register moves (`movq`,
 /// `movzbq`).
-fn step_mov_rr(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
+fn step_mov_rr(d: &Decoded, state: &mut BatchState) {
     let Micro::MovRR {
         src,
         src_mask,
         dst,
         uses,
-    } = bp.micros[idx]
+    } = d.micro
     else {
         unreachable!("handler matches its micro-op")
     };
@@ -1016,8 +903,8 @@ fn step_mov_rr(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 }
 
 /// Specialized handler for `movq imm, dst` / `movabsq imm, dst`.
-fn step_mov_ir(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
-    let Micro::MovIR { imm, dst } = bp.micros[idx] else {
+fn step_mov_ir(d: &Decoded, state: &mut BatchState) {
+    let Micro::MovIR { imm, dst } = d.micro else {
         unreachable!("handler matches its micro-op")
     };
     let n = state.n;
@@ -1039,14 +926,14 @@ fn step_mov_ir(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 /// Specialized handler for the carry-free 64-bit ALU ops and `cmpq`:
 /// result (unless it is a compare) plus the five status flags, written to
 /// contiguous flag rows.
-fn step_alu_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
+fn step_alu_q(d: &Decoded, state: &mut BatchState) {
     let Micro::AluQ {
         op,
         src,
         dst,
         write_back,
         uses,
-    } = bp.micros[idx]
+    } = d.micro
     else {
         unreachable!("handler matches its micro-op")
     };
@@ -1148,8 +1035,8 @@ fn step_alu_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 /// Specialized handler for `set{cc} dst` on a byte register: evaluate the
 /// condition from the flag rows and merge the 0/1 byte into the
 /// destination's low byte.
-fn step_set_r(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
-    let Micro::SetR { cond, dst, uses } = bp.micros[idx] else {
+fn step_set_r(d: &Decoded, state: &mut BatchState) {
+    let Micro::SetR { cond, dst, uses } = d.micro else {
         unreachable!("handler matches its micro-op")
     };
     let n = state.n;
@@ -1196,13 +1083,13 @@ fn step_set_r(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 /// immediate count (`1..=63`, masked at decode time). Same result and flag
 /// definitions as the interpreter's `Opcode::Shift` arm reduced to
 /// `Width::Q`.
-fn step_shift_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
+fn step_shift_q(d: &Decoded, state: &mut BatchState) {
     let Micro::ShiftQ {
         op,
         count,
         dst,
         uses,
-    } = bp.micros[idx]
+    } = d.micro
     else {
         unreachable!("handler matches its micro-op")
     };
@@ -1310,8 +1197,8 @@ fn step_shift_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 /// Specialized handler for `mulq src`: widening unsigned multiply of
 /// `rax` by `src` into `rdx:rax`, with CF/OF set iff the high half is
 /// nonzero and the result flags taken from the low half.
-fn step_mul1_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
-    let Micro::Mul1Q { src, uses } = bp.micros[idx] else {
+fn step_mul1_q(d: &Decoded, state: &mut BatchState) {
+    let Micro::Mul1Q { src, uses } = d.micro else {
         unreachable!("handler matches its micro-op")
     };
     let n = state.n;
@@ -1377,8 +1264,8 @@ fn step_mul1_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 /// Specialized handler for `imulq src, dst`: two-operand signed multiply
 /// with CF/OF set iff the full 128-bit product does not fit the 64-bit
 /// destination.
-fn step_imul2_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
-    let Micro::Imul2Q { src, dst, uses } = bp.micros[idx] else {
+fn step_imul2_q(d: &Decoded, state: &mut BatchState) {
+    let Micro::Imul2Q { src, dst, uses } = d.micro else {
         unreachable!("handler matches its micro-op")
     };
     let n = state.n;
@@ -1447,31 +1334,26 @@ fn step_imul2_q(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 }
 
 /// Handler for `nop`: no column reads or writes anything.
-fn step_nop(_bp: &BatchedProgram<'_>, _idx: usize, _state: &mut BatchState) {}
+fn step_nop(_d: &Decoded, _state: &mut BatchState) {}
 
 /// Handler for instructions with empty use sets: skips the undefined-read
 /// scan entirely.
-fn step_no_uses(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
-    let instr = bp.prepared.instrs[idx];
+fn step_no_uses(d: &Decoded, state: &mut BatchState) {
     for col in 0..state.n {
         if !state.live[col] {
             continue;
         }
-        Col { s: state, col }.execute(instr);
+        Col { s: state, col }.execute(d.instruction());
     }
 }
 
 /// The general handler: per live column, count undefined reads over the
-/// prepared use spans (same elements, same order as the sequential
-/// interpreter and prepared runs), then execute the shared instruction semantics against the
-/// column view.
-fn step_generic(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
-    let p = bp.prepared;
-    let instr = p.instrs[idx];
-    let spans = &p.spans[idx];
-    let gpr_uses = &p.gpr_uses[spans.gpr.0 as usize..spans.gpr.1 as usize];
-    let xmm_uses = &p.xmm_uses[spans.xmm.0 as usize..spans.xmm.1 as usize];
-    let flag_uses = &p.flag_uses[spans.flag.0 as usize..spans.flag.1 as usize];
+/// decoded use lists (same elements, same order as the sequential
+/// interpreter and prepared runs), then execute the shared instruction
+/// semantics against the column view.
+fn step_generic(d: &Decoded, state: &mut BatchState) {
+    let (instr, gpr_uses, xmm_uses, flag_uses) =
+        (d.instruction(), d.gpr_uses(), d.xmm_uses(), d.flag_uses());
     let n = state.n;
     for col in 0..n {
         if !state.live[col] {
@@ -1499,6 +1381,7 @@ fn step_generic(bp: &BatchedProgram<'_>, idx: usize, state: &mut BatchState) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepare::PreparedProgram;
     use stoke_x86::Program;
 
     fn inputs(n: usize) -> Vec<MachineState> {
@@ -1518,8 +1401,7 @@ mod tests {
     fn assert_matches_prepared(text: &str, states: &[MachineState]) {
         let p: Program = text.parse().unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let batched = BatchedProgram::new(&prepared);
-        let outs = batched.run_batch(states);
+        let outs = prepared.run_batch(states);
         assert_eq!(outs.len(), states.len());
         for (input, out) in states.iter().zip(&outs) {
             let want = prepared.run_prepared(input);
@@ -1555,15 +1437,13 @@ mod tests {
     fn empty_batch_and_empty_program() {
         let p: Program = "addq rsi, rdi".parse().unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let batched = BatchedProgram::new(&prepared);
-        assert!(batched.run_batch(&[]).is_empty());
+        assert!(prepared.run_batch(&[]).is_empty());
 
         let empty = PreparedProgram::new(std::iter::empty());
-        let batched = BatchedProgram::new(&empty);
-        assert!(batched.is_empty());
-        assert_eq!(batched.static_latency(), 0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.static_latency(), 0);
         let states = inputs(2);
-        let outs = batched.run_batch(&states);
+        let outs = empty.run_batch(&states);
         for (input, out) in states.iter().zip(&outs) {
             assert_eq!(&out.state, input);
             assert!(out.faults.is_clean());
@@ -1578,12 +1458,11 @@ mod tests {
             .parse()
             .unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let batched = BatchedProgram::new(&prepared);
         let states: Vec<MachineState> = (0..3).map(|_| MachineState::new()).collect();
         let mut batch = BatchState::new();
         batch.load(&states);
         let mut steps = 0;
-        batched.run_lockstep_with(&mut batch, |state| {
+        prepared.run_lockstep_with(&mut batch, |state| {
             steps += 1;
             if steps == 1 {
                 state.kill(2);
@@ -1606,12 +1485,11 @@ mod tests {
     fn all_columns_dead_stops_the_run() {
         let p: Program = "movq (rbx), rax\nmovq (rbx), rax".parse().unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let batched = BatchedProgram::new(&prepared);
         let states = vec![MachineState::new()];
         let mut batch = BatchState::new();
         batch.load(&states);
         let mut steps = 0;
-        batched.run_lockstep_with(&mut batch, |state| {
+        prepared.run_lockstep_with(&mut batch, |state| {
             steps += 1;
             state.kill(0);
             true
@@ -1623,19 +1501,18 @@ mod tests {
     fn scratch_reload_resets_everything() {
         let p: Program = "addq rsi, rdi".parse().unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let batched = BatchedProgram::new(&prepared);
         let mut batch = BatchState::new();
         // First use: kill a column, accumulate faults.
         batch.load(&[MachineState::new(), MachineState::new()]);
         batch.kill(1);
-        batched.run_lockstep(&mut batch);
+        prepared.run_lockstep(&mut batch);
         assert!(batch.faults(0).undef > 0);
         // Reload with different width: clean slate.
         let states = inputs(3);
         batch.load(&states);
         assert_eq!(batch.width(), 3);
         assert_eq!(batch.live_columns(), 3);
-        batched.run_lockstep(&mut batch);
+        prepared.run_lockstep(&mut batch);
         for (col, input) in states.iter().enumerate() {
             let want = prepared.run_prepared(input);
             assert_eq!(batch.column_state(col), want.state);
@@ -1647,11 +1524,10 @@ mod tests {
     fn column_ref_reads_match_extraction() {
         let p: Program = "addq rsi, rdi\ncmpq rsi, rdi".parse().unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let batched = BatchedProgram::new(&prepared);
         let states = inputs(2);
         let mut batch = BatchState::new();
         batch.load(&states);
-        batched.run_lockstep(&mut batch);
+        prepared.run_lockstep(&mut batch);
         for col in 0..2 {
             let owned = batch.column_state(col);
             let view = batch.column(col);

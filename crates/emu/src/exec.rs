@@ -97,8 +97,8 @@ pub fn run_instr_refs<'a>(
 /// The sandboxed interpreter state shared by [`run_instrs`] and the
 /// prepared-program backend ([`crate::prepare::PreparedProgram`]). All
 /// instruction semantics live in the [`Cpu`] trait's provided
-/// [`execute`](Cpu::execute) method, which the batched backend
-/// ([`crate::batch::BatchedProgram`]) reuses through its own column-view
+/// [`execute`](Cpu::execute) method, which the batched engine
+/// ([`crate::batch`]) reuses through its own column-view
 /// [`Cpu`] implementation, so the execution paths cannot drift apart
 /// semantically.
 pub(crate) struct Emulator {

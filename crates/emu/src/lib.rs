@@ -27,9 +27,9 @@ pub mod state;
 pub mod taint;
 pub mod timing;
 
-pub use batch::{BatchState, BatchedProgram, ColumnRef};
+pub use batch::{BatchState, ColumnRef};
 pub use exec::{run, run_instr_refs, run_instrs, Faults, Outcome};
-pub use prepare::PreparedProgram;
+pub use prepare::{DecodeCache, Decoded, PreparedProgram};
 pub use state::{MachineState, Memory, XmmValue};
 pub use taint::{run_tainted, TaintState};
 pub use timing::{estimate_cycles, TimingModel};

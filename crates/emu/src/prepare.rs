@@ -4,39 +4,155 @@
 //! case of a suite, and the interpreter ([`run_instrs`](crate::run_instrs))
 //! repeats per-instruction work on each case that does not depend on the
 //! machine state at all — most importantly the def/use analysis behind the
-//! undefined-read fault counter of Equation 11, which allocates fresh use
-//! lists on every step. [`PreparedProgram`] hoists that work out of the
-//! per-case loop: an instruction sequence is decoded once (typically once
-//! per MCMC proposal) into a dense, pre-resolved form, and
-//! [`run_prepared`](PreparedProgram::run_prepared) then executes it across
-//! all test cases. The batched engine ([`crate::batch`]) builds its handler
-//! table from the same decoded form.
+//! undefined-read fault counter of Equation 11. This module hoists that
+//! work out of the per-case loop:
 //!
-//! Execution semantics are shared with the interpreter — both paths drive
-//! the same sandboxed step function — so the two cannot drift apart; `run_prepared` is bit-identical to `run_instrs` by construction
-//! (and by the randomized property test `prop_prepared` at the workspace
-//! root).
+//! - [`Decoded`] is one instruction decoded once: the instruction itself,
+//!   its inline register/flag use lists, its latency, and the batched
+//!   engine's micro-op and handler. [`Decoded::new`] is the crate's only
+//!   per-instruction decode.
+//! - [`PreparedProgram`] is a dense sequence of decoded entries, executed
+//!   per case ([`run_prepared`](PreparedProgram::run_prepared)) or across
+//!   all cases in lockstep ([`run_lockstep`](PreparedProgram::run_lockstep),
+//!   see [`crate::batch`]).
+//! - [`DecodeCache`] keeps the decoded form of a slot vector with `UNUSED`
+//!   slots (an MCMC rewrite) in sync one slot at a time, so a proposal
+//!   that changes one or two slots re-decodes one or two instructions, and
+//!   lends its dense form as a borrowed [`PreparedProgram`].
+//!
+//! Execution semantics are shared with the interpreter — all paths drive
+//! the same sandboxed step function — so they cannot drift apart;
+//! `run_prepared` is bit-identical to `run_instrs` by construction (and by
+//! the randomized property test `prop_prepared` at the workspace root).
 
+use crate::batch::{self, BatchState, Handler, Micro};
 use crate::exec::{Cpu, Emulator, Outcome};
 use crate::state::MachineState;
-use stoke_x86::{Flag, Instruction, Program, Reg, Xmm};
+use std::borrow::Cow;
+use std::fmt;
+use stoke_x86::{Flag, Gpr, Instruction, Program, Reg, Xmm};
 
-/// Per-instruction half-open ranges into the flattened use lists of a
-/// [`PreparedProgram`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct UseSpans {
-    pub(crate) gpr: (u32, u32),
-    pub(crate) xmm: (u32, u32),
-    pub(crate) flag: (u32, u32),
+/// Most GPR uses of one instruction (see
+/// [`Instruction::for_each_gpr_use`]).
+const MAX_GPR_USES: usize = 4;
+/// Most SSE uses of one instruction (see
+/// [`Instruction::for_each_xmm_use`]).
+const MAX_XMM_USES: usize = 2;
+
+/// One instruction decoded once for execution: the instruction, its
+/// register and flag use lists for the undefined-read counter (same
+/// elements, same order as [`Instruction::gpr_uses`] and friends), its
+/// latency, and the batched engine's pre-decoded micro-op and handler.
+///
+/// A `Decoded` is `Copy` and owns no heap memory, so a decoded program can
+/// be patched and rebuilt without allocating.
+#[derive(Clone, Copy)]
+pub struct Decoded {
+    instr: Instruction,
+    pub(crate) micro: Micro,
+    pub(crate) handler: Handler,
+    gpr_uses: [Reg; MAX_GPR_USES],
+    xmm_uses: [Xmm; MAX_XMM_USES],
+    n_gpr: u8,
+    n_xmm: u8,
+    flag_uses: &'static [Flag],
+    latency: u32,
+}
+
+impl Decoded {
+    /// Decode one instruction. Every decoded form in the crate — a
+    /// [`PreparedProgram`] and each slot of a [`DecodeCache`] — is built by
+    /// this function.
+    pub fn new(instr: &Instruction) -> Decoded {
+        let mut gpr_uses = [Gpr::Rax.full(); MAX_GPR_USES];
+        let mut n_gpr = 0;
+        instr.for_each_gpr_use(|r| {
+            gpr_uses[n_gpr] = r;
+            n_gpr += 1;
+        });
+        let mut xmm_uses = [Xmm(0); MAX_XMM_USES];
+        let mut n_xmm = 0;
+        instr.for_each_xmm_use(|x| {
+            xmm_uses[n_xmm] = x;
+            n_xmm += 1;
+        });
+        let flag_uses = instr.flag_uses();
+        let (micro, handler) =
+            batch::select(instr, &gpr_uses[..n_gpr], &xmm_uses[..n_xmm], flag_uses);
+        Decoded {
+            instr: *instr,
+            micro,
+            handler,
+            gpr_uses,
+            xmm_uses,
+            n_gpr: n_gpr as u8,
+            n_xmm: n_xmm as u8,
+            flag_uses,
+            latency: instr.latency(),
+        }
+    }
+
+    /// The decoded instruction.
+    pub fn instruction(&self) -> &Instruction {
+        &self.instr
+    }
+
+    /// The registers the instruction reads (same elements and order as
+    /// [`Instruction::gpr_uses`]).
+    pub fn gpr_uses(&self) -> &[Reg] {
+        &self.gpr_uses[..usize::from(self.n_gpr)]
+    }
+
+    /// The SSE registers the instruction reads.
+    pub fn xmm_uses(&self) -> &[Xmm] {
+        &self.xmm_uses[..usize::from(self.n_xmm)]
+    }
+
+    /// The flags the instruction reads.
+    pub fn flag_uses(&self) -> &'static [Flag] {
+        self.flag_uses
+    }
+
+    /// The instruction's latency (`LATENCY(i)` of Equation 13).
+    pub fn latency(&self) -> u32 {
+        self.latency
+    }
+}
+
+impl PartialEq for Decoded {
+    fn eq(&self, other: &Decoded) -> bool {
+        self.instr == other.instr
+            && self.micro == other.micro
+            && std::ptr::fn_addr_eq(self.handler, other.handler)
+            && self.gpr_uses() == other.gpr_uses()
+            && self.xmm_uses() == other.xmm_uses()
+            && self.flag_uses == other.flag_uses
+            && self.latency == other.latency
+    }
+}
+
+impl fmt::Debug for Decoded {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Decoded")
+            .field("instr", &self.instr)
+            .field("micro", &self.micro)
+            .field("gpr_uses", &self.gpr_uses())
+            .field("xmm_uses", &self.xmm_uses())
+            .field("flag_uses", &self.flag_uses)
+            .field("latency", &self.latency)
+            .finish_non_exhaustive()
+    }
 }
 
 /// An instruction sequence decoded once into a dense, pre-resolved form
-/// that can be executed many times.
+/// that can be executed many times, per test case or across a whole batch
+/// of test cases in lockstep.
 ///
 /// Preparation drops any notion of `UNUSED` slots (callers pass only the
-/// live instructions), precomputes every instruction's register/flag use
-/// sets for the undefined-read counter, and caches the static latency
-/// `H(R)` of Equation 13.
+/// live instructions), decodes every instruction with [`Decoded::new`],
+/// and caches the static latency `H(R)` of Equation 13. The decoded
+/// entries are owned when built by [`new`](PreparedProgram::new) and
+/// borrowed when a [`DecodeCache`] lends its dense form.
 ///
 /// ```
 /// use stoke_emu::{run_instrs, PreparedProgram};
@@ -58,66 +174,47 @@ pub(crate) struct UseSpans {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PreparedProgram<'a> {
-    // Crate-visible so the batched engine (`crate::batch`) can reuse the
-    // decoded form — instruction list, flattened use lists and spans —
-    // without re-deriving it per proposal.
-    pub(crate) instrs: Vec<&'a Instruction>,
-    pub(crate) gpr_uses: Vec<Reg>,
-    pub(crate) xmm_uses: Vec<Xmm>,
-    pub(crate) flag_uses: Vec<Flag>,
-    pub(crate) spans: Vec<UseSpans>,
+    decoded: Cow<'a, [Decoded]>,
     latency: u64,
 }
 
 impl<'a> PreparedProgram<'a> {
-    /// Prepare a sequence of instructions (borrowed; preparation performs
-    /// the per-proposal decode so that per-test-case execution does no
-    /// analysis work and no allocation beyond the machine state itself).
-    pub fn new(instrs: impl IntoIterator<Item = &'a Instruction>) -> PreparedProgram<'a> {
-        let instrs: Vec<&'a Instruction> = instrs.into_iter().collect();
-        let mut prepared = PreparedProgram {
-            gpr_uses: Vec::new(),
-            xmm_uses: Vec::new(),
-            flag_uses: Vec::new(),
-            spans: Vec::with_capacity(instrs.len()),
-            latency: 0,
-            instrs,
-        };
-        for instr in &prepared.instrs {
-            let gpr_start = prepared.gpr_uses.len() as u32;
-            instr.gpr_uses_into(&mut prepared.gpr_uses);
-            let xmm_start = prepared.xmm_uses.len() as u32;
-            instr.xmm_uses_into(&mut prepared.xmm_uses);
-            let flag_start = prepared.flag_uses.len() as u32;
-            prepared.flag_uses.extend(instr.flag_uses());
-            prepared.spans.push(UseSpans {
-                gpr: (gpr_start, prepared.gpr_uses.len() as u32),
-                xmm: (xmm_start, prepared.xmm_uses.len() as u32),
-                flag: (flag_start, prepared.flag_uses.len() as u32),
-            });
-            prepared.latency += u64::from(instr.latency());
+    /// Prepare a sequence of instructions: decode each once, so that
+    /// per-test-case execution does no analysis work.
+    pub fn new<'i>(instrs: impl IntoIterator<Item = &'i Instruction>) -> PreparedProgram<'a> {
+        let decoded: Vec<Decoded> = instrs.into_iter().map(Decoded::new).collect();
+        let latency = decoded.iter().map(|d| u64::from(d.latency)).sum();
+        PreparedProgram {
+            decoded: Cow::Owned(decoded),
+            latency,
         }
-        prepared
     }
 
     /// Prepare a whole [`Program`].
-    pub fn of_program(program: &'a Program) -> PreparedProgram<'a> {
+    pub fn of_program(program: &Program) -> PreparedProgram<'a> {
         PreparedProgram::new(program.iter())
     }
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.decoded.len()
     }
 
     /// Whether the prepared sequence is empty.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.decoded.is_empty()
     }
 
     /// The prepared instructions, in execution order.
-    pub fn instructions(&self) -> impl Iterator<Item = &'a Instruction> + '_ {
-        self.instrs.iter().copied()
+    pub fn instructions(&self) -> impl Iterator<Item = &Instruction> + '_ {
+        self.decoded.iter().map(Decoded::instruction)
+    }
+
+    /// The decoded entries, in execution order: each instruction with its
+    /// precomputed use lists and latency. Static analyses can read these
+    /// instead of re-deriving use sets per proposal.
+    pub fn decoded(&self) -> &[Decoded] {
+        &self.decoded
     }
 
     /// The cached static latency `H(R)` (Equation 13): the sum of every
@@ -126,52 +223,191 @@ impl<'a> PreparedProgram<'a> {
         self.latency
     }
 
-    /// The precomputed register uses of instruction `index` (same elements
-    /// and order as [`Instruction::gpr_uses`]). Static analyses can read
-    /// these instead of re-deriving use sets per proposal.
-    pub fn gpr_uses_of(&self, index: usize) -> &[Reg] {
-        let span = self.spans[index].gpr;
-        &self.gpr_uses[span.0 as usize..span.1 as usize]
-    }
-
-    /// The precomputed xmm uses of instruction `index`.
-    pub fn xmm_uses_of(&self, index: usize) -> &[Xmm] {
-        let span = self.spans[index].xmm;
-        &self.xmm_uses[span.0 as usize..span.1 as usize]
-    }
-
-    /// The precomputed flag uses of instruction `index`.
-    pub fn flag_uses_of(&self, index: usize) -> &[Flag] {
-        let span = self.spans[index].flag;
-        &self.flag_uses[span.0 as usize..span.1 as usize]
-    }
-
     /// Run the prepared sequence from `input`, sandboxing all undefined
     /// behaviour exactly as [`run_instrs`](crate::run_instrs) does.
     pub fn run_prepared(&self, input: &MachineState) -> Outcome {
         let mut emu = Emulator::start(input);
-        for (instr, spans) in self.instrs.iter().zip(&self.spans) {
+        for d in self.decoded.iter() {
             // The undefined-read counter of Equation 11, over the
             // precomputed use lists (same elements, same order as the
             // interpreter's per-step analysis).
-            for r in &self.gpr_uses[spans.gpr.0 as usize..spans.gpr.1 as usize] {
+            for r in d.gpr_uses() {
                 if !emu.state.gpr_is_defined(r.parent()) {
                     emu.faults.undef += 1;
                 }
             }
-            for x in &self.xmm_uses[spans.xmm.0 as usize..spans.xmm.1 as usize] {
+            for x in d.xmm_uses() {
                 if !emu.state.xmm_is_defined(*x) {
                     emu.faults.undef += 1;
                 }
             }
-            for f in &self.flag_uses[spans.flag.0 as usize..spans.flag.1 as usize] {
+            for f in d.flag_uses {
                 if !emu.state.flag_is_defined(*f) {
                     emu.faults.undef += 1;
                 }
             }
-            emu.execute(instr);
+            emu.execute(&d.instr);
         }
         emu.finish()
+    }
+
+    /// Run the program across all live columns of `state`, in lockstep:
+    /// instruction 0 on every column, then instruction 1, and so on.
+    /// Columns killed before the call stay dead; execution stops early if
+    /// no column is live.
+    pub fn run_lockstep(&self, state: &mut BatchState) {
+        self.run_lockstep_with(state, |_| true);
+    }
+
+    /// [`run_lockstep`](PreparedProgram::run_lockstep) with a
+    /// per-instruction-step predicate: after each instruction has been
+    /// applied to every live column, `after_step` may inspect the batch,
+    /// [`kill`](BatchState::kill) columns that a cost bound has already
+    /// ruled out (the §4.5 early exit), and return `false` to abandon the
+    /// whole run.
+    pub fn run_lockstep_with(
+        &self,
+        state: &mut BatchState,
+        mut after_step: impl FnMut(&mut BatchState) -> bool,
+    ) {
+        for d in self.decoded.iter() {
+            if state.live_columns() == 0 {
+                return;
+            }
+            (d.handler)(d, state);
+            if !after_step(state) {
+                return;
+            }
+        }
+    }
+
+    /// Convenience entry point: load `inputs` into a fresh batch, run to
+    /// completion, and extract one [`Outcome`] per column — the batched
+    /// equivalent of calling
+    /// [`run_prepared`](PreparedProgram::run_prepared) per input. Hot
+    /// paths should instead hold a reusable [`BatchState`] and call
+    /// [`load`](BatchState::load) + [`run_lockstep`](Self::run_lockstep).
+    ///
+    /// ```
+    /// use stoke_emu::{MachineState, PreparedProgram};
+    /// use stoke_x86::{Gpr, Program};
+    ///
+    /// let p: Program = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
+    /// let prepared = PreparedProgram::of_program(&p);
+    /// let inputs: Vec<MachineState> = (0..4)
+    ///     .map(|i| {
+    ///         let mut s = MachineState::new();
+    ///         s.set_gpr64(Gpr::Rdi, i);
+    ///         s.set_gpr64(Gpr::Rsi, 40);
+    ///         s
+    ///     })
+    ///     .collect();
+    /// for (i, out) in prepared.run_batch(&inputs).iter().enumerate() {
+    ///     assert_eq!(out.state.read_gpr64(Gpr::Rax), 40 + i as u64);
+    ///     assert!(out.faults.is_clean());
+    /// }
+    /// ```
+    pub fn run_batch<'s, I>(&self, inputs: I) -> Vec<Outcome>
+    where
+        I: IntoIterator<Item = &'s MachineState>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let mut state = BatchState::new();
+        state.load(inputs);
+        self.run_lockstep(&mut state);
+        (0..state.width())
+            .map(|col| Outcome {
+                state: state.column_state(col),
+                faults: state.faults(col),
+            })
+            .collect()
+    }
+}
+
+/// The decoded form of a fixed-length slot vector whose slots are either
+/// an instruction or `UNUSED` (`None`) — an MCMC rewrite — kept in sync
+/// one slot at a time.
+///
+/// [`set`](DecodeCache::set) re-decodes one slot and updates the cached
+/// `H(R)` by delta; [`prepared`](DecodeCache::prepared) lends the dense
+/// form (`UNUSED` slots dropped) as a borrowed [`PreparedProgram`]. The
+/// dense buffer is patched in place when a slot changes from one
+/// instruction to another, and rebuilt by copying entries into the same
+/// buffer when the set of filled slots changes. After construction
+/// nothing here allocates.
+///
+/// ```
+/// use stoke_emu::{DecodeCache, PreparedProgram};
+/// use stoke_x86::Program;
+///
+/// let p: Program = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
+/// let mut slots: Vec<_> = p.iter().copied().map(Some).collect();
+/// slots.push(None);
+/// let mut cache = DecodeCache::new(&slots);
+/// slots.swap(1, 2);
+/// cache.set(1, slots[1].as_ref());
+/// cache.set(2, slots[2].as_ref());
+/// let fresh = PreparedProgram::new(slots.iter().flatten());
+/// assert_eq!(cache.prepared().decoded(), fresh.decoded());
+/// assert_eq!(cache.prepared().static_latency(), fresh.static_latency());
+/// ```
+#[derive(Debug, Clone)]
+pub struct DecodeCache {
+    slots: Vec<Option<Decoded>>,
+    dense: Vec<Decoded>,
+    latency: u64,
+    /// Whether `dense` no longer lists the filled slots in order.
+    stale: bool,
+}
+
+impl DecodeCache {
+    /// Decode every slot.
+    pub fn new(slots: &[Option<Instruction>]) -> DecodeCache {
+        let slots: Vec<Option<Decoded>> = slots
+            .iter()
+            .map(|slot| slot.as_ref().map(Decoded::new))
+            .collect();
+        let latency = slots.iter().flatten().map(|d| u64::from(d.latency)).sum();
+        DecodeCache {
+            dense: Vec::with_capacity(slots.len()),
+            slots,
+            latency,
+            stale: true,
+        }
+    }
+
+    /// Re-decode slot `slot`, which now holds `instr` (`None` for
+    /// `UNUSED`).
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range.
+    pub fn set(&mut self, slot: usize, instr: Option<&Instruction>) {
+        let new = instr.map(Decoded::new);
+        let old = std::mem::replace(&mut self.slots[slot], new);
+        self.latency -= old.map_or(0, |d| u64::from(d.latency));
+        self.latency += new.map_or(0, |d| u64::from(d.latency));
+        match (old, new) {
+            (Some(_), Some(d)) if !self.stale => {
+                // Same filled slots: the entry keeps its dense position.
+                let rank = self.slots[..slot].iter().flatten().count();
+                self.dense[rank] = d;
+            }
+            (None, None) => {}
+            _ => self.stale = true,
+        }
+    }
+
+    /// The dense decoded program, borrowed from the cache.
+    pub fn prepared(&mut self) -> PreparedProgram<'_> {
+        if self.stale {
+            self.dense.clear();
+            self.dense.extend(self.slots.iter().flatten());
+            self.stale = false;
+        }
+        PreparedProgram {
+            decoded: Cow::Borrowed(&self.dense),
+            latency: self.latency,
+        }
     }
 }
 
@@ -237,5 +473,53 @@ mod tests {
         let out = prepared.run_prepared(&input());
         assert_eq!(out.state, input());
         assert!(out.faults.is_clean());
+    }
+
+    #[test]
+    fn decoded_use_lists_match_instruction_metadata() {
+        // The widest use lists the ISA model produces: a memory divide
+        // (two address registers plus rdx:rax), a store through a
+        // base+index address, and a two-source SSE op.
+        let p: Program =
+            "divq (rsi,rcx,8)\nmovq rax, (rsi,rcx,1)\nshufps 0, xmm1, xmm0\nadcq rdi, rax"
+                .parse()
+                .unwrap();
+        for (d, instr) in PreparedProgram::of_program(&p)
+            .decoded()
+            .iter()
+            .zip(p.iter())
+        {
+            assert_eq!(d.instruction(), instr);
+            assert_eq!(d.gpr_uses(), instr.gpr_uses().as_slice());
+            assert_eq!(d.xmm_uses(), instr.xmm_uses().as_slice());
+            assert_eq!(d.flag_uses(), instr.flag_uses());
+            assert_eq!(d.latency(), instr.latency());
+        }
+    }
+
+    #[test]
+    fn decode_cache_tracks_slot_edits() {
+        let p: Program = "movq rdi, rax\naddq rsi, rax\nsubq rdi, rax"
+            .parse()
+            .unwrap();
+        let other: Program = "imulq rsi, rax".parse().unwrap();
+        let mut slots: Vec<Option<Instruction>> = p.iter().copied().map(Some).collect();
+        slots.insert(1, None);
+        let mut cache = DecodeCache::new(&slots);
+        let edits: [(usize, Option<Instruction>); 5] = [
+            (2, Some(other.instrs()[0])), // in-place patch
+            (1, Some(p.instrs()[2])),     // UNUSED -> filled
+            (0, None),                    // filled -> UNUSED
+            (1, None),
+            (3, Some(p.instrs()[0])),
+        ];
+        for (slot, instr) in edits {
+            slots[slot] = instr;
+            cache.set(slot, instr.as_ref());
+            let fresh = PreparedProgram::new(slots.iter().flatten());
+            let lent = cache.prepared();
+            assert_eq!(lent.decoded(), fresh.decoded());
+            assert_eq!(lent.static_latency(), fresh.static_latency());
+        }
     }
 }

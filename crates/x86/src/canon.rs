@@ -88,7 +88,7 @@ impl Renaming {
             .operands()
             .iter()
             .map(|op| self.apply_operand(op))
-            .collect();
+            .collect::<Vec<_>>();
         // Operand kinds and widths are unchanged, so validity is preserved.
         Instruction::new_unchecked(instr.opcode(), operands)
     }
@@ -219,7 +219,7 @@ pub fn normalize_immediates(program: &Program) -> Program {
                     Operand::Imm(v) => Operand::Imm(norm(*v).unwrap_or(*v)),
                     other => *other,
                 })
-                .collect();
+                .collect::<Vec<_>>();
             Instruction::new_unchecked(instr.opcode(), operands)
         })
         .collect()

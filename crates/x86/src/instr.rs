@@ -59,8 +59,16 @@ impl fmt::Display for InstrError {
 
 impl std::error::Error for InstrError {}
 
+/// The most operands any modelled opcode takes (`pshufd` and `shufps`).
+pub const MAX_OPERANDS: usize = 3;
+
 /// A single x86-64 instruction: opcode plus operands in AT&T order
 /// (sources first, destination last).
+///
+/// The operands are stored inline, so an instruction is `Copy`: the MCMC
+/// proposal moves copy, patch and restore instructions without touching
+/// the heap. Equality, hashing and `Debug` see only
+/// [`operands`](Instruction::operands), never the unused inline slots.
 ///
 /// ```
 /// use stoke_x86::{Instruction, Opcode, Operand, Reg, Gpr, Width, AluOp};
@@ -73,19 +81,32 @@ impl std::error::Error for InstrError {}
 /// ).unwrap();
 /// assert_eq!(add.to_string(), "addq rdi, rax");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 pub struct Instruction {
     opcode: Opcode,
-    operands: Vec<Operand>,
+    operands: [Operand; MAX_OPERANDS],
+    arity: u8,
 }
 
+/// Filler for the inline operand slots past the arity.
+const NO_OPERAND: Operand = Operand::Imm(0);
+
 impl Instruction {
-    /// Construct a validated instruction.
+    /// Construct a validated instruction. `operands` is anything that
+    /// views as a slice: a `Vec`, an array or a borrowed slice.
     ///
     /// # Errors
     /// Returns an [`InstrError`] if the operands do not match the opcode's
     /// signature, or if more than one operand is a memory reference.
-    pub fn new(opcode: Opcode, operands: Vec<Operand>) -> Result<Instruction, InstrError> {
+    pub fn new(opcode: Opcode, operands: impl AsRef<[Operand]>) -> Result<Instruction, InstrError> {
+        let operands = operands.as_ref();
+        Instruction::validate(opcode, operands)?;
+        Ok(Instruction::pack(opcode, operands))
+    }
+
+    /// Check `operands` against `opcode`'s signature without building an
+    /// instruction (and without allocating).
+    fn validate(opcode: Opcode, operands: &[Operand]) -> Result<(), InstrError> {
         let sig = opcode.signature();
         if sig.len() != operands.len() {
             return Err(InstrError::WrongArity {
@@ -94,7 +115,7 @@ impl Instruction {
                 found: operands.len(),
             });
         }
-        for (slot, (spec, opnd)) in sig.iter().zip(&operands).enumerate() {
+        for (slot, (spec, opnd)) in sig.iter().zip(operands).enumerate() {
             if !spec.accepts(opnd.kind()) {
                 return Err(InstrError::BadOperand {
                     opcode,
@@ -106,7 +127,26 @@ impl Instruction {
         if operands.iter().filter(|o| o.is_mem()).count() > 1 {
             return Err(InstrError::TwoMemoryOperands { opcode });
         }
-        Ok(Instruction { opcode, operands })
+        Ok(())
+    }
+
+    /// Whether this instruction is well formed (what [`Instruction::new`]
+    /// checks). Instructions built with [`new_unchecked`] or the `with_*`
+    /// patch methods may not be.
+    ///
+    /// [`new_unchecked`]: Instruction::new_unchecked
+    pub fn is_valid(&self) -> bool {
+        Instruction::validate(self.opcode, self.operands()).is_ok()
+    }
+
+    fn pack(opcode: Opcode, operands: &[Operand]) -> Instruction {
+        let mut inline = [NO_OPERAND; MAX_OPERANDS];
+        inline[..operands.len()].copy_from_slice(operands);
+        Instruction {
+            opcode,
+            operands: inline,
+            arity: operands.len() as u8,
+        }
     }
 
     /// Construct without validation (used by the proposal moves, which
@@ -114,15 +154,17 @@ impl Instruction {
     /// construction).
     ///
     /// # Panics
-    /// Panics in debug builds if the instruction is invalid.
-    pub fn new_unchecked(opcode: Opcode, operands: Vec<Operand>) -> Instruction {
-        debug_assert!(Instruction::new(opcode, operands.clone()).is_ok());
-        Instruction { opcode, operands }
+    /// Panics if there are more than [`MAX_OPERANDS`] operands, and in
+    /// debug builds if the instruction is invalid.
+    pub fn new_unchecked(opcode: Opcode, operands: impl AsRef<[Operand]>) -> Instruction {
+        let operands = operands.as_ref();
+        debug_assert!(Instruction::validate(opcode, operands).is_ok());
+        Instruction::pack(opcode, operands)
     }
 
     /// A zero-operand instruction.
     pub fn nullary(opcode: Opcode) -> Instruction {
-        Instruction::new(opcode, vec![]).expect("nullary opcode")
+        Instruction::new(opcode, []).expect("nullary opcode")
     }
 
     /// The opcode.
@@ -132,27 +174,33 @@ impl Instruction {
 
     /// The operands, in AT&T order.
     pub fn operands(&self) -> &[Operand] {
-        &self.operands
+        &self.operands[..usize::from(self.arity)]
     }
 
     /// Replace the opcode, keeping the operands (caller must ensure the
     /// new opcode accepts them; used by the MCMC opcode move which samples
     /// from the compatible equivalence class).
     pub fn with_opcode(&self, opcode: Opcode) -> Instruction {
-        Instruction::new_unchecked(opcode, self.operands.clone())
+        debug_assert!(Instruction::validate(opcode, self.operands()).is_ok());
+        Instruction { opcode, ..*self }
     }
 
-    /// Replace operand `slot`, keeping everything else.
+    /// Replace operand `slot`, keeping everything else. The result may be
+    /// invalid (e.g. a second memory operand); check with
+    /// [`is_valid`](Instruction::is_valid) where that matters.
+    ///
+    /// # Panics
+    /// Panics if `slot` is not below the arity.
     pub fn with_operand(&self, slot: usize, operand: Operand) -> Instruction {
-        let mut operands = self.operands.clone();
-        operands[slot] = operand;
-        Instruction::new_unchecked(self.opcode, operands)
+        let mut out = *self;
+        out.operands[..usize::from(self.arity)][slot] = operand;
+        out
     }
 
     /// The destination operand, if the opcode writes one.
     pub fn dst(&self) -> Option<&Operand> {
         if self.opcode.writes_dst() {
-            self.operands.last()
+            self.operands().last()
         } else {
             None
         }
@@ -160,7 +208,7 @@ impl Instruction {
 
     /// The memory operand, if any (at most one by construction).
     pub fn mem_operand(&self) -> Option<Mem> {
-        self.operands.iter().find_map(|o| o.as_mem())
+        self.operands().iter().find_map(|o| o.as_mem())
     }
 
     /// Whether this instruction reads memory.
@@ -171,10 +219,10 @@ impl Instruction {
         if matches!(self.opcode, Opcode::Pop) {
             return true;
         }
-        let Some(mem_slot) = self.operands.iter().position(|o| o.is_mem()) else {
+        let Some(mem_slot) = self.operands().iter().position(|o| o.is_mem()) else {
             return false;
         };
-        let is_dst_slot = self.opcode.writes_dst() && mem_slot == self.operands.len() - 1;
+        let is_dst_slot = self.opcode.writes_dst() && mem_slot == self.operands().len() - 1;
         !is_dst_slot || self.opcode.dst_is_also_src()
     }
 
@@ -186,7 +234,7 @@ impl Instruction {
         if !self.opcode.writes_dst() {
             return false;
         }
-        self.operands.last().is_some_and(Operand::is_mem)
+        self.operands().last().is_some_and(Operand::is_mem)
     }
 
     /// The memory access width in bytes for loads/stores performed by this
@@ -217,48 +265,40 @@ impl Instruction {
     /// implicit uses.
     pub fn gpr_uses(&self) -> Vec<Reg> {
         let mut uses = Vec::new();
-        self.gpr_uses_into(&mut uses);
+        self.for_each_gpr_use(|r| uses.push(r));
         uses
     }
 
-    /// Append this instruction's GPR uses to `out` (same elements, same
-    /// order as [`gpr_uses`](Instruction::gpr_uses)) without allocating —
-    /// the evaluation backends prepare whole programs into one flattened
-    /// use list per proposal, where a fresh `Vec` per instruction would
-    /// dominate the prepare step.
-    pub fn gpr_uses_into(&self, out: &mut Vec<Reg>) {
-        let start = out.len();
-        let arity = self.operands.len();
-        for (slot, opnd) in self.operands.iter().enumerate() {
+    /// Visit this instruction's GPR uses (same elements, same order as
+    /// [`gpr_uses`](Instruction::gpr_uses)) without allocating: the
+    /// emulator decodes every proposal's changed instructions into inline
+    /// use lists through this.
+    ///
+    /// There are at most four: a memory operand contributes two address
+    /// registers, every other operand at most one, and only the
+    /// one-operand multiply/divide family adds implicit uses beyond one.
+    pub fn for_each_gpr_use(&self, mut f: impl FnMut(Reg)) {
+        let arity = self.operands().len();
+        for (slot, opnd) in self.operands().iter().enumerate() {
             let is_dst_slot = self.opcode.writes_dst() && slot == arity - 1;
             match opnd {
+                // `xchg` reads both operands through this arm: it is
+                // read-modify-write in its destination.
                 Operand::Reg(r) => {
                     if !is_dst_slot || self.opcode.dst_is_also_src() {
-                        out.push(*r);
+                        f(*r);
                     } else if r.width() == Width::B || r.width() == Width::W {
                         // Narrow destination writes merge into the parent
                         // register, so the old value is also read.
-                        out.push(r.parent().full());
+                        f(r.parent().full());
                     }
                 }
-                Operand::Mem(m) => {
-                    out.extend(m.regs().map(Gpr::full));
-                }
+                Operand::Mem(m) => m.regs().map(Gpr::full).for_each(&mut f),
                 Operand::Xmm(_) | Operand::Imm(_) => {}
             }
         }
         for g in self.opcode.implicit_uses() {
-            out.push(g.view(self.opcode.width().unwrap_or(Width::Q)));
-        }
-        // xchg reads both of its operands.
-        if matches!(self.opcode, Opcode::Xchg(_)) {
-            for opnd in &self.operands {
-                if let Operand::Reg(r) = opnd {
-                    if !out[start..].contains(r) {
-                        out.push(*r);
-                    }
-                }
-            }
+            f(g.view(self.opcode.width().unwrap_or(Width::Q)));
         }
     }
 
@@ -266,12 +306,12 @@ impl Instruction {
     pub fn gpr_defs(&self) -> Vec<Reg> {
         let mut defs = Vec::new();
         if self.opcode.writes_dst() {
-            if let Some(Operand::Reg(r)) = self.operands.last() {
+            if let Some(Operand::Reg(r)) = self.operands().last() {
                 defs.push(*r);
             }
         }
         if matches!(self.opcode, Opcode::Xchg(_)) {
-            if let Some(Operand::Reg(r)) = self.operands.first() {
+            if let Some(Operand::Reg(r)) = self.operands().first() {
                 defs.push(*r);
             }
         }
@@ -290,19 +330,20 @@ impl Instruction {
     /// SSE registers read by this instruction.
     pub fn xmm_uses(&self) -> Vec<Xmm> {
         let mut uses = Vec::new();
-        self.xmm_uses_into(&mut uses);
+        self.for_each_xmm_use(|x| uses.push(x));
         uses
     }
 
-    /// Append this instruction's SSE uses to `out` without allocating (see
-    /// [`gpr_uses_into`](Instruction::gpr_uses_into)).
-    pub fn xmm_uses_into(&self, out: &mut Vec<Xmm>) {
-        let arity = self.operands.len();
-        for (slot, opnd) in self.operands.iter().enumerate() {
+    /// Visit this instruction's SSE uses without allocating (see
+    /// [`for_each_gpr_use`](Instruction::for_each_gpr_use)). There are at
+    /// most two: the three-operand forms take an immediate first.
+    pub fn for_each_xmm_use(&self, mut f: impl FnMut(Xmm)) {
+        let arity = self.operands().len();
+        for (slot, opnd) in self.operands().iter().enumerate() {
             if let Operand::Xmm(x) = opnd {
                 let is_dst_slot = self.opcode.writes_dst() && slot == arity - 1;
                 if !is_dst_slot || self.opcode.dst_is_also_src() {
-                    out.push(*x);
+                    f(*x);
                 }
             }
         }
@@ -313,7 +354,7 @@ impl Instruction {
         if !self.opcode.writes_dst() {
             return vec![];
         }
-        match self.operands.last() {
+        match self.operands().last() {
             Some(Operand::Xmm(x)) => vec![*x],
             _ => vec![],
         }
@@ -344,10 +385,34 @@ impl Instruction {
     }
 }
 
+impl PartialEq for Instruction {
+    fn eq(&self, other: &Instruction) -> bool {
+        self.opcode == other.opcode && self.operands() == other.operands()
+    }
+}
+
+impl Eq for Instruction {}
+
+impl std::hash::Hash for Instruction {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.opcode.hash(state);
+        self.operands().hash(state);
+    }
+}
+
+impl fmt::Debug for Instruction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instruction")
+            .field("opcode", &self.opcode)
+            .field("operands", &self.operands())
+            .finish()
+    }
+}
+
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.opcode.name())?;
-        for (i, opnd) in self.operands.iter().enumerate() {
+        for (i, opnd) in self.operands().iter().enumerate() {
             if i == 0 {
                 write!(f, " ")?;
             } else {
@@ -646,5 +711,42 @@ mod tests {
         .unwrap();
         assert_eq!(i.xmm_uses(), vec![Xmm(1), Xmm(0)]);
         assert_eq!(i.xmm_defs(), vec![Xmm(0)]);
+    }
+
+    #[test]
+    fn patched_and_constructed_instructions_are_equal() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |i: &Instruction| {
+            let mut h = DefaultHasher::new();
+            i.hash(&mut h);
+            h.finish()
+        };
+        let built = addq(r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q));
+        let patched = addq(r(Gpr::Rsi, Width::Q), r(Gpr::Rax, Width::Q))
+            .with_operand(0, r(Gpr::Rdi, Width::Q));
+        assert_eq!(built, patched);
+        assert_eq!(hash(&built), hash(&patched));
+        assert_eq!(format!("{built:?}"), format!("{patched:?}"));
+        let sub = Instruction::new(
+            Opcode::Alu(AluOp::Sub, Width::Q),
+            vec![r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q)],
+        )
+        .unwrap();
+        let opcode_patched = sub.with_opcode(Opcode::Alu(AluOp::Add, Width::Q));
+        assert_eq!(built, opcode_patched);
+        assert_eq!(hash(&built), hash(&opcode_patched));
+        assert!(built.is_valid());
+        let two_mems = built
+            .with_operand(0, Operand::Mem(Mem::base(Gpr::Rdi)))
+            .with_operand(1, Operand::Mem(Mem::base(Gpr::Rsi)));
+        assert!(!two_mems.is_valid());
+    }
+
+    #[test]
+    fn signatures_fit_the_inline_operands() {
+        for op in Opcode::all() {
+            assert!(op.signature().len() <= MAX_OPERANDS, "{op}");
+        }
     }
 }

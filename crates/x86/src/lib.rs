@@ -39,7 +39,7 @@ pub mod reg;
 
 pub use canon::{canonical_renaming, canonicalize, normalize_immediates, Renaming};
 pub use classes::OpcodeClasses;
-pub use instr::{build, InstrError, Instruction};
+pub use instr::{build, InstrError, Instruction, MAX_OPERANDS};
 pub use opcode::{AluOp, BitOp, Cond, Opcode, ShiftOp, SseBinOp, SseMov128, SseShiftOp, UnOp};
 pub use operand::{Mem, Operand, OperandKind, Scale, SlotSpec};
 pub use parse::{parse_instruction, parse_program, ParseError};

@@ -525,45 +525,76 @@ impl Opcode {
 
     /// Operand slot specifications, in AT&T order (sources before the
     /// destination). An empty slice means the opcode takes no operands.
-    pub fn signature(&self) -> Vec<SlotSpec> {
+    ///
+    /// Every signature is a constant table, so asking for one (and hence
+    /// for [`arity`](Opcode::arity) or [`writes_dst`](Opcode::writes_dst))
+    /// never allocates.
+    pub fn signature(&self) -> &'static [SlotSpec] {
         use Width::{B, L, Q};
+        /// One `&'static` table per operand width `w`.
+        macro_rules! per_width {
+            ($w:expr, |$v:ident| $sig:expr) => {
+                match $w {
+                    Width::B => {
+                        const $v: Width = Width::B;
+                        const SIG: &[SlotSpec] = &$sig;
+                        SIG
+                    }
+                    Width::W => {
+                        const $v: Width = Width::W;
+                        const SIG: &[SlotSpec] = &$sig;
+                        SIG
+                    }
+                    Width::L => {
+                        const $v: Width = Width::L;
+                        const SIG: &[SlotSpec] = &$sig;
+                        SIG
+                    }
+                    Width::Q => {
+                        const $v: Width = Width::Q;
+                        const SIG: &[SlotSpec] = &$sig;
+                        SIG
+                    }
+                }
+            };
+        }
         match *self {
-            Opcode::Mov(w) => vec![SlotSpec::reg_imm_mem(w), SlotSpec::reg_mem(w)],
-            Opcode::Movabs => vec![SlotSpec::imm(), SlotSpec::reg(Q)],
-            Opcode::Movslq => vec![SlotSpec::reg_mem(L), SlotSpec::reg(Q)],
-            Opcode::Movsbq | Opcode::Movzbq => vec![SlotSpec::reg_mem(B), SlotSpec::reg(Q)],
-            Opcode::Movsbl | Opcode::Movzbl => vec![SlotSpec::reg_mem(B), SlotSpec::reg(L)],
-            Opcode::Lea(w) => vec![SlotSpec::mem(), SlotSpec::reg(w)],
-            Opcode::Xchg(w) => vec![SlotSpec::reg(w), SlotSpec::reg(w)],
-            Opcode::Push => vec![SlotSpec::reg(Q)],
-            Opcode::Pop => vec![SlotSpec::reg(Q)],
-            Opcode::Cmov(_, w) => vec![SlotSpec::reg_mem(w), SlotSpec::reg(w)],
-            Opcode::Set(_) => vec![SlotSpec::reg_mem(B)],
-            Opcode::Alu(_, w) | Opcode::Cmp(w) | Opcode::Test(w) => {
-                vec![SlotSpec::reg_imm_mem(w), SlotSpec::reg_mem(w)]
+            Opcode::Mov(w) | Opcode::Alu(_, w) | Opcode::Cmp(w) | Opcode::Test(w) => {
+                per_width!(w, |W| [SlotSpec::reg_imm_mem(W), SlotSpec::reg_mem(W)])
             }
-            Opcode::Un(_, w) => vec![SlotSpec::reg_mem(w)],
+            Opcode::Movabs => const { &[SlotSpec::imm(), SlotSpec::reg(Q)] },
+            Opcode::Movslq => const { &[SlotSpec::reg_mem(L), SlotSpec::reg(Q)] },
+            Opcode::Movsbq | Opcode::Movzbq => const { &[SlotSpec::reg_mem(B), SlotSpec::reg(Q)] },
+            Opcode::Movsbl | Opcode::Movzbl => const { &[SlotSpec::reg_mem(B), SlotSpec::reg(L)] },
+            Opcode::Lea(w) => per_width!(w, |W| [SlotSpec::mem(), SlotSpec::reg(W)]),
+            Opcode::Xchg(w) => per_width!(w, |W| [SlotSpec::reg(W), SlotSpec::reg(W)]),
+            Opcode::Push | Opcode::Pop => const { &[SlotSpec::reg(Q)] },
+            Opcode::Cmov(_, w) | Opcode::Bits(BitOp::Popcnt | BitOp::Bsf | BitOp::Bsr, w) => {
+                per_width!(w, |W| [SlotSpec::reg_mem(W), SlotSpec::reg(W)])
+            }
+            Opcode::Set(_) => const { &[SlotSpec::reg_mem(B)] },
+            Opcode::Un(_, w)
+            | Opcode::Imul1(w)
+            | Opcode::Mul1(w)
+            | Opcode::Div(w)
+            | Opcode::Idiv(w) => per_width!(w, |W| [SlotSpec::reg_mem(W)]),
             // `imul imm, reg` is accepted as shorthand for the three-operand
             // immediate form with source == destination.
-            Opcode::Imul2(w) => vec![SlotSpec::reg_imm_mem(w), SlotSpec::reg(w)],
-            Opcode::Imul1(w) | Opcode::Mul1(w) | Opcode::Div(w) | Opcode::Idiv(w) => {
-                vec![SlotSpec::reg_mem(w)]
-            }
-            Opcode::Shift(_, w) => vec![SlotSpec::reg_imm(B), SlotSpec::reg_mem(w)],
-            Opcode::Bits(BitOp::Bswap, w) => vec![SlotSpec::reg(w)],
-            Opcode::Bits(_, w) => vec![SlotSpec::reg_mem(w), SlotSpec::reg(w)],
-            Opcode::Cqto | Opcode::Cltq | Opcode::Cltd | Opcode::Nop => vec![],
-            Opcode::MovdToXmm => vec![SlotSpec::reg(L), SlotSpec::xmm()],
-            Opcode::MovdFromXmm => vec![SlotSpec::xmm(), SlotSpec::reg(L)],
-            Opcode::MovqToXmm => vec![SlotSpec::reg(Q), SlotSpec::xmm()],
-            Opcode::MovqFromXmm => vec![SlotSpec::xmm(), SlotSpec::reg(Q)],
-            Opcode::Mov128(_) => vec![SlotSpec::xmm_mem(), SlotSpec::xmm_mem()],
+            Opcode::Imul2(w) => per_width!(w, |W| [SlotSpec::reg_imm_mem(W), SlotSpec::reg(W)]),
+            Opcode::Shift(_, w) => per_width!(w, |W| [SlotSpec::reg_imm(B), SlotSpec::reg_mem(W)]),
+            Opcode::Bits(BitOp::Bswap, w) => per_width!(w, |W| [SlotSpec::reg(W)]),
+            Opcode::Cqto | Opcode::Cltq | Opcode::Cltd | Opcode::Nop => &[],
+            Opcode::MovdToXmm => const { &[SlotSpec::reg(L), SlotSpec::xmm()] },
+            Opcode::MovdFromXmm => const { &[SlotSpec::xmm(), SlotSpec::reg(L)] },
+            Opcode::MovqToXmm => const { &[SlotSpec::reg(Q), SlotSpec::xmm()] },
+            Opcode::MovqFromXmm => const { &[SlotSpec::xmm(), SlotSpec::reg(Q)] },
+            Opcode::Mov128(_) => const { &[SlotSpec::xmm_mem(), SlotSpec::xmm_mem()] },
             Opcode::SseBin(_) | Opcode::Punpckldq | Opcode::Punpcklqdq => {
-                vec![SlotSpec::xmm_mem(), SlotSpec::xmm()]
+                const { &[SlotSpec::xmm_mem(), SlotSpec::xmm()] }
             }
-            Opcode::SseShift(_) => vec![SlotSpec::imm(), SlotSpec::xmm()],
+            Opcode::SseShift(_) => const { &[SlotSpec::imm(), SlotSpec::xmm()] },
             Opcode::Pshufd | Opcode::Shufps => {
-                vec![SlotSpec::imm(), SlotSpec::xmm_mem(), SlotSpec::xmm()]
+                const { &[SlotSpec::imm(), SlotSpec::xmm_mem(), SlotSpec::xmm()] }
             }
         }
     }

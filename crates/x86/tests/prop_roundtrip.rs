@@ -123,8 +123,8 @@ proptest! {
     /// MCMC opcode move) contains the original opcode.
     #[test]
     fn equivalence_classes_contain_self(instr in any_instruction()) {
-        prop_assert!(Instruction::new(instr.opcode(), instr.operands().to_vec()).is_ok());
-        let mut classes = stoke_x86::OpcodeClasses::new();
+        prop_assert!(Instruction::new(instr.opcode(), instr.operands()).is_ok());
+        let classes = stoke_x86::OpcodeClasses::new();
         let class: Vec<Opcode> = classes.class_of(&instr).to_vec();
         prop_assert!(class.contains(&instr.opcode()));
     }

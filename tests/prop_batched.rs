@@ -1,8 +1,9 @@
 //! Property tests for the batched lockstep engine: for random programs
 //! (drawn from the MCMC proposal distribution, i.e. exactly the population
 //! the search evaluates) and random suites of varying width — including
-//! N = 0, N = 1 and all-faulting columns — `BatchedProgram` produces
-//! outcomes bit-identical to `PreparedProgram::run_prepared` per column,
+//! N = 0, N = 1 and all-faulting columns — `PreparedProgram::run_batch`
+//! produces outcomes bit-identical to `PreparedProgram::run_prepared` per
+//! column,
 //! and the cost function's `eq'` agrees with a sequential interpreter
 //! oracle on totals, §4.5 early-termination decisions, and evaluation
 //! statistics.
@@ -10,7 +11,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stoke_suite::emu::{run_instrs, BatchedProgram, MachineState, PreparedProgram};
+use stoke_suite::emu::{run_instrs, MachineState, PreparedProgram};
 use stoke_suite::stoke::{generate_testcases, Config, CostFn, EvalStats, Proposer, TargetSpec};
 use stoke_suite::x86::{Flag, Gpr, Instruction, Program, Xmm};
 
@@ -128,8 +129,7 @@ proptest! {
             .map(|i| random_state(state_seed.wrapping_add(i)))
             .collect();
         let prepared = PreparedProgram::new(&instrs);
-        let batched = BatchedProgram::new(&prepared);
-        let outs = batched.run_batch(&states);
+        let outs = prepared.run_batch(&states);
         prop_assert_eq!(outs.len(), n);
         for (col, (input, out)) in states.iter().zip(&outs).enumerate() {
             let want = prepared.run_prepared(input);
@@ -137,7 +137,7 @@ proptest! {
             prop_assert_eq!(out.faults, want.faults, "column {} faults diverge", col);
         }
         prop_assert_eq!(
-            batched.static_latency(),
+            instrs.iter().map(|i| u64::from(i.latency())).sum::<u64>(),
             prepared.static_latency(),
             "latency diverges"
         );
@@ -151,7 +151,7 @@ proptest! {
         let instrs = random_program(program_seed, len);
         let states = vec![MachineState::new(); n];
         let prepared = PreparedProgram::new(&instrs);
-        let outs = BatchedProgram::new(&prepared).run_batch(&states);
+        let outs = prepared.run_batch(&states);
         for (input, out) in states.iter().zip(&outs) {
             let want = prepared.run_prepared(input);
             prop_assert_eq!(&out.state, &want.state);
