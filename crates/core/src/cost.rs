@@ -249,13 +249,12 @@ pub(crate) fn case_cost_prepared(
 /// exceeds `b` (the early-termination optimization of §4.5) and returns
 /// `None`. The second component is the number of test cases evaluated.
 ///
-/// With a bound, the §4.5 check additionally runs as a per-instruction-step
-/// predicate *during* execution: a column's accumulated `err(·)` cost is a
-/// lower bound on its final case cost (the reg/mem terms only add), so once
-/// the running prefix of those lower bounds over columns `0..=k` exceeds
-/// the bound, the sequential walk below is guaranteed to early-terminate at
-/// or before case `k` — columns `k+1..` can never be read, and are killed
-/// so they stop costing work for the remaining instructions.
+/// With a bound, the §4.5 check additionally runs *during* execution (see
+/// [`kill_doomed`]), killing the columns the sequential walk below can
+/// never reach so they stop costing work for the remaining instructions.
+/// It depends only on the fault counters, so it reruns only after a step
+/// that moved [`BatchState::fault_events`] (and after the first step, for
+/// bounds below zero): on every other step it would kill nothing new.
 pub(crate) fn eq_prime(
     config: &Config,
     suite: &TestSuite,
@@ -272,22 +271,17 @@ pub(crate) fn eq_prime(
     batch.reload(suite.cases.iter().map(|c| &c.input));
     match bound {
         None => prepared.run_lockstep(batch),
-        Some(b) => prepared.run_lockstep_with(batch, |state| {
-            let n = state.width();
-            let mut prefix = 0u64;
-            let mut dead_from = n;
-            for col in 0..n {
-                prefix += err_term(config, &state.faults(col));
-                if (prefix as f64) > b {
-                    dead_from = col + 1;
-                    break;
+        Some(b) => {
+            let mut checked_at = None;
+            prepared.run_lockstep_with(batch, |state| {
+                let events = state.fault_events();
+                if checked_at != Some(events) {
+                    checked_at = Some(events);
+                    kill_doomed(config, state, b);
                 }
-            }
-            for col in dead_from..n {
-                state.kill(col);
-            }
-            true
-        }),
+                true
+            });
+        }
     }
     let mut total = 0u64;
     for (i, case) in suite.cases.iter().enumerate() {
@@ -307,6 +301,28 @@ pub(crate) fn eq_prime(
         }
     }
     (Some(total), suite.cases.len())
+}
+
+/// The §4.5 kill rule: a column's accumulated `err(·)` cost is a lower
+/// bound on its final case cost (the reg/mem terms only add), so once the
+/// running prefix of those lower bounds over columns `0..=k` exceeds the
+/// bound, the sequential walk of [`eq_prime`] is guaranteed to
+/// early-terminate at or before case `k`: columns `k+1..` can never be
+/// read, and are killed.
+fn kill_doomed(config: &Config, state: &mut BatchState, bound: f64) {
+    let n = state.width();
+    let mut prefix = 0u64;
+    let mut dead_from = n;
+    for col in 0..n {
+        prefix += err_term(config, &state.faults(col));
+        if (prefix as f64) > bound {
+            dead_from = col + 1;
+            break;
+        }
+    }
+    for col in dead_from..n {
+        state.kill(col);
+    }
 }
 
 /// Whether a candidate passes every test case of `suite` (`eq' == 0`).
@@ -633,6 +649,56 @@ mod tests {
                     Some(b) => cost.eq_prime_bounded(program.instrs(), b),
                 };
                 assert_eq!((out, cost.stats), want, "{program} at {bound:?}");
+            }
+        }
+    }
+
+    /// The fault-driven kill check kills exactly the columns the O(n)
+    /// prefix rule kills when it runs after every instruction step. Kills
+    /// never show in `eq'` results, so the live masks are compared
+    /// directly, over hand-written faulting programs and random rewrites
+    /// from the proposal distribution, at bounds from below zero to
+    /// unreachable.
+    #[test]
+    fn fault_driven_kill_check_matches_the_prefix_rule() {
+        let live_mask = |batch: &BatchState| -> Vec<bool> {
+            (0..batch.width()).map(|col| batch.is_live(col)).collect()
+        };
+        let mut programs: Vec<Program> = [
+            "movq (rbx), rax\nmovq rdi, rax\naddq rsi, rax",
+            "movq rdi, rax\naddq r11, rax\nmovq 8(rsp), rcx\nsubq rsi, rax",
+            "movq rdi, rax\naddq rsi, rax",
+            "xorq rdx, rdx\ndivq rdx\nmovq (rdi), rcx\nadcq rbx, rax",
+            // Steps whose only faults are out-of-sandbox accesses through
+            // defined registers, or divisions by zero.
+            "movq rdi, rax\nmovq (rdi), rcx\nmovq 8(rsi), rdx\naddq rsi, rax",
+            "movq 0, rdx\nmovq rdi, rax\nmovq 0, rcx\ndivq rcx\nmovq 0, rdx\ndivq rcx",
+        ]
+        .iter()
+        .map(|text| text.parse().unwrap())
+        .collect();
+        let mut proposer = crate::mcmc::Proposer::new(Config::default(), 11);
+        programs.extend((0..40).map(|_| {
+            (0..8)
+                .map(|_| proposer.random_instruction())
+                .collect::<Program>()
+        }));
+        for program in &programs {
+            let prepared = PreparedProgram::of_program(program);
+            for bound in [-1.0, 0.0, 3.0, 10.0, 40.0, 1e18] {
+                let (mut cost, _) = setup(EqMetric::Improved);
+                cost.eq_prime_bounded(program.instrs(), bound);
+                let mut batch = BatchState::new();
+                batch.load(cost.suite().cases.iter().map(|c| &c.input));
+                prepared.run_lockstep_with(&mut batch, |state| {
+                    kill_doomed(cost.config(), state, bound);
+                    true
+                });
+                assert_eq!(
+                    live_mask(&cost.scratch.batch),
+                    live_mask(&batch),
+                    "{program} at {bound}"
+                );
             }
         }
     }

@@ -83,12 +83,16 @@ impl Rewrite {
 
     /// The dense program obtained by dropping `UNUSED` slots.
     pub fn to_program(&self) -> Program {
-        self.slots.iter().flatten().copied().collect()
+        Program::from_instrs(self.instructions())
     }
 
-    /// The dense instruction sequence (a copy).
+    /// The dense instruction sequence (a copy), allocated at its exact
+    /// length: search results keep these, so a collect's doubling slack
+    /// would be held for as long as the results are.
     pub fn instructions(&self) -> Vec<Instruction> {
-        self.slots.iter().flatten().copied().collect()
+        let mut instrs = Vec::with_capacity(self.num_instructions());
+        instrs.extend(self.slots.iter().flatten().copied());
+        instrs
     }
 }
 

@@ -14,12 +14,18 @@
 //!
 //! Why this is faster than N sequential runs of the same semantics:
 //!
-//! - **Dispatch amortization.** Each instruction is dispatched through the
+//! - **Row passes.** Each instruction is dispatched through the
 //!   fn-pointer handler its [`Decoded`] entry selected at decode time
-//!   (threaded-code style),
-//!   once per instruction *step* instead of once per instruction *per
-//!   case*; inside a handler the opcode/operand branches are perfectly
-//!   predicted because every column executes the same instruction.
+//!   (threaded-code style), once per instruction *step* instead of once
+//!   per instruction *per case*. The shapes compiled code and the search's
+//!   rewrites are made of — `mov`, `lea`, sign and zero extension, the ALU
+//!   ops including `adc`/`sbb`, `cmp`, `test`, `neg`/`not`/`inc`/`dec`,
+//!   shifts and rotates, `cmov{cc}`, `set{cc}` and the multiplies, at every
+//!   operand width, over registers, immediates and `disp(base)` memory —
+//!   are pre-decoded into width-parametric micro-ops whose column loop
+//!   reads operands straight from the structure-of-arrays rows. Only the
+//!   tail (division, bit ops, SSE, push/pop/xchg, index-addressed memory)
+//!   runs the shared `Cpu` semantics once per column.
 //! - **No per-case clone.** A prepared run clones a full
 //!   [`MachineState`] (two heap allocations) per case; a reusable
 //!   `BatchState` is reloaded in place, so the steady state of the search
@@ -28,14 +34,16 @@
 //!   §4.5 early-termination bound kill columns *during* execution (see
 //!   [`PreparedProgram::run_lockstep_with`]): once the cost bound provably
 //!   trips, dead columns stop costing work per instruction step instead of
-//!   per test case.
+//!   per test case. [`BatchState::fault_events`] tells the bound when a
+//!   step changed any fault counter, so it re-checks only then.
 //!
-//! Execution semantics are shared with the interpreter through the
+//! The tail shares its semantics with the interpreter through the
 //! crate-internal `Cpu` trait: the column view implements the same
-//! primitive accesses and runs the identical provided `execute` body, so
-//! the batched engine is bit-identical to
-//! [`run_prepared`](PreparedProgram::run_prepared) by construction (and by
-//! the randomized property suite `prop_batched` at the workspace root).
+//! primitive accesses and runs the identical provided `execute` body. The
+//! micro-ops restate those semantics per shape; the interpreter is their
+//! oracle, and the randomized property suite `prop_batched` at the
+//! workspace root checks every shape at every width against
+//! [`run_prepared`](PreparedProgram::run_prepared).
 
 use crate::exec::{Cpu, Faults};
 use crate::prepare::Decoded;
@@ -43,8 +51,23 @@ use crate::prepare::Decoded;
 use crate::prepare::PreparedProgram;
 use crate::state::{merge_reg_write, MachineState, Memory, XmmValue};
 use stoke_x86::{
-    AluOp, Cond, Flag, Gpr, Instruction, Mem, Opcode, Operand, Reg, ShiftOp, Width, Xmm,
+    AluOp, Cond, Flag, Gpr, Instruction, Mem, Opcode, Operand, Reg, ShiftOp, UnOp, Width, Xmm,
 };
+
+/// A column's dirty range when no store has touched it.
+const CLEAN: (u64, u64) = (u64::MAX, 0);
+
+/// The register, flag and defined-ness rows of a batch, in the row-major
+/// layout [`BatchState`] describes.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    gprs: Vec<u64>,
+    xmms: Vec<XmmValue>,
+    flags: Vec<bool>,
+    gpr_defined: Vec<bool>,
+    xmm_defined: Vec<bool>,
+    flag_defined: Vec<bool>,
+}
 
 /// The machine states of N test cases in structure-of-arrays layout: one
 /// column per test case.
@@ -71,22 +94,26 @@ pub struct BatchState {
     gpr_defined: Vec<bool>,
     xmm_defined: Vec<bool>,
     flag_defined: Vec<bool>,
+    /// The register and flag rows as of the last [`load`](BatchState::load),
+    /// which [`reload`](BatchState::reload) restores with whole-row copies.
+    init: Rows,
     memories: Vec<Memory>,
     faults: Vec<Faults>,
+    /// Fault counter increments across all columns since the last
+    /// (re)load.
+    fault_events: u64,
     live: Vec<bool>,
     /// Per-column dirty address range `[lo, hi)` covering every successful
-    /// store since the last (re)load — `(u64::MAX, 0)` when clean — so
+    /// store since the last (re)load — [`CLEAN`] when clean — so
     /// [`reload`](BatchState::reload) re-copies only the bytes a run could
     /// have changed instead of whole memory images.
     dirty: Vec<(u64, u64)>,
     /// Whether every column's memory image has the identical segment
     /// layout (established at load time; execution never changes layouts).
     /// When set, an address resolved against one column's image is valid
-    /// for all of them, so the memory handlers resolve each distinct
+    /// for all of them, so the memory micro-ops resolve each distinct
     /// address once per instruction step instead of once per column.
     uniform_layout: bool,
-    /// Width-`n` scratch row used by the all-live row-pass handlers.
-    tmp: Vec<u64>,
 }
 
 impl BatchState {
@@ -107,41 +134,35 @@ impl BatchState {
         let inputs = inputs.into_iter();
         let n = inputs.len();
         self.n = n;
-        self.live_cols = n;
         self.dirty.clear();
-        self.dirty.resize(n, (u64::MAX, 0));
-        self.tmp.clear();
-        self.tmp.resize(n, 0);
-        self.gprs.clear();
-        self.gprs.resize(16 * n, 0);
-        self.xmms.clear();
-        self.xmms.resize(16 * n, [0, 0]);
-        self.flags.clear();
-        self.flags.resize(5 * n, false);
-        self.gpr_defined.clear();
-        self.gpr_defined.resize(16 * n, false);
-        self.xmm_defined.clear();
-        self.xmm_defined.resize(16 * n, false);
-        self.flag_defined.clear();
-        self.flag_defined.resize(5 * n, false);
-        self.faults.clear();
-        self.faults.resize(n, Faults::default());
-        self.live.clear();
-        self.live.resize(n, true);
+        self.dirty.resize(n, CLEAN);
+        let init = &mut self.init;
+        init.gprs.clear();
+        init.gprs.resize(16 * n, 0);
+        init.xmms.clear();
+        init.xmms.resize(16 * n, [0, 0]);
+        init.flags.clear();
+        init.flags.resize(5 * n, false);
+        init.gpr_defined.clear();
+        init.gpr_defined.resize(16 * n, false);
+        init.xmm_defined.clear();
+        init.xmm_defined.resize(16 * n, false);
+        init.flag_defined.clear();
+        init.flag_defined.resize(5 * n, false);
         self.memories.truncate(n);
         while self.memories.len() < n {
             self.memories.push(Memory::new());
         }
         for (col, input) in inputs.enumerate() {
             for i in 0..16 {
-                self.gprs[i * n + col] = input.gprs[i];
-                self.gpr_defined[i * n + col] = input.gpr_defined[i];
-                self.xmms[i * n + col] = input.xmms[i];
-                self.xmm_defined[i * n + col] = input.xmm_defined[i];
+                init.gprs[i * n + col] = input.gprs[i];
+                init.gpr_defined[i * n + col] = input.gpr_defined[i];
+                init.xmms[i * n + col] = input.xmms[i];
+                init.xmm_defined[i * n + col] = input.xmm_defined[i];
             }
             for i in 0..5 {
-                self.flags[i * n + col] = input.flags[i];
-                self.flag_defined[i * n + col] = input.flag_defined[i];
+                init.flags[i * n + col] = input.flags[i];
+                init.flag_defined[i * n + col] = input.flag_defined[i];
             }
             self.memories[col].copy_from(&input.memory);
         }
@@ -149,15 +170,17 @@ impl BatchState {
             .memories
             .split_first()
             .is_none_or(|(first, rest)| rest.iter().all(|m| first.same_layout(m)));
+        self.restore_rows();
     }
 
     /// Re-fill the batch from the *same* input states as the previous
-    /// [`load`](BatchState::load) (or `reload`), without re-copying the
-    /// per-column memory images: only each column's dirty address range —
-    /// the span covering every store the intervening run performed — is
-    /// copied back from the input, which restores the image bit-for-bit
-    /// (verified by a `debug_assert`). Registers, flags, defined-ness,
-    /// faults and liveness are refilled as `load` does.
+    /// [`load`](BatchState::load) (or `reload`). Registers, flags and
+    /// defined-ness are copied back as whole rows from the snapshot taken
+    /// at load, faults and liveness are reset as `load` does, and of each
+    /// column's memory image only the dirty address range — the span
+    /// covering every store the intervening run performed — is copied back
+    /// from the input, which restores the image bit-for-bit (verified by a
+    /// `debug_assert`).
     ///
     /// Falls back to a full [`load`](BatchState::load) if the batch width
     /// changed. Passing states that differ from the previous load's is a
@@ -173,45 +196,49 @@ impl BatchState {
             self.load(inputs);
             return;
         }
-        self.live_cols = n;
-        self.faults.fill(Faults::default());
-        self.live.fill(true);
+        self.restore_rows();
         for (col, input) in inputs.enumerate() {
-            for i in 0..16 {
-                self.gprs[i * n + col] = input.gprs[i];
-                self.gpr_defined[i * n + col] = input.gpr_defined[i];
-                self.xmms[i * n + col] = input.xmms[i];
-                self.xmm_defined[i * n + col] = input.xmm_defined[i];
-            }
-            for i in 0..5 {
-                self.flags[i * n + col] = input.flags[i];
-                self.flag_defined[i * n + col] = input.flag_defined[i];
-            }
-            let (lo, hi) = std::mem::replace(&mut self.dirty[col], (u64::MAX, 0));
+            let (lo, hi) = std::mem::replace(&mut self.dirty[col], CLEAN);
             if lo < hi {
                 self.memories[col].copy_range_from(&input.memory, lo, hi);
             }
-            debug_assert_eq!(
-                self.memories[col], input.memory,
+            debug_assert!(
+                self.column_is(col, input),
                 "reload requires the same inputs as the previous load"
             );
         }
     }
 
-    /// Dirty-tracking store: on success, widen the column's dirty range so
-    /// [`reload`](BatchState::reload) knows what to restore.
-    fn store_dirty(&mut self, col: usize, addr: u64, value: u64, len: u64) -> bool {
-        if !self.memories[col].store(addr, value, len) {
-            return false;
-        }
-        if len > 0 {
-            let d = &mut self.dirty[col];
-            d.0 = d.0.min(addr);
-            // No overflow: the store succeeded, so `addr + len` is in a
-            // segment.
-            d.1 = d.1.max(addr + len);
-        }
-        true
+    /// Whether a column holds exactly `state`, compared in place.
+    fn column_is(&self, col: usize, state: &MachineState) -> bool {
+        let n = self.n;
+        (0..16).all(|i| {
+            self.gprs[i * n + col] == state.gprs[i]
+                && self.gpr_defined[i * n + col] == state.gpr_defined[i]
+                && self.xmms[i * n + col] == state.xmms[i]
+                && self.xmm_defined[i * n + col] == state.xmm_defined[i]
+        }) && (0..5).all(|i| {
+            self.flags[i * n + col] == state.flags[i]
+                && self.flag_defined[i * n + col] == state.flag_defined[i]
+        }) && self.memories[col] == state.memory
+    }
+
+    /// Copy the load-time register and flag rows back, and reset faults
+    /// and liveness.
+    fn restore_rows(&mut self) {
+        let n = self.n;
+        self.live_cols = n;
+        self.fault_events = 0;
+        self.faults.clear();
+        self.faults.resize(n, Faults::default());
+        self.live.clear();
+        self.live.resize(n, true);
+        self.gprs.clone_from(&self.init.gprs);
+        self.xmms.clone_from(&self.init.xmms);
+        self.flags.clone_from(&self.init.flags);
+        self.gpr_defined.clone_from(&self.init.gpr_defined);
+        self.xmm_defined.clone_from(&self.init.xmm_defined);
+        self.flag_defined.clone_from(&self.init.flag_defined);
     }
 
     /// Number of columns (test cases) in the batch.
@@ -246,6 +273,16 @@ impl BatchState {
         self.faults[col]
     }
 
+    /// The number of fault counter increments, summed over every column,
+    /// since the last [`load`](BatchState::load) or
+    /// [`reload`](BatchState::reload). If it has not moved between two
+    /// instruction steps, no column's [`Faults`] changed in between — which
+    /// lets a per-step check over the fault counters (the §4.5 kill check)
+    /// skip the steps that raised none.
+    pub fn fault_events(&self) -> u64 {
+        self.fault_events
+    }
+
     /// A read-only view of one column's machine state, borrowing the
     /// batch (no extraction copy). Only meaningful for columns that were
     /// never killed.
@@ -270,7 +307,175 @@ impl BatchState {
         out.memory = self.memories[col].clone();
         out
     }
+
+    /// Record an out-of-sandbox access in a column.
+    fn fault_sigsegv(&mut self, col: usize) {
+        self.faults[col].sigsegv += 1;
+        self.fault_events += 1;
+    }
+
+    /// Record an undefined read in a column.
+    fn fault_undef(&mut self, col: usize) {
+        self.faults[col].undef += 1;
+        self.fault_events += 1;
+    }
+
+    /// Widen a column's dirty range by a successful store, so
+    /// [`reload`](BatchState::reload) knows what to restore.
+    fn mark_dirty(&mut self, col: usize, addr: u64, len: u64) {
+        let d = &mut self.dirty[col];
+        d.0 = d.0.min(addr);
+        // No overflow: the store succeeded, so `addr + len` is in a
+        // segment.
+        d.1 = d.1.max(addr + len);
+    }
+
+    /// Dirty-tracking store (the `Cpu` view's path).
+    fn store_dirty(&mut self, col: usize, addr: u64, value: u64, len: u64) -> bool {
+        if !self.memories[col].store(addr, value, len) {
+            return false;
+        }
+        if len > 0 {
+            self.mark_dirty(col, addr, len);
+        }
+        true
+    }
+
+    /// Resolve a `len`-byte access for a column, reusing `cache` when the
+    /// layout is uniform and the address repeats.
+    #[inline(always)]
+    fn resolve(
+        &self,
+        col: usize,
+        addr: u64,
+        len: u64,
+        cache: &mut AddrCache,
+    ) -> Option<(u32, u32)> {
+        match cache.0 {
+            Some((a, at)) if a == addr && self.uniform_layout => at,
+            _ => {
+                let at = self.memories[col].resolve(addr, len);
+                cache.0 = Some((addr, at));
+                at
+            }
+        }
+    }
+
+    /// Sandboxed load of `len` bytes in a column: zero and a fault on an
+    /// out-of-sandbox access.
+    #[inline(always)]
+    fn load_mem(&mut self, col: usize, addr: u64, len: u64, cache: &mut AddrCache) -> u64 {
+        match self.resolve(col, addr, len, cache) {
+            Some((si, j)) => self.memories[col].read_at(si, j, len),
+            None => {
+                self.fault_sigsegv(col);
+                0
+            }
+        }
+    }
+
+    /// Sandboxed store of `len` bytes in a column: discarded with a fault
+    /// on an out-of-sandbox access.
+    #[inline(always)]
+    fn store_mem(&mut self, col: usize, addr: u64, value: u64, len: u64, cache: &mut AddrCache) {
+        match self.resolve(col, addr, len, cache) {
+            Some((si, j)) => {
+                self.memories[col].write_at(si, j, value, len);
+                self.mark_dirty(col, addr, len);
+            }
+            None => self.fault_sigsegv(col),
+        }
+    }
+
+    /// The full 64-bit value of a register row in a column.
+    #[inline(always)]
+    fn gpr(&self, r: u8, col: usize) -> u64 {
+        self.gprs[usize::from(r) * self.n + col]
+    }
+
+    /// Write a register at width `w` (merge rule of
+    /// [`WidthOps::merge`]) and mark it defined.
+    #[inline(always)]
+    fn write_gpr(&mut self, r: u8, col: usize, w: WidthOps, value: u64) {
+        let i = usize::from(r) * self.n + col;
+        self.gprs[i] = w.merge(self.gprs[i], value);
+        self.gpr_defined[i] = true;
+    }
+
+    #[inline(always)]
+    fn flag(&self, f: Flag, col: usize) -> bool {
+        self.flags[f.index() * self.n + col]
+    }
+
+    #[inline(always)]
+    fn write_flag(&mut self, f: Flag, col: usize, value: bool) {
+        let i = f.index() * self.n + col;
+        self.flags[i] = value;
+        self.flag_defined[i] = true;
+    }
+
+    /// ZF, SF and PF of a width-`w` result.
+    #[inline(always)]
+    fn write_result_flags(&mut self, col: usize, w: WidthOps, r: u64) {
+        let r = r & w.mask;
+        self.write_flag(Flag::Zf, col, r == 0);
+        self.write_flag(Flag::Sf, col, w.negative(r));
+        self.write_flag(Flag::Pf, col, (r as u8).count_ones().is_multiple_of(2));
+    }
+
+    /// CF, OF and the result flags.
+    #[inline(always)]
+    fn write_arith_flags(&mut self, col: usize, w: WidthOps, r: u64, cf: bool, of: bool) {
+        self.write_flag(Flag::Cf, col, cf);
+        self.write_flag(Flag::Of, col, of);
+        self.write_result_flags(col, w, r);
+    }
+
+    #[inline(always)]
+    fn cond(&self, c: Cond, col: usize) -> bool {
+        c.eval(
+            self.flag(Flag::Cf, col),
+            self.flag(Flag::Zf, col),
+            self.flag(Flag::Sf, col),
+            self.flag(Flag::Of, col),
+        )
+    }
+
+    /// A pre-decoded operand's raw value in a column: a register's full 64
+    /// bits, the immediate, or the zero-extended memory contents.
+    #[inline(always)]
+    fn read(&mut self, col: usize, src: Opnd, cache: &mut AddrCache) -> u64 {
+        match src {
+            Opnd::Reg(r) => self.gpr(r, col),
+            Opnd::Imm(v) => v,
+            Opnd::Mem { base, disp, len } => {
+                let addr = self.gpr(base, col).wrapping_add(disp);
+                self.load_mem(col, addr, u64::from(len), cache)
+            }
+        }
+    }
+
+    /// Write a width-`w` result to a pre-decoded destination in a column:
+    /// a register (merge rule of [`WidthOps::merge`]) or memory.
+    #[inline(always)]
+    fn write(&mut self, col: usize, dst: Opnd, w: WidthOps, value: u64, cache: &mut AddrCache) {
+        match dst {
+            Opnd::Reg(r) => self.write_gpr(r, col, w, value),
+            Opnd::Mem { base, disp, len } => {
+                let addr = self.gpr(base, col).wrapping_add(disp);
+                self.store_mem(col, addr, value & w.mask, u64::from(len), cache);
+            }
+            Opnd::Imm(_) => unreachable!("an immediate is never a destination"),
+        }
+    }
 }
+
+/// The last memory resolution of one instruction step, `(address,
+/// location)`. It is reused for the next column only when the batch's
+/// layout is uniform: compiled code mostly computes the same address in
+/// every column (fixed stack slots), making this one resolution per step.
+#[derive(Default)]
+struct AddrCache(Option<(u64, Option<(u32, u32)>)>);
 
 /// A read-only view of one column of a [`BatchState`], exposing the same
 /// state reads as [`MachineState`] without copying the column out. Used by
@@ -390,11 +595,12 @@ impl Cpu for Col<'_> {
     }
 
     fn fault_sigsegv(&mut self) {
-        self.s.faults[self.col].sigsegv += 1;
+        self.s.fault_sigsegv(self.col);
     }
 
     fn fault_sigfpe(&mut self) {
         self.s.faults[self.col].sigfpe += 1;
+        self.s.fault_events += 1;
     }
 }
 
@@ -434,73 +640,206 @@ impl Uses {
     }
 }
 
-/// A pre-decoded scalar source: a 64-bit register row or an immediate
-/// already truncated to the operation width.
+/// A pre-decoded scalar operand. An immediate (a source only) is already
+/// truncated to the width the instruction reads it at; a memory operand
+/// is a `disp(base)` address accessed `len` bytes wide.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Src {
+pub(crate) enum Opnd {
     Reg(u8),
     Imm(u64),
+    Mem { base: u8, disp: u64, len: u8 },
 }
 
-/// The pre-decoded form of one instruction, built by [`Decoded::new`]. The
-/// hot shapes of compiled code — 64-bit moves between registers,
-/// immediates and `disp(base)` memory, and the flag-writing 64-bit
-/// ALU/compare forms — get dedicated handlers whose column loops touch
-/// contiguous structure-of-arrays rows with no per-column operand
-/// decoding; everything else (`Other`) runs the shared `Cpu` semantics
-/// through the generic handler.
+/// An operand width's masks, hoisted out of the column loops so one
+/// handler body serves all four widths.
+#[derive(Debug, Clone, Copy)]
+struct WidthOps {
+    /// The low `bits` bits.
+    mask: u64,
+    /// The sign bit.
+    sign: u64,
+    /// The destination bits a register write preserves: none for 64- and
+    /// 32-bit writes (the latter zero-extend), the upper bits for 16- and
+    /// 8-bit writes.
+    keep: u64,
+    bits: u32,
+}
+
+impl WidthOps {
+    fn of(w: Width) -> WidthOps {
+        let mask = w.mask();
+        WidthOps {
+            mask,
+            sign: 1 << (w.bits() - 1),
+            keep: match w {
+                Width::B | Width::W => !mask,
+                Width::L | Width::Q => 0,
+            },
+            bits: w.bits(),
+        }
+    }
+
+    /// The x86-64 register merge rule (see `merge_reg_write`).
+    #[inline(always)]
+    fn merge(self, old: u64, value: u64) -> u64 {
+        (old & self.keep) | (value & self.mask)
+    }
+
+    #[inline(always)]
+    fn negative(self, v: u64) -> bool {
+        v & self.sign != 0
+    }
+
+    /// Sign-extend the low `bits` bits to 64.
+    #[inline(always)]
+    fn sext(self, v: u64) -> i128 {
+        let shift = 64 - self.bits;
+        i128::from(((v << shift) as i64) >> shift)
+    }
+
+    /// Result, CF and OF of a two-operand ALU op on width-truncated
+    /// operands (`carry` is CF, read only by `adc`/`sbb`).
+    #[inline(always)]
+    fn alu(self, op: AluOp, d: u64, s: u64, carry: u64) -> (u64, bool, bool) {
+        match op {
+            AluOp::Add | AluOp::Adc => {
+                let c = if op == AluOp::Adc { carry } else { 0 };
+                let full = u128::from(d) + u128::from(s) + u128::from(c);
+                let r = full as u64 & self.mask;
+                let of =
+                    self.negative(d) == self.negative(s) && self.negative(r) != self.negative(d);
+                (r, full > u128::from(self.mask), of)
+            }
+            AluOp::Sub | AluOp::Sbb => {
+                let c = if op == AluOp::Sbb { carry } else { 0 };
+                let r = d.wrapping_sub(s).wrapping_sub(c) & self.mask;
+                let cf = u128::from(d) < u128::from(s) + u128::from(c);
+                let of =
+                    self.negative(d) != self.negative(s) && self.negative(r) != self.negative(d);
+                (r, cf, of)
+            }
+            AluOp::And => (d & s, false, false),
+            AluOp::Or => (d | s, false, false),
+            AluOp::Xor => (d ^ s, false, false),
+        }
+    }
+
+    /// Result and CF of a shift or rotate of a width-truncated value by a
+    /// nonzero masked count.
+    #[inline(always)]
+    fn shift(self, op: ShiftOp, a: u64, count: u32) -> (u64, bool) {
+        let bits = self.bits;
+        match op {
+            ShiftOp::Shl => {
+                let r = if count >= bits {
+                    0
+                } else {
+                    (a << count) & self.mask
+                };
+                (r, count <= bits && (a >> (bits - count)) & 1 == 1)
+            }
+            ShiftOp::Shr => {
+                let r = if count >= bits { 0 } else { a >> count };
+                (r, count <= bits && (a >> (count - 1)) & 1 == 1)
+            }
+            ShiftOp::Sar => {
+                let sa = self.sext(a) as i64;
+                let r = (sa >> count.min(bits - 1)) as u64 & self.mask;
+                (r, (sa >> (count.min(bits) - 1).min(63)) & 1 == 1)
+            }
+            ShiftOp::Rol => {
+                let c = count % bits;
+                let r = if c == 0 {
+                    a
+                } else {
+                    ((a << c) | (a >> (bits - c))) & self.mask
+                };
+                (r, r & 1 == 1)
+            }
+            ShiftOp::Ror => {
+                let c = count % bits;
+                let r = if c == 0 {
+                    a
+                } else {
+                    ((a >> c) | (a << (bits - c))) & self.mask
+                };
+                (r, self.negative(r))
+            }
+        }
+    }
+}
+
+/// The pre-decoded form of one instruction, built by [`Decoded::new`].
+/// Every variant but `Other` is a row-pass micro-op: a width-parametric
+/// shape whose handler reads its operands straight from the
+/// structure-of-arrays rows with no per-column operand decoding. `Other`
+/// runs the shared `Cpu` semantics through the generic handler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Micro {
-    /// `movq disp(base), dst`
-    LoadQ {
-        base: u8,
-        disp: u64,
-        dst: u8,
+    /// A flag-free write `dst = extend(src + add)` at width `w`, where
+    /// `extend` shifts left by `shl`, then right by `shr` (arithmetically
+    /// if `signed`): `mov` into a register or `disp(base)`, `movabs`,
+    /// `lea disp(base)`, `movz*`/`movs*`, `cltq`/`cltd`/`cqto`, and
+    /// zero-count shifts of a register (which only renormalize it).
+    Move {
+        w: Width,
+        src: Opnd,
+        add: u64,
+        shl: u8,
+        shr: u8,
+        signed: bool,
+        dst: Opnd,
         uses: Uses,
     },
-    /// `movq src, disp(base)`
-    StoreQ {
-        src: u8,
-        base: u8,
-        disp: u64,
-        uses: Uses,
-    },
-    /// `movq src, dst` / `movzbq src, dst` (register forms; the source is
-    /// pre-masked by `src_mask`).
-    MovRR {
-        src: u8,
-        src_mask: u64,
-        dst: u8,
-        uses: Uses,
-    },
-    /// `movq imm, dst` / `movabsq imm, dst`
-    MovIR { imm: u64, dst: u8 },
-    /// `op{q} src, dst` for the carry-free ALU ops, and `cmpq src, dst`
-    /// (`write_back = false`): full 64-bit compute plus the five status
-    /// flags.
-    AluQ {
+    /// `op{w} src, dst` for all seven ALU ops; `cmp` is `Sub` and `test`
+    /// is `And` with `write_back = false`.
+    Alu {
         op: AluOp,
-        src: Src,
-        dst: u8,
+        w: Width,
+        src: Opnd,
+        dst: Opnd,
         write_back: bool,
         uses: Uses,
     },
-    /// `set{cc} dst` (byte register destination; the only specialized
-    /// shape that reads flags).
-    SetR { cond: Cond, dst: u8, uses: Uses },
-    /// `op{q} imm, dst` shifts and rotates with a nonzero count known at
-    /// decode time (a zero count decodes to [`Micro::MovRR`], matching the
-    /// interpreter's flags-untouched early return).
-    ShiftQ {
+    /// `neg`/`not`/`inc`/`dec`.
+    Un {
+        op: UnOp,
+        w: Width,
+        dst: Opnd,
+        uses: Uses,
+    },
+    /// Shifts and rotates by an immediate or by a byte register (`cl`).
+    Shift {
         op: ShiftOp,
-        count: u32,
+        w: Width,
+        count: Opnd,
+        dst: Opnd,
+        uses: Uses,
+    },
+    /// `cmov{cc}{w} src, dst`.
+    Cmov {
+        cond: Cond,
+        w: Width,
+        src: Opnd,
         dst: u8,
         uses: Uses,
     },
-    /// `mulq src` — widening unsigned multiply into `rdx:rax`.
-    Mul1Q { src: u8, uses: Uses },
-    /// `imulq src, dst` — two-operand signed multiply.
-    Imul2Q { src: Src, dst: u8, uses: Uses },
+    /// `set{cc} dst`.
+    Set { cond: Cond, dst: Opnd, uses: Uses },
+    /// `mul{w} src` / `imul{w} src`: widening multiply into `rdx:rax`.
+    Mul {
+        signed: bool,
+        w: Width,
+        src: Opnd,
+        uses: Uses,
+    },
+    /// `imul{w} src, dst`: two-operand signed multiply.
+    Imul2 {
+        w: Width,
+        src: Opnd,
+        dst: u8,
+        uses: Uses,
+    },
     /// No specialization — run the shared `Cpu::execute` per column.
     Other,
 }
@@ -508,25 +847,29 @@ pub(crate) enum Micro {
 /// Decode one instruction into its [`Micro`] form and pick its handler,
 /// given its decoded use lists: a shape is only specialized when its
 /// undefined-read scan fits the pre-resolved [`Uses`] rows the dedicated
-/// handlers walk (no SSE uses; flag uses only for `set{cc}` — which keeps
-/// `adc`/`sbb` and `cmov` on the generic path).
+/// handlers walk (no SSE uses, at most two registers and four flags).
 pub(crate) fn select(
     instr: &Instruction,
     gpr_uses: &[Reg],
     xmm_uses: &[Xmm],
     flag_uses: &[Flag],
 ) -> (Micro, Handler) {
-    let micro = micro_of(instr, gpr_uses, xmm_uses, flag_uses);
+    let micro = if xmm_uses.is_empty() {
+        Uses::of(gpr_uses, flag_uses)
+            .and_then(|uses| micro_of(instr, uses))
+            .unwrap_or(Micro::Other)
+    } else {
+        Micro::Other
+    };
     let handler = match micro {
-        Micro::LoadQ { .. } => step_load_q as Handler,
-        Micro::StoreQ { .. } => step_store_q as Handler,
-        Micro::MovRR { .. } => step_mov_rr as Handler,
-        Micro::MovIR { .. } => step_mov_ir as Handler,
-        Micro::AluQ { .. } => step_alu_q as Handler,
-        Micro::SetR { .. } => step_set_r as Handler,
-        Micro::ShiftQ { .. } => step_shift_q as Handler,
-        Micro::Mul1Q { .. } => step_mul1_q as Handler,
-        Micro::Imul2Q { .. } => step_imul2_q as Handler,
+        Micro::Move { .. } => step_move as Handler,
+        Micro::Alu { .. } => step_alu as Handler,
+        Micro::Un { .. } => step_un as Handler,
+        Micro::Shift { .. } => step_shift as Handler,
+        Micro::Cmov { .. } => step_cmov as Handler,
+        Micro::Set { .. } => step_set as Handler,
+        Micro::Mul { .. } => step_mul as Handler,
+        Micro::Imul2 { .. } => step_imul2 as Handler,
         Micro::Other => match instr.opcode() {
             Opcode::Nop => step_nop as Handler,
             _ if gpr_uses.is_empty() && xmm_uses.is_empty() && flag_uses.is_empty() => {
@@ -538,397 +881,291 @@ pub(crate) fn select(
     (micro, handler)
 }
 
-fn micro_of(instr: &Instruction, gpr_uses: &[Reg], xmm_uses: &[Xmm], flag_uses: &[Flag]) -> Micro {
-    if !xmm_uses.is_empty() {
-        return Micro::Other;
-    }
-    let Some(uses) = Uses::of(gpr_uses, flag_uses) else {
-        return Micro::Other;
-    };
-    if uses.nflag != 0 && !matches!(instr.opcode(), Opcode::Set(_)) {
-        return Micro::Other;
-    }
-    let gpr = |r: &Reg| r.parent().index() as u8;
-    let base_disp = |m: &Mem| match (m.base, m.index) {
+/// A `disp(base)` address as `(base row, displacement)`.
+#[inline(always)]
+fn base_disp(m: &Mem) -> Option<(u8, u64)> {
+    match (m.base, m.index) {
         (Some(b), None) => Some((b.index() as u8, m.disp as i64 as u64)),
         _ => None,
-    };
+    }
+}
+
+/// A scalar operand accessed at width `w`; `None` for SSE registers and
+/// index-addressed memory.
+#[inline(always)]
+fn opnd(op: &Operand, w: Width) -> Option<Opnd> {
+    match op {
+        Operand::Reg(r) => Some(Opnd::Reg(r.parent().index() as u8)),
+        Operand::Imm(i) => Some(Opnd::Imm(w.truncate(*i as u64))),
+        Operand::Mem(m) => base_disp(m).map(|(base, disp)| Opnd::Mem {
+            base,
+            disp,
+            len: w.bytes() as u8,
+        }),
+        Operand::Xmm(_) => None,
+    }
+}
+
+/// A destination operand accessed at width `w`: a register or memory.
+#[inline(always)]
+fn dst_opnd(op: &Operand, w: Width) -> Option<Opnd> {
+    opnd(op, w).filter(|d| !matches!(d, Opnd::Imm(_)))
+}
+
+/// The row-pass form of an instruction, if it has one.
+fn micro_of(instr: &Instruction, uses: Uses) -> Option<Micro> {
     let ops = instr.operands();
-    match instr.opcode() {
-        Opcode::Mov(Width::Q) => match (&ops[0], &ops[1]) {
-            (Operand::Mem(m), Operand::Reg(d)) => match base_disp(m) {
-                Some((base, disp)) => Micro::LoadQ {
-                    base,
-                    disp,
-                    dst: gpr(d),
-                    uses,
-                },
-                None => Micro::Other,
-            },
-            (Operand::Reg(s), Operand::Mem(m)) => match base_disp(m) {
-                Some((base, disp)) => Micro::StoreQ {
-                    src: gpr(s),
-                    base,
-                    disp,
-                    uses,
-                },
-                None => Micro::Other,
-            },
-            (Operand::Reg(s), Operand::Reg(d)) => Micro::MovRR {
-                src: gpr(s),
-                src_mask: u64::MAX,
-                dst: gpr(d),
+    let reg = |op: &Operand| match op {
+        Operand::Reg(r) => Some(r.parent().index() as u8),
+        _ => None,
+    };
+    // `dst = extend(src)` at width `w`, with `extend` keeping the low
+    // `from` bits, sign- or zero-extended.
+    let extend = |src: Opnd, from: Width, w: Width, dst: Opnd, signed: bool| {
+        let sh = (64 - from.bits()) as u8;
+        Micro::Move {
+            w,
+            src,
+            add: 0,
+            shl: sh,
+            shr: sh,
+            signed,
+            dst,
+            uses,
+        }
+    };
+    // The register-destination extensions: `movs*`/`movz*`.
+    let widen = |from: Width, w: Width, signed: bool| {
+        Some(extend(
+            opnd(&ops[0], from)?,
+            from,
+            w,
+            Opnd::Reg(reg(&ops[1])?),
+            signed,
+        ))
+    };
+    let rax = Opnd::Reg(Gpr::Rax.index() as u8);
+    let rdx = Opnd::Reg(Gpr::Rdx.index() as u8);
+    Some(match instr.opcode() {
+        Opcode::Mov(w) if !(ops[0].is_mem() && ops[1].is_mem()) => {
+            extend(opnd(&ops[0], w)?, Width::Q, w, dst_opnd(&ops[1], w)?, false)
+        }
+        Opcode::Movabs => extend(
+            Opnd::Imm(ops[0].as_imm()? as u64),
+            Width::Q,
+            Width::Q,
+            Opnd::Reg(reg(&ops[1])?),
+            false,
+        ),
+        Opcode::Movslq => widen(Width::L, Width::Q, true)?,
+        Opcode::Movsbq => widen(Width::B, Width::Q, true)?,
+        Opcode::Movsbl => widen(Width::B, Width::L, true)?,
+        Opcode::Movzbq => widen(Width::B, Width::Q, false)?,
+        Opcode::Movzbl => widen(Width::B, Width::L, false)?,
+        Opcode::Lea(w) => {
+            let (base, disp) = base_disp(&ops[0].as_mem()?)?;
+            Micro::Move {
+                w,
+                src: Opnd::Reg(base),
+                add: disp,
+                shl: 0,
+                shr: 0,
+                signed: false,
+                dst: Opnd::Reg(reg(&ops[1])?),
                 uses,
-            },
-            (Operand::Imm(i), Operand::Reg(d)) => Micro::MovIR {
-                imm: *i as u64,
-                dst: gpr(d),
-            },
-            _ => Micro::Other,
-        },
-        Opcode::Movabs => match (&ops[0], &ops[1]) {
-            (Operand::Imm(i), Operand::Reg(d)) => Micro::MovIR {
-                imm: *i as u64,
-                dst: gpr(d),
-            },
-            _ => Micro::Other,
-        },
-        Opcode::Movzbq => match (&ops[0], &ops[1]) {
-            (Operand::Reg(s), Operand::Reg(d)) => Micro::MovRR {
-                src: gpr(s),
-                src_mask: 0xff,
-                dst: gpr(d),
-                uses,
-            },
-            _ => Micro::Other,
-        },
-        Opcode::Alu(op, Width::Q)
-            if matches!(
-                op,
-                AluOp::Add | AluOp::Sub | AluOp::And | AluOp::Or | AluOp::Xor
-            ) =>
-        {
-            match (&ops[0], &ops[1]) {
-                (Operand::Reg(s), Operand::Reg(d)) => Micro::AluQ {
-                    op,
-                    src: Src::Reg(gpr(s)),
-                    dst: gpr(d),
-                    write_back: true,
-                    uses,
-                },
-                (Operand::Imm(i), Operand::Reg(d)) => Micro::AluQ {
-                    op,
-                    src: Src::Imm(*i as u64),
-                    dst: gpr(d),
-                    write_back: true,
-                    uses,
-                },
-                _ => Micro::Other,
             }
         }
-        Opcode::Cmp(Width::Q) => match (&ops[0], &ops[1]) {
-            (Operand::Reg(s), Operand::Reg(d)) => Micro::AluQ {
-                op: AluOp::Sub,
-                src: Src::Reg(gpr(s)),
-                dst: gpr(d),
-                write_back: false,
-                uses,
-            },
-            (Operand::Imm(i), Operand::Reg(d)) => Micro::AluQ {
-                op: AluOp::Sub,
-                src: Src::Imm(*i as u64),
-                dst: gpr(d),
-                write_back: false,
-                uses,
-            },
-            _ => Micro::Other,
+        // rdx = all ones or zero by rax's sign at the width.
+        Opcode::Cqto => Micro::Move {
+            w: Width::Q,
+            src: rax,
+            add: 0,
+            shl: 0,
+            shr: 63,
+            signed: true,
+            dst: rdx,
+            uses,
         },
-        Opcode::Set(c) => match &ops[0] {
-            Operand::Reg(d) => Micro::SetR {
-                cond: c,
-                dst: gpr(d),
-                uses,
-            },
-            _ => Micro::Other,
+        Opcode::Cltd => Micro::Move {
+            w: Width::L,
+            src: rax,
+            add: 0,
+            shl: 32,
+            shr: 63,
+            signed: true,
+            dst: rdx,
+            uses,
         },
-        Opcode::Shift(op, Width::Q) => match (&ops[0], &ops[1]) {
-            (Operand::Imm(i), Operand::Reg(d)) => {
-                let count = (*i as u64 & 0x3f) as u32;
-                if count == 0 {
-                    // A zero-count shift only rewrites the destination with
-                    // its own value (flags untouched) — exactly a self-move.
-                    Micro::MovRR {
-                        src: gpr(d),
-                        src_mask: u64::MAX,
-                        dst: gpr(d),
-                        uses,
-                    }
-                } else {
-                    Micro::ShiftQ {
-                        op,
-                        count,
-                        dst: gpr(d),
-                        uses,
-                    }
+        Opcode::Cltq => extend(rax, Width::L, Width::Q, rax, true),
+        Opcode::Cmov(cond, w) => Micro::Cmov {
+            cond,
+            w,
+            src: opnd(&ops[0], w)?,
+            dst: reg(&ops[1])?,
+            uses,
+        },
+        Opcode::Set(cond) => Micro::Set {
+            cond,
+            dst: dst_opnd(&ops[0], Width::B)?,
+            uses,
+        },
+        Opcode::Alu(op, w) if !(ops[0].is_mem() && ops[1].is_mem()) => Micro::Alu {
+            op,
+            w,
+            src: opnd(&ops[0], w)?,
+            dst: dst_opnd(&ops[1], w)?,
+            write_back: true,
+            uses,
+        },
+        Opcode::Cmp(w) | Opcode::Test(w) if !(ops[0].is_mem() && ops[1].is_mem()) => Micro::Alu {
+            op: if matches!(instr.opcode(), Opcode::Cmp(_)) {
+                AluOp::Sub
+            } else {
+                AluOp::And
+            },
+            w,
+            src: opnd(&ops[0], w)?,
+            dst: dst_opnd(&ops[1], w)?,
+            write_back: false,
+            uses,
+        },
+        Opcode::Un(op, w) => Micro::Un {
+            op,
+            w,
+            dst: dst_opnd(&ops[0], w)?,
+            uses,
+        },
+        Opcode::Shift(op, w) => {
+            let dst = dst_opnd(&ops[1], w)?;
+            match opnd(&ops[0], Width::B)? {
+                // A zero count leaves the flags alone and only rewrites a
+                // register destination with its own value.
+                Opnd::Imm(c) if c & shift_count_mask(w) == 0 && matches!(dst, Opnd::Reg(_)) => {
+                    extend(dst, Width::Q, w, dst, false)
                 }
+                count @ (Opnd::Imm(_) | Opnd::Reg(_)) => Micro::Shift {
+                    op,
+                    w,
+                    count,
+                    dst,
+                    uses,
+                },
+                Opnd::Mem { .. } => return None,
             }
-            _ => Micro::Other,
-        },
-        Opcode::Mul1(Width::Q) => match &ops[0] {
-            Operand::Reg(s) => Micro::Mul1Q { src: gpr(s), uses },
-            _ => Micro::Other,
-        },
-        Opcode::Imul2(Width::Q) => match (&ops[0], &ops[1]) {
-            (Operand::Reg(s), Operand::Reg(d)) => Micro::Imul2Q {
-                src: Src::Reg(gpr(s)),
-                dst: gpr(d),
-                uses,
-            },
-            (Operand::Imm(i), Operand::Reg(d)) => Micro::Imul2Q {
-                src: Src::Imm(*i as u64),
-                dst: gpr(d),
-                uses,
-            },
-            _ => Micro::Other,
-        },
-        _ => Micro::Other,
-    }
-}
-
-/// Row-pass undefined-read counter for the all-live fast paths: walks each
-/// pre-resolved use row once across all columns, accumulating branchlessly
-/// into the per-column fault counters. Counts exactly what the per-column
-/// scan counts (same rows, same totals).
-#[inline]
-fn count_undef_rows(state: &mut BatchState, uses: &Uses) {
-    let n = state.n;
-    for k in 0..uses.ngpr as usize {
-        let row = uses.gpr[k] as usize * n;
-        let def = &state.gpr_defined[row..row + n];
-        for (f, d) in state.faults.iter_mut().zip(def) {
-            f.undef += u64::from(!*d);
         }
-    }
-    for k in 0..uses.nflag as usize {
-        let row = uses.flag[k] as usize * n;
-        let def = &state.flag_defined[row..row + n];
-        for (f, d) in state.faults.iter_mut().zip(def) {
-            f.undef += u64::from(!*d);
-        }
-    }
+        Opcode::Mul1(w) | Opcode::Imul1(w) => Micro::Mul {
+            signed: matches!(instr.opcode(), Opcode::Imul1(_)),
+            w,
+            src: opnd(&ops[0], w)?,
+            uses,
+        },
+        Opcode::Imul2(w) => Micro::Imul2 {
+            w,
+            src: opnd(&ops[0], w)?,
+            dst: reg(&ops[1])?,
+            uses,
+        },
+        _ => return None,
+    })
 }
 
-/// Split a `5 * n` row-major flag vector into its five disjoint rows,
-/// indexable by [`Flag::index`] (Cf, Zf, Sf, Of, Pf).
-#[inline]
-fn rows5<T>(v: &mut [T], n: usize) -> [&mut [T]; 5] {
-    let (cf, rest) = v.split_at_mut(n);
-    let (zf, rest) = rest.split_at_mut(n);
-    let (sf, rest) = rest.split_at_mut(n);
-    let (of, pf) = rest.split_at_mut(n);
-    [cf, zf, sf, of, pf]
-}
-
-/// Two disjoint width-`n` rows of a row-major vector, mutably.
-#[inline]
-fn two_rows(v: &mut [u64], a0: usize, b0: usize, n: usize) -> (&mut [u64], &mut [u64]) {
-    debug_assert!(a0 + n <= b0 || b0 + n <= a0, "rows must not overlap");
-    if a0 < b0 {
-        let (x, y) = v.split_at_mut(b0);
-        (&mut x[a0..a0 + n], &mut y[..n])
+/// The shift count mask of a width: 6 bits for 64-bit shifts, 5 bits
+/// otherwise.
+fn shift_count_mask(w: Width) -> u64 {
+    if w == Width::Q {
+        0x3f
     } else {
-        let (x, y) = v.split_at_mut(a0);
-        (&mut y[..n], &mut x[b0..b0 + n])
+        0x1f
     }
 }
 
-/// Count undefined reads for a specialized handler: one check per
-/// pre-resolved use row, element-for-element identical to the sequential
-/// span scan.
-#[inline]
-fn count_undef(state: &mut BatchState, col: usize, uses: &Uses) {
+/// Drive a micro-op's per-column `body` over every live column, after the
+/// column's undefined-read scan. The all-live case walks each use row once
+/// across the batch, branchlessly, then runs the body over `0..n`; with
+/// killed columns, each live column is scanned and run in turn. Both
+/// count exactly what the sequential per-case scan counts.
+#[inline(always)]
+fn for_live(state: &mut BatchState, uses: &Uses, mut body: impl FnMut(&mut BatchState, usize)) {
     let n = state.n;
-    for k in 0..uses.ngpr as usize {
-        if !state.gpr_defined[uses.gpr[k] as usize * n + col] {
-            state.faults[col].undef += 1;
+    if state.live_cols == n {
+        let mut events = 0;
+        let rows = uses.gpr[..usize::from(uses.ngpr)]
+            .iter()
+            .map(|&g| &state.gpr_defined[usize::from(g) * n..][..n])
+            .chain(
+                uses.flag[..usize::from(uses.nflag)]
+                    .iter()
+                    .map(|&f| &state.flag_defined[usize::from(f) * n..][..n]),
+            );
+        for def in rows {
+            for (f, d) in state.faults.iter_mut().zip(def) {
+                let undef = u64::from(!*d);
+                f.undef += undef;
+                events += undef;
+            }
         }
+        state.fault_events += events;
+        for col in 0..n {
+            body(state, col);
+        }
+        return;
     }
-    for k in 0..uses.nflag as usize {
-        if !state.flag_defined[uses.flag[k] as usize * n + col] {
-            state.faults[col].undef += 1;
+    for col in 0..n {
+        if !state.live[col] {
+            continue;
         }
+        for &g in &uses.gpr[..usize::from(uses.ngpr)] {
+            if !state.gpr_defined[usize::from(g) * n + col] {
+                state.fault_undef(col);
+            }
+        }
+        for &f in &uses.flag[..usize::from(uses.nflag)] {
+            if !state.flag_defined[usize::from(f) * n + col] {
+                state.fault_undef(col);
+            }
+        }
+        body(state, col);
     }
 }
 
-/// Specialized handler for `movq disp(base), dst`.
-fn step_load_q(d: &Decoded, state: &mut BatchState) {
-    let Micro::LoadQ {
-        base,
-        disp,
+/// Row-pass handler for [`Micro::Move`].
+fn step_move(d: &Decoded, state: &mut BatchState) {
+    let Micro::Move {
+        w,
+        src,
+        add,
+        shl,
+        shr,
+        signed,
         dst,
         uses,
     } = d.micro
     else {
         unreachable!("handler matches its micro-op")
     };
-    let n = state.n;
-    let (b0, d0) = (base as usize * n, dst as usize * n);
-    if n != 0 && state.live_cols == n && state.uniform_layout {
-        count_undef_rows(state, &uses);
-        for (t, b) in state.tmp.iter_mut().zip(&state.gprs[b0..b0 + n]) {
-            *t = b.wrapping_add(disp);
-        }
-        // All images share one layout, so a resolved (segment, offset)
-        // carries across columns; compiled code mostly computes the same
-        // address in every column (fixed stack slots), making this one
-        // resolution per step.
-        let mut cached = (state.tmp[0], state.memories[0].resolve8(state.tmp[0]));
-        for col in 0..n {
-            let addr = state.tmp[col];
-            if addr != cached.0 {
-                cached = (addr, state.memories[col].resolve8(addr));
-            }
-            let value = match cached.1 {
-                Some((si, j)) => state.memories[col].read8_at(si, j),
-                None => {
-                    state.faults[col].sigsegv += 1;
-                    0
-                }
+    let w = WidthOps::of(w);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let x = s.read(col, src, &mut cache).wrapping_add(add) << shl;
+            let v = if signed {
+                ((x as i64) >> shr) as u64
+            } else {
+                x >> shr
             };
-            state.gprs[d0 + col] = value;
-        }
-        state.gpr_defined[d0..d0 + n].fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let addr = state.gprs[b0 + col].wrapping_add(disp);
-        let value = match state.memories[col].load(addr, 8) {
-            Some(v) => v,
-            None => {
-                state.faults[col].sigsegv += 1;
-                0
-            }
-        };
-        state.gprs[d0 + col] = value;
-        state.gpr_defined[d0 + col] = true;
-    }
+            s.write(col, dst, w, v, &mut cache);
+        },
+    );
 }
 
-/// Specialized handler for `movq src, disp(base)`.
-fn step_store_q(d: &Decoded, state: &mut BatchState) {
-    let Micro::StoreQ {
-        src,
-        base,
-        disp,
-        uses,
-    } = d.micro
-    else {
-        unreachable!("handler matches its micro-op")
-    };
-    let n = state.n;
-    let (s0, b0) = (src as usize * n, base as usize * n);
-    if n != 0 && state.live_cols == n && state.uniform_layout {
-        count_undef_rows(state, &uses);
-        for (t, b) in state.tmp.iter_mut().zip(&state.gprs[b0..b0 + n]) {
-            *t = b.wrapping_add(disp);
-        }
-        let mut cached = (state.tmp[0], state.memories[0].resolve8(state.tmp[0]));
-        for col in 0..n {
-            let addr = state.tmp[col];
-            if addr != cached.0 {
-                cached = (addr, state.memories[col].resolve8(addr));
-            }
-            match cached.1 {
-                Some((si, j)) => {
-                    state.memories[col].write8_at(si, j, state.gprs[s0 + col]);
-                    let d = &mut state.dirty[col];
-                    d.0 = d.0.min(addr);
-                    d.1 = d.1.max(addr + 8);
-                }
-                None => state.faults[col].sigsegv += 1,
-            }
-        }
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let addr = state.gprs[b0 + col].wrapping_add(disp);
-        let value = state.gprs[s0 + col];
-        if !state.store_dirty(col, addr, value, 8) {
-            state.faults[col].sigsegv += 1;
-        }
-    }
-}
-
-/// Specialized handler for the register-to-register moves (`movq`,
-/// `movzbq`).
-fn step_mov_rr(d: &Decoded, state: &mut BatchState) {
-    let Micro::MovRR {
-        src,
-        src_mask,
-        dst,
-        uses,
-    } = d.micro
-    else {
-        unreachable!("handler matches its micro-op")
-    };
-    let n = state.n;
-    let (s0, d0) = (src as usize * n, dst as usize * n);
-    if state.live_cols == n {
-        count_undef_rows(state, &uses);
-        state.gprs.copy_within(s0..s0 + n, d0);
-        if src_mask != u64::MAX {
-            for g in &mut state.gprs[d0..d0 + n] {
-                *g &= src_mask;
-            }
-        }
-        state.gpr_defined[d0..d0 + n].fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        state.gprs[d0 + col] = state.gprs[s0 + col] & src_mask;
-        state.gpr_defined[d0 + col] = true;
-    }
-}
-
-/// Specialized handler for `movq imm, dst` / `movabsq imm, dst`.
-fn step_mov_ir(d: &Decoded, state: &mut BatchState) {
-    let Micro::MovIR { imm, dst } = d.micro else {
-        unreachable!("handler matches its micro-op")
-    };
-    let n = state.n;
-    let d0 = dst as usize * n;
-    if state.live_cols == n {
-        state.gprs[d0..d0 + n].fill(imm);
-        state.gpr_defined[d0..d0 + n].fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        state.gprs[d0 + col] = imm;
-        state.gpr_defined[d0 + col] = true;
-    }
-}
-
-/// Specialized handler for the carry-free 64-bit ALU ops and `cmpq`:
-/// result (unless it is a compare) plus the five status flags, written to
-/// contiguous flag rows.
-fn step_alu_q(d: &Decoded, state: &mut BatchState) {
-    let Micro::AluQ {
+/// Row-pass handler for [`Micro::Alu`].
+fn step_alu(d: &Decoded, state: &mut BatchState) {
+    let Micro::Alu {
         op,
+        w,
         src,
         dst,
         write_back,
@@ -937,155 +1174,70 @@ fn step_alu_q(d: &Decoded, state: &mut BatchState) {
     else {
         unreachable!("handler matches its micro-op")
     };
-    let n = state.n;
-    let d0 = dst as usize * n;
-    let (cf0, zf0, sf0, of0, pf0) = (
-        Flag::Cf.index() * n,
-        Flag::Zf.index() * n,
-        Flag::Sf.index() * n,
-        Flag::Of.index() * n,
-        Flag::Pf.index() * n,
-    );
-    if state.live_cols == n {
-        count_undef_rows(state, &uses);
-        match src {
-            Src::Reg(r) => {
-                let r0 = r as usize * n;
-                state.tmp.copy_from_slice(&state.gprs[r0..r0 + n]);
-            }
-            Src::Imm(v) => state.tmp.fill(v),
-        }
-        let [cf, zf, sf, of, pf] = rows5(&mut state.flags, n);
-        let dst_row = &mut state.gprs[d0..d0 + n];
-        for col in 0..n {
-            let s = state.tmp[col];
-            let d = dst_row[col];
-            let (r, cfv, ofv) = match op {
-                AluOp::Add => {
-                    let r = d.wrapping_add(s);
-                    (r, r < d, ((d ^ s) as i64) >= 0 && ((r ^ d) as i64) < 0)
-                }
-                AluOp::Sub => {
-                    let r = d.wrapping_sub(s);
-                    (r, d < s, ((d ^ s) as i64) < 0 && ((r ^ d) as i64) < 0)
-                }
-                AluOp::And => (d & s, false, false),
-                AluOp::Or => (d | s, false, false),
-                AluOp::Xor => (d ^ s, false, false),
-                AluOp::Adc | AluOp::Sbb => unreachable!("carry-in ops are never specialized"),
-            };
-            cf[col] = cfv;
-            of[col] = ofv;
-            zf[col] = r == 0;
-            sf[col] = (r as i64) < 0;
-            pf[col] = (r as u8).count_ones().is_multiple_of(2);
+    let w = WidthOps::of(w);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let sv = s.read(col, src, &mut cache) & w.mask;
+            let dv = s.read(col, dst, &mut cache) & w.mask;
+            let carry = u64::from(s.flag(Flag::Cf, col));
+            let (r, cf, of) = w.alu(op, dv, sv, carry);
+            s.write_arith_flags(col, w, r, cf, of);
             if write_back {
-                dst_row[col] = r;
+                s.write(col, dst, w, r, &mut cache);
             }
-        }
-        state.flag_defined.fill(true);
-        if write_back {
-            state.gpr_defined[d0..d0 + n].fill(true);
-        }
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let s = match src {
-            Src::Reg(r) => state.gprs[r as usize * n + col],
-            Src::Imm(v) => v,
-        };
-        let d = state.gprs[d0 + col];
-        // Same carry/overflow definitions as `Cpu::set_flags_add`/`_sub`,
-        // reduced to 64-bit arithmetic.
-        let (r, cf, of) = match op {
-            AluOp::Add => {
-                let r = d.wrapping_add(s);
-                (r, r < d, ((d ^ s) as i64) >= 0 && ((r ^ d) as i64) < 0)
-            }
-            AluOp::Sub => {
-                let r = d.wrapping_sub(s);
-                (r, d < s, ((d ^ s) as i64) < 0 && ((r ^ d) as i64) < 0)
-            }
-            AluOp::And => (d & s, false, false),
-            AluOp::Or => (d | s, false, false),
-            AluOp::Xor => (d ^ s, false, false),
-            AluOp::Adc | AluOp::Sbb => unreachable!("carry-in ops are never specialized"),
-        };
-        state.flags[cf0 + col] = cf;
-        state.flag_defined[cf0 + col] = true;
-        state.flags[of0 + col] = of;
-        state.flag_defined[of0 + col] = true;
-        state.flags[zf0 + col] = r == 0;
-        state.flag_defined[zf0 + col] = true;
-        state.flags[sf0 + col] = (r as i64) < 0;
-        state.flag_defined[sf0 + col] = true;
-        state.flags[pf0 + col] = (r as u8).count_ones().is_multiple_of(2);
-        state.flag_defined[pf0 + col] = true;
-        if write_back {
-            state.gprs[d0 + col] = r;
-            state.gpr_defined[d0 + col] = true;
-        }
-    }
+        },
+    );
 }
 
-/// Specialized handler for `set{cc} dst` on a byte register: evaluate the
-/// condition from the flag rows and merge the 0/1 byte into the
-/// destination's low byte.
-fn step_set_r(d: &Decoded, state: &mut BatchState) {
-    let Micro::SetR { cond, dst, uses } = d.micro else {
+/// Row-pass handler for [`Micro::Un`]: `neg` sets the flags of `0 - a`,
+/// `inc`/`dec` those of `a ± 1` except CF, `not` none.
+fn step_un(d: &Decoded, state: &mut BatchState) {
+    let Micro::Un { op, w, dst, uses } = d.micro else {
         unreachable!("handler matches its micro-op")
     };
-    let n = state.n;
-    let d0 = dst as usize * n;
-    let (cf0, zf0, sf0, of0) = (
-        Flag::Cf.index() * n,
-        Flag::Zf.index() * n,
-        Flag::Sf.index() * n,
-        Flag::Of.index() * n,
+    let w = WidthOps::of(w);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let a = s.read(col, dst, &mut cache) & w.mask;
+            let r = match op {
+                UnOp::Not => !a & w.mask,
+                UnOp::Neg => {
+                    let (r, cf, of) = w.alu(AluOp::Sub, 0, a, 0);
+                    s.write_arith_flags(col, w, r, cf, of);
+                    r
+                }
+                UnOp::Inc | UnOp::Dec => {
+                    let op = if op == UnOp::Inc {
+                        AluOp::Add
+                    } else {
+                        AluOp::Sub
+                    };
+                    let (r, _, of) = w.alu(op, a, 1, 0);
+                    s.write_flag(Flag::Of, col, of);
+                    s.write_result_flags(col, w, r);
+                    r
+                }
+            };
+            s.write(col, dst, w, r, &mut cache);
+        },
     );
-    if state.live_cols == n {
-        count_undef_rows(state, &uses);
-        let (cf, zf, sf, of) = (
-            &state.flags[cf0..cf0 + n],
-            &state.flags[zf0..zf0 + n],
-            &state.flags[sf0..sf0 + n],
-            &state.flags[of0..of0 + n],
-        );
-        let dst_row = &mut state.gprs[d0..d0 + n];
-        for col in 0..n {
-            let v = u64::from(cond.eval(cf[col], zf[col], sf[col], of[col]));
-            dst_row[col] = merge_reg_write(dst_row[col], Width::B, v);
-        }
-        state.gpr_defined[d0..d0 + n].fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let v = u64::from(cond.eval(
-            state.flags[cf0 + col],
-            state.flags[zf0 + col],
-            state.flags[sf0 + col],
-            state.flags[of0 + col],
-        ));
-        state.gprs[d0 + col] = merge_reg_write(state.gprs[d0 + col], Width::B, v);
-        state.gpr_defined[d0 + col] = true;
-    }
 }
 
-/// Specialized handler for the 64-bit shifts and rotates by a nonzero
-/// immediate count (`1..=63`, masked at decode time). Same result and flag
-/// definitions as the interpreter's `Opcode::Shift` arm reduced to
-/// `Width::Q`.
-fn step_shift_q(d: &Decoded, state: &mut BatchState) {
-    let Micro::ShiftQ {
+/// Row-pass handler for [`Micro::Shift`]. A count that masks to zero
+/// (possible with `cl`) leaves the flags alone and only renormalizes the
+/// destination; rotates write CF and OF only.
+fn step_shift(d: &Decoded, state: &mut BatchState) {
+    let Micro::Shift {
         op,
+        w: width,
         count,
         dst,
         uses,
@@ -1093,244 +1245,145 @@ fn step_shift_q(d: &Decoded, state: &mut BatchState) {
     else {
         unreachable!("handler matches its micro-op")
     };
-    let n = state.n;
-    let d0 = dst as usize * n;
-    let (cf0, zf0, sf0, of0, pf0) = (
-        Flag::Cf.index() * n,
-        Flag::Zf.index() * n,
-        Flag::Sf.index() * n,
-        Flag::Of.index() * n,
-        Flag::Pf.index() * n,
+    let w = WidthOps::of(width);
+    let count_mask = 0xff & shift_count_mask(width);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let c = (s.read(col, count, &mut cache) & count_mask) as u32;
+            let a = s.read(col, dst, &mut cache) & w.mask;
+            if c == 0 {
+                s.write(col, dst, w, a, &mut cache);
+                return;
+            }
+            let (r, cf) = w.shift(op, a, c);
+            s.write_flag(Flag::Cf, col, cf);
+            if matches!(op, ShiftOp::Rol | ShiftOp::Ror) {
+                s.write_flag(
+                    Flag::Of,
+                    col,
+                    w.negative(r) ^ ((r >> (w.bits - 2)) & 1 == 1),
+                );
+            } else {
+                s.write_flag(Flag::Of, col, w.negative(r) ^ cf);
+                s.write_result_flags(col, w, r);
+            }
+            s.write(col, dst, w, r, &mut cache);
+        },
     );
-    if state.live_cols == n {
-        count_undef_rows(state, &uses);
-        let [cf, zf, sf, of, pf] = rows5(&mut state.flags, n);
-        let dst_row = &mut state.gprs[d0..d0 + n];
-        for col in 0..n {
-            let a = dst_row[col];
-            let (r, cfv) = match op {
-                ShiftOp::Shl => (a << count, (a >> (64 - count)) & 1 == 1),
-                ShiftOp::Shr => (a >> count, (a >> (count - 1)) & 1 == 1),
-                ShiftOp::Sar => {
-                    let sa = a as i64;
-                    ((sa >> count) as u64, (sa >> (count - 1)) & 1 == 1)
-                }
-                ShiftOp::Rol => {
-                    let r = a.rotate_left(count);
-                    (r, r & 1 == 1)
-                }
-                ShiftOp::Ror => {
-                    let r = a.rotate_right(count);
-                    (r, (r as i64) < 0)
-                }
+}
+
+/// Row-pass handler for [`Micro::Cmov`]: the source is read whether or
+/// not the condition holds, and the destination is rewritten either way
+/// (a 32-bit `cmov` zero-extends even when the condition is false).
+fn step_cmov(d: &Decoded, state: &mut BatchState) {
+    let Micro::Cmov {
+        cond,
+        w,
+        src,
+        dst,
+        uses,
+    } = d.micro
+    else {
+        unreachable!("handler matches its micro-op")
+    };
+    let w = WidthOps::of(w);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let take = s.cond(cond, col);
+            let v = s.read(col, src, &mut cache);
+            let old = s.gpr(dst, col);
+            s.write_gpr(dst, col, w, if take { v } else { old });
+        },
+    );
+}
+
+/// Row-pass handler for [`Micro::Set`].
+fn step_set(d: &Decoded, state: &mut BatchState) {
+    let Micro::Set { cond, dst, uses } = d.micro else {
+        unreachable!("handler matches its micro-op")
+    };
+    let w = WidthOps::of(Width::B);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let v = u64::from(s.cond(cond, col));
+            s.write(col, dst, w, v, &mut cache);
+        },
+    );
+}
+
+/// Row-pass handler for [`Micro::Mul`]: the double-width product of the
+/// source and the accumulator view of `rax`, low half into `rax`, high
+/// half into `rdx`; CF/OF flag a product that does not fit the low half.
+fn step_mul(d: &Decoded, state: &mut BatchState) {
+    let Micro::Mul {
+        signed,
+        w,
+        src,
+        uses,
+    } = d.micro
+    else {
+        unreachable!("handler matches its micro-op")
+    };
+    let w = WidthOps::of(w);
+    let (rax, rdx) = (Gpr::Rax.index() as u8, Gpr::Rdx.index() as u8);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let sv = s.read(col, src, &mut cache) & w.mask;
+            let acc = s.gpr(rax, col) & w.mask;
+            let (lo, hi, overflow) = if signed {
+                let full = w.sext(sv) * w.sext(acc);
+                let lo = full as u64 & w.mask;
+                (lo, (full >> w.bits) as u64 & w.mask, full != w.sext(lo))
+            } else {
+                let full = u128::from(sv) * u128::from(acc);
+                let hi = (full >> w.bits) as u64 & w.mask;
+                (full as u64 & w.mask, hi, hi != 0)
             };
-            cf[col] = cfv;
-            match op {
-                ShiftOp::Rol | ShiftOp::Ror => {
-                    of[col] = ((r as i64) < 0) ^ ((r >> 62) & 1 == 1);
-                }
-                _ => {
-                    of[col] = ((r as i64) < 0) ^ cfv;
-                    zf[col] = r == 0;
-                    sf[col] = (r as i64) < 0;
-                    pf[col] = (r as u8).count_ones().is_multiple_of(2);
-                }
-            }
-            dst_row[col] = r;
-        }
-        let [cfd, zfd, sfd, ofd, pfd] = rows5(&mut state.flag_defined, n);
-        cfd.fill(true);
-        ofd.fill(true);
-        if !matches!(op, ShiftOp::Rol | ShiftOp::Ror) {
-            zfd.fill(true);
-            sfd.fill(true);
-            pfd.fill(true);
-        }
-        state.gpr_defined[d0..d0 + n].fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let a = state.gprs[d0 + col];
-        let (r, cf) = match op {
-            ShiftOp::Shl => (a << count, (a >> (64 - count)) & 1 == 1),
-            ShiftOp::Shr => (a >> count, (a >> (count - 1)) & 1 == 1),
-            ShiftOp::Sar => {
-                let sa = a as i64;
-                ((sa >> count) as u64, (sa >> (count - 1)) & 1 == 1)
-            }
-            ShiftOp::Rol => {
-                let r = a.rotate_left(count);
-                (r, r & 1 == 1)
-            }
-            ShiftOp::Ror => {
-                let r = a.rotate_right(count);
-                (r, (r as i64) < 0)
-            }
-        };
-        state.flags[cf0 + col] = cf;
-        state.flag_defined[cf0 + col] = true;
-        match op {
-            ShiftOp::Rol | ShiftOp::Ror => {
-                state.flags[of0 + col] = ((r as i64) < 0) ^ ((r >> 62) & 1 == 1);
-                state.flag_defined[of0 + col] = true;
-            }
-            _ => {
-                state.flags[of0 + col] = ((r as i64) < 0) ^ cf;
-                state.flag_defined[of0 + col] = true;
-                state.flags[zf0 + col] = r == 0;
-                state.flag_defined[zf0 + col] = true;
-                state.flags[sf0 + col] = (r as i64) < 0;
-                state.flag_defined[sf0 + col] = true;
-                state.flags[pf0 + col] = (r as u8).count_ones().is_multiple_of(2);
-                state.flag_defined[pf0 + col] = true;
-            }
-        }
-        state.gprs[d0 + col] = r;
-        state.gpr_defined[d0 + col] = true;
-    }
+            s.write_gpr(rax, col, w, lo);
+            s.write_gpr(rdx, col, w, hi);
+            s.write_arith_flags(col, w, lo, overflow, overflow);
+        },
+    );
 }
 
-/// Specialized handler for `mulq src`: widening unsigned multiply of
-/// `rax` by `src` into `rdx:rax`, with CF/OF set iff the high half is
-/// nonzero and the result flags taken from the low half.
-fn step_mul1_q(d: &Decoded, state: &mut BatchState) {
-    let Micro::Mul1Q { src, uses } = d.micro else {
+/// Row-pass handler for [`Micro::Imul2`]: CF/OF flag a product that does
+/// not fit the destination width.
+fn step_imul2(d: &Decoded, state: &mut BatchState) {
+    let Micro::Imul2 { w, src, dst, uses } = d.micro else {
         unreachable!("handler matches its micro-op")
     };
-    let n = state.n;
-    let s0 = src as usize * n;
-    let (rax0, rdx0) = (Gpr::Rax.index() * n, Gpr::Rdx.index() * n);
-    let (cf0, zf0, sf0, of0, pf0) = (
-        Flag::Cf.index() * n,
-        Flag::Zf.index() * n,
-        Flag::Sf.index() * n,
-        Flag::Of.index() * n,
-        Flag::Pf.index() * n,
+    let w = WidthOps::of(w);
+    let mut cache = AddrCache::default();
+    for_live(
+        state,
+        &uses,
+        #[inline(always)]
+        |s, col| {
+            let sv = s.read(col, src, &mut cache) & w.mask;
+            let dv = s.gpr(dst, col) & w.mask;
+            let full = w.sext(sv) * w.sext(dv);
+            let r = full as u64 & w.mask;
+            let overflow = full != w.sext(r);
+            s.write_arith_flags(col, w, r, overflow, overflow);
+            s.write_gpr(dst, col, w, r);
+        },
     );
-    if state.live_cols == n {
-        count_undef_rows(state, &uses);
-        // `src` may alias rax or rdx; snapshot its row before writing.
-        state.tmp.copy_from_slice(&state.gprs[s0..s0 + n]);
-        let (rax, rdx) = two_rows(&mut state.gprs, rax0, rdx0, n);
-        let [cf, zf, sf, of, pf] = rows5(&mut state.flags, n);
-        for col in 0..n {
-            let full = u128::from(state.tmp[col]) * u128::from(rax[col]);
-            let lo = full as u64;
-            let hi = (full >> 64) as u64;
-            rax[col] = lo;
-            rdx[col] = hi;
-            let overflow = hi != 0;
-            cf[col] = overflow;
-            of[col] = overflow;
-            zf[col] = lo == 0;
-            sf[col] = (lo as i64) < 0;
-            pf[col] = (lo as u8).count_ones().is_multiple_of(2);
-        }
-        state.gpr_defined[rax0..rax0 + n].fill(true);
-        state.gpr_defined[rdx0..rdx0 + n].fill(true);
-        state.flag_defined.fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let full = u128::from(state.gprs[s0 + col]) * u128::from(state.gprs[rax0 + col]);
-        let lo = full as u64;
-        let hi = (full >> 64) as u64;
-        state.gprs[rax0 + col] = lo;
-        state.gpr_defined[rax0 + col] = true;
-        state.gprs[rdx0 + col] = hi;
-        state.gpr_defined[rdx0 + col] = true;
-        let overflow = hi != 0;
-        state.flags[cf0 + col] = overflow;
-        state.flag_defined[cf0 + col] = true;
-        state.flags[of0 + col] = overflow;
-        state.flag_defined[of0 + col] = true;
-        state.flags[zf0 + col] = lo == 0;
-        state.flag_defined[zf0 + col] = true;
-        state.flags[sf0 + col] = (lo as i64) < 0;
-        state.flag_defined[sf0 + col] = true;
-        state.flags[pf0 + col] = (lo as u8).count_ones().is_multiple_of(2);
-        state.flag_defined[pf0 + col] = true;
-    }
-}
-
-/// Specialized handler for `imulq src, dst`: two-operand signed multiply
-/// with CF/OF set iff the full 128-bit product does not fit the 64-bit
-/// destination.
-fn step_imul2_q(d: &Decoded, state: &mut BatchState) {
-    let Micro::Imul2Q { src, dst, uses } = d.micro else {
-        unreachable!("handler matches its micro-op")
-    };
-    let n = state.n;
-    let d0 = dst as usize * n;
-    let (cf0, zf0, sf0, of0, pf0) = (
-        Flag::Cf.index() * n,
-        Flag::Zf.index() * n,
-        Flag::Sf.index() * n,
-        Flag::Of.index() * n,
-        Flag::Pf.index() * n,
-    );
-    if state.live_cols == n {
-        count_undef_rows(state, &uses);
-        match src {
-            Src::Reg(r) => {
-                let r0 = r as usize * n;
-                state.tmp.copy_from_slice(&state.gprs[r0..r0 + n]);
-            }
-            Src::Imm(v) => state.tmp.fill(v),
-        }
-        let [cf, zf, sf, of, pf] = rows5(&mut state.flags, n);
-        let dst_row = &mut state.gprs[d0..d0 + n];
-        for col in 0..n {
-            let s = state.tmp[col];
-            let d = dst_row[col];
-            let full = (s as i64 as i128) * (d as i64 as i128);
-            let r = full as u64;
-            let overflow = full != (r as i64 as i128);
-            cf[col] = overflow;
-            of[col] = overflow;
-            zf[col] = r == 0;
-            sf[col] = (r as i64) < 0;
-            pf[col] = (r as u8).count_ones().is_multiple_of(2);
-            dst_row[col] = r;
-        }
-        state.flag_defined.fill(true);
-        state.gpr_defined[d0..d0 + n].fill(true);
-        return;
-    }
-    for col in 0..n {
-        if !state.live[col] {
-            continue;
-        }
-        count_undef(state, col, &uses);
-        let s = match src {
-            Src::Reg(r) => state.gprs[r as usize * n + col],
-            Src::Imm(v) => v,
-        };
-        let d = state.gprs[d0 + col];
-        let full = (s as i64 as i128) * (d as i64 as i128);
-        let r = full as u64;
-        let overflow = full != (r as i64 as i128);
-        state.flags[cf0 + col] = overflow;
-        state.flag_defined[cf0 + col] = true;
-        state.flags[of0 + col] = overflow;
-        state.flag_defined[of0 + col] = true;
-        state.flags[zf0 + col] = r == 0;
-        state.flag_defined[zf0 + col] = true;
-        state.flags[sf0 + col] = (r as i64) < 0;
-        state.flag_defined[sf0 + col] = true;
-        state.flags[pf0 + col] = (r as u8).count_ones().is_multiple_of(2);
-        state.flag_defined[pf0 + col] = true;
-        state.gprs[d0 + col] = r;
-        state.gpr_defined[d0 + col] = true;
-    }
 }
 
 /// Handler for `nop`: no column reads or writes anything.
@@ -1361,17 +1414,17 @@ fn step_generic(d: &Decoded, state: &mut BatchState) {
         }
         for r in gpr_uses {
             if !state.gpr_defined[r.parent().index() * n + col] {
-                state.faults[col].undef += 1;
+                state.fault_undef(col);
             }
         }
         for x in xmm_uses {
             if !state.xmm_defined[x.index() * n + col] {
-                state.faults[col].undef += 1;
+                state.fault_undef(col);
             }
         }
         for f in flag_uses {
             if !state.flag_defined[f.index() * n + col] {
-                state.faults[col].undef += 1;
+                state.fault_undef(col);
             }
         }
         Col { s: state, col }.execute(instr);
@@ -1517,6 +1570,76 @@ mod tests {
             let want = prepared.run_prepared(input);
             assert_eq!(batch.column_state(col), want.state);
             assert_eq!(batch.faults(col), want.faults);
+        }
+    }
+
+    /// The shapes real chains run select a row-pass handler, and the tail
+    /// stays on the generic one. A silent fallback to `step_generic` would
+    /// otherwise only show up as lost speed.
+    #[test]
+    fn common_shapes_select_row_pass_handlers() {
+        let decode = |text: &str| {
+            let p: Program = text.parse().unwrap();
+            let d = Decoded::new(&p.instrs()[0]);
+            (
+                d.micro,
+                std::ptr::fn_addr_eq(d.handler, step_generic as Handler),
+            )
+        };
+        for text in [
+            "movl -8(rsp), eax",
+            "movq rax, -16(rsp)",
+            "movl 1, eax",
+            "movl 7, -4(rsp)",
+            "movabsq 1311768467463790320, rax",
+            "addl ecx, eax",
+            "subl -8(rsp), eax",
+            "adcq 0, rdx",
+            "sbbl ecx, eax",
+            "xorb cl, al",
+            "addq rax, -8(rsp)",
+            "cmpq 5, 8(rdi)",
+            "cmpl ecx, eax",
+            "testq rdi, rdi",
+            "cmovneq rsi, rax",
+            "cmovll -8(rsp), eax",
+            "sete al",
+            "negl eax",
+            "notq rax",
+            "incl eax",
+            "shrl 3, eax",
+            "shrl cl, eax",
+            "rolq 1, rax",
+            "shll 2, -4(rsp)",
+            "shlq 0, rax",
+            "leaq 8(rdi), rax",
+            "cltq",
+            "cltd",
+            "cqto",
+            "movzbl al, eax",
+            "movzbq al, rax",
+            "movsbl -1(rsp), eax",
+            "movslq ecx, rcx",
+            "mulq rsi",
+            "imull ecx",
+            "imulq rsi, rax",
+        ] {
+            let (micro, generic) = decode(text);
+            assert_ne!(micro, Micro::Other, "{text}");
+            assert!(!generic, "{text}");
+        }
+        for text in [
+            "divq rcx",
+            "popcntq rdi, rax",
+            "pushq rdi",
+            "xchgq rax, rbx",
+            "paddd xmm1, xmm0",
+            "movq (rsi,rcx,8), rax",
+            "addq rax, (rsi,rcx,8)",
+        ] {
+            let (micro, generic) = decode(text);
+            assert_eq!(micro, Micro::Other, "{text}");
+            assert!(generic, "{text}");
         }
     }
 

@@ -94,13 +94,13 @@ pub fn run_instr_refs<'a>(
     emu.finish()
 }
 
-/// The sandboxed interpreter state shared by [`run_instrs`] and the
-/// prepared-program backend ([`crate::prepare::PreparedProgram`]). All
-/// instruction semantics live in the [`Cpu`] trait's provided
-/// [`execute`](Cpu::execute) method, which the batched engine
-/// ([`crate::batch`]) reuses through its own column-view
-/// [`Cpu`] implementation, so the execution paths cannot drift apart
-/// semantically.
+/// The sandboxed interpreter state behind [`run_instrs`] and
+/// [`run_prepared`](crate::prepare::PreparedProgram::run_prepared): one
+/// [`MachineState`] per run. All instruction semantics live in the [`Cpu`]
+/// trait's provided [`execute`](Cpu::execute) method. The batched engine
+/// ([`crate::batch`]) runs the same method through its column view for
+/// the instructions it has no row-pass micro-op for; this interpreter is
+/// the oracle its micro-ops are tested against.
 pub(crate) struct Emulator {
     pub(crate) state: MachineState,
     pub(crate) faults: Faults,
@@ -146,15 +146,17 @@ impl Emulator {
     }
 }
 
-/// The primitive state accesses an execution backend must provide; every
-/// instruction's semantics are written once, as provided methods over
-/// these primitives (most importantly [`Cpu::execute`]).
+/// The primitive state accesses an executor of the shared semantics must
+/// provide; every instruction's semantics are written once, as provided
+/// methods over these primitives (most importantly [`Cpu::execute`]).
 ///
-/// Implemented by [`Emulator`] (one [`MachineState`] per test case: the
-/// interpreter and prepared backends) and by the batched backend's column
-/// view into a structure-of-arrays [`crate::batch::BatchState`]. Because
-/// both run the identical provided bodies, the backends agree
-/// bit-for-bit by construction.
+/// Implemented by [`Emulator`] (one [`MachineState`] per run: the
+/// interpreter and [`run_prepared`](crate::prepare::PreparedProgram::run_prepared))
+/// and by the batched engine's column view into a structure-of-arrays
+/// [`crate::batch::BatchState`]. Instructions the engine executes through
+/// that view agree with the interpreter bit-for-bit by construction; its
+/// row-pass micro-ops restate the semantics per shape and are checked
+/// against the interpreter by the `prop_batched` property suite.
 pub(crate) trait Cpu {
     /// Read a register view (masked to the view's width).
     fn read_reg(&self, r: Reg) -> u64;

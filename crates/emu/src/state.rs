@@ -88,7 +88,7 @@ impl Segment {
 /// target's dereferenced regions), so the evaluation hot path gets
 /// branch-predictable bounds checks and direct byte indexing instead of
 /// per-byte tree lookups, clones are flat `memcpy`s, and the batched
-/// backend's scratch reload reuses allocations.
+/// engine's scratch reload reuses allocations.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Memory {
     /// Dense storage for every non-wrapping valid range, sorted by start
@@ -287,45 +287,43 @@ impl Memory {
                 .all(|(a, b)| a.start == b.start && a.data.len() == b.data.len())
     }
 
-    /// Resolve an 8-byte access at `addr` to a `(segment, byte offset)`
-    /// pair, or `None` if the access faults. Because resolution depends
-    /// only on the address and the segment *layout*, a resolved pair is
-    /// valid for every memory image with the same layout — the batched
-    /// backend resolves once per distinct address and reuses the result
-    /// across columns ([`read8_at`](Memory::read8_at) /
-    /// [`write8_at`](Memory::write8_at)).
+    /// Resolve a `len`-byte access (`1..=8`) at `addr` to a `(segment,
+    /// byte offset)` pair, or `None` if the access faults — exactly when
+    /// [`load`](Memory::load) and [`store`](Memory::store) fault. Because
+    /// resolution depends only on the address and the segment *layout*, a
+    /// resolved pair is valid for every memory image with the same layout:
+    /// the batched engine resolves once per distinct address and reuses
+    /// the result across columns ([`read_at`](Memory::read_at) /
+    /// [`write_at`](Memory::write_at)).
     #[inline]
-    pub(crate) fn resolve8(&self, addr: u64) -> Option<(u32, u32)> {
+    pub(crate) fn resolve(&self, addr: u64, len: u64) -> Option<(u32, u32)> {
         let i = self.find_seg(addr)?;
         let seg = &self.segs[i];
-        if addr.checked_add(8)? > seg.end() {
+        if addr.checked_add(len)? > seg.end() {
             return None;
         }
         Some((i as u32, (addr - seg.start) as u32))
     }
 
-    /// Read 8 bytes at a location resolved by [`resolve8`](Memory::resolve8)
-    /// against an identically-laid-out image.
+    /// Read `len` bytes at a location resolved by
+    /// [`resolve`](Memory::resolve) for the same length against an
+    /// identically-laid-out image.
     #[inline]
-    pub(crate) fn read8_at(&self, si: u32, j: u32) -> u64 {
-        let j = j as usize;
-        u64::from_le_bytes(
-            self.segs[si as usize].data[j..j + 8]
-                .try_into()
-                .expect("8-byte span"),
-        )
+    pub(crate) fn read_at(&self, si: u32, j: u32, len: u64) -> u64 {
+        self.segs[si as usize].get_wide(j as usize, len as usize)
     }
 
-    /// Write 8 bytes at a location resolved by [`resolve8`](Memory::resolve8)
-    /// against an identically-laid-out image.
+    /// Write `len` bytes at a location resolved by
+    /// [`resolve`](Memory::resolve) for the same length against an
+    /// identically-laid-out image.
     #[inline]
-    pub(crate) fn write8_at(&mut self, si: u32, j: u32, value: u64) {
-        self.segs[si as usize].set_wide(j as usize, value, 8);
+    pub(crate) fn write_at(&mut self, si: u32, j: u32, value: u64, len: u64) {
+        self.segs[si as usize].set_wide(j as usize, value, len as usize);
     }
 
     /// Copy the bytes and written bits of the address range `[lo, hi)`
     /// from `other` into `self`. Both images must have identical segment
-    /// layout (the batched backend's scratch reload calls this on a copy
+    /// layout (the batched engine's scratch reload calls this on a copy
     /// of `other` whose only divergence is sandboxed stores, which never
     /// change the layout). Orphan bytes are untouched — no store can
     /// reach them.
@@ -477,7 +475,7 @@ impl Memory {
     }
 
     /// Replace this image with a copy of `other`, reusing the existing
-    /// allocations where possible (the batched backend reloads one scratch
+    /// allocations where possible (the batched engine reloads one scratch
     /// image per test-case column on every evaluation, and sandbox layouts
     /// are identical across reloads, so the per-segment `clone_from`s
     /// reduce to flat copies with no allocator traffic).
@@ -497,7 +495,7 @@ impl Memory {
 }
 
 /// The x86-64 register merge rule shared by [`MachineState::write_reg`]
-/// and the batched backend's column writes: 64-bit writes replace the
+/// and the batched engine's column writes: 64-bit writes replace the
 /// register, 32-bit writes zero the upper half, 16- and 8-bit writes
 /// preserve the untouched bits.
 pub(crate) fn merge_reg_write(old: u64, width: Width, value: u64) -> u64 {
@@ -513,7 +511,7 @@ pub(crate) fn merge_reg_write(old: u64, width: Width, value: u64) -> u64 {
 /// object the cost function compares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineState {
-    // Crate-visible so the batched backend (`crate::batch`) can scatter
+    // Crate-visible so the batched engine (`crate::batch`) can scatter
     // and gather whole states column-wise without going through the
     // per-register accessors; external code uses the accessors below.
     pub(crate) gprs: [u64; 16],

@@ -279,13 +279,14 @@ impl Instruction {
     /// one-operand multiply/divide family adds implicit uses beyond one.
     pub fn for_each_gpr_use(&self, mut f: impl FnMut(Reg)) {
         let arity = self.operands().len();
+        let (writes_dst, rmw) = (self.opcode.writes_dst(), self.opcode.dst_is_also_src());
         for (slot, opnd) in self.operands().iter().enumerate() {
-            let is_dst_slot = self.opcode.writes_dst() && slot == arity - 1;
+            let is_dst_slot = writes_dst && slot == arity - 1;
             match opnd {
                 // `xchg` reads both operands through this arm: it is
                 // read-modify-write in its destination.
                 Operand::Reg(r) => {
-                    if !is_dst_slot || self.opcode.dst_is_also_src() {
+                    if !is_dst_slot || rmw {
                         f(*r);
                     } else if r.width() == Width::B || r.width() == Width::W {
                         // Narrow destination writes merge into the parent

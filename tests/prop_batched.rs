@@ -7,13 +7,22 @@
 //! and the cost function's `eq'` agrees with a sequential interpreter
 //! oracle on totals, §4.5 early-termination decisions, and evaluation
 //! statistics.
+//!
+//! A second family targets the engine's row-pass micro-ops directly:
+//! programs built only from the shapes that have one, at every operand
+//! width, over states with pointers into memory (so `disp(base)` accesses
+//! both hit and fault), partly undefined registers and flags, and memory
+//! layouts that differ between columns — run with every column live and
+//! with columns killed at random steps.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use stoke_suite::emu::{run_instrs, MachineState, PreparedProgram};
+use stoke_suite::emu::{run_instrs, BatchState, MachineState, PreparedProgram};
 use stoke_suite::stoke::{generate_testcases, Config, CostFn, EvalStats, Proposer, TargetSpec};
-use stoke_suite::x86::{Flag, Gpr, Instruction, Program, Xmm};
+use stoke_suite::x86::{
+    AluOp, Cond, Flag, Gpr, Instruction, Mem, Opcode, Operand, Program, ShiftOp, UnOp, Width, Xmm,
+};
 
 /// A random machine state: a random subset of registers and flags defined
 /// (so the undefined-read counter is exercised), one small valid memory
@@ -110,8 +119,273 @@ fn eval_oracle(cost: &CostFn, rewrite: &[Instruction], bound: Option<f64>) -> Ev
     (Some(total), cost.suite().len(), stats)
 }
 
+const WIDTHS: [Width; 4] = [Width::B, Width::W, Width::L, Width::Q];
+
+/// The base of the stack region every column maps, and of the second
+/// region only some columns map.
+const STACK: u64 = 0x7000;
+const HEAP: u64 = 0x1000;
+
+/// A random state for the row-pass properties: registers defined with
+/// probability 0.8, half of them pointing into a mapped region (so
+/// `disp(base)` operands both hit and fault, also across segment ends),
+/// flags defined with probability 0.7, and one of two memory layouts.
+fn pointer_state(rng: &mut StdRng) -> MachineState {
+    let mut state = MachineState::new();
+    for g in Gpr::ALL {
+        if rng.gen_bool(0.8) {
+            let value = match rng.gen_range(0..4) {
+                0 => STACK + rng.gen_range(0..0x110u64),
+                1 => HEAP + rng.gen_range(0..0x48u64),
+                2 => rng.gen::<u64>() & 0xff,
+                _ => rng.gen(),
+            };
+            state.set_gpr64(g, value);
+        }
+    }
+    for f in Flag::ALL {
+        if rng.gen_bool(0.7) {
+            state.write_flag(f, rng.gen_bool(0.5));
+        }
+    }
+    state.memory.mark_valid(STACK, 0x100);
+    if rng.gen_bool(0.5) {
+        state.memory.mark_valid(HEAP, 0x40);
+    }
+    for addr in (STACK..STACK + 0x40).step_by(8) {
+        state.memory.poke_wide(addr, rng.gen(), 8);
+    }
+    state
+}
+
+fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+    items[rng.gen_range(0..items.len())]
+}
+
+fn reg(rng: &mut StdRng, w: Width) -> Operand {
+    Operand::Reg(pick(rng, &Gpr::ALL).view(w))
+}
+
+fn imm(rng: &mut StdRng) -> Operand {
+    Operand::Imm(match rng.gen_range(0..3) {
+        0 => rng.gen_range(-4..70),
+        1 => i64::from(rng.gen::<i32>()),
+        _ => rng.gen(),
+    })
+}
+
+/// A `disp(base)` operand whose displacement lands near the mapped
+/// regions' edges.
+fn mem(rng: &mut StdRng) -> Operand {
+    let disp = pick(rng, &[-16, -8, -4, -1, 0, 1, 4, 8, 0x38, 0xfc, 0x100]);
+    Operand::Mem(Mem::base_disp(pick(rng, &Gpr::ALL), disp))
+}
+
+/// An instruction with a row-pass micro-op, at a random width: moves
+/// (register, immediate, load, store), `movabs`, sign and zero extension,
+/// `lea`, `cltq`/`cltd`/`cqto`, every ALU op, `cmp`, `test`,
+/// `neg`/`not`/`inc`/`dec`, shifts and rotates by an immediate or `cl`,
+/// `cmov{cc}`, `set{cc}` and the multiplies, with register or memory
+/// destinations where the shape has them.
+fn row_pass_instruction(rng: &mut StdRng) -> Instruction {
+    const ALU: [AluOp; 7] = [
+        AluOp::Add,
+        AluOp::Adc,
+        AluOp::Sub,
+        AluOp::Sbb,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+    ];
+    const UN: [UnOp; 4] = [UnOp::Neg, UnOp::Not, UnOp::Inc, UnOp::Dec];
+    const SHIFT: [ShiftOp; 5] = [
+        ShiftOp::Shl,
+        ShiftOp::Shr,
+        ShiftOp::Sar,
+        ShiftOp::Rol,
+        ShiftOp::Ror,
+    ];
+    loop {
+        let w = pick(rng, &WIDTHS);
+        let src = match rng.gen_range(0..3) {
+            0 => reg(rng, w),
+            1 => imm(rng),
+            _ => mem(rng),
+        };
+        // A register or memory destination; memory only beside a
+        // non-memory source.
+        let dst = if rng.gen_bool(0.3) && !src.is_mem() {
+            mem(rng)
+        } else {
+            reg(rng, w)
+        };
+        let (opcode, operands) = match rng.gen_range(0..14) {
+            0 => (Opcode::Mov(w), vec![src, reg(rng, w)]),
+            1 => (
+                Opcode::Mov(w),
+                vec![
+                    if rng.gen_bool(0.5) {
+                        reg(rng, w)
+                    } else {
+                        imm(rng)
+                    },
+                    mem(rng),
+                ],
+            ),
+            2 => (Opcode::Movabs, vec![imm(rng), reg(rng, Width::Q)]),
+            3 => {
+                let (op, from, to) = pick(
+                    rng,
+                    &[
+                        (Opcode::Movslq, Width::L, Width::Q),
+                        (Opcode::Movsbq, Width::B, Width::Q),
+                        (Opcode::Movsbl, Width::B, Width::L),
+                        (Opcode::Movzbq, Width::B, Width::Q),
+                        (Opcode::Movzbl, Width::B, Width::L),
+                    ],
+                );
+                let from = if rng.gen_bool(0.5) {
+                    reg(rng, from)
+                } else {
+                    mem(rng)
+                };
+                (op, vec![from, reg(rng, to)])
+            }
+            4 => (Opcode::Lea(w), vec![mem(rng), reg(rng, w)]),
+            5 => (
+                pick(rng, &[Opcode::Cltq, Opcode::Cltd, Opcode::Cqto]),
+                vec![],
+            ),
+            6 => (Opcode::Alu(pick(rng, &ALU), w), vec![src, dst]),
+            7 => (
+                pick(rng, &[Opcode::Cmp(w), Opcode::Test(w)]),
+                vec![src, dst],
+            ),
+            8 => (Opcode::Un(pick(rng, &UN), w), vec![dst]),
+            9 => {
+                let count = if rng.gen_bool(0.6) {
+                    imm(rng)
+                } else {
+                    reg(rng, Width::B)
+                };
+                (Opcode::Shift(pick(rng, &SHIFT), w), vec![count, dst])
+            }
+            10 => {
+                let src = if rng.gen_bool(0.7) {
+                    reg(rng, w)
+                } else {
+                    mem(rng)
+                };
+                (
+                    Opcode::Cmov(pick(rng, &Cond::ALL), w),
+                    vec![src, reg(rng, w)],
+                )
+            }
+            11 => {
+                let dst = if rng.gen_bool(0.3) {
+                    mem(rng)
+                } else {
+                    reg(rng, Width::B)
+                };
+                (Opcode::Set(pick(rng, &Cond::ALL)), vec![dst])
+            }
+            12 => {
+                let src = if rng.gen_bool(0.7) {
+                    reg(rng, w)
+                } else {
+                    mem(rng)
+                };
+                (pick(rng, &[Opcode::Mul1(w), Opcode::Imul1(w)]), vec![src])
+            }
+            _ => (Opcode::Imul2(w), vec![src, reg(rng, w)]),
+        };
+        if let Ok(instr) = Instruction::new(opcode, operands) {
+            return instr;
+        }
+    }
+}
+
+/// Run `instrs` over `states` in lockstep, killing each column after a
+/// random step with probability `kill_p` per step, and check every column
+/// against `run_prepared` of the prefix it executed: the whole program for
+/// columns that stayed live, the first `k` instructions for a column
+/// killed after step `k`.
+fn check_against_prefixes(
+    instrs: &[Instruction],
+    states: &[MachineState],
+    kill_seed: u64,
+    kill_p: f64,
+) {
+    let mut rng = StdRng::seed_from_u64(kill_seed);
+    let mut executed = vec![0usize; states.len()];
+    let mut batch = BatchState::new();
+    batch.load(states);
+    PreparedProgram::new(instrs).run_lockstep_with(&mut batch, |state| {
+        for (col, steps) in executed.iter_mut().enumerate() {
+            if state.is_live(col) {
+                *steps += 1;
+                if rng.gen_bool(kill_p) {
+                    state.kill(col);
+                }
+            }
+        }
+        true
+    });
+    for (col, (input, &steps)) in states.iter().zip(&executed).enumerate() {
+        let want = PreparedProgram::new(&instrs[..steps]).run_prepared(input);
+        prop_assert_eq!(
+            batch.column_state(col),
+            want.state,
+            "column {} state diverges after {} steps of\n{}",
+            col,
+            steps,
+            Program::from_instrs(instrs.to_vec())
+        );
+        prop_assert_eq!(
+            batch.faults(col),
+            want.faults,
+            "column {} faults diverge",
+            col
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every row-pass shape at every width, all columns live: the engine
+    /// matches `run_prepared` on every column's state and faults.
+    #[test]
+    fn row_pass_shapes_match_run_prepared(
+        program_seed in any::<u64>(),
+        state_seed in any::<u64>(),
+        len in 1usize..16,
+        n in 0usize..9,
+    ) {
+        let mut rng = StdRng::seed_from_u64(program_seed);
+        let instrs: Vec<Instruction> = (0..len).map(|_| row_pass_instruction(&mut rng)).collect();
+        let mut rng = StdRng::seed_from_u64(state_seed);
+        let states: Vec<MachineState> = (0..n).map(|_| pointer_state(&mut rng)).collect();
+        check_against_prefixes(&instrs, &states, 0, 0.0);
+    }
+
+    /// The same shapes with columns killed at random steps, so the
+    /// partially-live column loops run: each column matches
+    /// `run_prepared` of the prefix it executed.
+    #[test]
+    fn row_pass_shapes_match_under_random_kills(
+        program_seed in any::<u64>(),
+        state_seed in any::<u64>(),
+        kill_seed in any::<u64>(),
+        len in 1usize..16,
+        n in 1usize..9,
+    ) {
+        let mut rng = StdRng::seed_from_u64(program_seed);
+        let instrs: Vec<Instruction> = (0..len).map(|_| row_pass_instruction(&mut rng)).collect();
+        let mut rng = StdRng::seed_from_u64(state_seed);
+        let states: Vec<MachineState> = (0..n).map(|_| pointer_state(&mut rng)).collect();
+        check_against_prefixes(&instrs, &states, kill_seed, 0.15);
+    }
 
     /// The batched backend agrees with `run_prepared` on every column's
     /// final machine state and fault counters, for any batch width
