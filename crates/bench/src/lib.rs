@@ -1,8 +1,7 @@
 //! # stoke-bench
 //!
-//! The experiment harness: helpers shared by the Criterion benches and the
-//! `experiments` binary that regenerates every figure and table of the
-//! paper's evaluation (see the README's "Reproducing the paper's figures"
+//! The experiment harness: helpers shared by the `experiments` binary that
+//! regenerates every figure and table of the paper's evaluation (see the README's "Reproducing the paper's figures"
 //! section for the figure index and how to run it).
 
 #![warn(missing_docs)]

@@ -37,11 +37,11 @@
 //!   per test case. [`BatchState::fault_events`] tells the bound when a
 //!   step changed any fault counter, so it re-checks only then.
 //!
-//! The tail shares its semantics with the interpreter through the
-//! crate-internal `Cpu` trait: the column view implements the same
-//! primitive accesses and runs the identical provided `execute` body. The
-//! micro-ops restate those semantics per shape; the interpreter is their
-//! oracle, and the randomized property suite `prop_batched` at the
+//! The tail shares its semantics with the interpreter (and the symbolic
+//! validator): the column view implements the crate-internal `Cpu`
+//! trait's primitive accesses and runs the one shared definition,
+//! `stoke_x86::execute`. The micro-ops restate those semantics per shape;
+//! the interpreter is their oracle, and the randomized property suite `prop_batched` at the
 //! workspace root checks every shape at every width against
 //! [`run_prepared`](PreparedProgram::run_prepared).
 

@@ -7,15 +7,16 @@
 //! The fault counters feed the `err(·)` term of the cost function
 //! (Equation 11 of the paper).
 //!
-//! The semantics implemented here are mirrored symbolically by
-//! `stoke-verify`; the two are kept in agreement by randomized
-//! differential tests in `tests/emu_vs_verify.rs`.
+//! The instructions' meaning is not written here: it is the one shared
+//! definition, [`stoke_x86::execute`], which `stoke-verify` also runs
+//! symbolically. This module instantiates it over `u64` values and
+//! `bool` flags, and supplies the concrete side of its modelling hooks:
+//! the memory sandbox, faulting division, the native 128-bit multiply and
+//! the native bit operations (parity, `popcnt`, `bsf`/`bsr`, `bswap`).
 
 use crate::state::{MachineState, XmmValue};
-use stoke_x86::{
-    AluOp, BitOp, Flag, Gpr, Instruction, Mem, Opcode, Operand, Program, Reg, ShiftOp, SseBinOp,
-    SseShiftOp, UnOp, Width, Xmm,
-};
+use stoke_x86::semantics::address;
+use stoke_x86::{execute, Flag, Gpr, Instruction, Machine, Mem, Program, Reg, Width, Xmm};
 
 /// Counts of the undefined behaviours observed while executing a rewrite.
 ///
@@ -96,8 +97,8 @@ pub fn run_instr_refs<'a>(
 
 /// The sandboxed interpreter state behind [`run_instrs`] and
 /// [`run_prepared`](crate::prepare::PreparedProgram::run_prepared): one
-/// [`MachineState`] per run. All instruction semantics live in the [`Cpu`]
-/// trait's provided [`execute`](Cpu::execute) method. The batched engine
+/// [`MachineState`] per run, executing the shared semantics through the
+/// [`Cpu`] trait's provided [`execute`](Cpu::execute) method. The batched engine
 /// ([`crate::batch`]) runs the same method through its column view for
 /// the instructions it has no row-pass micro-op for; this interpreter is
 /// the oracle its micro-ops are tested against.
@@ -146,9 +147,9 @@ impl Emulator {
     }
 }
 
-/// The primitive state accesses an executor of the shared semantics must
-/// provide; every instruction's semantics are written once, as provided
-/// methods over these primitives (most importantly [`Cpu::execute`]).
+/// The primitive state accesses of a concrete executor. The instruction
+/// semantics themselves are [`stoke_x86::execute`], which [`Cpu::execute`]
+/// runs over these primitives in the `u64`/`bool` value domain.
 ///
 /// Implemented by [`Emulator`] (one [`MachineState`] per run: the
 /// interpreter and [`run_prepared`](crate::prepare::PreparedProgram::run_prepared))
@@ -187,541 +188,266 @@ pub(crate) trait Cpu {
     /// Record an arithmetic exception.
     fn fault_sigfpe(&mut self);
 
-    fn addr(&self, m: &Mem) -> u64 {
-        let base = m.base.map_or(0, |b| self.read_gpr64(b));
-        let index = m.index.map_or(0, |i| self.read_gpr64(i));
-        base.wrapping_add(index.wrapping_mul(m.scale.factor()))
-            .wrapping_add(m.disp as i64 as u64)
-    }
-
-    /// Read a scalar operand at the given width (masked).
-    fn read(&mut self, op: &Operand, w: Width) -> u64 {
-        match op {
-            Operand::Reg(r) => self.read_reg(Reg::new(r.parent(), w)),
-            Operand::Imm(i) => w.truncate(*i as u64),
-            Operand::Mem(m) => {
-                let addr = self.addr(m);
-                match self.mem_load(addr, w.bytes()) {
-                    Some(v) => v,
-                    None => {
-                        self.fault_sigsegv();
-                        0
-                    }
-                }
-            }
-            Operand::Xmm(x) => self.read_xmm(*x)[0],
-        }
-    }
-
-    /// Write a scalar result to a register or memory destination.
-    fn write(&mut self, op: &Operand, w: Width, value: u64) {
-        match op {
-            Operand::Reg(r) => self.write_reg(Reg::new(r.parent(), w), value),
-            Operand::Mem(m) => {
-                let addr = self.addr(m);
-                if !self.mem_store(addr, w.truncate(value), w.bytes()) {
-                    self.fault_sigsegv();
-                }
-            }
-            Operand::Imm(_) | Operand::Xmm(_) => {
-                unreachable!("scalar destination cannot be an immediate or xmm")
-            }
-        }
-    }
-
-    /// Read a 128-bit operand (xmm or memory).
-    fn read128(&mut self, op: &Operand) -> XmmValue {
-        match op {
-            Operand::Xmm(x) => self.read_xmm(*x),
-            Operand::Mem(m) => {
-                let addr = self.addr(m);
-                match self.mem_load128(addr) {
-                    Some(v) => v,
-                    None => {
-                        self.fault_sigsegv();
-                        [0, 0]
-                    }
-                }
-            }
-            _ => unreachable!("128-bit operand must be xmm or memory"),
-        }
-    }
-
-    /// Write a 128-bit result (xmm or memory destination).
-    fn write128(&mut self, op: &Operand, value: XmmValue) {
-        match op {
-            Operand::Xmm(x) => self.write_xmm(*x, value),
-            Operand::Mem(m) => {
-                let addr = self.addr(m);
-                if !self.mem_store128(addr, value) {
-                    self.fault_sigsegv();
-                }
-            }
-            _ => unreachable!("128-bit destination must be xmm or memory"),
-        }
-    }
-
-    fn flags(&self) -> (bool, bool, bool, bool) {
-        (
-            self.read_flag(Flag::Cf),
-            self.read_flag(Flag::Zf),
-            self.read_flag(Flag::Sf),
-            self.read_flag(Flag::Of),
-        )
-    }
-
-    fn set_result_flags(&mut self, w: Width, r: u64) {
-        self.write_flag(Flag::Zf, w.truncate(r) == 0);
-        self.write_flag(Flag::Sf, w.sign_bit(r));
-        self.write_flag(
-            Flag::Pf,
-            (w.truncate(r) as u8).count_ones().is_multiple_of(2),
-        );
-    }
-
-    fn set_flags_add(&mut self, w: Width, a: u64, b: u64, carry_in: u64, r: u64) {
-        let full = u128::from(a) + u128::from(b) + u128::from(carry_in);
-        let cf = full > u128::from(w.mask());
-        let of = (w.sign_bit(a) == w.sign_bit(b)) && (w.sign_bit(r) != w.sign_bit(a));
-        self.write_flag(Flag::Cf, cf);
-        self.write_flag(Flag::Of, of);
-        self.set_result_flags(w, r);
-    }
-
-    fn set_flags_sub(&mut self, w: Width, a: u64, b: u64, borrow_in: u64, r: u64) {
-        let cf = u128::from(a) < u128::from(b) + u128::from(borrow_in);
-        let of = (w.sign_bit(a) != w.sign_bit(b)) && (w.sign_bit(r) != w.sign_bit(a));
-        self.write_flag(Flag::Cf, cf);
-        self.write_flag(Flag::Of, of);
-        self.set_result_flags(w, r);
-    }
-
-    fn set_flags_logic(&mut self, w: Width, r: u64) {
-        self.write_flag(Flag::Cf, false);
-        self.write_flag(Flag::Of, false);
-        self.set_result_flags(w, r);
-    }
-
     /// Execute one instruction's semantics (the undefined-read counter is
     /// the caller's responsibility — see [`Emulator::step`] and the
     /// batched column loop).
     fn execute(&mut self, instr: &Instruction) {
-        let ops = instr.operands();
-        match instr.opcode() {
-            Opcode::Nop => {}
-            Opcode::Mov(w) => {
-                let v = self.read(&ops[0], w);
-                self.write(&ops[1], w, v);
-            }
-            Opcode::Movabs => {
-                let v = ops[0].as_imm().unwrap_or(0) as u64;
-                self.write(&ops[1], Width::Q, v);
-            }
-            Opcode::Movslq => {
-                let v = self.read(&ops[0], Width::L);
-                self.write(&ops[1], Width::Q, Width::L.sign_extend(v));
-            }
-            Opcode::Movsbq => {
-                let v = self.read(&ops[0], Width::B);
-                self.write(&ops[1], Width::Q, Width::B.sign_extend(v));
-            }
-            Opcode::Movsbl => {
-                let v = self.read(&ops[0], Width::B);
-                self.write(&ops[1], Width::L, Width::B.sign_extend(v));
-            }
-            Opcode::Movzbq => {
-                let v = self.read(&ops[0], Width::B);
-                self.write(&ops[1], Width::Q, v);
-            }
-            Opcode::Movzbl => {
-                let v = self.read(&ops[0], Width::B);
-                self.write(&ops[1], Width::L, v);
-            }
-            Opcode::Lea(w) => {
-                let m = ops[0].as_mem().expect("lea source is a memory operand");
-                let addr = self.addr(&m);
-                self.write(&ops[1], w, addr);
-            }
-            Opcode::Xchg(w) => {
-                let a = self.read(&ops[0], w);
-                let b = self.read(&ops[1], w);
-                self.write(&ops[0], w, b);
-                self.write(&ops[1], w, a);
-            }
-            Opcode::Push => {
-                let v = self.read(&ops[0], Width::Q);
-                let rsp = self.read_gpr64(Gpr::Rsp).wrapping_sub(8);
-                self.set_gpr64(Gpr::Rsp, rsp);
-                if !self.mem_store(rsp, v, 8) {
-                    self.fault_sigsegv();
-                }
-            }
-            Opcode::Pop => {
-                let rsp = self.read_gpr64(Gpr::Rsp);
-                let v = match self.mem_load(rsp, 8) {
-                    Some(v) => v,
-                    None => {
-                        self.fault_sigsegv();
-                        0
-                    }
-                };
-                self.set_gpr64(Gpr::Rsp, rsp.wrapping_add(8));
-                self.write(&ops[0], Width::Q, v);
-            }
-            Opcode::Cmov(c, w) => {
-                let (cf, zf, sf, of) = self.flags();
-                let take = c.eval(cf, zf, sf, of);
-                let v = self.read(&ops[0], w);
-                let old = self.read(&ops[1], w);
-                // A 32-bit cmov zero-extends its destination even when the
-                // condition is false, exactly as the hardware does.
-                self.write(&ops[1], w, if take { v } else { old });
-            }
-            Opcode::Set(c) => {
-                let (cf, zf, sf, of) = self.flags();
-                let v = u64::from(c.eval(cf, zf, sf, of));
-                self.write(&ops[0], Width::B, v);
-            }
-            Opcode::Alu(op, w) => {
-                let src = self.read(&ops[0], w);
-                let dst = self.read(&ops[1], w);
-                let carry = u64::from(self.read_flag(Flag::Cf));
-                let result = match op {
-                    AluOp::Add => w.truncate(dst.wrapping_add(src)),
-                    AluOp::Adc => w.truncate(dst.wrapping_add(src).wrapping_add(carry)),
-                    AluOp::Sub => w.truncate(dst.wrapping_sub(src)),
-                    AluOp::Sbb => w.truncate(dst.wrapping_sub(src).wrapping_sub(carry)),
-                    AluOp::And => dst & src,
-                    AluOp::Or => dst | src,
-                    AluOp::Xor => dst ^ src,
-                };
-                match op {
-                    AluOp::Add => self.set_flags_add(w, dst, src, 0, result),
-                    AluOp::Adc => self.set_flags_add(w, dst, src, carry, result),
-                    AluOp::Sub => self.set_flags_sub(w, dst, src, 0, result),
-                    AluOp::Sbb => self.set_flags_sub(w, dst, src, carry, result),
-                    AluOp::And | AluOp::Or | AluOp::Xor => self.set_flags_logic(w, result),
-                }
-                self.write(&ops[1], w, result);
-            }
-            Opcode::Cmp(w) => {
-                let src = self.read(&ops[0], w);
-                let dst = self.read(&ops[1], w);
-                let result = w.truncate(dst.wrapping_sub(src));
-                self.set_flags_sub(w, dst, src, 0, result);
-            }
-            Opcode::Test(w) => {
-                let src = self.read(&ops[0], w);
-                let dst = self.read(&ops[1], w);
-                self.set_flags_logic(w, dst & src);
-            }
-            Opcode::Un(op, w) => {
-                let a = self.read(&ops[0], w);
-                match op {
-                    UnOp::Neg => {
-                        let r = w.truncate(0u64.wrapping_sub(a));
-                        self.set_flags_sub(w, 0, a, 0, r);
-                        self.write(&ops[0], w, r);
-                    }
-                    UnOp::Not => {
-                        let r = w.truncate(!a);
-                        self.write(&ops[0], w, r);
-                    }
-                    UnOp::Inc => {
-                        let r = w.truncate(a.wrapping_add(1));
-                        // inc preserves CF.
-                        let of =
-                            (w.sign_bit(a) == w.sign_bit(1)) && (w.sign_bit(r) != w.sign_bit(a));
-                        self.write_flag(Flag::Of, of);
-                        self.set_result_flags(w, r);
-                        self.write(&ops[0], w, r);
-                    }
-                    UnOp::Dec => {
-                        let r = w.truncate(a.wrapping_sub(1));
-                        let of =
-                            (w.sign_bit(a) != w.sign_bit(1)) && (w.sign_bit(r) != w.sign_bit(a));
-                        self.write_flag(Flag::Of, of);
-                        self.set_result_flags(w, r);
-                        self.write(&ops[0], w, r);
-                    }
-                }
-            }
-            Opcode::Imul2(w) => {
-                let src = self.read(&ops[0], w);
-                let dst = self.read(&ops[1], w);
-                let full =
-                    (w.sign_extend(src) as i64 as i128) * (w.sign_extend(dst) as i64 as i128);
-                let r = w.truncate(full as u64);
-                let overflow = full != (w.sign_extend(r) as i64 as i128);
-                self.write_flag(Flag::Cf, overflow);
-                self.write_flag(Flag::Of, overflow);
-                self.set_result_flags(w, r);
-                self.write(&ops[1], w, r);
-            }
-            Opcode::Imul1(w) => {
-                let src = self.read(&ops[0], w);
-                let acc = self.read_reg(Gpr::Rax.view(w));
-                let full =
-                    (w.sign_extend(src) as i64 as i128) * (w.sign_extend(acc) as i64 as i128);
-                let lo = w.truncate(full as u64);
-                let hi = w.truncate((full >> w.bits()) as u64);
-                let overflow = full != (w.sign_extend(lo) as i64 as i128);
-                self.write_reg(Gpr::Rax.view(w), lo);
-                self.write_reg(Gpr::Rdx.view(w), hi);
-                self.write_flag(Flag::Cf, overflow);
-                self.write_flag(Flag::Of, overflow);
-                self.set_result_flags(w, lo);
-            }
-            Opcode::Mul1(w) => {
-                let src = self.read(&ops[0], w);
-                let acc = self.read_reg(Gpr::Rax.view(w));
-                let full = u128::from(src) * u128::from(acc);
-                let lo = w.truncate(full as u64);
-                let hi = w.truncate((full >> w.bits()) as u64);
-                let overflow = hi != 0;
-                self.write_reg(Gpr::Rax.view(w), lo);
-                self.write_reg(Gpr::Rdx.view(w), hi);
-                self.write_flag(Flag::Cf, overflow);
-                self.write_flag(Flag::Of, overflow);
-                self.set_result_flags(w, lo);
-            }
-            Opcode::Div(w) => {
-                let divisor = self.read(&ops[0], w);
-                let lo = u128::from(self.read_reg(Gpr::Rax.view(w)));
-                let hi = u128::from(self.read_reg(Gpr::Rdx.view(w)));
-                let dividend = (hi << w.bits()) | lo;
-                if divisor == 0 {
-                    self.fault_sigfpe();
-                } else {
-                    let q = dividend / u128::from(divisor);
-                    let r = dividend % u128::from(divisor);
-                    if q > u128::from(w.mask()) {
-                        self.fault_sigfpe();
-                    } else {
-                        self.write_reg(Gpr::Rax.view(w), q as u64);
-                        self.write_reg(Gpr::Rdx.view(w), r as u64);
-                        self.set_flags_logic(w, q as u64);
-                    }
-                }
-            }
-            Opcode::Idiv(w) => {
-                let divisor = w.sign_extend(self.read(&ops[0], w)) as i64 as i128;
-                let lo = u128::from(self.read_reg(Gpr::Rax.view(w)));
-                let hi = u128::from(self.read_reg(Gpr::Rdx.view(w)));
-                let dividend_bits = (hi << w.bits()) | lo;
-                // Sign-extend the 2w-bit dividend.
-                let shift = 128 - 2 * w.bits();
-                let dividend = ((dividend_bits << shift) as i128) >> shift;
-                if divisor == 0 {
-                    self.fault_sigfpe();
-                } else {
-                    let q = dividend.wrapping_div(divisor);
-                    let r = dividend.wrapping_rem(divisor);
-                    let min = -(1i128 << (w.bits() - 1));
-                    let max = (1i128 << (w.bits() - 1)) - 1;
-                    if q < min || q > max {
-                        self.fault_sigfpe();
-                    } else {
-                        self.write_reg(Gpr::Rax.view(w), w.truncate(q as u64));
-                        self.write_reg(Gpr::Rdx.view(w), w.truncate(r as u64));
-                        self.set_flags_logic(w, w.truncate(q as u64));
-                    }
-                }
-            }
-            Opcode::Shift(op, w) => {
-                let count_mask = if w == Width::Q { 0x3f } else { 0x1f };
-                let count = (self.read(&ops[0], Width::B) & count_mask) as u32;
-                let a = self.read(&ops[1], w);
-                if count == 0 {
-                    // Shift by zero leaves the destination and flags alone,
-                    // but a 32-bit destination register is still renormalized.
-                    self.write(&ops[1], w, a);
-                    return;
-                }
-                let bits = w.bits();
-                let (r, cf) = match op {
-                    ShiftOp::Shl => {
-                        let r = if count >= bits {
-                            0
-                        } else {
-                            w.truncate(a << count)
-                        };
-                        let cf = if count <= bits {
-                            (a >> (bits - count)) & 1 == 1
-                        } else {
-                            false
-                        };
-                        (r, cf)
-                    }
-                    ShiftOp::Shr => {
-                        let r = if count >= bits { 0 } else { a >> count };
-                        let cf = if count <= bits {
-                            (a >> (count - 1)) & 1 == 1
-                        } else {
-                            false
-                        };
-                        (r, cf)
-                    }
-                    ShiftOp::Sar => {
-                        let sa = w.sign_extend(a) as i64;
-                        let shift = count.min(bits - 1);
-                        let r = w.truncate((sa >> shift) as u64);
-                        let cf = ((sa >> (count.min(bits) - 1).min(63)) & 1) == 1;
-                        (r, cf)
-                    }
-                    ShiftOp::Rol => {
-                        let c = count % bits;
-                        let r = if c == 0 {
-                            a
-                        } else {
-                            w.truncate((a << c) | (a >> (bits - c)))
-                        };
-                        (r, r & 1 == 1)
-                    }
-                    ShiftOp::Ror => {
-                        let c = count % bits;
-                        let r = if c == 0 {
-                            a
-                        } else {
-                            w.truncate((a >> c) | (a << (bits - c)))
-                        };
-                        (r, w.sign_bit(r))
-                    }
-                };
-                self.write_flag(Flag::Cf, cf);
-                match op {
-                    ShiftOp::Rol | ShiftOp::Ror => {
-                        // Rotates only touch CF and OF; model OF as the xor
-                        // of the two top bits of the result, deterministically.
-                        let of = w.sign_bit(r) ^ (((r >> (bits - 2)) & 1) == 1);
-                        self.write_flag(Flag::Of, of);
-                    }
-                    _ => {
-                        let of = w.sign_bit(r) ^ cf;
-                        self.write_flag(Flag::Of, of);
-                        self.set_result_flags(w, r);
-                    }
-                }
-                self.write(&ops[1], w, r);
-            }
-            Opcode::Bits(op, w) => match op {
-                BitOp::Popcnt => {
-                    let a = self.read(&ops[0], w);
-                    let r = u64::from(a.count_ones());
-                    self.write_flag(Flag::Cf, false);
-                    self.write_flag(Flag::Of, false);
-                    self.write_flag(Flag::Sf, false);
-                    self.write_flag(Flag::Pf, false);
-                    self.write_flag(Flag::Zf, a == 0);
-                    self.write(&ops[1], w, r);
-                }
-                BitOp::Bsf | BitOp::Bsr => {
-                    let a = self.read(&ops[0], w);
-                    if a == 0 {
-                        self.write_flag(Flag::Zf, true);
-                        // Destination is architecturally undefined; we model
-                        // it as unchanged (and renormalized for 32-bit).
-                        let old = self.read(&ops[1], w);
-                        self.write(&ops[1], w, old);
-                    } else {
-                        self.write_flag(Flag::Zf, false);
-                        let r = if op == BitOp::Bsf {
-                            u64::from(a.trailing_zeros())
-                        } else {
-                            u64::from(63 - a.leading_zeros())
-                        };
-                        self.write(&ops[1], w, r);
-                    }
-                }
-                BitOp::Bswap => {
-                    let a = self.read(&ops[0], w);
-                    let r = match w {
-                        Width::Q => a.swap_bytes(),
-                        Width::L => u64::from((a as u32).swap_bytes()),
-                        Width::W => u64::from((a as u16).swap_bytes()),
-                        Width::B => a,
-                    };
-                    self.write(&ops[0], w, r);
-                }
-            },
-            Opcode::Cqto => {
-                let rax = self.read_gpr64(Gpr::Rax);
-                let v = if rax >> 63 == 1 { u64::MAX } else { 0 };
-                self.set_gpr64(Gpr::Rdx, v);
-            }
-            Opcode::Cltq => {
-                let eax = self.read_reg(Gpr::Rax.view(Width::L));
-                self.set_gpr64(Gpr::Rax, Width::L.sign_extend(eax));
-            }
-            Opcode::Cltd => {
-                let eax = self.read_reg(Gpr::Rax.view(Width::L));
-                let v = if Width::L.sign_bit(eax) {
-                    0xffff_ffff
-                } else {
-                    0
-                };
-                self.write_reg(Gpr::Rdx.view(Width::L), v);
-            }
-            Opcode::MovdToXmm => {
-                let v = self.read(&ops[0], Width::L);
-                self.write128(&ops[1], [v, 0]);
-            }
-            Opcode::MovdFromXmm => {
-                let v = self.read128(&ops[0]);
-                self.write(&ops[1], Width::L, v[0] & 0xffff_ffff);
-            }
-            Opcode::MovqToXmm => {
-                let v = self.read(&ops[0], Width::Q);
-                self.write128(&ops[1], [v, 0]);
-            }
-            Opcode::MovqFromXmm => {
-                let v = self.read128(&ops[0]);
-                self.write(&ops[1], Width::Q, v[0]);
-            }
-            Opcode::Mov128(_) => {
-                let v = self.read128(&ops[0]);
-                self.write128(&ops[1], v);
-            }
-            Opcode::SseBin(op) => {
-                let src = self.read128(&ops[0]);
-                let dst = self.read128(&ops[1]);
-                self.write128(&ops[1], sse_bin(op, dst, src));
-            }
-            Opcode::SseShift(op) => {
-                let count = (ops[0].as_imm().unwrap_or(0) as u64) & 0xff;
-                let dst = self.read128(&ops[1]);
-                self.write128(&ops[1], sse_shift(op, dst, count));
-            }
-            Opcode::Pshufd => {
-                let imm = (ops[0].as_imm().unwrap_or(0) as u64) & 0xff;
-                let src = self.read128(&ops[1]);
-                let lanes = to_lanes32(src);
-                let pick = |sel: u64| lanes[(sel & 3) as usize];
-                let out = [pick(imm), pick(imm >> 2), pick(imm >> 4), pick(imm >> 6)];
-                self.write128(&ops[2], from_lanes32(out));
-            }
-            Opcode::Shufps => {
-                let imm = (ops[0].as_imm().unwrap_or(0) as u64) & 0xff;
-                let src = to_lanes32(self.read128(&ops[1]));
-                let dst = to_lanes32(self.read128(&ops[2]));
-                let out = [
-                    dst[(imm & 3) as usize],
-                    dst[((imm >> 2) & 3) as usize],
-                    src[((imm >> 4) & 3) as usize],
-                    src[((imm >> 6) & 3) as usize],
-                ];
-                self.write128(&ops[2], from_lanes32(out));
-            }
-            Opcode::Punpckldq => {
-                let src = to_lanes32(self.read128(&ops[0]));
-                let dst = to_lanes32(self.read128(&ops[1]));
-                self.write128(&ops[1], from_lanes32([dst[0], src[0], dst[1], src[1]]));
-            }
-            Opcode::Punpcklqdq => {
-                let src = self.read128(&ops[0]);
-                let dst = self.read128(&ops[1]);
-                self.write128(&ops[1], [dst[0], src[0]]);
-            }
+        execute(&mut Concrete(self), instr);
+    }
+}
+
+/// The concrete value domain of the shared semantics: values are `u64`s
+/// kept truncated to their width, bits are `bool`s. Memory accesses run
+/// in the sandbox, where an invalid access counts a `sigsegv` and reads
+/// zero or drops the store; a division that faults counts a `sigfpe` and
+/// leaves the state unchanged.
+struct Concrete<'a, C: ?Sized>(&'a mut C);
+
+/// The low `bits` bits. `mask` and `sext` are marked inline because every
+/// operation of the generic semantics calls them, possibly from another
+/// codegen unit; without it the interpreter measurably slows down.
+#[inline]
+fn mask(bits: u32) -> u64 {
+    u64::MAX >> (64 - bits)
+}
+
+/// Sign-extend the low `bits` bits of `v` to 64.
+#[inline]
+fn sext(bits: u32, v: u64) -> u64 {
+    let shift = 64 - bits;
+    (((v << shift) as i64) >> shift) as u64
+}
+
+impl<C: Cpu + ?Sized> Concrete<'_, C> {
+    fn sandboxed_load(&mut self, addr: u64, len: u64) -> u64 {
+        self.0.mem_load(addr, len).unwrap_or_else(|| {
+            self.0.fault_sigsegv();
+            0
+        })
+    }
+
+    fn sandboxed_store(&mut self, addr: u64, value: u64, len: u64) {
+        if !self.0.mem_store(addr, value, len) {
+            self.0.fault_sigsegv();
+        }
+    }
+}
+
+impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
+    type Bv = u64;
+    type Bit = bool;
+
+    fn read_reg(&mut self, r: Reg) -> u64 {
+        self.0.read_reg(r)
+    }
+    fn write_reg(&mut self, r: Reg, v: u64) {
+        self.0.write_reg(r, v);
+    }
+    fn read_gpr64(&mut self, g: Gpr) -> u64 {
+        self.0.read_gpr64(g)
+    }
+    fn set_gpr64(&mut self, g: Gpr, v: u64) {
+        self.0.set_gpr64(g, v);
+    }
+    fn read_xmm(&mut self, x: Xmm) -> XmmValue {
+        self.0.read_xmm(x)
+    }
+    fn write_xmm(&mut self, x: Xmm, v: XmmValue) {
+        self.0.write_xmm(x, v);
+    }
+    fn read_flag(&mut self, f: Flag) -> bool {
+        self.0.read_flag(f)
+    }
+    fn write_flag(&mut self, f: Flag, v: bool) {
+        self.0.write_flag(f, v);
+    }
+    fn write_flag_unless(&mut self, keep: bool, f: Flag, v: bool) {
+        if !keep {
+            self.0.write_flag(f, v);
+        }
+    }
+
+    fn load(&mut self, mem: &Mem, w: Width) -> u64 {
+        let addr = address(self, mem);
+        self.sandboxed_load(addr, w.bytes())
+    }
+    fn store(&mut self, mem: &Mem, w: Width, v: u64) {
+        let addr = address(self, mem);
+        self.sandboxed_store(addr, w.truncate(v), w.bytes());
+    }
+    fn load128(&mut self, mem: &Mem) -> XmmValue {
+        let addr = address(self, mem);
+        self.0.mem_load128(addr).unwrap_or_else(|| {
+            self.0.fault_sigsegv();
+            [0, 0]
+        })
+    }
+    fn store128(&mut self, mem: &Mem, v: XmmValue) {
+        let addr = address(self, mem);
+        if !self.0.mem_store128(addr, v) {
+            self.0.fault_sigsegv();
+        }
+    }
+    fn load_at(&mut self, addr: u64) -> u64 {
+        self.sandboxed_load(addr, 8)
+    }
+    fn store_at(&mut self, addr: u64, v: u64) {
+        self.sandboxed_store(addr, v, 8);
+    }
+
+    fn divide(
+        &mut self,
+        w: Width,
+        signed: bool,
+        hi: u64,
+        lo: u64,
+        divisor: u64,
+    ) -> Option<(u64, u64)> {
+        let bits = w.bits();
+        let dividend = (u128::from(hi) << bits) | u128::from(lo);
+        let result = if divisor == 0 {
+            None
+        } else if signed {
+            // Sign-extend the 2w-bit dividend and the divisor.
+            let shift = 128 - 2 * bits;
+            let dividend = ((dividend << shift) as i128) >> shift;
+            let divisor = i128::from(sext(bits, divisor) as i64);
+            let q = dividend.wrapping_div(divisor);
+            let fits = (-(1i128 << (bits - 1))..1i128 << (bits - 1)).contains(&q);
+            fits.then(|| {
+                let r = dividend.wrapping_rem(divisor);
+                (q as u64 & mask(bits), r as u64 & mask(bits))
+            })
+        } else {
+            let q = dividend / u128::from(divisor);
+            (q <= u128::from(mask(bits)))
+                .then(|| (q as u64, (dividend % u128::from(divisor)) as u64))
+        };
+        if result.is_none() {
+            self.0.fault_sigfpe();
+        }
+        result
+    }
+    fn mul64(&mut self, a: u64, b: u64, signed: bool) -> (u64, u64) {
+        let full = if signed {
+            (i128::from(a as i64) * i128::from(b as i64)) as u128
+        } else {
+            u128::from(a) * u128::from(b)
+        };
+        (full as u64, (full >> 64) as u64)
+    }
+    fn parity(&mut self, v: u64) -> bool {
+        (v as u8).count_ones().is_multiple_of(2)
+    }
+    fn popcnt(&mut self, _w: Width, a: u64) -> u64 {
+        u64::from(a.count_ones())
+    }
+    fn bit_scan(&mut self, _w: Width, reverse: bool, a: u64, old: u64) -> u64 {
+        match (a, reverse) {
+            (0, _) => old,
+            (_, false) => u64::from(a.trailing_zeros()),
+            (_, true) => u64::from(63 - a.leading_zeros()),
+        }
+    }
+    fn bswap(&mut self, w: Width, a: u64) -> u64 {
+        a.swap_bytes() >> (64 - w.bits())
+    }
+
+    fn constant(&mut self, bits: u32, v: u64) -> u64 {
+        v & mask(bits)
+    }
+    fn bit_constant(&mut self, b: bool) -> bool {
+        b
+    }
+    fn not(&mut self, bits: u32, a: u64) -> u64 {
+        !a & mask(bits)
+    }
+    fn and(&mut self, a: u64, b: u64) -> u64 {
+        a & b
+    }
+    fn or(&mut self, a: u64, b: u64) -> u64 {
+        a | b
+    }
+    fn xor(&mut self, a: u64, b: u64) -> u64 {
+        a ^ b
+    }
+    fn add(&mut self, bits: u32, a: u64, b: u64) -> u64 {
+        a.wrapping_add(b) & mask(bits)
+    }
+    fn sub(&mut self, bits: u32, a: u64, b: u64) -> u64 {
+        a.wrapping_sub(b) & mask(bits)
+    }
+    fn mul(&mut self, bits: u32, a: u64, b: u64) -> u64 {
+        a.wrapping_mul(b) & mask(bits)
+    }
+    fn shl(&mut self, bits: u32, a: u64, n: u64) -> u64 {
+        if n >= u64::from(bits) {
+            0
+        } else {
+            (a << n) & mask(bits)
+        }
+    }
+    fn lshr(&mut self, bits: u32, a: u64, n: u64) -> u64 {
+        if n >= u64::from(bits) {
+            0
+        } else {
+            a >> n
+        }
+    }
+    fn ashr(&mut self, bits: u32, a: u64, n: u64) -> u64 {
+        ((sext(bits, a) as i64) >> n.min(u64::from(bits - 1))) as u64 & mask(bits)
+    }
+    fn eq(&mut self, a: u64, b: u64) -> bool {
+        a == b
+    }
+    fn ult(&mut self, a: u64, b: u64) -> bool {
+        a < b
+    }
+    fn ite(&mut self, c: bool, a: u64, b: u64) -> u64 {
+        if c {
+            a
+        } else {
+            b
+        }
+    }
+    fn extract(&mut self, hi: u32, lo: u32, a: u64) -> u64 {
+        (a >> lo) & mask(hi - lo + 1)
+    }
+    fn bit(&mut self, i: u32, a: u64) -> bool {
+        (a >> i) & 1 == 1
+    }
+    fn concat(&mut self, lo_bits: u32, hi: u64, lo: u64) -> u64 {
+        (hi << lo_bits) | lo
+    }
+    fn zero_ext(&mut self, _bits: u32, a: u64) -> u64 {
+        a
+    }
+    fn sign_ext(&mut self, from: u32, to: u32, a: u64) -> u64 {
+        sext(from, a) & mask(to)
+    }
+    fn extend_bit(&mut self, _bits: u32, b: bool) -> u64 {
+        u64::from(b)
+    }
+    fn not1(&mut self, a: bool) -> bool {
+        !a
+    }
+    fn and1(&mut self, a: bool, b: bool) -> bool {
+        a && b
+    }
+    fn or1(&mut self, a: bool, b: bool) -> bool {
+        a || b
+    }
+    fn xor1(&mut self, a: bool, b: bool) -> bool {
+        a ^ b
+    }
+    fn eq1(&mut self, a: bool, b: bool) -> bool {
+        a == b
+    }
+    fn ite1(&mut self, c: bool, a: bool, b: bool) -> bool {
+        if c {
+            a
+        } else {
+            b
         }
     }
 }
@@ -781,92 +507,6 @@ impl Cpu for Emulator {
 
     fn fault_sigfpe(&mut self) {
         self.faults.sigfpe += 1;
-    }
-}
-
-fn to_lanes32(v: XmmValue) -> [u32; 4] {
-    [
-        v[0] as u32,
-        (v[0] >> 32) as u32,
-        v[1] as u32,
-        (v[1] >> 32) as u32,
-    ]
-}
-
-fn from_lanes32(l: [u32; 4]) -> XmmValue {
-    [
-        u64::from(l[0]) | (u64::from(l[1]) << 32),
-        u64::from(l[2]) | (u64::from(l[3]) << 32),
-    ]
-}
-
-fn map_lanes(a: XmmValue, b: XmmValue, lane_bits: u32, f: impl Fn(u64, u64) -> u64) -> XmmValue {
-    let mut out = [0u64; 2];
-    let lanes_per_word = 64 / lane_bits;
-    let mask = if lane_bits == 64 {
-        u64::MAX
-    } else {
-        (1u64 << lane_bits) - 1
-    };
-    for word in 0..2 {
-        let mut acc = 0u64;
-        for lane in 0..lanes_per_word {
-            let shift = lane * lane_bits;
-            let x = (a[word] >> shift) & mask;
-            let y = (b[word] >> shift) & mask;
-            acc |= (f(x, y) & mask) << shift;
-        }
-        out[word] = acc;
-    }
-    out
-}
-
-/// Packed integer binary operation semantics (`dst = op(dst, src)`).
-pub fn sse_bin(op: SseBinOp, dst: XmmValue, src: XmmValue) -> XmmValue {
-    match op {
-        SseBinOp::Paddb => map_lanes(dst, src, 8, |a, b| a.wrapping_add(b)),
-        SseBinOp::Paddw => map_lanes(dst, src, 16, |a, b| a.wrapping_add(b)),
-        SseBinOp::Paddd => map_lanes(dst, src, 32, |a, b| a.wrapping_add(b)),
-        SseBinOp::Paddq => map_lanes(dst, src, 64, |a, b| a.wrapping_add(b)),
-        SseBinOp::Psubb => map_lanes(dst, src, 8, |a, b| a.wrapping_sub(b)),
-        SseBinOp::Psubw => map_lanes(dst, src, 16, |a, b| a.wrapping_sub(b)),
-        SseBinOp::Psubd => map_lanes(dst, src, 32, |a, b| a.wrapping_sub(b)),
-        SseBinOp::Psubq => map_lanes(dst, src, 64, |a, b| a.wrapping_sub(b)),
-        SseBinOp::Pmullw => map_lanes(dst, src, 16, |a, b| a.wrapping_mul(b)),
-        SseBinOp::Pmulld => map_lanes(dst, src, 32, |a, b| a.wrapping_mul(b)),
-        SseBinOp::Pmuludq => {
-            let lo = (dst[0] & 0xffff_ffff).wrapping_mul(src[0] & 0xffff_ffff);
-            let hi = (dst[1] & 0xffff_ffff).wrapping_mul(src[1] & 0xffff_ffff);
-            [lo, hi]
-        }
-        SseBinOp::Pand => [dst[0] & src[0], dst[1] & src[1]],
-        SseBinOp::Por => [dst[0] | src[0], dst[1] | src[1]],
-        SseBinOp::Pxor => [dst[0] ^ src[0], dst[1] ^ src[1]],
-        SseBinOp::Pandn => [!dst[0] & src[0], !dst[1] & src[1]],
-    }
-}
-
-/// Packed shift-by-immediate semantics (`dst = op(dst, count)`).
-pub fn sse_shift(op: SseShiftOp, dst: XmmValue, count: u64) -> XmmValue {
-    let shift = |lane_bits: u32, left: bool| -> XmmValue {
-        if count >= u64::from(lane_bits) {
-            return [0, 0];
-        }
-        map_lanes(dst, dst, lane_bits, |a, _| {
-            if left {
-                a << count
-            } else {
-                a >> count
-            }
-        })
-    };
-    match op {
-        SseShiftOp::Psllw => shift(16, true),
-        SseShiftOp::Pslld => shift(32, true),
-        SseShiftOp::Psllq => shift(64, true),
-        SseShiftOp::Psrlw => shift(16, false),
-        SseShiftOp::Psrld => shift(32, false),
-        SseShiftOp::Psrlq => shift(64, false),
     }
 }
 

@@ -38,41 +38,23 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineFingerprint(u64);
 
+/// The revision of the instruction semantics and validator behind a
+/// correctness claim, hashed into every [`PipelineFingerprint`]. Bumped
+/// whenever a change to `stoke_x86::semantics` or the validator changes
+/// what a proof means, so the cache stops serving rewrites proven under
+/// the old meaning. Revision 2: narrow rotates turn by the count modulo
+/// their width, and overlapping or 128-bit stack accesses no longer use
+/// named stack slots.
+pub const SEMANTICS_REVISION: u32 = 2;
+
 impl PipelineFingerprint {
     /// Fingerprint a configuration plus the name of the verifier in use
     /// (`"cascade"` for the session default).
     pub fn new(config: &Config, verifier_name: &str) -> PipelineFingerprint {
-        let mut text = String::new();
-        text.push_str("cost=");
-        text.push_str(config.cost_model.synthesis_model().name());
-        text.push('/');
-        text.push_str(config.cost_model.optimization_model().name());
-        text.push_str(";verifier=");
-        text.push_str(verifier_name);
-        // The spec Debug forms carry the parameters the names elide: the
-        // constant-time penalty weight, the leakage check, custom stages.
-        text.push_str(&format!(
-            ";costspec={:?};verifierspec={:?};strip={}",
-            config.cost_model, config.verifier, config.strip_dead_code
-        ));
-        text.push_str(&format!(
-            ";eq={:?};w={},{},{},{};tests={}",
-            config.eq_metric, config.wsf, config.wfp, config.wur, config.wm, config.num_testcases
-        ));
-        text.push_str(";ops=");
-        for op in &config.opcode_pool {
-            text.push_str(&op.name());
-            text.push(',');
-        }
-        text.push_str(";imms=");
-        for imm in &config.immediate_pool {
-            text.push_str(&format!("{imm},"));
-        }
-        text.push_str(";regs=");
-        for reg in &config.register_pool {
-            text.push_str(reg.name64());
-            text.push(',');
-        }
+        let text = format!(
+            "semantics={SEMANTICS_REVISION};{}",
+            pipeline_text(config, verifier_name)
+        );
         PipelineFingerprint(fnv1a64(text.as_bytes()))
     }
 
@@ -80,6 +62,43 @@ impl PipelineFingerprint {
     pub fn value(&self) -> u64 {
         self.0
     }
+}
+
+/// The configuration text a fingerprint hashes, before the semantics
+/// revision.
+fn pipeline_text(config: &Config, verifier_name: &str) -> String {
+    let mut text = String::new();
+    text.push_str("cost=");
+    text.push_str(config.cost_model.synthesis_model().name());
+    text.push('/');
+    text.push_str(config.cost_model.optimization_model().name());
+    text.push_str(";verifier=");
+    text.push_str(verifier_name);
+    // The spec Debug forms carry the parameters the names elide: the
+    // constant-time penalty weight, the leakage check, custom stages.
+    text.push_str(&format!(
+        ";costspec={:?};verifierspec={:?};strip={}",
+        config.cost_model, config.verifier, config.strip_dead_code
+    ));
+    text.push_str(&format!(
+        ";eq={:?};w={},{},{},{};tests={}",
+        config.eq_metric, config.wsf, config.wfp, config.wur, config.wm, config.num_testcases
+    ));
+    text.push_str(";ops=");
+    for op in &config.opcode_pool {
+        text.push_str(&op.name());
+        text.push(',');
+    }
+    text.push_str(";imms=");
+    for imm in &config.immediate_pool {
+        text.push_str(&format!("{imm},"));
+    }
+    text.push_str(";regs=");
+    for reg in &config.register_pool {
+        text.push_str(reg.name64());
+        text.push(',');
+    }
+    text
 }
 
 /// The canonical cache key of one submission. See the module docs.
@@ -338,6 +357,29 @@ mod tests {
             CacheKey::for_spec(&public, fp).text(),
             CacheKey::for_spec(&secret, fp).text(),
             "secret annotation must change the cache key"
+        );
+    }
+
+    #[test]
+    fn entries_proven_under_the_previous_semantics_are_not_served() {
+        use crate::{CacheConfig, RewriteCache};
+        use stoke::Verification;
+        let config = Config::default();
+        // Before the revision was hashed, the fingerprint was the pipeline
+        // text alone; under it, `rolb 9, al` was proven equal to zeroing al.
+        let previous = PipelineFingerprint(fnv1a64(pipeline_text(&config, "cascade").as_bytes()));
+        let current = PipelineFingerprint::new(&config, "cascade");
+        let spec = TargetSpec::with_gprs("rolb 9, al".parse().unwrap(), &[Gpr::Rax], &[Gpr::Rax]);
+        let rewrite: Program = "movb 0, al".parse().unwrap();
+        let mut cache = RewriteCache::new(CacheConfig::default());
+        let stale = CacheKey::for_spec(&spec, previous);
+        assert!(cache.insert(&stale, &rewrite, Verification::Proven));
+        assert!(cache.lookup(&stale).is_some());
+        let key = CacheKey::for_spec(&spec, current);
+        assert!(cache.lookup(&key).is_none(), "stale proof served as a hit");
+        assert!(
+            cache.nearest(&key, 4).is_none(),
+            "stale proof served as a warm start"
         );
     }
 

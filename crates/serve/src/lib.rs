@@ -65,7 +65,7 @@ pub mod key;
 pub mod service;
 
 pub use cache::{CacheConfig, CacheStats, CachedRewrite, PersistError, RewriteCache};
-pub use key::{edit_distance_within, fnv1a64, CacheKey, PipelineFingerprint};
+pub use key::{edit_distance_within, fnv1a64, CacheKey, PipelineFingerprint, SEMANTICS_REVISION};
 pub use service::{
     Disposition, JobId, JobOutcome, JobStatus, Priority, ServeConfig, ServeError, Service,
     ServiceStats, SubmitOptions,

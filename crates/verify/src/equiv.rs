@@ -12,7 +12,7 @@ use crate::semantics::SymExecutor;
 use crate::symstate::SymState;
 use stoke_solver::{CheckResult, Checker, TermId, TermPool};
 use stoke_x86::flow::LocSet;
-use stoke_x86::{Flag, Gpr, Opcode, Program, Xmm};
+use stoke_x86::{Flag, Gpr, Opcode, Operand, Program, Xmm};
 
 /// A counterexample input produced by a failed equivalence proof.
 ///
@@ -93,16 +93,7 @@ impl Validator {
     pub fn prove(&self, target: &Program, rewrite: &Program) -> (EquivResult, ValidationStats) {
         let mut pool = TermPool::new();
 
-        // The named-stack-slot simplification is only sound when neither
-        // program redefines rsp (see §5.2's first simplifying assumption).
-        let writes_rsp = |p: &Program| {
-            p.iter().any(|i| {
-                i.gpr_defs().iter().any(|r| r.parent() == Gpr::Rsp)
-                    || matches!(i.opcode(), Opcode::Push | Opcode::Pop)
-            })
-        };
-        let stack_slots = !writes_rsp(target) && !writes_rsp(rewrite);
-
+        let stack_slots = stack_slots_sound([target, rewrite]);
         let mut target_state = SymState::initial(&mut pool, "t");
         let mut rewrite_state = SymState::initial(&mut pool, "r");
         {
@@ -179,6 +170,44 @@ impl Validator {
             }
         }
     }
+}
+
+/// Whether the named-stack-slot model (§5.2's first simplifying
+/// assumption) is sound for a pair of programs. Slots are 8-byte
+/// locations keyed by their displacement from rsp, so the model holds
+/// only when neither program redefines rsp, every rsp-based access is a
+/// scalar `disp(rsp)` access, and no two of those accesses at different
+/// displacements overlap. Otherwise the stack goes through flat memory.
+fn stack_slots_sound(programs: [&Program; 2]) -> bool {
+    // (displacement, bytes) of every rsp-based access.
+    let mut accesses: Vec<(i64, i64)> = Vec::new();
+    for instr in programs.into_iter().flatten() {
+        if matches!(instr.opcode(), Opcode::Push | Opcode::Pop)
+            || instr.gpr_defs().iter().any(|r| r.parent() == Gpr::Rsp)
+        {
+            return false;
+        }
+        for (slot, op) in instr.opcode().signature().iter().zip(instr.operands()) {
+            let Operand::Mem(m) = op else { continue };
+            if m.base != Some(Gpr::Rsp) && m.index != Some(Gpr::Rsp) {
+                continue;
+            }
+            match (slot.reg, slot.xmm) {
+                // `lea`'s address slot: nothing is accessed.
+                (None, false) => {}
+                (Some(w), false) if m.base == Some(Gpr::Rsp) && m.index.is_none() => {
+                    accesses.push((i64::from(m.disp), w.bytes() as i64));
+                }
+                _ => return false,
+            }
+        }
+    }
+    // Sorted, the widest access at each displacement comes last, so any
+    // overlap shows between neighbours.
+    accesses.sort_unstable();
+    accesses
+        .windows(2)
+        .all(|p| p[0].0 == p[1].0 || p[0].0 + p[0].1 <= p[1].0)
 }
 
 #[cfg(test)]
@@ -378,6 +407,39 @@ mod tests {
         // than observable outputs, so eliminating the dead spill verifies.
         let res = prove(target, rewrite, &[Gpr::Rax]);
         assert!(res.is_equivalent());
+    }
+
+    #[test]
+    fn overlapping_stack_accesses_use_flat_memory() {
+        // Slots are keyed by displacement, so a slot model would give the
+        // 4-byte read at -4 a fresh slot instead of the high half of the
+        // 8-byte store at -8.
+        let res = prove(
+            "movq rax, -8(rsp)\nmovl -4(rsp), ebx",
+            "movl -4(rsp), ebx",
+            &[Gpr::Rbx],
+        );
+        assert!(!res.is_equivalent());
+    }
+
+    #[test]
+    fn wide_stack_accesses_use_flat_memory() {
+        // A 128-bit access never goes through the slots, so it must not
+        // see a stack that does.
+        let t: Program = "movq rax, -16(rsp)\nmovups -16(rsp), xmm1".parse().unwrap();
+        let r: Program = "movups -16(rsp), xmm1".parse().unwrap();
+        let mut live_out = LocSet::new();
+        live_out.xmms.insert(Xmm(1));
+        assert!(!Validator::new(live_out).prove(&t, &r).0.is_equivalent());
+    }
+
+    #[test]
+    fn narrow_rotates_turn_by_the_count_modulo_the_width() {
+        // rolb 9 turns al by 1, so it is not the zero a bare shift-and-or
+        // reading of the count would give.
+        for rotate in ["rolb 9, al", "rorb 9, al"] {
+            assert!(!prove(rotate, "movb 0, al", &[Gpr::Rax]).is_equivalent());
+        }
     }
 
     #[test]

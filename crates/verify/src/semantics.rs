@@ -1,20 +1,24 @@
-//! Symbolic transformers for the modelled x86-64 subset.
+//! Symbolic execution of the modelled x86-64 subset.
 //!
-//! [`SymExecutor::step`] mirrors, term-for-term, the concrete semantics in
-//! `stoke_emu::exec`; the two are kept in agreement by the randomized
-//! differential tests in the workspace-level `tests/` directory. Widening
-//! 64-bit multiplication and all division is modelled with uninterpreted
-//! functions, exactly as the paper's validator does with STP (§5.2).
+//! The instructions' meaning is not written here: [`SymExecutor::step`]
+//! runs the one shared definition, [`stoke_x86::execute`], over
+//! bit-vector terms built in a [`TermPool`] — the same code the emulator
+//! runs over `u64` values, so the validator proves properties of exactly
+//! the semantics the cost function measured. This module supplies the
+//! symbolic side of its modelling hooks: memory is the byte-granular
+//! write history of [`SymMemory`](crate::symstate::SymMemory) with named
+//! stack slots, 64-bit widening multiplication (unless an operand is a
+//! constant) and all division are uninterpreted functions, exactly as the
+//! paper's validator does with STP (§5.2), and the bit operations are
+//! blasted into terms.
 
 use crate::symstate::{
-    SymState, SymXmm, UF_DIV_QUOT, UF_DIV_REM, UF_IDIV_QUOT, UF_IDIV_REM, UF_MULHI_S64,
-    UF_MULHI_U64, UF_MULLO64,
+    SymState, UF_DIV_QUOT, UF_DIV_REM, UF_IDIV_QUOT, UF_IDIV_REM, UF_MULHI_S64, UF_MULHI_U64,
+    UF_MULLO64,
 };
-use stoke_solver::{TermId, TermPool};
-use stoke_x86::{
-    AluOp, BitOp, Cond, Flag, Gpr, Instruction, Mem, Opcode, Operand, Reg, ShiftOp, SseBinOp,
-    SseShiftOp, UnOp, Width,
-};
+use stoke_solver::{TermData, TermId, TermPool};
+use stoke_x86::semantics::address;
+use stoke_x86::{execute, Flag, Gpr, Instruction, Machine, Mem, Reg, Width, Xmm};
 
 /// Symbolic executor for straight-line code.
 pub struct SymExecutor<'a> {
@@ -34,918 +38,312 @@ impl<'a> SymExecutor<'a> {
         self.pool
     }
 
-    fn c(&mut self, width: u32, v: u64) -> TermId {
-        self.pool.constant(width, v)
-    }
-
-    fn addr(&mut self, st: &SymState, m: &Mem) -> TermId {
-        let mut acc = self.c(64, m.disp as i64 as u64);
-        if let Some(b) = m.base {
-            let base = st.read_gpr64(b);
-            acc = self.pool.add(acc, base);
-        }
-        if let Some(i) = m.index {
-            let idx = st.read_gpr64(i);
-            let scale = self.c(64, m.scale.factor());
-            let scaled = self.pool.mul(idx, scale);
-            acc = self.pool.add(acc, scaled);
-        }
-        acc
-    }
-
-    /// Whether a memory operand is a named stack slot under the current
-    /// configuration.
-    fn stack_disp(&self, m: &Mem) -> Option<i64> {
-        if self.stack_slots && m.base == Some(Gpr::Rsp) && m.index.is_none() {
-            Some(i64::from(m.disp))
-        } else {
-            None
-        }
-    }
-
-    fn read(&mut self, st: &mut SymState, op: &Operand, w: Width) -> TermId {
-        match op {
-            Operand::Reg(r) => st.read_reg(self.pool, Reg::new(r.parent(), w)),
-            Operand::Imm(i) => self.c(w.bits(), *i as u64),
-            Operand::Mem(m) => {
-                if let Some(disp) = self.stack_disp(m) {
-                    let slot = st.memory.load_stack(self.pool, disp);
-                    if w == Width::Q {
-                        slot
-                    } else {
-                        self.pool.extract(w.bits() - 1, 0, slot)
-                    }
-                } else {
-                    let a = self.addr(st, m);
-                    st.memory.load(self.pool, a, w.bytes())
-                }
-            }
-            Operand::Xmm(x) => st.read_xmm(*x).0,
-        }
-    }
-
-    fn write(&mut self, st: &mut SymState, op: &Operand, w: Width, value: TermId) {
-        match op {
-            Operand::Reg(r) => st.write_reg(self.pool, Reg::new(r.parent(), w), value),
-            Operand::Mem(m) => {
-                if let Some(disp) = self.stack_disp(m) {
-                    let new = if w == Width::Q {
-                        value
-                    } else {
-                        // Merge into the low bits of the 8-byte slot.
-                        let old = st.memory.load_stack(self.pool, disp);
-                        let hi = self.pool.extract(63, w.bits(), old);
-                        self.pool.concat(hi, value)
-                    };
-                    st.memory.store_stack(disp, new);
-                } else {
-                    let a = self.addr(st, m);
-                    st.memory.store(self.pool, a, value, w.bytes());
-                }
-            }
-            Operand::Imm(_) | Operand::Xmm(_) => {
-                unreachable!("scalar destination cannot be an immediate or xmm")
-            }
-        }
-    }
-
-    fn read128(&mut self, st: &mut SymState, op: &Operand) -> SymXmm {
-        match op {
-            Operand::Xmm(x) => st.read_xmm(*x),
-            Operand::Mem(m) => {
-                let a = self.addr(st, m);
-                let lo = st.memory.load(self.pool, a, 8);
-                let eight = self.c(64, 8);
-                let ahigh = self.pool.add(a, eight);
-                let hi = st.memory.load(self.pool, ahigh, 8);
-                (lo, hi)
-            }
-            _ => unreachable!("128-bit operand must be xmm or memory"),
-        }
-    }
-
-    fn write128(&mut self, st: &mut SymState, op: &Operand, value: SymXmm) {
-        match op {
-            Operand::Xmm(x) => st.write_xmm(*x, value),
-            Operand::Mem(m) => {
-                let a = self.addr(st, m);
-                st.memory.store(self.pool, a, value.0, 8);
-                let eight = self.c(64, 8);
-                let ahigh = self.pool.add(a, eight);
-                st.memory.store(self.pool, ahigh, value.1, 8);
-            }
-            _ => unreachable!("128-bit destination must be xmm or memory"),
-        }
-    }
-
-    fn sign_bit(&mut self, w: Width, t: TermId) -> TermId {
-        self.pool.extract(w.bits() - 1, w.bits() - 1, t)
-    }
-
-    fn cond(&mut self, st: &SymState, c: Cond) -> TermId {
-        let cf = st.read_flag(Flag::Cf);
-        let zf = st.read_flag(Flag::Zf);
-        let sf = st.read_flag(Flag::Sf);
-        let of = st.read_flag(Flag::Of);
-        let p = &mut *self.pool;
-        match c {
-            Cond::E => zf,
-            Cond::Ne => p.not(zf),
-            Cond::A => {
-                let ncf = p.not(cf);
-                let nzf = p.not(zf);
-                p.and(ncf, nzf)
-            }
-            Cond::Ae => p.not(cf),
-            Cond::B => cf,
-            Cond::Be => p.or(cf, zf),
-            Cond::G => {
-                let same = p.eq(sf, of);
-                let nzf = p.not(zf);
-                p.and(same, nzf)
-            }
-            Cond::Ge => p.eq(sf, of),
-            Cond::L => p.ne(sf, of),
-            Cond::Le => {
-                let diff = p.ne(sf, of);
-                p.or(diff, zf)
-            }
-            Cond::S => sf,
-            Cond::Ns => p.not(sf),
-        }
-    }
-
-    fn set_result_flags(&mut self, st: &mut SymState, w: Width, r: TermId) {
-        let zero = self.c(w.bits(), 0);
-        let zf = self.pool.eq(r, zero);
-        st.write_flag(Flag::Zf, zf);
-        let sf = self.sign_bit(w, r);
-        st.write_flag(Flag::Sf, sf);
-        // PF: even parity of the low byte.
-        let mut parity = self.pool.extract(0, 0, r);
-        for i in 1..8 {
-            let bit = self.pool.extract(i, i, r);
-            parity = self.pool.xor(parity, bit);
-        }
-        let pf = self.pool.not(parity);
-        st.write_flag(Flag::Pf, pf);
-    }
-
-    /// Carry-out of `a + b + cin` at width `w`, where `r` is the truncated
-    /// result (matches the concrete emulator's u128 computation).
-    fn carry_out(&mut self, a: TermId, cin: TermId, r: TermId) -> TermId {
-        let lt = self.pool.ult(r, a);
-        let eq = self.pool.eq(r, a);
-        let eq_and_cin = self.pool.and(eq, cin);
-        self.pool.or(lt, eq_and_cin)
-    }
-
-    /// Borrow-out of `a - b - bin` at width `w`.
-    fn borrow_out(&mut self, a: TermId, b: TermId, bin: TermId) -> TermId {
-        let lt = self.pool.ult(a, b);
-        let eq = self.pool.eq(a, b);
-        let eq_and_bin = self.pool.and(eq, bin);
-        self.pool.or(lt, eq_and_bin)
-    }
-
-    fn set_flags_add(
-        &mut self,
-        st: &mut SymState,
-        w: Width,
-        a: TermId,
-        b: TermId,
-        cin: TermId,
-        r: TermId,
-    ) {
-        let cf = self.carry_out(a, cin, r);
-        st.write_flag(Flag::Cf, cf);
-        let sa = self.sign_bit(w, a);
-        let sb = self.sign_bit(w, b);
-        let sr = self.sign_bit(w, r);
-        let same_in = self.pool.eq(sa, sb);
-        let flipped = self.pool.ne(sr, sa);
-        let of = self.pool.and(same_in, flipped);
-        st.write_flag(Flag::Of, of);
-        self.set_result_flags(st, w, r);
-    }
-
-    fn set_flags_sub(
-        &mut self,
-        st: &mut SymState,
-        w: Width,
-        a: TermId,
-        b: TermId,
-        bin: TermId,
-        r: TermId,
-    ) {
-        let cf = self.borrow_out(a, b, bin);
-        st.write_flag(Flag::Cf, cf);
-        let sa = self.sign_bit(w, a);
-        let sb = self.sign_bit(w, b);
-        let sr = self.sign_bit(w, r);
-        let diff_in = self.pool.ne(sa, sb);
-        let flipped = self.pool.ne(sr, sa);
-        let of = self.pool.and(diff_in, flipped);
-        st.write_flag(Flag::Of, of);
-        self.set_result_flags(st, w, r);
-    }
-
-    fn set_flags_logic(&mut self, st: &mut SymState, w: Width, r: TermId) {
-        let f = self.pool.fals();
-        st.write_flag(Flag::Cf, f);
-        st.write_flag(Flag::Of, f);
-        self.set_result_flags(st, w, r);
-    }
-
     /// Execute one instruction symbolically, updating `st` in place.
     pub fn step(&mut self, st: &mut SymState, instr: &Instruction) {
-        let ops = instr.operands().to_vec();
-        match instr.opcode() {
-            Opcode::Nop => {}
-            Opcode::Mov(w) => {
-                let v = self.read(st, &ops[0], w);
-                self.write(st, &ops[1], w, v);
-            }
-            Opcode::Movabs => {
-                let v = self.c(64, ops[0].as_imm().unwrap_or(0) as u64);
-                self.write(st, &ops[1], Width::Q, v);
-            }
-            Opcode::Movslq => {
-                let v = self.read(st, &ops[0], Width::L);
-                let e = self.pool.sign_ext(64, v);
-                self.write(st, &ops[1], Width::Q, e);
-            }
-            Opcode::Movsbq => {
-                let v = self.read(st, &ops[0], Width::B);
-                let e = self.pool.sign_ext(64, v);
-                self.write(st, &ops[1], Width::Q, e);
-            }
-            Opcode::Movsbl => {
-                let v = self.read(st, &ops[0], Width::B);
-                let e = self.pool.sign_ext(32, v);
-                self.write(st, &ops[1], Width::L, e);
-            }
-            Opcode::Movzbq => {
-                let v = self.read(st, &ops[0], Width::B);
-                let e = self.pool.zero_ext(64, v);
-                self.write(st, &ops[1], Width::Q, e);
-            }
-            Opcode::Movzbl => {
-                let v = self.read(st, &ops[0], Width::B);
-                let e = self.pool.zero_ext(32, v);
-                self.write(st, &ops[1], Width::L, e);
-            }
-            Opcode::Lea(w) => {
-                let m = ops[0].as_mem().expect("lea source is memory");
-                let a = self.addr(st, &m);
-                let a = if w == Width::Q {
-                    a
-                } else {
-                    self.pool.extract(w.bits() - 1, 0, a)
-                };
-                self.write(st, &ops[1], w, a);
-            }
-            Opcode::Xchg(w) => {
-                let a = self.read(st, &ops[0], w);
-                let b = self.read(st, &ops[1], w);
-                self.write(st, &ops[0], w, b);
-                self.write(st, &ops[1], w, a);
-            }
-            Opcode::Push => {
-                let v = self.read(st, &ops[0], Width::Q);
-                let rsp = st.read_gpr64(Gpr::Rsp);
-                let eight = self.c(64, 8);
-                let new_rsp = self.pool.sub(rsp, eight);
-                st.set_gpr64(Gpr::Rsp, new_rsp);
-                st.memory.store(self.pool, new_rsp, v, 8);
-            }
-            Opcode::Pop => {
-                let rsp = st.read_gpr64(Gpr::Rsp);
-                let v = st.memory.load(self.pool, rsp, 8);
-                let eight = self.c(64, 8);
-                let new_rsp = self.pool.add(rsp, eight);
-                st.set_gpr64(Gpr::Rsp, new_rsp);
-                self.write(st, &ops[0], Width::Q, v);
-            }
-            Opcode::Cmov(c, w) => {
-                let take = self.cond(st, c);
-                let v = self.read(st, &ops[0], w);
-                let old = self.read(st, &ops[1], w);
-                let r = self.pool.ite(take, v, old);
-                self.write(st, &ops[1], w, r);
-            }
-            Opcode::Set(c) => {
-                let take = self.cond(st, c);
-                let r = self.pool.zero_ext(8, take);
-                self.write(st, &ops[0], Width::B, r);
-            }
-            Opcode::Alu(op, w) => {
-                let src = self.read(st, &ops[0], w);
-                let dst = self.read(st, &ops[1], w);
-                let carry1 = st.read_flag(Flag::Cf);
-                let carry_w = self.pool.zero_ext(w.bits(), carry1);
-                let result = match op {
-                    AluOp::Add => self.pool.add(dst, src),
-                    AluOp::Adc => {
-                        let s = self.pool.add(dst, src);
-                        self.pool.add(s, carry_w)
-                    }
-                    AluOp::Sub => self.pool.sub(dst, src),
-                    AluOp::Sbb => {
-                        let s = self.pool.sub(dst, src);
-                        self.pool.sub(s, carry_w)
-                    }
-                    AluOp::And => self.pool.and(dst, src),
-                    AluOp::Or => self.pool.or(dst, src),
-                    AluOp::Xor => self.pool.xor(dst, src),
-                };
-                match op {
-                    AluOp::Add => {
-                        let f = self.pool.fals();
-                        self.set_flags_add(st, w, dst, src, f, result);
-                    }
-                    AluOp::Adc => self.set_flags_add(st, w, dst, src, carry1, result),
-                    AluOp::Sub => {
-                        let f = self.pool.fals();
-                        self.set_flags_sub(st, w, dst, src, f, result);
-                    }
-                    AluOp::Sbb => self.set_flags_sub(st, w, dst, src, carry1, result),
-                    AluOp::And | AluOp::Or | AluOp::Xor => self.set_flags_logic(st, w, result),
-                }
-                self.write(st, &ops[1], w, result);
-            }
-            Opcode::Cmp(w) => {
-                let src = self.read(st, &ops[0], w);
-                let dst = self.read(st, &ops[1], w);
-                let r = self.pool.sub(dst, src);
-                let f = self.pool.fals();
-                self.set_flags_sub(st, w, dst, src, f, r);
-            }
-            Opcode::Test(w) => {
-                let src = self.read(st, &ops[0], w);
-                let dst = self.read(st, &ops[1], w);
-                let r = self.pool.and(dst, src);
-                self.set_flags_logic(st, w, r);
-            }
-            Opcode::Un(op, w) => {
-                let a = self.read(st, &ops[0], w);
-                match op {
-                    UnOp::Neg => {
-                        let zero = self.c(w.bits(), 0);
-                        let r = self.pool.sub(zero, a);
-                        let f = self.pool.fals();
-                        self.set_flags_sub(st, w, zero, a, f, r);
-                        self.write(st, &ops[0], w, r);
-                    }
-                    UnOp::Not => {
-                        let r = self.pool.not(a);
-                        self.write(st, &ops[0], w, r);
-                    }
-                    UnOp::Inc | UnOp::Dec => {
-                        let one = self.c(w.bits(), 1);
-                        let r = if op == UnOp::Inc {
-                            self.pool.add(a, one)
-                        } else {
-                            self.pool.sub(a, one)
-                        };
-                        let sa = self.sign_bit(w, a);
-                        let sb = self.sign_bit(w, one);
-                        let sr = self.sign_bit(w, r);
-                        let of = if op == UnOp::Inc {
-                            let same = self.pool.eq(sa, sb);
-                            let flip = self.pool.ne(sr, sa);
-                            self.pool.and(same, flip)
-                        } else {
-                            let diff = self.pool.ne(sa, sb);
-                            let flip = self.pool.ne(sr, sa);
-                            self.pool.and(diff, flip)
-                        };
-                        st.write_flag(Flag::Of, of);
-                        self.set_result_flags(st, w, r);
-                        self.write(st, &ops[0], w, r);
-                    }
-                }
-            }
-            Opcode::Imul2(w) => {
-                let src = self.read(st, &ops[0], w);
-                let dst = self.read(st, &ops[1], w);
-                let (lo, overflow) = self.signed_mul_low_overflow(w, src, dst);
-                st.write_flag(Flag::Cf, overflow);
-                st.write_flag(Flag::Of, overflow);
-                self.set_result_flags(st, w, lo);
-                self.write(st, &ops[1], w, lo);
-            }
-            Opcode::Imul1(w) => {
-                let src = self.read(st, &ops[0], w);
-                let acc = st.read_reg(self.pool, Gpr::Rax.view(w));
-                let (lo, hi) = self.widening_mul(w, acc, src, true);
-                st.write_reg(self.pool, Gpr::Rax.view(w), lo);
-                st.write_reg(self.pool, Gpr::Rdx.view(w), hi);
-                // Overflow iff the high half is not the sign extension of
-                // the low half.
-                let slo = self.sign_bit(w, lo);
-                let all_ones = self.c(w.bits(), w.mask());
-                let zeros = self.c(w.bits(), 0);
-                let expect_hi = self.pool.ite(slo, all_ones, zeros);
-                let overflow = self.pool.ne(hi, expect_hi);
-                st.write_flag(Flag::Cf, overflow);
-                st.write_flag(Flag::Of, overflow);
-                self.set_result_flags(st, w, lo);
-            }
-            Opcode::Mul1(w) => {
-                let src = self.read(st, &ops[0], w);
-                let acc = st.read_reg(self.pool, Gpr::Rax.view(w));
-                let (lo, hi) = self.widening_mul(w, acc, src, false);
-                st.write_reg(self.pool, Gpr::Rax.view(w), lo);
-                st.write_reg(self.pool, Gpr::Rdx.view(w), hi);
-                let zeros = self.c(w.bits(), 0);
-                let overflow = self.pool.ne(hi, zeros);
-                st.write_flag(Flag::Cf, overflow);
-                st.write_flag(Flag::Of, overflow);
-                self.set_result_flags(st, w, lo);
-            }
-            Opcode::Div(w) | Opcode::Idiv(w) => {
-                let signed = matches!(instr.opcode(), Opcode::Idiv(_));
-                let divisor = self.read(st, &ops[0], w);
-                let lo = st.read_reg(self.pool, Gpr::Rax.view(w));
-                let hi = st.read_reg(self.pool, Gpr::Rdx.view(w));
-                // Quotient and remainder are uninterpreted functions of the
-                // three inputs (§5.2: division is uninterpreted).
-                let (fq, fr) = if signed {
-                    (UF_IDIV_QUOT, UF_IDIV_REM)
-                } else {
-                    (UF_DIV_QUOT, UF_DIV_REM)
-                };
-                let q = self.pool.uf(fq, vec![hi, lo, divisor], w.bits());
-                let r = self.pool.uf(fr, vec![hi, lo, divisor], w.bits());
-                st.write_reg(self.pool, Gpr::Rax.view(w), q);
-                st.write_reg(self.pool, Gpr::Rdx.view(w), r);
-                self.set_flags_logic(st, w, q);
-            }
-            Opcode::Shift(op, w) => self.shift(st, op, w, &ops),
-            Opcode::Bits(op, w) => self.bits(st, op, w, &ops),
-            Opcode::Cqto => {
-                let rax = st.read_gpr64(Gpr::Rax);
-                let sign = self.pool.extract(63, 63, rax);
-                let ones = self.c(64, u64::MAX);
-                let zeros = self.c(64, 0);
-                let v = self.pool.ite(sign, ones, zeros);
-                st.set_gpr64(Gpr::Rdx, v);
-            }
-            Opcode::Cltq => {
-                let rax = st.read_gpr64(Gpr::Rax);
-                let lo = self.pool.extract(31, 0, rax);
-                let e = self.pool.sign_ext(64, lo);
-                st.set_gpr64(Gpr::Rax, e);
-            }
-            Opcode::Cltd => {
-                let rax = st.read_gpr64(Gpr::Rax);
-                let sign = self.pool.extract(31, 31, rax);
-                let ones = self.c(32, 0xffff_ffff);
-                let zeros = self.c(32, 0);
-                let v = self.pool.ite(sign, ones, zeros);
-                st.write_reg(self.pool, Gpr::Rdx.view(Width::L), v);
-            }
-            Opcode::MovdToXmm => {
-                let v = self.read(st, &ops[0], Width::L);
-                let v64 = self.pool.zero_ext(64, v);
-                let zero = self.c(64, 0);
-                self.write128(st, &ops[1], (v64, zero));
-            }
-            Opcode::MovdFromXmm => {
-                let (lo, _) = self.read128(st, &ops[0]);
-                let v = self.pool.extract(31, 0, lo);
-                self.write(st, &ops[1], Width::L, v);
-            }
-            Opcode::MovqToXmm => {
-                let v = self.read(st, &ops[0], Width::Q);
-                let zero = self.c(64, 0);
-                self.write128(st, &ops[1], (v, zero));
-            }
-            Opcode::MovqFromXmm => {
-                let (lo, _) = self.read128(st, &ops[0]);
-                self.write(st, &ops[1], Width::Q, lo);
-            }
-            Opcode::Mov128(_) => {
-                let v = self.read128(st, &ops[0]);
-                self.write128(st, &ops[1], v);
-            }
-            Opcode::SseBin(op) => {
-                let src = self.read128(st, &ops[0]);
-                let dst = self.read128(st, &ops[1]);
-                let r = self.sse_bin(op, dst, src);
-                self.write128(st, &ops[1], r);
-            }
-            Opcode::SseShift(op) => {
-                let count = (ops[0].as_imm().unwrap_or(0) as u64) & 0xff;
-                let dst = self.read128(st, &ops[1]);
-                let r = self.sse_shift(op, dst, count);
-                self.write128(st, &ops[1], r);
-            }
-            Opcode::Pshufd => {
-                let imm = (ops[0].as_imm().unwrap_or(0) as u64) & 0xff;
-                let src = self.read128(st, &ops[1]);
-                let lanes = self.lanes32(src);
-                let pick = |sel: u64| lanes[(sel & 3) as usize];
-                let out = [pick(imm), pick(imm >> 2), pick(imm >> 4), pick(imm >> 6)];
-                let r = self.xmm_from_lanes32(out);
-                self.write128(st, &ops[2], r);
-            }
-            Opcode::Shufps => {
-                let imm = (ops[0].as_imm().unwrap_or(0) as u64) & 0xff;
-                let src = self.read128(st, &ops[1]);
-                let dst = self.read128(st, &ops[2]);
-                let s = self.lanes32(src);
-                let d = self.lanes32(dst);
-                let out = [
-                    d[(imm & 3) as usize],
-                    d[((imm >> 2) & 3) as usize],
-                    s[((imm >> 4) & 3) as usize],
-                    s[((imm >> 6) & 3) as usize],
-                ];
-                let r = self.xmm_from_lanes32(out);
-                self.write128(st, &ops[2], r);
-            }
-            Opcode::Punpckldq => {
-                let src = self.read128(st, &ops[0]);
-                let dst = self.read128(st, &ops[1]);
-                let s = self.lanes32(src);
-                let d = self.lanes32(dst);
-                let r = self.xmm_from_lanes32([d[0], s[0], d[1], s[1]]);
-                self.write128(st, &ops[1], r);
-            }
-            Opcode::Punpcklqdq => {
-                let src = self.read128(st, &ops[0]);
-                let dst = self.read128(st, &ops[1]);
-                self.write128(st, &ops[1], (dst.0, src.0));
-            }
-        }
+        let mut machine = Symbolic {
+            pool: self.pool,
+            st,
+            stack_slots: self.stack_slots,
+        };
+        execute(&mut machine, instr);
+    }
+}
+
+/// The term domain of the shared semantics over one symbolic state.
+struct Symbolic<'a> {
+    pool: &'a mut TermPool,
+    st: &'a mut SymState,
+    stack_slots: bool,
+}
+
+impl Symbolic<'_> {
+    /// The displacement of a memory operand that is a named stack slot
+    /// under the current configuration.
+    fn stack_disp(&self, m: &Mem) -> Option<i64> {
+        (self.stack_slots && m.base == Some(Gpr::Rsp) && m.index.is_none())
+            .then_some(i64::from(m.disp))
+    }
+
+    /// The address of the high 8 bytes of a 16-byte access at `a`.
+    fn high_half(&mut self, a: TermId) -> TermId {
+        let eight = self.pool.constant(64, 8);
+        self.pool.add(a, eight)
     }
 
     /// Whether a term is a literal constant (cheap to multiply by).
     fn is_const(&self, t: TermId) -> bool {
-        matches!(self.pool.data(t), stoke_solver::TermData::Const { .. })
+        matches!(self.pool.data(t), TermData::Const { .. })
     }
 
     /// Schoolbook high half of an unsigned 64x64 multiplication, built from
     /// four 32x32 partial products. Only used when at least one operand is
     /// a constant, which keeps the blasted formula small.
     fn mulhi_u64(&mut self, a: TermId, b: TermId) -> TermId {
-        let mask32 = self.c(64, 0xffff_ffff);
-        let c32 = self.c(64, 32);
-        let a0 = self.pool.and(a, mask32);
-        let a1 = self.pool.lshr(a, c32);
-        let b0 = self.pool.and(b, mask32);
-        let b1 = self.pool.lshr(b, c32);
-        let t0 = self.pool.mul(a0, b0);
-        let t1 = self.pool.mul(a0, b1);
-        let t2 = self.pool.mul(a1, b0);
-        let t3 = self.pool.mul(a1, b1);
-        let t0h = self.pool.lshr(t0, c32);
-        let t1l = self.pool.and(t1, mask32);
-        let t2l = self.pool.and(t2, mask32);
-        let mid = self.pool.add(t0h, t1l);
-        let mid = self.pool.add(mid, t2l);
-        let carry = self.pool.lshr(mid, c32);
-        let t1h = self.pool.lshr(t1, c32);
-        let t2h = self.pool.lshr(t2, c32);
-        let hi = self.pool.add(t3, t1h);
-        let hi = self.pool.add(hi, t2h);
-        self.pool.add(hi, carry)
+        let p = &mut *self.pool;
+        let mask32 = p.constant(64, 0xffff_ffff);
+        let c32 = p.constant(64, 32);
+        let a0 = p.and(a, mask32);
+        let a1 = p.lshr(a, c32);
+        let b0 = p.and(b, mask32);
+        let b1 = p.lshr(b, c32);
+        let t0 = p.mul(a0, b0);
+        let t1 = p.mul(a0, b1);
+        let t2 = p.mul(a1, b0);
+        let t3 = p.mul(a1, b1);
+        let t0h = p.lshr(t0, c32);
+        let t1l = p.and(t1, mask32);
+        let t2l = p.and(t2, mask32);
+        let mid = p.add(t0h, t1l);
+        let mid = p.add(mid, t2l);
+        let carry = p.lshr(mid, c32);
+        let t1h = p.lshr(t1, c32);
+        let t2h = p.lshr(t2, c32);
+        let hi = p.add(t3, t1h);
+        let hi = p.add(hi, t2h);
+        p.add(hi, carry)
     }
 
     /// Schoolbook high half of a signed 64x64 multiplication:
     /// `mulhs(a,b) = mulhu(a,b) - (a < 0 ? b : 0) - (b < 0 ? a : 0)`.
     fn mulhi_s64(&mut self, a: TermId, b: TermId) -> TermId {
         let hi_u = self.mulhi_u64(a, b);
-        let zero = self.c(64, 0);
-        let a_neg = self.pool.slt(a, zero);
-        let b_neg = self.pool.slt(b, zero);
-        let corr_a = self.pool.ite(a_neg, b, zero);
-        let corr_b = self.pool.ite(b_neg, a, zero);
-        let hi = self.pool.sub(hi_u, corr_a);
-        self.pool.sub(hi, corr_b)
+        let p = &mut *self.pool;
+        let zero = p.constant(64, 0);
+        let a_neg = p.slt(a, zero);
+        let b_neg = p.slt(b, zero);
+        let corr_a = p.ite(a_neg, b, zero);
+        let corr_b = p.ite(b_neg, a, zero);
+        let hi = p.sub(hi_u, corr_a);
+        p.sub(hi, corr_b)
+    }
+}
+
+impl Machine for Symbolic<'_> {
+    type Bv = TermId;
+    type Bit = TermId;
+
+    fn read_reg(&mut self, r: Reg) -> TermId {
+        self.st.read_reg(self.pool, r)
+    }
+    fn write_reg(&mut self, r: Reg, v: TermId) {
+        self.st.write_reg(self.pool, r, v);
+    }
+    fn read_gpr64(&mut self, g: Gpr) -> TermId {
+        self.st.read_gpr64(g)
+    }
+    fn set_gpr64(&mut self, g: Gpr, v: TermId) {
+        self.st.set_gpr64(g, v);
+    }
+    fn read_xmm(&mut self, x: Xmm) -> [TermId; 2] {
+        let (lo, hi) = self.st.read_xmm(x);
+        [lo, hi]
+    }
+    fn write_xmm(&mut self, x: Xmm, [lo, hi]: [TermId; 2]) {
+        self.st.write_xmm(x, (lo, hi));
+    }
+    fn read_flag(&mut self, f: Flag) -> TermId {
+        self.st.read_flag(f)
+    }
+    fn write_flag(&mut self, f: Flag, v: TermId) {
+        self.st.write_flag(f, v);
     }
 
-    /// Signed low-half multiply plus overflow flag at width `w`.
-    fn signed_mul_low_overflow(&mut self, w: Width, a: TermId, b: TermId) -> (TermId, TermId) {
-        if w == Width::Q {
-            // 64-bit: blast the product when either operand is a constant
-            // (multiplication by constants stays cheap and provable, e.g.
-            // the `imulq 2, rax` to `shlq 1, rax` strength reduction);
-            // otherwise fall back to the paper's uninterpreted-function
-            // modelling.
-            let (lo, hi) = if self.is_const(a) || self.is_const(b) {
-                (self.pool.mul(a, b), self.mulhi_s64(a, b))
+    fn load(&mut self, mem: &Mem, w: Width) -> TermId {
+        if let Some(disp) = self.stack_disp(mem) {
+            let slot = self.st.memory.load_stack(self.pool, disp);
+            return self.extract(w.bits() - 1, 0, slot);
+        }
+        let a = address(self, mem);
+        self.st.memory.load(self.pool, a, w.bytes())
+    }
+    fn store(&mut self, mem: &Mem, w: Width, v: TermId) {
+        if let Some(disp) = self.stack_disp(mem) {
+            let new = if w == Width::Q {
+                v
             } else {
-                (
-                    self.pool.uf(UF_MULLO64, vec![a, b], 64),
-                    self.pool.uf(UF_MULHI_S64, vec![a, b], 64),
-                )
+                // Merge into the low bits of the 8-byte slot.
+                let old = self.st.memory.load_stack(self.pool, disp);
+                let hi = self.pool.extract(63, w.bits(), old);
+                self.pool.concat(hi, v)
             };
-            let slo = self.sign_bit(w, lo);
-            let ones = self.c(64, u64::MAX);
-            let zeros = self.c(64, 0);
-            let expect = self.pool.ite(slo, ones, zeros);
-            let overflow = self.pool.ne(hi, expect);
-            (lo, overflow)
+            self.st.memory.store_stack(disp, new);
         } else {
-            // Narrow widths: blast the full product.
-            let wide = 2 * w.bits();
-            let ea = self.pool.sign_ext(wide, a);
-            let eb = self.pool.sign_ext(wide, b);
-            let full = self.pool.mul(ea, eb);
-            let lo = self.pool.extract(w.bits() - 1, 0, full);
-            let relo = self.pool.sign_ext(wide, lo);
-            let overflow = self.pool.ne(full, relo);
-            (lo, overflow)
+            let a = address(self, mem);
+            self.st.memory.store(self.pool, a, v, w.bytes());
         }
     }
-
-    /// Widening multiply returning (low, high) halves at width `w`.
-    fn widening_mul(&mut self, w: Width, a: TermId, b: TermId, signed: bool) -> (TermId, TermId) {
-        if w == Width::Q {
-            if self.is_const(a) || self.is_const(b) {
-                let lo = self.pool.mul(a, b);
-                let hi = if signed {
-                    self.mulhi_s64(a, b)
-                } else {
-                    self.mulhi_u64(a, b)
-                };
-                return (lo, hi);
-            }
-            let lo = self.pool.uf(UF_MULLO64, vec![a, b], 64);
-            let hi_fn = if signed { UF_MULHI_S64 } else { UF_MULHI_U64 };
-            let hi = self.pool.uf(hi_fn, vec![a, b], 64);
-            (lo, hi)
-        } else {
-            let wide = 2 * w.bits();
-            let (ea, eb) = if signed {
-                (self.pool.sign_ext(wide, a), self.pool.sign_ext(wide, b))
-            } else {
-                (self.pool.zero_ext(wide, a), self.pool.zero_ext(wide, b))
-            };
-            let full = self.pool.mul(ea, eb);
-            let lo = self.pool.extract(w.bits() - 1, 0, full);
-            let hi = self.pool.extract(wide - 1, w.bits(), full);
-            (lo, hi)
-        }
+    fn load128(&mut self, mem: &Mem) -> [TermId; 2] {
+        let a = address(self, mem);
+        let lo = self.st.memory.load(self.pool, a, 8);
+        let high = self.high_half(a);
+        [lo, self.st.memory.load(self.pool, high, 8)]
+    }
+    fn store128(&mut self, mem: &Mem, [lo, hi]: [TermId; 2]) {
+        let a = address(self, mem);
+        self.st.memory.store(self.pool, a, lo, 8);
+        let high = self.high_half(a);
+        self.st.memory.store(self.pool, high, hi, 8);
+    }
+    fn load_at(&mut self, addr: TermId) -> TermId {
+        self.st.memory.load(self.pool, addr, 8)
+    }
+    fn store_at(&mut self, addr: TermId, v: TermId) {
+        self.st.memory.store(self.pool, addr, v, 8);
     }
 
-    fn shift(&mut self, st: &mut SymState, op: ShiftOp, w: Width, ops: &[Operand]) {
-        let bits = w.bits();
-        let count_mask = if w == Width::Q { 0x3f } else { 0x1f };
-        let raw = self.read(st, &ops[0], Width::B);
-        let mask_c = self.c(8, count_mask);
-        let count8 = self.pool.and(raw, mask_c);
-        let count = self.pool.zero_ext(bits, count8);
-        let a = self.read(st, &ops[1], w);
-        let zero_w = self.c(bits, 0);
-        let count_is_zero = self.pool.eq(count, zero_w);
-
-        let one = self.c(bits, 1);
-        let bits_c = self.c(bits, u64::from(bits));
-        let (r, cf) = match op {
-            ShiftOp::Shl => {
-                let r = self.pool.shl(a, count);
-                // CF = bit (bits - count) of a.
-                let sh = self.pool.sub(bits_c, count);
-                let moved = self.pool.lshr(a, sh);
-                let cf = self.pool.extract(0, 0, moved);
-                (r, cf)
-            }
-            ShiftOp::Shr => {
-                let r = self.pool.lshr(a, count);
-                let cm1 = self.pool.sub(count, one);
-                let moved = self.pool.lshr(a, cm1);
-                let cf = self.pool.extract(0, 0, moved);
-                (r, cf)
-            }
-            ShiftOp::Sar => {
-                let r = self.pool.ashr(a, count);
-                let cm1 = self.pool.sub(count, one);
-                let moved = self.pool.ashr(a, cm1);
-                let cf = self.pool.extract(0, 0, moved);
-                (r, cf)
-            }
-            ShiftOp::Rol => {
-                let left = self.pool.shl(a, count);
-                let back = self.pool.sub(bits_c, count);
-                let right = self.pool.lshr(a, back);
-                let r = self.pool.or(left, right);
-                let r = self.pool.ite(count_is_zero, a, r);
-                let cf = self.pool.extract(0, 0, r);
-                (r, cf)
-            }
-            ShiftOp::Ror => {
-                let right = self.pool.lshr(a, count);
-                let back = self.pool.sub(bits_c, count);
-                let left = self.pool.shl(a, back);
-                let r = self.pool.or(left, right);
-                let r = self.pool.ite(count_is_zero, a, r);
-                let cf = self.sign_bit(w, r);
-                (r, cf)
-            }
-        };
-        // When the masked count is zero, neither the destination value nor
-        // any flag changes (the 32-bit destination is still renormalized,
-        // which writing `a` back achieves).
-        let r = self.pool.ite(count_is_zero, a, r);
-        let old_cf = st.read_flag(Flag::Cf);
-        let old_of = st.read_flag(Flag::Of);
-        let old_zf = st.read_flag(Flag::Zf);
-        let old_sf = st.read_flag(Flag::Sf);
-        let old_pf = st.read_flag(Flag::Pf);
-
-        let new_cf = self.pool.ite(count_is_zero, old_cf, cf);
-        st.write_flag(Flag::Cf, new_cf);
-        match op {
-            ShiftOp::Rol | ShiftOp::Ror => {
-                let top = self.sign_bit(w, r);
-                let next = self.pool.extract(bits - 2, bits - 2, r);
-                let of = self.pool.xor(top, next);
-                let new_of = self.pool.ite(count_is_zero, old_of, of);
-                st.write_flag(Flag::Of, new_of);
-            }
-            _ => {
-                let top = self.sign_bit(w, r);
-                let of = self.pool.xor(top, cf);
-                let new_of = self.pool.ite(count_is_zero, old_of, of);
-                st.write_flag(Flag::Of, new_of);
-                self.set_result_flags(st, w, r);
-                let zf = st.read_flag(Flag::Zf);
-                let sf = st.read_flag(Flag::Sf);
-                let pf = st.read_flag(Flag::Pf);
-                let zf = self.pool.ite(count_is_zero, old_zf, zf);
-                let sf = self.pool.ite(count_is_zero, old_sf, sf);
-                let pf = self.pool.ite(count_is_zero, old_pf, pf);
-                st.write_flag(Flag::Zf, zf);
-                st.write_flag(Flag::Sf, sf);
-                st.write_flag(Flag::Pf, pf);
-            }
-        }
-        self.write(st, &ops[1], w, r);
-    }
-
-    fn bits(&mut self, st: &mut SymState, op: BitOp, w: Width, ops: &[Operand]) {
-        match op {
-            BitOp::Popcnt => {
-                let a = self.read(st, &ops[0], w);
-                let mut acc = self.c(w.bits(), 0);
-                for i in 0..w.bits() {
-                    let bit = self.pool.extract(i, i, a);
-                    let ext = self.pool.zero_ext(w.bits(), bit);
-                    acc = self.pool.add(acc, ext);
-                }
-                let f = self.pool.fals();
-                st.write_flag(Flag::Cf, f);
-                st.write_flag(Flag::Of, f);
-                st.write_flag(Flag::Sf, f);
-                st.write_flag(Flag::Pf, f);
-                let zero = self.c(w.bits(), 0);
-                let zf = self.pool.eq(a, zero);
-                st.write_flag(Flag::Zf, zf);
-                self.write(st, &ops[1], w, acc);
-            }
-            BitOp::Bsf | BitOp::Bsr => {
-                let a = self.read(st, &ops[0], w);
-                let zero = self.c(w.bits(), 0);
-                let is_zero = self.pool.eq(a, zero);
-                st.write_flag(Flag::Zf, is_zero);
-                let old = self.read(st, &ops[1], w);
-                // Priority encoder.
-                let mut result = old;
-                let indices: Vec<u32> = if op == BitOp::Bsf {
-                    (0..w.bits()).rev().collect()
-                } else {
-                    (0..w.bits()).collect()
-                };
-                // Iterate so the highest-priority bit is applied last.
-                for i in indices {
-                    let bit = self.pool.extract(i, i, a);
-                    let idx = self.c(w.bits(), u64::from(i));
-                    result = self.pool.ite(bit, idx, result);
-                }
-                let r = self.pool.ite(is_zero, old, result);
-                self.write(st, &ops[1], w, r);
-            }
-            BitOp::Bswap => {
-                let a = self.read(st, &ops[0], w);
-                let bytes = w.bits() / 8;
-                let mut acc: Option<TermId> = None;
-                for i in 0..bytes {
-                    let byte = self.pool.extract(8 * i + 7, 8 * i, a);
-                    acc = Some(match acc {
-                        None => byte,
-                        Some(prev) => self.pool.concat(prev, byte),
-                    });
-                }
-                let r = acc.expect("at least one byte");
-                let r = if w == Width::B { a } else { r };
-                self.write(st, &ops[0], w, r);
-            }
-        }
-    }
-
-    fn lanes32(&mut self, v: SymXmm) -> [TermId; 4] {
-        [
-            self.pool.extract(31, 0, v.0),
-            self.pool.extract(63, 32, v.0),
-            self.pool.extract(31, 0, v.1),
-            self.pool.extract(63, 32, v.1),
-        ]
-    }
-
-    fn xmm_from_lanes32(&mut self, l: [TermId; 4]) -> SymXmm {
-        let lo = self.pool.concat(l[1], l[0]);
-        let hi = self.pool.concat(l[3], l[2]);
-        (lo, hi)
-    }
-
-    fn map_lanes(
+    fn divide(
         &mut self,
-        a: SymXmm,
-        b: SymXmm,
-        lane_bits: u32,
-        f: impl Fn(&mut TermPool, TermId, TermId) -> TermId,
-    ) -> SymXmm {
-        let mut out = [a.0, a.1];
-        for (word, slot) in out.iter_mut().enumerate() {
-            let aw = if word == 0 { a.0 } else { a.1 };
-            let bw = if word == 0 { b.0 } else { b.1 };
-            let lanes = 64 / lane_bits;
-            let mut acc: Option<TermId> = None;
-            for lane in 0..lanes {
-                let lo_bit = lane * lane_bits;
-                let hi_bit = lo_bit + lane_bits - 1;
-                let x = self.pool.extract(hi_bit, lo_bit, aw);
-                let y = self.pool.extract(hi_bit, lo_bit, bw);
-                let r = f(self.pool, x, y);
-                acc = Some(match acc {
-                    None => r,
-                    Some(prev) => self.pool.concat(r, prev),
-                });
-            }
-            *slot = acc.expect("at least one lane");
-        }
-        (out[0], out[1])
-    }
-
-    fn sse_bin(&mut self, op: SseBinOp, dst: SymXmm, src: SymXmm) -> SymXmm {
-        match op {
-            SseBinOp::Paddb => self.map_lanes(dst, src, 8, |p, a, b| p.add(a, b)),
-            SseBinOp::Paddw => self.map_lanes(dst, src, 16, |p, a, b| p.add(a, b)),
-            SseBinOp::Paddd => self.map_lanes(dst, src, 32, |p, a, b| p.add(a, b)),
-            SseBinOp::Paddq => self.map_lanes(dst, src, 64, |p, a, b| p.add(a, b)),
-            SseBinOp::Psubb => self.map_lanes(dst, src, 8, |p, a, b| p.sub(a, b)),
-            SseBinOp::Psubw => self.map_lanes(dst, src, 16, |p, a, b| p.sub(a, b)),
-            SseBinOp::Psubd => self.map_lanes(dst, src, 32, |p, a, b| p.sub(a, b)),
-            SseBinOp::Psubq => self.map_lanes(dst, src, 64, |p, a, b| p.sub(a, b)),
-            SseBinOp::Pmullw => self.map_lanes(dst, src, 16, |p, a, b| p.mul(a, b)),
-            SseBinOp::Pmulld => self.map_lanes(dst, src, 32, |p, a, b| p.mul(a, b)),
-            SseBinOp::Pmuludq => {
-                let a_lo = self.pool.extract(31, 0, dst.0);
-                let b_lo = self.pool.extract(31, 0, src.0);
-                let a_hi = self.pool.extract(31, 0, dst.1);
-                let b_hi = self.pool.extract(31, 0, src.1);
-                let a_lo64 = self.pool.zero_ext(64, a_lo);
-                let b_lo64 = self.pool.zero_ext(64, b_lo);
-                let a_hi64 = self.pool.zero_ext(64, a_hi);
-                let b_hi64 = self.pool.zero_ext(64, b_hi);
-                let lo = self.pool.mul(a_lo64, b_lo64);
-                let hi = self.pool.mul(a_hi64, b_hi64);
-                (lo, hi)
-            }
-            SseBinOp::Pand => self.map_lanes(dst, src, 64, |p, a, b| p.and(a, b)),
-            SseBinOp::Por => self.map_lanes(dst, src, 64, |p, a, b| p.or(a, b)),
-            SseBinOp::Pxor => self.map_lanes(dst, src, 64, |p, a, b| p.xor(a, b)),
-            SseBinOp::Pandn => self.map_lanes(dst, src, 64, |p, a, b| {
-                let na = p.not(a);
-                p.and(na, b)
-            }),
-        }
-    }
-
-    fn sse_shift(&mut self, op: SseShiftOp, dst: SymXmm, count: u64) -> SymXmm {
-        let (lane_bits, left) = match op {
-            SseShiftOp::Psllw => (16, true),
-            SseShiftOp::Pslld => (32, true),
-            SseShiftOp::Psllq => (64, true),
-            SseShiftOp::Psrlw => (16, false),
-            SseShiftOp::Psrld => (32, false),
-            SseShiftOp::Psrlq => (64, false),
+        w: Width,
+        signed: bool,
+        hi: TermId,
+        lo: TermId,
+        divisor: TermId,
+    ) -> Option<(TermId, TermId)> {
+        // Quotient and remainder are uninterpreted functions of the three
+        // inputs (§5.2: division is uninterpreted).
+        let (fq, fr) = if signed {
+            (UF_IDIV_QUOT, UF_IDIV_REM)
+        } else {
+            (UF_DIV_QUOT, UF_DIV_REM)
         };
-        if count >= u64::from(lane_bits) {
-            let zero = self.c(64, 0);
-            return (zero, zero);
-        }
-        let c = self.c(lane_bits, count);
-        self.map_lanes(dst, dst, lane_bits, |p, a, _| {
-            if left {
-                p.shl(a, c)
+        let q = self.pool.uf(fq, vec![hi, lo, divisor], w.bits());
+        let r = self.pool.uf(fr, vec![hi, lo, divisor], w.bits());
+        Some((q, r))
+    }
+    fn mul64(&mut self, a: TermId, b: TermId, signed: bool) -> (TermId, TermId) {
+        // Blast the product when either operand is a constant
+        // (multiplication by constants stays cheap and provable, e.g. the
+        // `imulq 2, rax` to `shlq 1, rax` strength reduction); otherwise
+        // fall back to the paper's uninterpreted-function modelling.
+        if self.is_const(a) || self.is_const(b) {
+            let lo = self.pool.mul(a, b);
+            let hi = if signed {
+                self.mulhi_s64(a, b)
             } else {
-                p.lshr(a, c)
-            }
-        })
+                self.mulhi_u64(a, b)
+            };
+            return (lo, hi);
+        }
+        let lo = self.pool.uf(UF_MULLO64, vec![a, b], 64);
+        let hi_fn = if signed { UF_MULHI_S64 } else { UF_MULHI_U64 };
+        (lo, self.pool.uf(hi_fn, vec![a, b], 64))
+    }
+    fn parity(&mut self, v: TermId) -> TermId {
+        let mut parity = self.pool.extract(0, 0, v);
+        for i in 1..8 {
+            let bit = self.pool.extract(i, i, v);
+            parity = self.pool.xor(parity, bit);
+        }
+        self.pool.not(parity)
+    }
+    fn popcnt(&mut self, w: Width, a: TermId) -> TermId {
+        let mut acc = self.pool.constant(w.bits(), 0);
+        for i in 0..w.bits() {
+            let bit = self.pool.extract(i, i, a);
+            let ext = self.pool.zero_ext(w.bits(), bit);
+            acc = self.pool.add(acc, ext);
+        }
+        acc
+    }
+    fn bit_scan(&mut self, w: Width, reverse: bool, a: TermId, old: TermId) -> TermId {
+        // A priority encoder, applying the highest-priority bit last.
+        let mut result = old;
+        for k in 0..w.bits() {
+            let i = if reverse { k } else { w.bits() - 1 - k };
+            let bit = self.pool.extract(i, i, a);
+            let idx = self.pool.constant(w.bits(), u64::from(i));
+            result = self.pool.ite(bit, idx, result);
+        }
+        result
+    }
+    fn bswap(&mut self, w: Width, a: TermId) -> TermId {
+        let mut acc = self.pool.extract(7, 0, a);
+        for i in 1..w.bits() / 8 {
+            let byte = self.pool.extract(8 * i + 7, 8 * i, a);
+            acc = self.pool.concat(acc, byte);
+        }
+        acc
+    }
+
+    fn constant(&mut self, bits: u32, v: u64) -> TermId {
+        self.pool.constant(bits, v)
+    }
+    fn bit_constant(&mut self, b: bool) -> TermId {
+        self.pool.constant(1, u64::from(b))
+    }
+    fn not(&mut self, _bits: u32, a: TermId) -> TermId {
+        self.pool.not(a)
+    }
+    fn and(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.and(a, b)
+    }
+    fn or(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.or(a, b)
+    }
+    fn xor(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.xor(a, b)
+    }
+    fn add(&mut self, _bits: u32, a: TermId, b: TermId) -> TermId {
+        self.pool.add(a, b)
+    }
+    fn sub(&mut self, _bits: u32, a: TermId, b: TermId) -> TermId {
+        self.pool.sub(a, b)
+    }
+    fn mul(&mut self, _bits: u32, a: TermId, b: TermId) -> TermId {
+        self.pool.mul(a, b)
+    }
+    fn shl(&mut self, _bits: u32, a: TermId, n: TermId) -> TermId {
+        self.pool.shl(a, n)
+    }
+    fn lshr(&mut self, _bits: u32, a: TermId, n: TermId) -> TermId {
+        self.pool.lshr(a, n)
+    }
+    fn ashr(&mut self, _bits: u32, a: TermId, n: TermId) -> TermId {
+        self.pool.ashr(a, n)
+    }
+    fn eq(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.eq(a, b)
+    }
+    fn ult(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.ult(a, b)
+    }
+    fn ite(&mut self, c: TermId, a: TermId, b: TermId) -> TermId {
+        self.pool.ite(c, a, b)
+    }
+    fn extract(&mut self, hi: u32, lo: u32, a: TermId) -> TermId {
+        self.pool.extract(hi, lo, a)
+    }
+    fn bit(&mut self, i: u32, a: TermId) -> TermId {
+        self.pool.extract(i, i, a)
+    }
+    fn concat(&mut self, _lo_bits: u32, hi: TermId, lo: TermId) -> TermId {
+        self.pool.concat(hi, lo)
+    }
+    fn zero_ext(&mut self, bits: u32, a: TermId) -> TermId {
+        self.pool.zero_ext(bits, a)
+    }
+    fn sign_ext(&mut self, _from: u32, to: u32, a: TermId) -> TermId {
+        self.pool.sign_ext(to, a)
+    }
+    fn extend_bit(&mut self, bits: u32, b: TermId) -> TermId {
+        self.pool.zero_ext(bits, b)
+    }
+    fn not1(&mut self, a: TermId) -> TermId {
+        self.pool.not(a)
+    }
+    fn and1(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.and(a, b)
+    }
+    fn or1(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.or(a, b)
+    }
+    fn xor1(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.xor(a, b)
+    }
+    fn eq1(&mut self, a: TermId, b: TermId) -> TermId {
+        self.pool.eq(a, b)
+    }
+    fn ite1(&mut self, c: TermId, a: TermId, b: TermId) -> TermId {
+        self.pool.ite(c, a, b)
     }
 }

@@ -13,7 +13,9 @@ pub type SymXmm = (TermId, TermId);
 /// Following §5.2 of the paper, stack addresses (constant offsets from
 /// `rsp`) are treated as *named locations*, which keeps the expensive
 /// part of the memory theory away from the common case of `llvm -O0`
-/// stack traffic. All other accesses go through a byte-granular
+/// stack traffic. The validator does so only for program pairs whose
+/// stack accesses make the model sound: scalar, non-overlapping
+/// `disp(rsp)` accesses and no write to `rsp`. All other accesses go through a byte-granular
 /// write-history: a load is lowered to an if-then-else chain over all
 /// previous stores (most recent first), falling back to an uninterpreted
 /// "initial memory" byte.

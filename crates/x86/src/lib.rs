@@ -5,7 +5,9 @@
 //! (operand signatures, implicit registers, flag effects, latencies), a
 //! parser and printer for the AT&T-flavoured syntax used in the paper's
 //! figures, dataflow/liveness analysis, and the opcode/operand equivalence
-//! classes that drive the MCMC proposal distribution.
+//! classes that drive the MCMC proposal distribution, and the one
+//! definition of every instruction's meaning ([`semantics`]) that both the
+//! emulator and the symbolic validator execute.
 //!
 //! ## Quick example
 //!
@@ -36,6 +38,7 @@ pub mod operand;
 pub mod parse;
 pub mod program;
 pub mod reg;
+pub mod semantics;
 
 pub use canon::{canonical_renaming, canonicalize, normalize_immediates, Renaming};
 pub use classes::OpcodeClasses;
@@ -45,3 +48,4 @@ pub use operand::{Mem, Operand, OperandKind, Scale, SlotSpec};
 pub use parse::{parse_instruction, parse_program, ParseError};
 pub use program::Program;
 pub use reg::{Flag, Gpr, Reg, Width, Xmm};
+pub use semantics::{execute, Machine};

@@ -3,78 +3,183 @@
 //!
 //! The cost function trusts the emulator and the final equivalence proof
 //! trusts the symbolic semantics; the whole system is only sound if the
-//! two agree. These tests compare them instruction family by instruction
-//! family: a program is run concretely, and symbolically with the same
-//! concrete inputs substituted into the term evaluator.
+//! two agree. A program is run concretely, and symbolically with the same
+//! concrete inputs substituted into the term evaluator, and every general
+//! purpose register, flag and SSE register is compared. Outputs the
+//! validator models as uninterpreted functions (64-bit widening multiply,
+//! division, initial memory) have no concrete meaning on the symbolic side
+//! and are skipped.
 
-use std::collections::HashMap;
+use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 use stoke_suite::emu::{run, MachineState};
-use stoke_suite::solver::TermPool;
+use stoke_suite::solver::{TermData, TermId, TermPool};
 use stoke_suite::verify::{SymExecutor, SymState};
-use stoke_suite::x86::{Flag, Gpr, Program};
+use stoke_suite::x86::{
+    Flag, Gpr, Instruction, Mem, Opcode, Operand, Program, Reg, Scale, Width, Xmm,
+};
 
-/// Execute `program` symbolically and evaluate the final register terms
-/// under the given concrete register assignment.
-fn symbolic_eval(program: &Program, inputs: &[(Gpr, u64)]) -> HashMap<Gpr, u64> {
+/// One concrete input state: all registers and flags defined.
+#[derive(Debug, Clone)]
+struct Inputs {
+    gprs: [u64; 16],
+    flags: [bool; 5],
+    xmms: [[u64; 2]; 16],
+}
+
+/// Run `program` both ways from `inputs` and compare every output the
+/// symbolic side interprets.
+fn check_agreement(program: &Program, inputs: &Inputs) {
+    let mut state = MachineState::new();
+    for g in Gpr::ALL {
+        state.set_gpr64(g, inputs.gprs[g.index()]);
+    }
+    for f in Flag::ALL {
+        state.write_flag(f, inputs.flags[f.index()]);
+    }
+    for x in Xmm::ALL {
+        state.write_xmm(x, inputs.xmms[x.index()]);
+    }
+    let outcome = run(program, &state);
+    if outcome.faults.sigfpe > 0 {
+        // A faulting division has no architectural result: the emulator
+        // leaves the state unchanged and counts the fault, while the
+        // validator models every quotient and remainder as an
+        // uninterpreted function of the inputs.
+        return;
+    }
+    let conc = outcome.state;
+
     let mut pool = TermPool::new();
-    let mut state = SymState::initial(&mut pool, "t");
+    let mut sym = SymState::initial(&mut pool, "t");
     {
         let mut exec = SymExecutor::new(&mut pool, true);
         for instr in program {
-            exec.step(&mut state, instr);
+            exec.step(&mut sym, instr);
         }
     }
     let mut env: HashMap<String, u64> = HashMap::new();
     for g in Gpr::ALL {
-        env.insert(format!("in_{}", g.name64()), 0);
+        env.insert(format!("in_{}", g.name64()), inputs.gprs[g.index()]);
     }
     for f in Flag::ALL {
-        env.insert(format!("in_{}", f.name()), 0);
-    }
-    for i in 0..16 {
-        env.insert(format!("in_xmm{}_lo", i), 0);
-        env.insert(format!("in_xmm{}_hi", i), 0);
-    }
-    for (g, v) in inputs {
-        env.insert(format!("in_{}", g.name64()), *v);
-    }
-    let mut out = HashMap::new();
-    for g in Gpr::ALL {
-        out.insert(g, pool.eval(state.read_gpr64(g), &env));
-    }
-    out
-}
-
-/// Execute `program` concretely from the same inputs.
-fn concrete_eval(program: &Program, inputs: &[(Gpr, u64)]) -> MachineState {
-    let mut state = MachineState::new();
-    for g in Gpr::ALL {
-        state.set_gpr64(g, 0);
-    }
-    for (g, v) in inputs {
-        state.set_gpr64(*g, *v);
-    }
-    run(program, &state).state
-}
-
-fn check_agreement(text: &str, inputs: &[(Gpr, u64)], observed: &[Gpr]) {
-    let program: Program = text.parse().expect("program parses");
-    let sym = symbolic_eval(&program, inputs);
-    let conc = concrete_eval(&program, inputs);
-    for g in observed {
-        assert_eq!(
-            sym[g],
-            conc.read_gpr64(*g),
-            "emulator and validator disagree on {} for program:\n{}\ninputs: {:?}",
-            g.name64(),
-            text,
-            inputs
+        env.insert(
+            format!("in_{}", f.name()),
+            u64::from(inputs.flags[f.index()]),
         );
     }
+    for x in Xmm::ALL {
+        let [lo, hi] = inputs.xmms[x.index()];
+        env.insert(format!("in_xmm{}_lo", x.index()), lo);
+        env.insert(format!("in_xmm{}_hi", x.index()), hi);
+    }
+
+    let mut interpreted = HashMap::new();
+    let mut compare = |what: String, term: TermId, concrete: u64| {
+        if mentions_uf(&pool, term, &mut interpreted) {
+            return;
+        }
+        assert_eq!(
+            pool.eval(term, &env),
+            concrete,
+            "emulator and validator disagree on {what} for program:\n{program}\ninputs: {inputs:?}"
+        );
+    };
+    for g in Gpr::ALL {
+        compare(
+            g.name64().to_string(),
+            sym.read_gpr64(g),
+            conc.read_gpr64(g),
+        );
+    }
+    for f in Flag::ALL {
+        compare(
+            f.name().to_string(),
+            sym.read_flag(f),
+            u64::from(conc.read_flag(f)),
+        );
+    }
+    for x in Xmm::ALL {
+        let (lo, hi) = sym.read_xmm(x);
+        let [clo, chi] = conc.read_xmm(x);
+        compare(format!("xmm{} low", x.index()), lo, clo);
+        compare(format!("xmm{} high", x.index()), hi, chi);
+    }
 }
 
-/// A deterministic xorshift generator so the test corpus is stable.
+/// Whether `t` depends on an uninterpreted function application.
+fn mentions_uf(pool: &TermPool, t: TermId, memo: &mut HashMap<TermId, bool>) -> bool {
+    if let Some(known) = memo.get(&t) {
+        return *known;
+    }
+    let children: Vec<TermId> = match pool.data(t) {
+        TermData::Uf { .. } => {
+            memo.insert(t, true);
+            return true;
+        }
+        TermData::Const { .. } | TermData::Var { .. } => vec![],
+        TermData::Not(a)
+        | TermData::Neg(a)
+        | TermData::Extract { arg: a, .. }
+        | TermData::ZeroExt { arg: a, .. }
+        | TermData::SignExt { arg: a, .. } => vec![*a],
+        TermData::And(a, b)
+        | TermData::Or(a, b)
+        | TermData::Xor(a, b)
+        | TermData::Add(a, b)
+        | TermData::Sub(a, b)
+        | TermData::Mul(a, b)
+        | TermData::Shl(a, b)
+        | TermData::Lshr(a, b)
+        | TermData::Ashr(a, b)
+        | TermData::Eq(a, b)
+        | TermData::Ult(a, b)
+        | TermData::Slt(a, b)
+        | TermData::Concat(a, b) => vec![*a, *b],
+        TermData::Ite(c, a, b) => vec![*c, *a, *b],
+    };
+    let found = children.into_iter().any(|c| mentions_uf(pool, c, memo));
+    memo.insert(t, found);
+    found
+}
+
+/// Every opcode family at every operand width: [`Opcode::all`] (the
+/// search's pool) widened to all four widths, which the parser accepts
+/// through the `b`/`l`/`q` suffixes and through operand-inferred widths.
+fn opcode_table() -> Vec<Opcode> {
+    let mut seen = HashSet::new();
+    let mut table = Vec::new();
+    for op in Opcode::all() {
+        for w in Width::ALL {
+            let widened = match op {
+                Opcode::Mov(_) => Opcode::Mov(w),
+                Opcode::Lea(_) => Opcode::Lea(w),
+                Opcode::Xchg(_) => Opcode::Xchg(w),
+                Opcode::Cmov(c, _) => Opcode::Cmov(c, w),
+                Opcode::Alu(a, _) => Opcode::Alu(a, w),
+                Opcode::Cmp(_) => Opcode::Cmp(w),
+                Opcode::Test(_) => Opcode::Test(w),
+                Opcode::Un(u, _) => Opcode::Un(u, w),
+                Opcode::Imul2(_) => Opcode::Imul2(w),
+                Opcode::Imul1(_) => Opcode::Imul1(w),
+                Opcode::Mul1(_) => Opcode::Mul1(w),
+                Opcode::Div(_) => Opcode::Div(w),
+                Opcode::Idiv(_) => Opcode::Idiv(w),
+                Opcode::Shift(s, _) => Opcode::Shift(s, w),
+                Opcode::Bits(b, _) => Opcode::Bits(b, w),
+                other => other,
+            };
+            if seen.insert(widened) {
+                table.push(widened);
+            }
+        }
+    }
+    table
+}
+
+/// A deterministic xorshift generator for operands and inputs.
 struct Rng(u64);
+
 impl Rng {
     fn next(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
@@ -82,91 +187,126 @@ impl Rng {
         self.0 ^= self.0 << 17;
         self.0
     }
-}
 
-#[test]
-fn alu_and_flag_programs_agree() {
-    let programs = [
-        "movq rdi, rax\naddq rsi, rax\nadcq 0, rdx",
-        "cmpq rsi, rdi\nsete al\nsetb bl\nsetl cl",
-        "movq rdi, rax\nsubq rsi, rax\nsbbq 0, rdx",
-        "movq rdi, rax\nnegq rax\nandq rsi, rax",
-        "movl edi, eax\nnotl eax\nincl eax\ndecl eax",
-        "testq rdi, rdi\ncmovneq rsi, rax",
-        "movq rdi, rax\nxorq rsi, rax\norq rdx, rax",
-        "cmpl esi, edi\ncmovael esi, edi\nmovq rdi, rax",
-        "movq rdi, rax\nimulq 3, rax",
-        "movl edi, eax\nimull esi, eax",
-    ];
-    let mut rng = Rng(0xdead_beef_1234_5678);
-    for text in programs {
-        for _ in 0..8 {
-            let inputs = [
-                (Gpr::Rdi, rng.next()),
-                (Gpr::Rsi, rng.next()),
-                (Gpr::Rdx, rng.next()),
-                (Gpr::Rax, rng.next()),
-                (Gpr::Rbx, rng.next()),
-                (Gpr::Rcx, rng.next()),
-            ];
-            check_agreement(
-                text,
-                &inputs,
-                &[Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx, Gpr::Rdi],
-            );
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// A value biased towards the edges of every width, where carries,
+    /// overflows and sign bits flip.
+    fn value(&mut self) -> u64 {
+        const EDGES: [u64; 8] = [
+            0,
+            1,
+            u64::MAX,
+            0x80,
+            0x7fff,
+            0x8000_0000,
+            0x7fff_ffff_ffff_ffff,
+            0x8000_0000_0000_0000,
+        ];
+        match self.below(4) {
+            0 => self.below(256),
+            1 => EDGES[self.below(8) as usize] ^ self.below(2),
+            _ => self.next(),
+        }
+    }
+
+    fn inputs(&mut self) -> Inputs {
+        Inputs {
+            gprs: std::array::from_fn(|_| self.value()),
+            flags: std::array::from_fn(|_| self.below(2) == 1),
+            xmms: std::array::from_fn(|_| [self.value(), self.value()]),
         }
     }
 }
 
-#[test]
-fn shift_and_bit_programs_agree() {
-    let programs = [
-        "movq rdi, rax\nshlq 1, rax\nshrq 3, rax",
-        "movq rdi, rax\nsarq 63, rax",
-        "movl edi, eax\nshll 31, eax\nsarl 5, eax",
-        "movq rsi, rcx\nmovq rdi, rax\nshlq cl, rax",
-        "movq rsi, rcx\nmovq rdi, rax\nshrq cl, rax\nsarq cl, rax",
-        "movq rdi, rax\nrolq 7, rax\nrorq 3, rax",
-        "popcntq rdi, rax\npopcntl esi, ebx",
-        "bsfq rdi, rax\nbsrq rdi, rbx",
-        "bswapq rdi\nmovq rdi, rax",
-        "movslq edi, rax\nmovzbl dil, ebx\nmovsbq dil, rcx",
-        "movq rdi, rax\ncqto\nmovq rdx, rbx",
-        "movl edi, eax\ncltq\ncltd",
-    ];
-    let mut rng = Rng(0x0123_4567_89ab_cdef);
-    for text in programs {
-        for _ in 0..8 {
-            let inputs = [
-                (Gpr::Rdi, rng.next()),
-                (Gpr::Rsi, rng.next() % 70), // shift counts worth exercising
-                (Gpr::Rax, rng.next()),
-                (Gpr::Rbx, rng.next()),
-                (Gpr::Rdx, rng.next()),
-            ];
-            check_agreement(
-                text,
-                &inputs,
-                &[Gpr::Rax, Gpr::Rbx, Gpr::Rcx, Gpr::Rdx, Gpr::Rdi],
-            );
-        }
-    }
+/// A random instruction of `opcode` over register and immediate operands
+/// (memory only as `lea`'s address, which is never accessed). Shift and
+/// rotate counts range over all of 0..=255.
+fn random_instruction(opcode: Opcode, rng: &mut Rng) -> Instruction {
+    let operands: Vec<Operand> = opcode
+        .signature()
+        .iter()
+        .map(|slot| {
+            let gpr = Gpr::from_index(rng.below(16) as usize);
+            if slot.imm && (slot.reg.is_none() || rng.below(2) == 0) {
+                let imm = if matches!(opcode, Opcode::Shift(..)) {
+                    rng.below(256) as i64
+                } else {
+                    rng.value() as i64
+                };
+                Operand::Imm(imm)
+            } else if let Some(w) = slot.reg {
+                Operand::Reg(Reg::new(gpr, w))
+            } else if slot.xmm {
+                Operand::Xmm(Xmm(rng.below(16) as u8))
+            } else {
+                Operand::Mem(Mem {
+                    base: (rng.below(4) > 0).then_some(gpr),
+                    index: (rng.below(2) == 0).then(|| Gpr::from_index(rng.below(16) as usize)),
+                    scale: Scale::ALL[rng.below(4) as usize],
+                    disp: rng.next() as i32,
+                })
+            }
+        })
+        .collect();
+    Instruction::new(opcode, &operands).expect("operands drawn from the opcode's signature")
 }
 
-#[test]
-fn narrow_multiply_and_divide_free_programs_agree() {
-    // 32-bit widening multiplies are blasted (not uninterpreted), so the
-    // symbolic evaluator must match the emulator bit for bit.
-    let programs = [
-        "movl edi, eax\nmull esi\nmovl edx, ebx",
-        "movl edi, eax\nimull esi\nmovl edx, ebx",
-        "movl edi, eax\nimull 100, eax",
-    ];
-    let mut rng = Rng(0xfeed_face_cafe_f00d);
-    for text in programs {
-        for _ in 0..8 {
-            let inputs = [(Gpr::Rdi, rng.next()), (Gpr::Rsi, rng.next())];
-            check_agreement(text, &inputs, &[Gpr::Rax, Gpr::Rbx, Gpr::Rdx]);
+/// Multi-instruction sequences kept as fixed cases: flag producers feeding
+/// flag consumers, mixed widths and the paper's idioms.
+const FIXED_PROGRAMS: [&str; 25] = [
+    "movq rdi, rax\naddq rsi, rax\nadcq 0, rdx",
+    "cmpq rsi, rdi\nsete al\nsetb bl\nsetl cl",
+    "movq rdi, rax\nsubq rsi, rax\nsbbq 0, rdx",
+    "movq rdi, rax\nnegq rax\nandq rsi, rax",
+    "movl edi, eax\nnotl eax\nincl eax\ndecl eax",
+    "testq rdi, rdi\ncmovneq rsi, rax",
+    "movq rdi, rax\nxorq rsi, rax\norq rdx, rax",
+    "cmpl esi, edi\ncmovael esi, edi\nmovq rdi, rax",
+    "movq rdi, rax\nimulq 3, rax",
+    "movl edi, eax\nimull esi, eax",
+    "movq rdi, rax\nshlq 1, rax\nshrq 3, rax",
+    "movq rdi, rax\nsarq 63, rax",
+    "movl edi, eax\nshll 31, eax\nsarl 5, eax",
+    "movq rsi, rcx\nmovq rdi, rax\nshlq cl, rax",
+    "movq rsi, rcx\nmovq rdi, rax\nshrq cl, rax\nsarq cl, rax",
+    "movq rdi, rax\nrolq 7, rax\nrorq 3, rax",
+    "popcntq rdi, rax\npopcntl esi, ebx",
+    "bsfq rdi, rax\nbsrq rdi, rbx",
+    "bswapq rdi\nmovq rdi, rax",
+    "movslq edi, rax\nmovzbl dil, ebx\nmovsbq dil, rcx",
+    "movq rdi, rax\ncqto\nmovq rdx, rbx",
+    "movl edi, eax\ncltq\ncltd",
+    "movl edi, eax\nmull esi\nmovl edx, ebx",
+    "movl edi, eax\nimull esi\nmovl edx, ebx",
+    "movl edi, eax\nimull 100, eax",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every opcode of the table with random operands, then every fixed
+    /// sequence, each from a fresh random input state.
+    #[test]
+    fn every_opcode_agrees_between_engines(seed in any::<u64>()) {
+        let mut rng = Rng(seed | 1);
+        for opcode in opcode_table() {
+            let instr = random_instruction(opcode, &mut rng);
+            let mut inputs = rng.inputs();
+            if let (Opcode::Div(w) | Opcode::Idiv(w), true) = (opcode, rng.below(4) > 0) {
+                // Mostly a dividend whose quotient fits, so the division
+                // does not fault: rdx is the extension of rax.
+                let signed = matches!(opcode, Opcode::Idiv(_));
+                let negative = w.sign_bit(inputs.gprs[Gpr::Rax.index()]);
+                inputs.gprs[Gpr::Rdx.index()] = if signed && negative { u64::MAX } else { 0 };
+            }
+            check_agreement(&Program::from_instrs(vec![instr]), &inputs);
+        }
+        for text in FIXED_PROGRAMS {
+            let program: Program = text.parse().expect("fixed program parses");
+            check_agreement(&program, &rng.inputs());
         }
     }
 }
@@ -179,6 +319,7 @@ fn paper_rewrites_agree_between_engines() {
     // uninterpreted function on the symbolic side (§5.2), so the symbolic
     // term evaluator cannot reproduce concrete products.
     use stoke_suite::workloads::hackers_delight::P21_STOKE;
+    let program: Program = P21_STOKE.parse().expect("program parses");
     let mut rng = Rng(0x5ca1ab1e);
     for _ in 0..8 {
         let vals = [
@@ -187,12 +328,11 @@ fn paper_rewrites_agree_between_engines() {
             rng.next() & 0xffff,
         ];
         let x = vals[(rng.next() % 3) as usize];
-        let inputs = [
-            (Gpr::Rdi, x),
-            (Gpr::Rsi, vals[0]),
-            (Gpr::Rdx, vals[1]),
-            (Gpr::Rcx, vals[2]),
-        ];
-        check_agreement(P21_STOKE, &inputs, &[Gpr::Rax]);
+        let mut inputs = rng.inputs();
+        inputs.gprs[Gpr::Rdi.index()] = x;
+        inputs.gprs[Gpr::Rsi.index()] = vals[0];
+        inputs.gprs[Gpr::Rdx.index()] = vals[1];
+        inputs.gprs[Gpr::Rcx.index()] = vals[2];
+        check_agreement(&program, &inputs);
     }
 }

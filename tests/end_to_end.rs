@@ -177,6 +177,30 @@ fn validator_catches_an_incorrect_p01_rewrite() {
 }
 
 #[test]
+fn validator_term_counts_are_pinned() {
+    // Proof cost is very sensitive to the shape of the symbolic terms, so
+    // the term count of known queries is pinned: a change to the shared
+    // instruction semantics that reshapes them shows here first.
+    let terms = |target: &Program, rewrite: &Program, live_out: &LocSet| {
+        let (verdict, stats) = Validator::new(live_out.clone()).prove(target, rewrite);
+        assert!(verdict.is_equivalent());
+        stats.terms
+    };
+    let doc_target: Program = "movq rdi, rax\nimulq 2, rax".parse().unwrap();
+    let doc_rewrite: Program = "leaq (rdi,rdi,1), rax".parse().unwrap();
+    let rax = LocSet::from_gprs([Gpr::Rax]);
+    assert_eq!(terms(&doc_target, &doc_rewrite, &rax), 98);
+    let p09 = hackers_delight::p09();
+    assert_eq!(
+        terms(&p09.target_o0(), &p09.baseline_o2(), &p09.live_out),
+        224
+    );
+    let p21 = hackers_delight::p21();
+    let paper: Program = hackers_delight::P21_STOKE.parse().unwrap();
+    assert_eq!(terms(&p21.target_o0(), &paper, &p21.live_out), 400);
+}
+
+#[test]
 fn stoke_improves_a_hackers_delight_o0_target() {
     // End-to-end: p01 compiled at -O0 (stack traffic everywhere) must be
     // improved by the optimization phase and stay correct.
