@@ -225,21 +225,6 @@ pub(crate) fn mem_term<V: OutView>(suite: &TestSuite, case: &Testcase, rewrite_o
     total
 }
 
-/// Evaluate `eq'` of a prepared rewrite on one test case.
-pub(crate) fn case_cost_prepared(
-    config: &Config,
-    suite: &TestSuite,
-    case: &Testcase,
-    prepared: &PreparedProgram<'_>,
-) -> CaseCost {
-    let outcome = prepared.run_prepared(&case.input);
-    CaseCost {
-        reg: reg_term(config, suite, case, &outcome.state),
-        mem: mem_term(suite, case, &outcome.state),
-        err: err_term(config, &outcome.faults),
-    }
-}
-
 /// Evaluate the full correctness term `eq'(R; T, τ)` (Equation 8) of a
 /// prepared rewrite across the whole suite, updating `stats`: one lockstep
 /// pass of the batched engine over every test case, then a sequential walk
@@ -440,12 +425,12 @@ impl CostFn {
 
     /// Evaluate `eq'` on a single test case.
     pub fn case_cost(&self, case: &Testcase, rewrite: &[Instruction]) -> CaseCost {
-        case_cost_prepared(
-            &self.config,
-            &self.suite,
-            case,
-            &PreparedProgram::new(rewrite),
-        )
+        let outcome = stoke_emu::run_instrs(rewrite, &case.input);
+        CaseCost {
+            reg: self.reg_term(case, &outcome.state),
+            mem: self.mem_term(case, &outcome.state),
+            err: self.err_term(&outcome.faults),
+        }
     }
 
     /// Evaluate the full correctness term `eq'(R; T, τ)` (Equation 8).

@@ -10,9 +10,12 @@
 //! The instructions' meaning is not written here: it is the one shared
 //! definition, [`stoke_x86::execute`], which `stoke-verify` also runs
 //! symbolically. This module instantiates it over `u64` values and
-//! `bool` flags, and supplies the concrete side of its modelling hooks:
-//! the memory sandbox, faulting division, the native 128-bit multiply and
-//! the native bit operations (parity, `popcnt`, `bsf`/`bsr`, `bswap`).
+//! `bool` flags for the per-case interpreter, and supplies the concrete
+//! side of its modelling hooks: the memory sandbox, faulting division, the
+//! native 128-bit multiply and the native bit operations (parity,
+//! `popcnt`, `bsf`/`bsr`, `bswap`). Each concrete formula is written once,
+//! in the private `value` module; the batched engine ([`crate::batch`])
+//! applies the same functions lane by lane.
 
 use crate::state::{MachineState, XmmValue};
 use stoke_x86::semantics::address;
@@ -90,18 +93,17 @@ pub fn run_instr_refs<'a>(
 ) -> Outcome {
     let mut emu = Emulator::start(input);
     for instr in instrs {
-        emu.step(instr);
+        emu.count_undefined_reads(instr);
+        emu.execute(instr);
     }
     emu.finish()
 }
 
-/// The sandboxed interpreter state behind [`run_instrs`] and
-/// [`run_prepared`](crate::prepare::PreparedProgram::run_prepared): one
-/// [`MachineState`] per run, executing the shared semantics through the
-/// [`Cpu`] trait's provided [`execute`](Cpu::execute) method. The batched engine
-/// ([`crate::batch`]) runs the same method through its column view for
-/// the instructions it has no row-pass micro-op for; this interpreter is
-/// the oracle its micro-ops are tested against.
+/// The sandboxed interpreter behind [`run_instrs`]: one [`MachineState`]
+/// per run, and the shared semantics executed over it in the `u64`/`bool`
+/// value domain. Memory accesses run in the sandbox, where an invalid
+/// access counts a `sigsegv` and reads zero or drops the store; a division
+/// that faults counts a `sigfpe` and leaves the state unchanged.
 pub(crate) struct Emulator {
     pub(crate) state: MachineState,
     pub(crate) faults: Faults,
@@ -122,9 +124,10 @@ impl Emulator {
         }
     }
 
-    fn step(&mut self, instr: &Instruction) {
-        self.count_undefined_reads(instr);
-        self.execute(instr);
+    /// Execute one instruction's semantics (the undefined-read counter is
+    /// the caller's responsibility).
+    pub(crate) fn execute(&mut self, instr: &Instruction) {
+        execute(self, instr);
     }
 
     /// Count reads from registers or flags that have not been defined.
@@ -145,125 +148,206 @@ impl Emulator {
             }
         }
     }
-}
 
-/// The primitive state accesses of a concrete executor. The instruction
-/// semantics themselves are [`stoke_x86::execute`], which [`Cpu::execute`]
-/// runs over these primitives in the `u64`/`bool` value domain.
-///
-/// Implemented by [`Emulator`] (one [`MachineState`] per run: the
-/// interpreter and [`run_prepared`](crate::prepare::PreparedProgram::run_prepared))
-/// and by the batched engine's column view into a structure-of-arrays
-/// [`crate::batch::BatchState`]. Instructions the engine executes through
-/// that view agree with the interpreter bit-for-bit by construction; its
-/// row-pass micro-ops restate the semantics per shape and are checked
-/// against the interpreter by the `prop_batched` property suite.
-pub(crate) trait Cpu {
-    /// Read a register view (masked to the view's width).
-    fn read_reg(&self, r: Reg) -> u64;
-    /// Write a register view with x86-64 merge semantics; marks defined.
-    fn write_reg(&mut self, r: Reg, value: u64);
-    /// Read the full 64-bit value of an architectural register.
-    fn read_gpr64(&self, g: Gpr) -> u64;
-    /// Overwrite the full 64-bit value of a register; marks defined.
-    fn set_gpr64(&mut self, g: Gpr, value: u64);
-    /// Read an SSE register.
-    fn read_xmm(&self, x: Xmm) -> XmmValue;
-    /// Write an SSE register; marks defined.
-    fn write_xmm(&mut self, x: Xmm, value: XmmValue);
-    /// Read a status flag.
-    fn read_flag(&self, f: Flag) -> bool;
-    /// Write a status flag; marks defined.
-    fn write_flag(&mut self, f: Flag, value: bool);
-    /// Sandboxed load of `len <= 8` bytes (`None` on a fault).
-    fn mem_load(&self, addr: u64, len: u64) -> Option<u64>;
-    /// Sandboxed store of `len <= 8` bytes (`false` on a fault).
-    fn mem_store(&mut self, addr: u64, value: u64, len: u64) -> bool;
-    /// Sandboxed 128-bit load.
-    fn mem_load128(&self, addr: u64) -> Option<XmmValue>;
-    /// Sandboxed 128-bit store.
-    fn mem_store128(&mut self, addr: u64, value: XmmValue) -> bool;
-    /// Record an out-of-sandbox memory access.
-    fn fault_sigsegv(&mut self);
-    /// Record an arithmetic exception.
-    fn fault_sigfpe(&mut self);
-
-    /// Execute one instruction's semantics (the undefined-read counter is
-    /// the caller's responsibility — see [`Emulator::step`] and the
-    /// batched column loop).
-    fn execute(&mut self, instr: &Instruction) {
-        execute(&mut Concrete(self), instr);
-    }
-}
-
-/// The concrete value domain of the shared semantics: values are `u64`s
-/// kept truncated to their width, bits are `bool`s. Memory accesses run
-/// in the sandbox, where an invalid access counts a `sigsegv` and reads
-/// zero or drops the store; a division that faults counts a `sigfpe` and
-/// leaves the state unchanged.
-struct Concrete<'a, C: ?Sized>(&'a mut C);
-
-/// The low `bits` bits. `mask` and `sext` are marked inline because every
-/// operation of the generic semantics calls them, possibly from another
-/// codegen unit; without it the interpreter measurably slows down.
-#[inline]
-fn mask(bits: u32) -> u64 {
-    u64::MAX >> (64 - bits)
-}
-
-/// Sign-extend the low `bits` bits of `v` to 64.
-#[inline]
-fn sext(bits: u32, v: u64) -> u64 {
-    let shift = 64 - bits;
-    (((v << shift) as i64) >> shift) as u64
-}
-
-impl<C: Cpu + ?Sized> Concrete<'_, C> {
     fn sandboxed_load(&mut self, addr: u64, len: u64) -> u64 {
-        self.0.mem_load(addr, len).unwrap_or_else(|| {
-            self.0.fault_sigsegv();
+        self.state.memory.load(addr, len).unwrap_or_else(|| {
+            self.faults.sigsegv += 1;
             0
         })
     }
 
     fn sandboxed_store(&mut self, addr: u64, value: u64, len: u64) {
-        if !self.0.mem_store(addr, value, len) {
-            self.0.fault_sigsegv();
+        if !self.state.memory.store(addr, value, len) {
+            self.faults.sigsegv += 1;
         }
     }
 }
 
-impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
+/// The concrete formulas of the value domain: values are `u64`s kept
+/// truncated to their width, bits are `bool`s. The interpreter calls them
+/// once per operation and the batched engine once per lane, so each is
+/// written here only. Every one is `#[inline]`: the generic semantics call
+/// them on every operation, possibly from another codegen unit, and
+/// without it the interpreter measurably slows down.
+pub(crate) mod value {
+    use stoke_x86::Width;
+
+    /// The low `bits` bits.
+    #[inline]
+    pub(crate) fn mask(bits: u32) -> u64 {
+        u64::MAX >> (64 - bits)
+    }
+
+    /// Sign-extend the low `bits` bits of `v` to 64.
+    #[inline]
+    pub(crate) fn sext(bits: u32, v: u64) -> u64 {
+        let shift = 64 - bits;
+        (((v << shift) as i64) >> shift) as u64
+    }
+
+    #[inline]
+    pub(crate) fn not(bits: u32, a: u64) -> u64 {
+        !a & mask(bits)
+    }
+
+    #[inline]
+    pub(crate) fn add(bits: u32, a: u64, b: u64) -> u64 {
+        a.wrapping_add(b) & mask(bits)
+    }
+
+    #[inline]
+    pub(crate) fn sub(bits: u32, a: u64, b: u64) -> u64 {
+        a.wrapping_sub(b) & mask(bits)
+    }
+
+    #[inline]
+    pub(crate) fn mul(bits: u32, a: u64, b: u64) -> u64 {
+        a.wrapping_mul(b) & mask(bits)
+    }
+
+    #[inline]
+    pub(crate) fn shl(bits: u32, a: u64, n: u64) -> u64 {
+        if n >= u64::from(bits) {
+            0
+        } else {
+            (a << n) & mask(bits)
+        }
+    }
+
+    #[inline]
+    pub(crate) fn lshr(bits: u32, a: u64, n: u64) -> u64 {
+        if n >= u64::from(bits) {
+            0
+        } else {
+            a >> n
+        }
+    }
+
+    #[inline]
+    pub(crate) fn ashr(bits: u32, a: u64, n: u64) -> u64 {
+        ((sext(bits, a) as i64) >> n.min(u64::from(bits - 1))) as u64 & mask(bits)
+    }
+
+    #[inline]
+    pub(crate) fn extract(hi: u32, lo: u32, a: u64) -> u64 {
+        (a >> lo) & mask(hi - lo + 1)
+    }
+
+    #[inline]
+    pub(crate) fn bit(i: u32, a: u64) -> bool {
+        (a >> i) & 1 == 1
+    }
+
+    #[inline]
+    pub(crate) fn concat(lo_bits: u32, hi: u64, lo: u64) -> u64 {
+        (hi << lo_bits) | lo
+    }
+
+    #[inline]
+    pub(crate) fn sign_ext(from: u32, to: u32, a: u64) -> u64 {
+        sext(from, a) & mask(to)
+    }
+
+    /// PF: the even parity of the low byte.
+    #[inline]
+    pub(crate) fn parity(v: u64) -> bool {
+        (v as u8).count_ones().is_multiple_of(2)
+    }
+
+    #[inline]
+    pub(crate) fn popcnt(a: u64) -> u64 {
+        u64::from(a.count_ones())
+    }
+
+    #[inline]
+    pub(crate) fn bit_scan(reverse: bool, a: u64, old: u64) -> u64 {
+        match (a, reverse) {
+            (0, _) => old,
+            (_, false) => u64::from(a.trailing_zeros()),
+            (_, true) => u64::from(63 - a.leading_zeros()),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn bswap(w: Width, a: u64) -> u64 {
+        a.swap_bytes() >> (64 - w.bits())
+    }
+
+    /// (low, high) halves of the 128-bit product.
+    #[inline]
+    pub(crate) fn mul64(a: u64, b: u64, signed: bool) -> (u64, u64) {
+        let full = if signed {
+            (i128::from(a as i64) * i128::from(b as i64)) as u128
+        } else {
+            u128::from(a) * u128::from(b)
+        };
+        (full as u64, (full >> 64) as u64)
+    }
+
+    /// Quotient and remainder of `hi:lo / divisor` at width `w`, or `None`
+    /// on a division by zero or a quotient that does not fit.
+    #[inline]
+    pub(crate) fn divide(
+        w: Width,
+        signed: bool,
+        hi: u64,
+        lo: u64,
+        divisor: u64,
+    ) -> Option<(u64, u64)> {
+        let bits = w.bits();
+        let dividend = (u128::from(hi) << bits) | u128::from(lo);
+        if divisor == 0 {
+            None
+        } else if signed {
+            // Sign-extend the 2w-bit dividend and the divisor.
+            let shift = 128 - 2 * bits;
+            let dividend = ((dividend << shift) as i128) >> shift;
+            let divisor = i128::from(sext(bits, divisor) as i64);
+            let q = dividend.wrapping_div(divisor);
+            let fits = (-(1i128 << (bits - 1))..1i128 << (bits - 1)).contains(&q);
+            fits.then(|| {
+                let r = dividend.wrapping_rem(divisor);
+                (q as u64 & mask(bits), r as u64 & mask(bits))
+            })
+        } else {
+            let q = dividend / u128::from(divisor);
+            (q <= u128::from(mask(bits)))
+                .then(|| (q as u64, (dividend % u128::from(divisor)) as u64))
+        }
+    }
+}
+
+impl Machine for Emulator {
     type Bv = u64;
     type Bit = bool;
 
     fn read_reg(&mut self, r: Reg) -> u64 {
-        self.0.read_reg(r)
+        self.state.read_reg(r)
     }
     fn write_reg(&mut self, r: Reg, v: u64) {
-        self.0.write_reg(r, v);
+        self.state.write_reg(r, v);
     }
     fn read_gpr64(&mut self, g: Gpr) -> u64 {
-        self.0.read_gpr64(g)
+        self.state.read_gpr64(g)
     }
     fn set_gpr64(&mut self, g: Gpr, v: u64) {
-        self.0.set_gpr64(g, v);
+        self.state.set_gpr64(g, v);
     }
     fn read_xmm(&mut self, x: Xmm) -> XmmValue {
-        self.0.read_xmm(x)
+        self.state.read_xmm(x)
     }
     fn write_xmm(&mut self, x: Xmm, v: XmmValue) {
-        self.0.write_xmm(x, v);
+        self.state.write_xmm(x, v);
     }
     fn read_flag(&mut self, f: Flag) -> bool {
-        self.0.read_flag(f)
+        self.state.read_flag(f)
     }
     fn write_flag(&mut self, f: Flag, v: bool) {
-        self.0.write_flag(f, v);
+        self.state.write_flag(f, v);
     }
     fn write_flag_unless(&mut self, keep: bool, f: Flag, v: bool) {
         if !keep {
-            self.0.write_flag(f, v);
+            self.state.write_flag(f, v);
         }
     }
 
@@ -277,15 +361,15 @@ impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
     }
     fn load128(&mut self, mem: &Mem) -> XmmValue {
         let addr = address(self, mem);
-        self.0.mem_load128(addr).unwrap_or_else(|| {
-            self.0.fault_sigsegv();
+        self.state.memory.load128(addr).unwrap_or_else(|| {
+            self.faults.sigsegv += 1;
             [0, 0]
         })
     }
     fn store128(&mut self, mem: &Mem, v: XmmValue) {
         let addr = address(self, mem);
-        if !self.0.mem_store128(addr, v) {
-            self.0.fault_sigsegv();
+        if !self.state.memory.store128(addr, v) {
+            self.faults.sigsegv += 1;
         }
     }
     fn load_at(&mut self, addr: u64) -> u64 {
@@ -303,64 +387,36 @@ impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
         lo: u64,
         divisor: u64,
     ) -> Option<(u64, u64)> {
-        let bits = w.bits();
-        let dividend = (u128::from(hi) << bits) | u128::from(lo);
-        let result = if divisor == 0 {
-            None
-        } else if signed {
-            // Sign-extend the 2w-bit dividend and the divisor.
-            let shift = 128 - 2 * bits;
-            let dividend = ((dividend << shift) as i128) >> shift;
-            let divisor = i128::from(sext(bits, divisor) as i64);
-            let q = dividend.wrapping_div(divisor);
-            let fits = (-(1i128 << (bits - 1))..1i128 << (bits - 1)).contains(&q);
-            fits.then(|| {
-                let r = dividend.wrapping_rem(divisor);
-                (q as u64 & mask(bits), r as u64 & mask(bits))
-            })
-        } else {
-            let q = dividend / u128::from(divisor);
-            (q <= u128::from(mask(bits)))
-                .then(|| (q as u64, (dividend % u128::from(divisor)) as u64))
-        };
+        let result = value::divide(w, signed, hi, lo, divisor);
         if result.is_none() {
-            self.0.fault_sigfpe();
+            self.faults.sigfpe += 1;
         }
         result
     }
     fn mul64(&mut self, a: u64, b: u64, signed: bool) -> (u64, u64) {
-        let full = if signed {
-            (i128::from(a as i64) * i128::from(b as i64)) as u128
-        } else {
-            u128::from(a) * u128::from(b)
-        };
-        (full as u64, (full >> 64) as u64)
+        value::mul64(a, b, signed)
     }
     fn parity(&mut self, v: u64) -> bool {
-        (v as u8).count_ones().is_multiple_of(2)
+        value::parity(v)
     }
     fn popcnt(&mut self, _w: Width, a: u64) -> u64 {
-        u64::from(a.count_ones())
+        value::popcnt(a)
     }
     fn bit_scan(&mut self, _w: Width, reverse: bool, a: u64, old: u64) -> u64 {
-        match (a, reverse) {
-            (0, _) => old,
-            (_, false) => u64::from(a.trailing_zeros()),
-            (_, true) => u64::from(63 - a.leading_zeros()),
-        }
+        value::bit_scan(reverse, a, old)
     }
     fn bswap(&mut self, w: Width, a: u64) -> u64 {
-        a.swap_bytes() >> (64 - w.bits())
+        value::bswap(w, a)
     }
 
     fn constant(&mut self, bits: u32, v: u64) -> u64 {
-        v & mask(bits)
+        v & value::mask(bits)
     }
     fn bit_constant(&mut self, b: bool) -> bool {
         b
     }
     fn not(&mut self, bits: u32, a: u64) -> u64 {
-        !a & mask(bits)
+        value::not(bits, a)
     }
     fn and(&mut self, a: u64, b: u64) -> u64 {
         a & b
@@ -372,30 +428,22 @@ impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
         a ^ b
     }
     fn add(&mut self, bits: u32, a: u64, b: u64) -> u64 {
-        a.wrapping_add(b) & mask(bits)
+        value::add(bits, a, b)
     }
     fn sub(&mut self, bits: u32, a: u64, b: u64) -> u64 {
-        a.wrapping_sub(b) & mask(bits)
+        value::sub(bits, a, b)
     }
     fn mul(&mut self, bits: u32, a: u64, b: u64) -> u64 {
-        a.wrapping_mul(b) & mask(bits)
+        value::mul(bits, a, b)
     }
     fn shl(&mut self, bits: u32, a: u64, n: u64) -> u64 {
-        if n >= u64::from(bits) {
-            0
-        } else {
-            (a << n) & mask(bits)
-        }
+        value::shl(bits, a, n)
     }
     fn lshr(&mut self, bits: u32, a: u64, n: u64) -> u64 {
-        if n >= u64::from(bits) {
-            0
-        } else {
-            a >> n
-        }
+        value::lshr(bits, a, n)
     }
     fn ashr(&mut self, bits: u32, a: u64, n: u64) -> u64 {
-        ((sext(bits, a) as i64) >> n.min(u64::from(bits - 1))) as u64 & mask(bits)
+        value::ashr(bits, a, n)
     }
     fn eq(&mut self, a: u64, b: u64) -> bool {
         a == b
@@ -411,19 +459,19 @@ impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
         }
     }
     fn extract(&mut self, hi: u32, lo: u32, a: u64) -> u64 {
-        (a >> lo) & mask(hi - lo + 1)
+        value::extract(hi, lo, a)
     }
     fn bit(&mut self, i: u32, a: u64) -> bool {
-        (a >> i) & 1 == 1
+        value::bit(i, a)
     }
     fn concat(&mut self, lo_bits: u32, hi: u64, lo: u64) -> u64 {
-        (hi << lo_bits) | lo
+        value::concat(lo_bits, hi, lo)
     }
     fn zero_ext(&mut self, _bits: u32, a: u64) -> u64 {
         a
     }
     fn sign_ext(&mut self, from: u32, to: u32, a: u64) -> u64 {
-        sext(from, a) & mask(to)
+        value::sign_ext(from, to, a)
     }
     fn extend_bit(&mut self, _bits: u32, b: bool) -> u64 {
         u64::from(b)
@@ -449,64 +497,6 @@ impl<C: Cpu + ?Sized> Machine for Concrete<'_, C> {
         } else {
             b
         }
-    }
-}
-
-impl Cpu for Emulator {
-    fn read_reg(&self, r: Reg) -> u64 {
-        self.state.read_reg(r)
-    }
-
-    fn write_reg(&mut self, r: Reg, value: u64) {
-        self.state.write_reg(r, value);
-    }
-
-    fn read_gpr64(&self, g: Gpr) -> u64 {
-        self.state.read_gpr64(g)
-    }
-
-    fn set_gpr64(&mut self, g: Gpr, value: u64) {
-        self.state.set_gpr64(g, value);
-    }
-
-    fn read_xmm(&self, x: Xmm) -> XmmValue {
-        self.state.read_xmm(x)
-    }
-
-    fn write_xmm(&mut self, x: Xmm, value: XmmValue) {
-        self.state.write_xmm(x, value);
-    }
-
-    fn read_flag(&self, f: Flag) -> bool {
-        self.state.read_flag(f)
-    }
-
-    fn write_flag(&mut self, f: Flag, value: bool) {
-        self.state.write_flag(f, value);
-    }
-
-    fn mem_load(&self, addr: u64, len: u64) -> Option<u64> {
-        self.state.memory.load(addr, len)
-    }
-
-    fn mem_store(&mut self, addr: u64, value: u64, len: u64) -> bool {
-        self.state.memory.store(addr, value, len)
-    }
-
-    fn mem_load128(&self, addr: u64) -> Option<XmmValue> {
-        self.state.memory.load128(addr)
-    }
-
-    fn mem_store128(&mut self, addr: u64, value: XmmValue) -> bool {
-        self.state.memory.store128(addr, value)
-    }
-
-    fn fault_sigsegv(&mut self) {
-        self.faults.sigsegv += 1;
-    }
-
-    fn fault_sigfpe(&mut self) {
-        self.faults.sigfpe += 1;
     }
 }
 

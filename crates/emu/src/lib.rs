@@ -6,6 +6,14 @@
 //! term, and a dependency-aware timing model standing in for native
 //! benchmarking (§4.2 / Figure 3).
 //!
+//! Instructions have one meaning, [`stoke_x86::execute`], which this
+//! crate runs two ways: per test case in the interpreter ([`run`],
+//! [`exec`]) and across a whole suite in the batched engine
+//! ([`PreparedProgram::run_lockstep`], [`batch`]), which applies the
+//! interpreter's scalar formulas to 16 columns at a time. The interpreter
+//! is the engine's differential oracle, and `stoke-verify` runs the same
+//! definition symbolically.
+//!
 //! ```
 //! use stoke_emu::{run, state::MachineState};
 //! use stoke_x86::{Gpr, Program};

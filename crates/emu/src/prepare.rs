@@ -8,25 +8,24 @@
 //! work out of the per-case loop:
 //!
 //! - [`Decoded`] is one instruction decoded once: the instruction itself,
-//!   its inline register/flag use lists, its latency, and the batched
-//!   engine's micro-op and handler. [`Decoded::new`] is the crate's only
-//!   per-instruction decode.
+//!   its inline register/flag use lists and its latency. [`Decoded::new`]
+//!   is the crate's only per-instruction decode.
 //! - [`PreparedProgram`] is a dense sequence of decoded entries, executed
-//!   per case ([`run_prepared`](PreparedProgram::run_prepared)) or across
-//!   all cases in lockstep ([`run_lockstep`](PreparedProgram::run_lockstep),
-//!   see [`crate::batch`]).
+//!   across all test cases in lockstep
+//!   ([`run_lockstep`](PreparedProgram::run_lockstep), see
+//!   [`crate::batch`]).
 //! - [`DecodeCache`] keeps the decoded form of a slot vector with `UNUSED`
 //!   slots (an MCMC rewrite) in sync one slot at a time, so a proposal
 //!   that changes one or two slots re-decodes one or two instructions, and
 //!   lends its dense form as a borrowed [`PreparedProgram`].
 //!
-//! Execution semantics are shared with the interpreter — all paths drive
-//! the same sandboxed step function — so they cannot drift apart;
-//! `run_prepared` is bit-identical to `run_instrs` by construction (and by
-//! the randomized property test `prop_prepared` at the workspace root).
+//! Execution semantics are shared with the interpreter: the batched
+//! engine runs the one shared definition, [`stoke_x86::execute`], and the
+//! interpreter is its oracle (the randomized property suite
+//! `prop_batched` at the workspace root).
 
-use crate::batch::{self, BatchState, Handler, Micro};
-use crate::exec::{Cpu, Emulator, Outcome};
+use crate::batch::BatchState;
+use crate::exec::Outcome;
 use crate::state::MachineState;
 use std::borrow::Cow;
 use std::fmt;
@@ -41,16 +40,14 @@ const MAX_XMM_USES: usize = 2;
 
 /// One instruction decoded once for execution: the instruction, its
 /// register and flag use lists for the undefined-read counter (same
-/// elements, same order as [`Instruction::gpr_uses`] and friends), its
-/// latency, and the batched engine's pre-decoded micro-op and handler.
+/// elements, same order as [`Instruction::gpr_uses`] and friends), and its
+/// latency.
 ///
 /// A `Decoded` is `Copy` and owns no heap memory, so a decoded program can
 /// be patched and rebuilt without allocating.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct Decoded {
     instr: Instruction,
-    pub(crate) micro: Micro,
-    pub(crate) handler: Handler,
     gpr_uses: [Reg; MAX_GPR_USES],
     xmm_uses: [Xmm; MAX_XMM_USES],
     n_gpr: u8,
@@ -76,18 +73,13 @@ impl Decoded {
             xmm_uses[n_xmm] = x;
             n_xmm += 1;
         });
-        let flag_uses = instr.flag_uses();
-        let (micro, handler) =
-            batch::select(instr, &gpr_uses[..n_gpr], &xmm_uses[..n_xmm], flag_uses);
         Decoded {
             instr: *instr,
-            micro,
-            handler,
             gpr_uses,
             xmm_uses,
             n_gpr: n_gpr as u8,
             n_xmm: n_xmm as u8,
-            flag_uses,
+            flag_uses: instr.flag_uses(),
             latency: instr.latency(),
         }
     }
@@ -119,34 +111,21 @@ impl Decoded {
     }
 }
 
-impl PartialEq for Decoded {
-    fn eq(&self, other: &Decoded) -> bool {
-        self.instr == other.instr
-            && self.micro == other.micro
-            && std::ptr::fn_addr_eq(self.handler, other.handler)
-            && self.gpr_uses() == other.gpr_uses()
-            && self.xmm_uses() == other.xmm_uses()
-            && self.flag_uses == other.flag_uses
-            && self.latency == other.latency
-    }
-}
-
 impl fmt::Debug for Decoded {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Decoded")
             .field("instr", &self.instr)
-            .field("micro", &self.micro)
             .field("gpr_uses", &self.gpr_uses())
             .field("xmm_uses", &self.xmm_uses())
             .field("flag_uses", &self.flag_uses)
             .field("latency", &self.latency)
-            .finish_non_exhaustive()
+            .finish()
     }
 }
 
 /// An instruction sequence decoded once into a dense, pre-resolved form
-/// that can be executed many times, per test case or across a whole batch
-/// of test cases in lockstep.
+/// that can be executed many times across a whole batch of test cases in
+/// lockstep.
 ///
 /// Preparation drops any notion of `UNUSED` slots (callers pass only the
 /// live instructions), decodes every instruction with [`Decoded::new`],
@@ -166,7 +145,7 @@ impl fmt::Debug for Decoded {
 /// input.set_gpr64(Gpr::Rsi, 40);
 /// // One prepare, many runs — each bit-identical to the interpreter.
 /// for _ in 0..3 {
-///     let out = prepared.run_prepared(&input);
+///     let out = &prepared.run_batch([&input])[0];
 ///     assert_eq!(out.state, run_instrs(p.instrs(), &input).state);
 ///     assert_eq!(out.state.read_gpr64(Gpr::Rax), 42);
 /// }
@@ -180,7 +159,7 @@ pub struct PreparedProgram<'a> {
 
 impl<'a> PreparedProgram<'a> {
     /// Prepare a sequence of instructions: decode each once, so that
-    /// per-test-case execution does no analysis work.
+    /// execution does no analysis work.
     pub fn new<'i>(instrs: impl IntoIterator<Item = &'i Instruction>) -> PreparedProgram<'a> {
         let decoded: Vec<Decoded> = instrs.into_iter().map(Decoded::new).collect();
         let latency = decoded.iter().map(|d| u64::from(d.latency)).sum();
@@ -223,34 +202,6 @@ impl<'a> PreparedProgram<'a> {
         self.latency
     }
 
-    /// Run the prepared sequence from `input`, sandboxing all undefined
-    /// behaviour exactly as [`run_instrs`](crate::run_instrs) does.
-    pub fn run_prepared(&self, input: &MachineState) -> Outcome {
-        let mut emu = Emulator::start(input);
-        for d in self.decoded.iter() {
-            // The undefined-read counter of Equation 11, over the
-            // precomputed use lists (same elements, same order as the
-            // interpreter's per-step analysis).
-            for r in d.gpr_uses() {
-                if !emu.state.gpr_is_defined(r.parent()) {
-                    emu.faults.undef += 1;
-                }
-            }
-            for x in d.xmm_uses() {
-                if !emu.state.xmm_is_defined(*x) {
-                    emu.faults.undef += 1;
-                }
-            }
-            for f in d.flag_uses {
-                if !emu.state.flag_is_defined(*f) {
-                    emu.faults.undef += 1;
-                }
-            }
-            emu.execute(&d.instr);
-        }
-        emu.finish()
-    }
-
     /// Run the program across all live columns of `state`, in lockstep:
     /// instruction 0 on every column, then instruction 1, and so on.
     /// Columns killed before the call stay dead; execution stops early if
@@ -274,7 +225,7 @@ impl<'a> PreparedProgram<'a> {
             if state.live_columns() == 0 {
                 return;
             }
-            (d.handler)(d, state);
+            state.step(d);
             if !after_step(state) {
                 return;
             }
@@ -283,9 +234,8 @@ impl<'a> PreparedProgram<'a> {
 
     /// Convenience entry point: load `inputs` into a fresh batch, run to
     /// completion, and extract one [`Outcome`] per column — the batched
-    /// equivalent of calling
-    /// [`run_prepared`](PreparedProgram::run_prepared) per input. Hot
-    /// paths should instead hold a reusable [`BatchState`] and call
+    /// equivalent of calling [`run_instrs`](crate::run_instrs) per input.
+    /// Hot paths should instead hold a reusable [`BatchState`] and call
     /// [`load`](BatchState::load) + [`run_lockstep`](Self::run_lockstep).
     ///
     /// ```
@@ -424,11 +374,16 @@ mod tests {
         s
     }
 
+    /// One column of a prepared program's batched run.
+    fn run_one(prepared: &PreparedProgram<'_>, input: &MachineState) -> Outcome {
+        prepared.run_batch([input]).remove(0)
+    }
+
     #[test]
     fn prepared_matches_interpreter_on_clean_code() {
         let p: Program = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let a = prepared.run_prepared(&input());
+        let a = run_one(&prepared, &input());
         let b = run_instrs(p.instrs(), &input());
         assert_eq!(a.state, b.state);
         assert_eq!(a.faults, b.faults);
@@ -445,7 +400,7 @@ mod tests {
             .parse()
             .unwrap();
         let prepared = PreparedProgram::of_program(&p);
-        let a = prepared.run_prepared(&input());
+        let a = run_one(&prepared, &input());
         let b = run_instrs(p.instrs(), &input());
         assert_eq!(a.faults, b.faults);
         assert_eq!(a.state, b.state);
@@ -470,7 +425,7 @@ mod tests {
         let prepared = PreparedProgram::new(std::iter::empty());
         assert!(prepared.is_empty());
         assert_eq!(prepared.static_latency(), 0);
-        let out = prepared.run_prepared(&input());
+        let out = run_one(&prepared, &input());
         assert_eq!(out.state, input());
         assert!(out.faults.is_clean());
     }

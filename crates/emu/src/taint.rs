@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::exec::{Cpu, Emulator, Outcome};
+use crate::exec::{Emulator, Outcome};
 use crate::state::MachineState;
 use stoke_x86::flow::LocSet;
 use stoke_x86::{AluOp, Flag, Gpr, Instruction, Mem, Opcode, Operand, Width, Xmm};

@@ -44,8 +44,10 @@ pub struct PipelineFingerprint(u64);
 /// what a proof means, so the cache stops serving rewrites proven under
 /// the old meaning. Revision 2: narrow rotates turn by the count modulo
 /// their width, and overlapping or 128-bit stack accesses no longer use
-/// named stack slots.
-pub const SEMANTICS_REVISION: u32 = 2;
+/// named stack slots. Revision 3: neither do programs that use rsp in any
+/// operand other than a memory base (`movq rsp, rbx`, `leaq -8(rsp),
+/// rbx`).
+pub const SEMANTICS_REVISION: u32 = 3;
 
 impl PipelineFingerprint {
     /// Fingerprint a configuration plus the name of the verifier in use

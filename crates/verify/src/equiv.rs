@@ -175,10 +175,13 @@ impl Validator {
 /// Whether the named-stack-slot model (§5.2's first simplifying
 /// assumption) is sound for a pair of programs. Slots are 8-byte
 /// locations keyed by their displacement from rsp, so the model holds
-/// only when neither program redefines rsp, every rsp-based access is a
-/// scalar `disp(rsp)` access, and no two of those accesses at different
-/// displacements overlap. Otherwise the stack goes through flat memory.
-fn stack_slots_sound(programs: [&Program; 2]) -> bool {
+/// only when rsp appears in no operand except as the base of a scalar
+/// `disp(rsp)` access, neither program redefines rsp, and no two of those
+/// accesses at different displacements overlap. An rsp copied into
+/// another register (`movq rsp, rbx`, `leaq -8(rsp), rbx`) would let a
+/// program reach a slot's bytes through an address the model does not
+/// name. Otherwise the stack goes through flat memory.
+pub fn stack_slots_sound(programs: [&Program; 2]) -> bool {
     // (displacement, bytes) of every rsp-based access.
     let mut accesses: Vec<(i64, i64)> = Vec::new();
     for instr in programs.into_iter().flatten() {
@@ -188,16 +191,16 @@ fn stack_slots_sound(programs: [&Program; 2]) -> bool {
             return false;
         }
         for (slot, op) in instr.opcode().signature().iter().zip(instr.operands()) {
-            let Operand::Mem(m) = op else { continue };
-            if m.base != Some(Gpr::Rsp) && m.index != Some(Gpr::Rsp) {
-                continue;
-            }
+            let m = match op {
+                Operand::Reg(r) if r.parent() == Gpr::Rsp => return false,
+                Operand::Mem(m) if m.base == Some(Gpr::Rsp) || m.index == Some(Gpr::Rsp) => m,
+                _ => continue,
+            };
             match (slot.reg, slot.xmm) {
-                // `lea`'s address slot: nothing is accessed.
-                (None, false) => {}
-                (Some(w), false) if m.base == Some(Gpr::Rsp) && m.index.is_none() => {
+                (Some(w), false) if m.index.is_none() => {
                     accesses.push((i64::from(m.disp), w.bytes() as i64));
                 }
+                // `lea`'s address slot, an index, or a 128-bit access.
                 _ => return false,
             }
         }
@@ -431,6 +434,26 @@ mod tests {
         let mut live_out = LocSet::new();
         live_out.xmms.insert(Xmm(1));
         assert!(!Validator::new(live_out).prove(&t, &r).0.is_equivalent());
+    }
+
+    #[test]
+    fn rsp_copied_to_another_register_uses_flat_memory() {
+        // Each rewrite overwrites the slot at -8(rsp) through a copy of
+        // rsp, reads 5 back through the slot's own name, and restores the
+        // old bytes: it leaves 5 in rax, not rdi. A slot model keyed by
+        // displacement from rsp would not see the aliasing store.
+        let target = "movq rdi, -8(rsp)\nmovq -8(rsp), rax";
+        for rewrite in [
+            "leaq -8(rsp), rbx\nmovq (rbx), rcx\nmovq rdi, -8(rsp)\nmovq 5, (rbx)\n\
+             movq -8(rsp), rax\nmovq rcx, (rbx)",
+            "movq rsp, rbx\nmovq -8(rbx), rcx\nmovq rdi, -8(rsp)\nmovq 5, -8(rbx)\n\
+             movq -8(rsp), rax\nmovq rcx, -8(rbx)",
+        ] {
+            assert!(
+                !prove(target, rewrite, &[Gpr::Rax]).is_equivalent(),
+                "{rewrite}"
+            );
+        }
     }
 
     #[test]

@@ -15,10 +15,11 @@ pub type SymXmm = (TermId, TermId);
 /// part of the memory theory away from the common case of `llvm -O0`
 /// stack traffic. The validator does so only for program pairs whose
 /// stack accesses make the model sound: scalar, non-overlapping
-/// `disp(rsp)` accesses and no write to `rsp`. All other accesses go through a byte-granular
-/// write-history: a load is lowered to an if-then-else chain over all
-/// previous stores (most recent first), falling back to an uninterpreted
-/// "initial memory" byte.
+/// `disp(rsp)` accesses, no write to `rsp` and no other use of it (see
+/// [`stack_slots_sound`](crate::equiv::stack_slots_sound)). All other
+/// accesses go through a byte-granular write-history: a load is lowered
+/// to an if-then-else chain over all previous stores (most recent first),
+/// falling back to an uninterpreted "initial memory" byte.
 #[derive(Debug, Clone)]
 pub struct SymMemory {
     /// Named stack slots, keyed by displacement from the initial rsp.

@@ -5,19 +5,74 @@
 //! trusts the symbolic semantics; the whole system is only sound if the
 //! two agree. A program is run concretely, and symbolically with the same
 //! concrete inputs substituted into the term evaluator, and every general
-//! purpose register, flag and SSE register is compared. Outputs the
-//! validator models as uninterpreted functions (64-bit widening multiply,
-//! division, initial memory) have no concrete meaning on the symbolic side
-//! and are skipped.
+//! purpose register, flag and SSE register is compared, and so is every
+//! memory byte either side may have written: the emulator's image against
+//! `SymMemory::load_byte` of the validator's write history, or against its
+//! named stack slot when the validator uses slots for the program.
+//!
+//! The validator's initial memory is an uninterpreted function, which the
+//! term evaluator computes as a fixed pseudo-random function of the
+//! address; the emulator's memory region is filled with exactly those
+//! bytes, so loads compare too. The other outputs the validator models as
+//! uninterpreted functions (64-bit widening multiply, division) have no
+//! concrete meaning on the symbolic side and are skipped, and so are runs
+//! that fault in the emulator's sandbox, which has no symbolic
+//! counterpart.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
-use stoke_suite::emu::{run, MachineState};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::OnceLock;
+use stoke_suite::emu::{run, MachineState, Memory};
 use stoke_suite::solver::{TermData, TermId, TermPool};
+use stoke_suite::verify::equiv::stack_slots_sound;
+use stoke_suite::verify::symstate::UF_MEM_INIT;
 use stoke_suite::verify::{SymExecutor, SymState};
 use stoke_suite::x86::{
     Flag, Gpr, Instruction, Mem, Opcode, Operand, Program, Reg, Scale, Width, Xmm,
 };
+
+/// The memory region every run maps.
+const REGION: u64 = 0x10_0000;
+const REGION_LEN: u64 = 0x200;
+/// The value of `rsp` and of every memory operand's base register: the
+/// middle of the region, so every `disp(base)` operand with a
+/// displacement in `-0x100..0xf0` is a valid access.
+const POINTER: u64 = REGION + 0x100;
+
+/// The region's initial bytes: the validator's initial-memory function at
+/// each address, as the term evaluator computes it.
+fn initial_memory() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let mut pool = TermPool::new();
+        (REGION..REGION + REGION_LEN)
+            .map(|a| {
+                let addr = pool.constant(64, a);
+                let byte = pool.uf(UF_MEM_INIT, vec![addr], 8);
+                pool.eval(byte, &HashMap::new()) as u8
+            })
+            .collect()
+    })
+}
+
+/// The emulator's initial memory image: the region, holding
+/// [`initial_memory`].
+fn initial_image() -> &'static Memory {
+    static IMAGE: OnceLock<Memory> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let mut image = Memory::new();
+        for (a, byte) in (REGION..).zip(initial_memory()) {
+            image.poke(a, *byte);
+        }
+        image
+    })
+}
+
+/// The 8 bytes of the initial region at `addr`, little-endian.
+fn initial_u64(addr: u64) -> u64 {
+    let at = (addr - REGION) as usize;
+    u64::from_le_bytes(initial_memory()[at..at + 8].try_into().expect("8 bytes"))
+}
 
 /// One concrete input state: all registers and flags defined.
 #[derive(Debug, Clone)]
@@ -40,20 +95,23 @@ fn check_agreement(program: &Program, inputs: &Inputs) {
     for x in Xmm::ALL {
         state.write_xmm(x, inputs.xmms[x.index()]);
     }
+    state.memory = initial_image().clone();
     let outcome = run(program, &state);
-    if outcome.faults.sigfpe > 0 {
+    if outcome.faults.sigfpe > 0 || outcome.faults.sigsegv > 0 {
         // A faulting division has no architectural result: the emulator
         // leaves the state unchanged and counts the fault, while the
         // validator models every quotient and remainder as an
-        // uninterpreted function of the inputs.
+        // uninterpreted function of the inputs. An access outside the
+        // sandbox reads zero, where the validator reads memory.
         return;
     }
     let conc = outcome.state;
 
+    let slots = stack_slots_sound([program, program]);
     let mut pool = TermPool::new();
     let mut sym = SymState::initial(&mut pool, "t");
     {
-        let mut exec = SymExecutor::new(&mut pool, true);
+        let mut exec = SymExecutor::new(&mut pool, slots);
         for instr in program {
             exec.step(&mut sym, instr);
         }
@@ -73,46 +131,78 @@ fn check_agreement(program: &Program, inputs: &Inputs) {
         env.insert(format!("in_xmm{}_lo", x.index()), lo);
         env.insert(format!("in_xmm{}_hi", x.index()), hi);
     }
+    // A named slot starts as the 8 bytes at its displacement (`lea`'s
+    // address may lie anywhere, but is never a slot).
+    let rsp = inputs.gprs[Gpr::Rsp.index()];
+    for m in program.iter().filter_map(|i| i.mem_operand()) {
+        let start = rsp.wrapping_add(i64::from(m.disp) as u64);
+        if m.base == Some(Gpr::Rsp) && (REGION..=REGION + REGION_LEN - 8).contains(&start) {
+            env.insert(format!("stack_init_{}", m.disp), initial_u64(start));
+        }
+    }
+    // Every output as (what, symbolic term, concrete value).
+    let mut outputs: Vec<(String, TermId, u64)> = Vec::new();
+    for g in Gpr::ALL {
+        outputs.push((
+            g.name64().to_string(),
+            sym.read_gpr64(g),
+            conc.read_gpr64(g),
+        ));
+    }
+    for f in Flag::ALL {
+        let value = u64::from(conc.read_flag(f));
+        outputs.push((f.name().to_string(), sym.read_flag(f), value));
+    }
+    for x in Xmm::ALL {
+        let (lo, hi) = sym.read_xmm(x);
+        let [clo, chi] = conc.read_xmm(x);
+        outputs.push((format!("xmm{} low", x.index()), lo, clo));
+        outputs.push((format!("xmm{} high", x.index()), hi, chi));
+    }
+    // Memory: every named slot, and every other byte the emulator changed
+    // or the validator's write history names.
+    let mut addresses: BTreeSet<u64> = (REGION..REGION + REGION_LEN)
+        .filter(|&a| conc.memory.peek(a) != initial_memory()[(a - REGION) as usize])
+        .collect();
+    for (addr, _) in sym.memory.writes() {
+        addresses.insert(pool.eval(*addr, &env));
+    }
+    for (disp, slot) in sym.memory.stack_slots() {
+        let start = rsp.wrapping_add(disp as u64);
+        let value = conc.memory.peek_wide(start, 8);
+        outputs.push((format!("the stack slot at {start:#x}"), slot, value));
+        for a in start..start + 8 {
+            addresses.remove(&a);
+        }
+    }
+    for a in addresses {
+        let addr = pool.constant(64, a);
+        let byte = sym.memory.load_byte(&mut pool, addr);
+        let value = u64::from(conc.memory.peek(a));
+        outputs.push((format!("the memory byte at {a:#x}"), byte, value));
+    }
 
     let mut interpreted = HashMap::new();
-    let mut compare = |what: String, term: TermId, concrete: u64| {
+    for (what, term, concrete) in outputs {
         if mentions_uf(&pool, term, &mut interpreted) {
-            return;
+            continue;
         }
         assert_eq!(
             pool.eval(term, &env),
             concrete,
             "emulator and validator disagree on {what} for program:\n{program}\ninputs: {inputs:?}"
         );
-    };
-    for g in Gpr::ALL {
-        compare(
-            g.name64().to_string(),
-            sym.read_gpr64(g),
-            conc.read_gpr64(g),
-        );
-    }
-    for f in Flag::ALL {
-        compare(
-            f.name().to_string(),
-            sym.read_flag(f),
-            u64::from(conc.read_flag(f)),
-        );
-    }
-    for x in Xmm::ALL {
-        let (lo, hi) = sym.read_xmm(x);
-        let [clo, chi] = conc.read_xmm(x);
-        compare(format!("xmm{} low", x.index()), lo, clo);
-        compare(format!("xmm{} high", x.index()), hi, chi);
     }
 }
 
-/// Whether `t` depends on an uninterpreted function application.
+/// Whether `t` depends on an uninterpreted function application other
+/// than the initial memory, which the region's contents interpret.
 fn mentions_uf(pool: &TermPool, t: TermId, memo: &mut HashMap<TermId, bool>) -> bool {
     if let Some(known) = memo.get(&t) {
         return *known;
     }
     let children: Vec<TermId> = match pool.data(t) {
+        TermData::Uf { func, args, .. } if *func == UF_MEM_INIT => args.clone(),
         TermData::Uf { .. } => {
             memo.insert(t, true);
             return true;
@@ -221,37 +311,48 @@ impl Rng {
     }
 }
 
-/// A random instruction of `opcode` over register and immediate operands
-/// (memory only as `lea`'s address, which is never accessed). Shift and
-/// rotate counts range over all of 0..=255.
-fn random_instruction(opcode: Opcode, rng: &mut Rng) -> Instruction {
-    let operands: Vec<Operand> = opcode
-        .signature()
-        .iter()
-        .map(|slot| {
-            let gpr = Gpr::from_index(rng.below(16) as usize);
-            if slot.imm && (slot.reg.is_none() || rng.below(2) == 0) {
-                let imm = if matches!(opcode, Opcode::Shift(..)) {
-                    rng.below(256) as i64
-                } else {
-                    rng.value() as i64
-                };
-                Operand::Imm(imm)
-            } else if let Some(w) = slot.reg {
-                Operand::Reg(Reg::new(gpr, w))
-            } else if slot.xmm {
-                Operand::Xmm(Xmm(rng.below(16) as u8))
+/// A random instruction of `opcode` over register, immediate and memory
+/// operands, and the registers that must hold [`POINTER`] for its memory
+/// accesses to be valid. A memory operand is a `disp(base)` access,
+/// often `disp(rsp)`; `lea`'s address may take any form, since it is
+/// never accessed. Shift and rotate counts range over all of 0..=255.
+fn random_instruction(opcode: Opcode, rng: &mut Rng) -> (Instruction, Vec<Gpr>) {
+    let mut bases = Vec::new();
+    if matches!(opcode, Opcode::Push | Opcode::Pop) {
+        bases.push(Gpr::Rsp);
+    }
+    let mut operands = Vec::new();
+    for slot in opcode.signature() {
+        let gpr = Gpr::from_index(rng.below(16) as usize);
+        let accessed = slot.reg.is_some() || slot.xmm;
+        let op = if slot.mem && accessed && bases.is_empty() && rng.below(3) == 0 {
+            let base = if rng.below(2) == 0 { Gpr::Rsp } else { gpr };
+            bases.push(base);
+            Operand::Mem(Mem::base_disp(base, rng.below(0x1f0) as i32 - 0x100))
+        } else if slot.imm && (slot.reg.is_none() || rng.below(2) == 0) {
+            let imm = if matches!(opcode, Opcode::Shift(..)) {
+                rng.below(256) as i64
             } else {
-                Operand::Mem(Mem {
-                    base: (rng.below(4) > 0).then_some(gpr),
-                    index: (rng.below(2) == 0).then(|| Gpr::from_index(rng.below(16) as usize)),
-                    scale: Scale::ALL[rng.below(4) as usize],
-                    disp: rng.next() as i32,
-                })
-            }
-        })
-        .collect();
-    Instruction::new(opcode, &operands).expect("operands drawn from the opcode's signature")
+                rng.value() as i64
+            };
+            Operand::Imm(imm)
+        } else if let Some(w) = slot.reg {
+            Operand::Reg(Reg::new(gpr, w))
+        } else if slot.xmm {
+            Operand::Xmm(Xmm(rng.below(16) as u8))
+        } else {
+            Operand::Mem(Mem {
+                base: (rng.below(4) > 0).then_some(gpr),
+                index: (rng.below(2) == 0).then(|| Gpr::from_index(rng.below(16) as usize)),
+                scale: Scale::ALL[rng.below(4) as usize],
+                disp: rng.next() as i32,
+            })
+        };
+        operands.push(op);
+    }
+    let instr =
+        Instruction::new(opcode, &operands).expect("operands drawn from the opcode's signature");
+    (instr, bases)
 }
 
 /// Run each multi-instruction program from eight random input states,
@@ -277,7 +378,7 @@ proptest! {
     fn every_opcode_agrees_between_engines(seed in any::<u64>()) {
         let mut rng = Rng(seed | 1);
         for opcode in opcode_table() {
-            let instr = random_instruction(opcode, &mut rng);
+            let (instr, bases) = random_instruction(opcode, &mut rng);
             let mut inputs = rng.inputs();
             if let (Opcode::Div(w) | Opcode::Idiv(w), true) = (opcode, rng.below(4) > 0) {
                 // Mostly a dividend whose quotient fits, so the division
@@ -285,6 +386,9 @@ proptest! {
                 let signed = matches!(opcode, Opcode::Idiv(_));
                 let negative = w.sign_bit(inputs.gprs[Gpr::Rax.index()]);
                 inputs.gprs[Gpr::Rdx.index()] = if signed && negative { u64::MAX } else { 0 };
+            }
+            for g in bases {
+                inputs.gprs[g.index()] = POINTER;
             }
             check_agreement(&Program::from_instrs(vec![instr]), &inputs);
         }
@@ -341,6 +445,32 @@ fn narrow_multiply_and_divide_free_programs_agree() {
         "movl edi, eax\nimull 100, eax",
     ];
     check_programs(&programs, 0xfeed_face_cafe_f00d, |_, _| {});
+}
+
+#[test]
+fn memory_programs_agree() {
+    // Loads, stores and read-modify-writes through `disp(base)` and
+    // `disp(rsp)` at every width, 128-bit accesses, push and pop, and
+    // stack accesses the validator cannot name as slots (overlapping, or
+    // through a copy of rsp), so both of its memory models run.
+    let programs = [
+        "movq rdi, -8(rsp)\nmovq -8(rsp), rax",
+        "movl esi, -16(rsp)\nmovb dil, -24(rsp)\nmovq -16(rsp), rax\nmovzbl -24(rsp), ebx",
+        "addq rdi, -8(rsp)\nmovq -8(rsp), rax\nnegl -32(rsp)",
+        "movq rdi, 8(rbx)\naddq 8(rbx), rax\nmov si, 14(rbx)\nsubl 12(rbx), ecx",
+        "movq rdi, -8(rsp)\nmovl -4(rsp), eax",
+        "movq rsp, rbx\nmovq rdi, -8(rbx)\nmovq -8(rsp), rax",
+        "leaq -16(rsp), rbx\nmovq rsi, (rbx)\nmovq -16(rsp), rcx",
+        "movups (rbx), xmm0\npaddd 16(rbx), xmm0\nmovups xmm0, -32(rsp)\nmovq -32(rsp), rax",
+        "pushq rdi\npushq rsi\npopq rax\npopq rbx",
+        "popcntq 8(rbx), rax\nbsfl -4(rsp), ecx\ncmovneq -8(rsp), rdx",
+        "shlq cl, -8(rsp)\nsete -1(rbx)\nmovq -8(rsp), rax",
+    ];
+    check_programs(&programs, 0x6d65_6d6f_7279_0001, |inputs, _| {
+        inputs.gprs[Gpr::Rsp.index()] = POINTER;
+        inputs.gprs[Gpr::Rbx.index()] = POINTER - 0x40;
+        inputs.gprs[Gpr::Rcx.index()] &= 0xff;
+    });
 }
 
 #[test]

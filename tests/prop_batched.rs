@@ -1,19 +1,24 @@
-//! Property tests for the batched lockstep engine: for random programs
-//! (drawn from the MCMC proposal distribution, i.e. exactly the population
-//! the search evaluates) and random suites of varying width — including
-//! N = 0, N = 1 and all-faulting columns — `PreparedProgram::run_batch`
-//! produces outcomes bit-identical to `PreparedProgram::run_prepared` per
-//! column,
-//! and the cost function's `eq'` agrees with a sequential interpreter
-//! oracle on totals, §4.5 early-termination decisions, and evaluation
-//! statistics.
+//! Property tests for the batched lockstep engine against its oracle, the
+//! interpreter `run_instrs`: for random programs (drawn from the MCMC
+//! proposal distribution, i.e. exactly the population the search
+//! evaluates) and random suites of 0 to 40 columns — so runs cover empty
+//! and single-column batches, a full 16-column chunk and the partial
+//! chunks after it (17, 32, 33 columns), and all-faulting columns —
+//! `PreparedProgram::run_batch` produces outcomes bit-identical to
+//! `run_instrs` per column, and the cost function's `eq'` agrees with a
+//! sequential interpreter oracle on totals, §4.5 early-termination
+//! decisions, and evaluation statistics.
 //!
-//! A second family targets the engine's row-pass micro-ops directly:
-//! programs built only from the shapes that have one, at every operand
-//! width, over states with pointers into memory (so `disp(base)` accesses
-//! both hit and fault), partly undefined registers and flags, and memory
-//! layouts that differ between columns — run with every column live and
-//! with columns killed at random steps.
+//! Two more families target instruction shapes directly, at every operand
+//! width, over states with pointers into memory (so accesses both hit and
+//! fault), partly undefined registers and flags, and memory layouts that
+//! differ between columns — each run with every column live and with
+//! columns killed at random steps: the shapes compiled code and the
+//! search's rewrites are mostly made of (moves, ALU ops, shifts,
+//! conditional moves, multiplies over registers, immediates and
+//! `disp(base)` memory), and the rest (index-addressed memory,
+//! push/pop/xchg, bit operations, SSE including 128-bit memory, and
+//! divisions that fault in only some columns).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,7 +26,8 @@ use rand::{Rng, SeedableRng};
 use stoke_suite::emu::{run_instrs, BatchState, MachineState, PreparedProgram};
 use stoke_suite::stoke::{generate_testcases, Config, CostFn, EvalStats, Proposer, TargetSpec};
 use stoke_suite::x86::{
-    AluOp, Cond, Flag, Gpr, Instruction, Mem, Opcode, Operand, Program, ShiftOp, UnOp, Width, Xmm,
+    AluOp, BitOp, Cond, Flag, Gpr, Instruction, Mem, Opcode, Operand, Program, Scale, ShiftOp,
+    SseBinOp, SseMov128, SseShiftOp, UnOp, Width, Xmm,
 };
 
 /// A random machine state: a random subset of registers and flags defined
@@ -126,21 +132,30 @@ const WIDTHS: [Width; 4] = [Width::B, Width::W, Width::L, Width::Q];
 const STACK: u64 = 0x7000;
 const HEAP: u64 = 0x1000;
 
-/// A random state for the row-pass properties: registers defined with
-/// probability 0.8, half of them pointing into a mapped region (so
-/// `disp(base)` operands both hit and fault, also across segment ends),
-/// flags defined with probability 0.7, and one of two memory layouts.
+/// A random state for the shape properties: registers defined with
+/// probability 0.8, about a third of them pointing into a mapped region
+/// (so memory operands both hit and fault, also across segment ends) and
+/// some zero or all ones (so divisions fault in some columns only), SSE
+/// registers defined with probability 0.5, flags defined with probability
+/// 0.7, and one of two memory layouts.
 fn pointer_state(rng: &mut StdRng) -> MachineState {
     let mut state = MachineState::new();
     for g in Gpr::ALL {
         if rng.gen_bool(0.8) {
-            let value = match rng.gen_range(0..4) {
+            let value = match rng.gen_range(0..6) {
                 0 => STACK + rng.gen_range(0..0x110u64),
                 1 => HEAP + rng.gen_range(0..0x48u64),
                 2 => rng.gen::<u64>() & 0xff,
-                _ => rng.gen(),
+                3 => rng.gen(),
+                4 => 0,
+                _ => u64::MAX,
             };
             state.set_gpr64(g, value);
+        }
+    }
+    for x in Xmm::ALL {
+        if rng.gen_bool(0.5) {
+            state.write_xmm(x, [rng.gen(), rng.gen()]);
         }
     }
     for f in Flag::ALL {
@@ -181,13 +196,13 @@ fn mem(rng: &mut StdRng) -> Operand {
     Operand::Mem(Mem::base_disp(pick(rng, &Gpr::ALL), disp))
 }
 
-/// An instruction with a row-pass micro-op, at a random width: moves
+/// One of the shapes compiled code is mostly made of, at a random width: moves
 /// (register, immediate, load, store), `movabs`, sign and zero extension,
 /// `lea`, `cltq`/`cltd`/`cqto`, every ALU op, `cmp`, `test`,
 /// `neg`/`not`/`inc`/`dec`, shifts and rotates by an immediate or `cl`,
 /// `cmov{cc}`, `set{cc}` and the multiplies, with register or memory
 /// destinations where the shape has them.
-fn row_pass_instruction(rng: &mut StdRng) -> Instruction {
+fn common_instruction(rng: &mut StdRng) -> Instruction {
     const ALU: [AluOp; 7] = [
         AluOp::Add,
         AluOp::Adc,
@@ -305,9 +320,142 @@ fn row_pass_instruction(rng: &mut StdRng) -> Instruction {
     }
 }
 
+/// An index-addressed `disp(base, index, scale)` operand.
+fn indexed_mem(rng: &mut StdRng) -> Operand {
+    Operand::Mem(Mem {
+        base: Some(pick(rng, &Gpr::ALL)),
+        index: Some(pick(rng, &Gpr::ALL)),
+        scale: pick(rng, &Scale::ALL),
+        disp: pick(rng, &[-16, -8, 0, 8, 0x38, 0xfc]),
+    })
+}
+
+/// A memory operand of either addressing form.
+fn any_mem(rng: &mut StdRng) -> Operand {
+    if rng.gen_bool(0.5) {
+        indexed_mem(rng)
+    } else {
+        mem(rng)
+    }
+}
+
+fn xmm(rng: &mut StdRng) -> Operand {
+    Operand::Xmm(pick(rng, &Xmm::ALL))
+}
+
+/// An SSE register or a 128-bit memory operand.
+fn xmm_or_mem(rng: &mut StdRng) -> Operand {
+    if rng.gen_bool(0.4) {
+        any_mem(rng)
+    } else {
+        xmm(rng)
+    }
+}
+
+/// One of the remaining shapes, at a random width: index-addressed loads
+/// and stores, `push`, `pop`, `xchg`, `popcnt`, `bsf`, `bsr`, `bswap`, the
+/// SSE moves and arithmetic (with 128-bit memory operands), and `div` and
+/// `idiv` (whose divisors the states make zero, or the quotient overflow,
+/// in only some columns).
+fn tail_instruction(rng: &mut StdRng) -> Instruction {
+    loop {
+        let w = pick(rng, &WIDTHS);
+        let (opcode, operands) = match rng.gen_range(0..12) {
+            0 => (Opcode::Mov(w), vec![indexed_mem(rng), reg(rng, w)]),
+            1 => {
+                let src = if rng.gen_bool(0.5) {
+                    reg(rng, w)
+                } else {
+                    imm(rng)
+                };
+                (Opcode::Mov(w), vec![src, indexed_mem(rng)])
+            }
+            2 => (
+                Opcode::Alu(AluOp::Add, w),
+                vec![reg(rng, w), indexed_mem(rng)],
+            ),
+            3 => (
+                pick(rng, &[Opcode::Push, Opcode::Pop]),
+                vec![reg(rng, Width::Q)],
+            ),
+            4 => (Opcode::Xchg(w), vec![reg(rng, w), reg(rng, w)]),
+            5 => {
+                let op = pick(rng, &[BitOp::Popcnt, BitOp::Bsf, BitOp::Bsr]);
+                let src = if rng.gen_bool(0.7) {
+                    reg(rng, w)
+                } else {
+                    any_mem(rng)
+                };
+                (Opcode::Bits(op, w), vec![src, reg(rng, w)])
+            }
+            6 => (Opcode::Bits(BitOp::Bswap, w), vec![reg(rng, w)]),
+            7 => {
+                let (src, dst) = if rng.gen_bool(0.5) {
+                    (xmm_or_mem(rng), xmm(rng))
+                } else {
+                    (xmm(rng), xmm_or_mem(rng))
+                };
+                (Opcode::Mov128(pick(rng, &SseMov128::ALL)), vec![src, dst])
+            }
+            8 => (
+                Opcode::SseBin(pick(rng, &SseBinOp::ALL)),
+                vec![xmm_or_mem(rng), xmm(rng)],
+            ),
+            9 => match rng.gen_range(0..7) {
+                0 => (Opcode::MovdToXmm, vec![reg(rng, Width::L), xmm(rng)]),
+                1 => (Opcode::MovqToXmm, vec![reg(rng, Width::Q), xmm(rng)]),
+                2 => (Opcode::MovdFromXmm, vec![xmm(rng), reg(rng, Width::L)]),
+                3 => (Opcode::MovqFromXmm, vec![xmm(rng), reg(rng, Width::Q)]),
+                4 => (
+                    Opcode::SseShift(pick(rng, &SseShiftOp::ALL)),
+                    vec![Operand::Imm(rng.gen_range(0..70)), xmm(rng)],
+                ),
+                5 => (
+                    pick(rng, &[Opcode::Pshufd, Opcode::Shufps]),
+                    vec![
+                        Operand::Imm(rng.gen_range(0..256)),
+                        xmm_or_mem(rng),
+                        xmm(rng),
+                    ],
+                ),
+                _ => (
+                    pick(rng, &[Opcode::Punpckldq, Opcode::Punpcklqdq]),
+                    vec![xmm_or_mem(rng), xmm(rng)],
+                ),
+            },
+            _ => {
+                let divisor = if rng.gen_bool(0.7) {
+                    reg(rng, w)
+                } else {
+                    any_mem(rng)
+                };
+                (pick(rng, &[Opcode::Div(w), Opcode::Idiv(w)]), vec![divisor])
+            }
+        };
+        if let Ok(instr) = Instruction::new(opcode, operands) {
+            return instr;
+        }
+    }
+}
+
+/// A program of `len` instructions from `shape`, and `n` states.
+fn shapes_and_states(
+    shape: fn(&mut StdRng) -> Instruction,
+    program_seed: u64,
+    state_seed: u64,
+    len: usize,
+    n: usize,
+) -> (Vec<Instruction>, Vec<MachineState>) {
+    let mut rng = StdRng::seed_from_u64(program_seed);
+    let instrs = (0..len).map(|_| shape(&mut rng)).collect();
+    let mut rng = StdRng::seed_from_u64(state_seed);
+    let states = (0..n).map(|_| pointer_state(&mut rng)).collect();
+    (instrs, states)
+}
+
 /// Run `instrs` over `states` in lockstep, killing each column after a
 /// random step with probability `kill_p` per step, and check every column
-/// against `run_prepared` of the prefix it executed: the whole program for
+/// against `run_instrs` of the prefix it executed: the whole program for
 /// columns that stayed live, the first `k` instructions for a column
 /// killed after step `k`.
 fn check_against_prefixes(
@@ -332,7 +480,7 @@ fn check_against_prefixes(
         true
     });
     for (col, (input, &steps)) in states.iter().zip(&executed).enumerate() {
-        let want = PreparedProgram::new(&instrs[..steps]).run_prepared(input);
+        let want = run_instrs(&instrs[..steps], input);
         prop_assert_eq!(
             batch.column_state(col),
             want.state,
@@ -353,41 +501,67 @@ fn check_against_prefixes(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Every row-pass shape at every width, all columns live: the engine
-    /// matches `run_prepared` on every column's state and faults.
+    /// The common shapes at every width, all columns live: the engine
+    /// matches `run_instrs` on every column's state and faults. (Named
+    /// for the row-pass handlers these shapes once had.)
     #[test]
     fn row_pass_shapes_match_run_prepared(
         program_seed in any::<u64>(),
         state_seed in any::<u64>(),
         len in 1usize..16,
-        n in 0usize..9,
+        n in 0usize..=40,
     ) {
-        let mut rng = StdRng::seed_from_u64(program_seed);
-        let instrs: Vec<Instruction> = (0..len).map(|_| row_pass_instruction(&mut rng)).collect();
-        let mut rng = StdRng::seed_from_u64(state_seed);
-        let states: Vec<MachineState> = (0..n).map(|_| pointer_state(&mut rng)).collect();
+        let (instrs, states) =
+            shapes_and_states(common_instruction, program_seed, state_seed, len, n);
         check_against_prefixes(&instrs, &states, 0, 0.0);
     }
 
-    /// The same shapes with columns killed at random steps, so the
-    /// partially-live column loops run: each column matches
-    /// `run_prepared` of the prefix it executed.
+    /// The same shapes with columns killed at random steps, so partly
+    /// live chunks run: each column matches `run_instrs` of the prefix it
+    /// executed.
     #[test]
     fn row_pass_shapes_match_under_random_kills(
         program_seed in any::<u64>(),
         state_seed in any::<u64>(),
         kill_seed in any::<u64>(),
         len in 1usize..16,
-        n in 1usize..9,
+        n in 1usize..=40,
     ) {
-        let mut rng = StdRng::seed_from_u64(program_seed);
-        let instrs: Vec<Instruction> = (0..len).map(|_| row_pass_instruction(&mut rng)).collect();
-        let mut rng = StdRng::seed_from_u64(state_seed);
-        let states: Vec<MachineState> = (0..n).map(|_| pointer_state(&mut rng)).collect();
+        let (instrs, states) =
+            shapes_and_states(common_instruction, program_seed, state_seed, len, n);
         check_against_prefixes(&instrs, &states, kill_seed, 0.15);
     }
 
-    /// The batched backend agrees with `run_prepared` on every column's
+    /// The remaining shapes (index-addressed memory, push/pop/xchg, bit
+    /// operations, SSE, divisions that fault in some columns), all
+    /// columns live.
+    #[test]
+    fn tail_shapes_match_run_instrs(
+        program_seed in any::<u64>(),
+        state_seed in any::<u64>(),
+        len in 1usize..16,
+        n in 0usize..=40,
+    ) {
+        let (instrs, states) =
+            shapes_and_states(tail_instruction, program_seed, state_seed, len, n);
+        check_against_prefixes(&instrs, &states, 0, 0.0);
+    }
+
+    /// The remaining shapes with columns killed at random steps.
+    #[test]
+    fn tail_shapes_match_under_random_kills(
+        program_seed in any::<u64>(),
+        state_seed in any::<u64>(),
+        kill_seed in any::<u64>(),
+        len in 1usize..16,
+        n in 1usize..=40,
+    ) {
+        let (instrs, states) =
+            shapes_and_states(tail_instruction, program_seed, state_seed, len, n);
+        check_against_prefixes(&instrs, &states, kill_seed, 0.15);
+    }
+
+    /// The batched backend agrees with `run_instrs` on every column's
     /// final machine state and fault counters, for any batch width
     /// (including the empty and single-column batches), and on the cached
     /// static latency.
@@ -396,7 +570,7 @@ proptest! {
         program_seed in any::<u64>(),
         state_seed in any::<u64>(),
         len in 1usize..24,
-        n in 0usize..6,
+        n in 0usize..=40,
     ) {
         let instrs = random_program(program_seed, len);
         let states: Vec<MachineState> = (0..n as u64)
@@ -406,7 +580,7 @@ proptest! {
         let outs = prepared.run_batch(&states);
         prop_assert_eq!(outs.len(), n);
         for (col, (input, out)) in states.iter().zip(&outs).enumerate() {
-            let want = prepared.run_prepared(input);
+            let want = run_instrs(&instrs, input);
             prop_assert_eq!(&out.state, &want.state, "column {} state diverges", col);
             prop_assert_eq!(out.faults, want.faults, "column {} faults diverge", col);
         }
@@ -421,13 +595,13 @@ proptest! {
     /// which fault on nearly every read and memory access) behave
     /// identically under both backends.
     #[test]
-    fn all_faulting_columns_match(program_seed in any::<u64>(), len in 1usize..16, n in 1usize..5) {
+    fn all_faulting_columns_match(program_seed in any::<u64>(), len in 1usize..16, n in 1usize..=40) {
         let instrs = random_program(program_seed, len);
         let states = vec![MachineState::new(); n];
         let prepared = PreparedProgram::new(&instrs);
         let outs = prepared.run_batch(&states);
         for (input, out) in states.iter().zip(&outs) {
-            let want = prepared.run_prepared(input);
+            let want = run_instrs(&instrs, input);
             prop_assert_eq!(&out.state, &want.state);
             prop_assert_eq!(out.faults, want.faults);
         }
@@ -442,7 +616,7 @@ proptest! {
     fn backends_agree_on_eq_prime_and_early_exit(
         program_seed in any::<u64>(),
         suite_seed in any::<u64>(),
-        n in 0usize..6,
+        n in 0usize..=40,
         bound_sel in 0u8..4,
         raw_bound in 0u64..200,
     ) {
