@@ -13,7 +13,6 @@
 //! target, so superoptimization never introduces a new side channel even
 //! when the target itself is not fully constant-time.
 
-use crate::defuse::DefUse;
 use crate::taint::{reads_taint, taint_analysis, TaintFact};
 use stoke_x86::flow::LocSet;
 use stoke_x86::{Instruction, Opcode, Operand};
@@ -71,11 +70,8 @@ fn violations_at(instr: &Instruction, fact: &TaintFact) -> Vec<LeakKind> {
                 }
             }
         }
-        Opcode::Div(_) | Opcode::Idiv(_) => {
-            let du = DefUse::of_instruction(instr);
-            if reads_taint(instr, &du, fact) {
-                kinds.push(LeakKind::SecretDivOperand);
-            }
+        Opcode::Div(_) | Opcode::Idiv(_) if reads_taint(instr, fact) => {
+            kinds.push(LeakKind::SecretDivOperand);
         }
         _ => {}
     }
@@ -93,10 +89,10 @@ pub fn constant_time_violations<'a>(
     if secrets.is_empty() {
         return Vec::new();
     }
-    let taint = taint_analysis(&instrs, secrets);
+    let facts = taint_analysis(&instrs, secrets);
     let mut out = Vec::new();
     for (i, instr) in instrs.iter().enumerate() {
-        for kind in violations_at(instr, taint.before(i)) {
+        for kind in violations_at(instr, &facts[i]) {
             out.push(Violation { index: i, kind });
         }
     }

@@ -1,22 +1,14 @@
-//! Static dataflow analyses over decoded x86 programs.
+//! Static secret-flow analyses over decoded x86 programs.
 //!
 //! The search layer evaluates candidate rewrites millions of times, but
-//! some questions about a rewrite are *static*: which instructions are
-//! dead with respect to the live-out interface, and whether an
-//! instruction's latency or memory traffic can depend on a secret input.
-//! This crate answers those questions with a small abstract-interpretation
-//! framework over straight-line programs:
+//! whether an instruction's latency or memory traffic can depend on a
+//! secret input is a *static* question about a rewrite. STOKE's search
+//! space is loop-free, so each analysis here is one pass in program
+//! order over the def/use sets of [`stoke_x86::flow`] (which also holds
+//! the workspace's one liveness and dead-code analysis):
 //!
-//! - [`lattice::JoinSemiLattice`] — the fact domain contract (a bottom
-//!   element and a changed-reporting join);
-//! - [`engine`] — a generic forward/backward fixpoint engine producing
-//!   one fact annotation per program point;
-//! - [`defuse`] — per-instruction def/use extraction, derivable either
-//!   from the instruction metadata or from the use lists a
-//!   [`stoke_emu::PreparedProgram`] has already flattened;
-//! - [`mod@liveness`] — backward liveness and the dead-code report built on
-//!   it;
-//! - [`taint`] — forward secret-taint propagation;
+//! - [`taint`] — forward secret-taint propagation, one fact per program
+//!   point;
 //! - [`leakage`] — the constant-time checks on top of the taint facts:
 //!   absolute violations (secret-dependent latency or addresses) and the
 //!   Spectector-style *relative* check comparing a rewrite's secret
@@ -28,16 +20,8 @@
 
 #![deny(missing_docs)]
 
-pub mod defuse;
-pub mod engine;
-pub mod lattice;
 pub mod leakage;
-pub mod liveness;
 pub mod taint;
 
-pub use defuse::DefUse;
-pub use engine::{Annotations, Direction};
-pub use lattice::JoinSemiLattice;
 pub use leakage::{constant_time_violations, introduces_new_leaks, LeakKind, Violation};
-pub use liveness::{dead_code_report, liveness};
 pub use taint::{taint_analysis, TaintFact};

@@ -8,12 +8,13 @@
 //! emulator's dynamic oracle tracks tainted bytes precisely, and the
 //! property test at the workspace root checks this analysis
 //! over-approximates every dynamic flow.
+//!
+//! Programs are straight-line (STOKE's search space is loop-free), so one
+//! pass in program order computes every fact exactly once.
 
-use crate::defuse::DefUse;
-use crate::engine::{fixpoint, Annotations, Direction};
-use crate::lattice::JoinSemiLattice;
-use stoke_x86::flow::LocSet;
-use stoke_x86::{AluOp, Instruction, Opcode, Operand};
+use std::collections::BTreeSet;
+use stoke_x86::flow::{self, LocSet};
+use stoke_x86::Instruction;
 
 /// The taint fact at one program point.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -24,96 +25,57 @@ pub struct TaintFact {
     pub mem: bool,
 }
 
-impl JoinSemiLattice for TaintFact {
-    fn bottom() -> TaintFact {
-        TaintFact::default()
-    }
-
-    fn join(&mut self, other: &TaintFact) -> bool {
-        let mut changed = self.locs.join(&other.locs);
-        changed |= self.mem.join(&other.mem);
-        changed
-    }
-}
-
-/// Whether the instruction is a zeroing idiom (`xor r, r` / `sub r, r`):
-/// its result is the constant zero, independent of the register's value,
-/// so it launders taint away. The dynamic oracle applies the same rule,
-/// keeping the two aligned.
-pub(crate) fn is_zeroing_idiom(instr: &Instruction) -> bool {
-    if !matches!(
-        instr.opcode(),
-        Opcode::Alu(AluOp::Xor, _) | Opcode::Alu(AluOp::Sub, _)
-    ) {
-        return false;
-    }
-    match instr.operands() {
-        [Operand::Reg(a), Operand::Reg(b)] => a == b,
-        _ => false,
-    }
-}
-
 /// Whether any value the instruction reads is tainted under `fact`.
-pub(crate) fn reads_taint(instr: &Instruction, du: &DefUse, fact: &TaintFact) -> bool {
-    if is_zeroing_idiom(instr) {
+pub(crate) fn reads_taint(instr: &Instruction, fact: &TaintFact) -> bool {
+    if flow::is_zeroing_idiom(instr) {
         return false;
     }
-    du.uses.gprs.iter().any(|g| fact.locs.gprs.contains(g))
-        || du.uses.xmms.iter().any(|x| fact.locs.xmms.contains(x))
-        || du.uses.flags.iter().any(|f| fact.locs.flags.contains(f))
+    let uses = flow::uses(instr);
+    uses.gprs.iter().any(|g| fact.locs.gprs.contains(g))
+        || uses.xmms.iter().any(|x| fact.locs.xmms.contains(x))
+        || uses.flags.iter().any(|f| fact.locs.flags.contains(f))
         || (instr.loads() && fact.mem)
+}
+
+/// A strong update: every location in `defs` becomes `tainted`.
+fn assign<T: Ord + Copy>(set: &mut BTreeSet<T>, defs: &BTreeSet<T>, tainted: bool) {
+    for d in defs {
+        if tainted {
+            set.insert(*d);
+        } else {
+            set.remove(d);
+        }
+    }
 }
 
 /// Forward taint analysis: which locations may be secret-derived at each
 /// program point, starting from the `secrets` live at entry.
-pub fn taint_analysis(instrs: &[&Instruction], secrets: &LocSet) -> Annotations<TaintFact> {
-    let boundary = TaintFact {
+///
+/// Returns `instrs.len() + 1` facts, entry first: `facts[i]` holds before
+/// instruction `i` and the last fact at program exit.
+pub fn taint_analysis(instrs: &[&Instruction], secrets: &LocSet) -> Vec<TaintFact> {
+    let mut fact = TaintFact {
         locs: secrets.clone(),
         mem: false,
     };
-    fixpoint(
-        instrs,
-        Direction::Forward,
-        &boundary,
-        |_, instr, incoming| {
-            let du = DefUse::of_instruction(instr);
-            let tainted = reads_taint(instr, &du, incoming);
-            let mut out = incoming.clone();
-            for g in &du.defs.gprs {
-                if tainted {
-                    out.locs.gprs.insert(*g);
-                } else {
-                    out.locs.gprs.remove(g);
-                }
-            }
-            for g in &du.partial_defs.gprs {
-                // Narrow writes merge into the parent register: old taint
-                // survives in the preserved bits.
-                if tainted {
-                    out.locs.gprs.insert(*g);
-                }
-            }
-            for x in &du.defs.xmms {
-                if tainted {
-                    out.locs.xmms.insert(*x);
-                } else {
-                    out.locs.xmms.remove(x);
-                }
-            }
-            for f in &du.defs.flags {
-                if tainted {
-                    out.locs.flags.insert(*f);
-                } else {
-                    out.locs.flags.remove(f);
-                }
-            }
-            if instr.stores() && tainted {
-                // Weak update: the abstract memory bit never clears.
-                out.mem = true;
-            }
-            out
-        },
-    )
+    let mut facts = Vec::with_capacity(instrs.len() + 1);
+    for instr in instrs {
+        let tainted = reads_taint(instr, &fact);
+        facts.push(fact.clone());
+        let (defs, partial_defs) = flow::defs(instr);
+        assign(&mut fact.locs.gprs, &defs.gprs, tainted);
+        if tainted {
+            // Narrow writes merge into the parent register: old taint
+            // survives in the preserved bits.
+            fact.locs.gprs.extend(&partial_defs.gprs);
+        }
+        assign(&mut fact.locs.xmms, &defs.xmms, tainted);
+        assign(&mut fact.locs.flags, &defs.flags, tainted);
+        // Weak update: the abstract memory bit never clears.
+        fact.mem |= instr.stores() && tainted;
+    }
+    facts.push(fact);
+    facts
 }
 
 #[cfg(test)]
@@ -124,9 +86,9 @@ mod tests {
     fn analyze(text: &str, secrets: &[Gpr]) -> TaintFact {
         let p: Program = text.parse().unwrap();
         let instrs: Vec<&Instruction> = p.iter().collect();
-        taint_analysis(&instrs, &LocSet::from_gprs(secrets.iter().copied()))
-            .exit()
-            .clone()
+        let mut facts = taint_analysis(&instrs, &LocSet::from_gprs(secrets.iter().copied()));
+        assert_eq!(facts.len(), instrs.len() + 1, "one fact per program point");
+        facts.pop().expect("exit fact")
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Regenerates `BENCH_analysis.json`: median per-call times of the static
 //! analyses that the security-aware pipeline runs on every scored or
 //! verified candidate — forward taint + constant-time scan, backward
-//! liveness + dead-code report, and the relative leakage check — on the
-//! Montgomery and p01 kernels. These numbers bound the overhead the
-//! analyses add per proposal/verification, so they are tracked across
-//! releases.
+//! liveness + dead-code report (`stoke_x86::flow`), and the relative
+//! leakage check — on the Montgomery and p01 kernels. These numbers bound
+//! the overhead the analyses add per proposal/verification, so they are
+//! tracked across releases.
 //!
 //! ```text
 //! cargo run --release -p stoke-bench --bin bench-analysis -- [--quick] [--out PATH]
@@ -15,12 +15,10 @@
 //! (default `BENCH_analysis.json` in the current directory).
 
 use std::time::Instant;
-use stoke_analysis::{
-    constant_time_violations, dead_code_report, introduces_new_leaks, taint_analysis,
-};
+use stoke_analysis::{constant_time_violations, introduces_new_leaks, taint_analysis};
 use stoke_bench::spec_for;
 use stoke_workloads::{hackers_delight, kernels, Kernel};
-use stoke_x86::flow::LocSet;
+use stoke_x86::flow::{self, LocSet};
 use stoke_x86::{Gpr, Instruction};
 
 struct Measurement {
@@ -59,7 +57,11 @@ fn bench_kernel(kernel: &Kernel, iters: u32, samples: usize, sink: &mut u64) -> 
     let refs: Vec<&Instruction> = instrs.iter().collect();
     let mut out = Vec::new();
     let median = measure(
-        || taint_analysis(&refs, &secrets).exit().locs.len() as u64,
+        || {
+            taint_analysis(&refs, &secrets)
+                .last()
+                .map_or(0, |exit| exit.locs.len()) as u64
+        },
         iters,
         samples,
         sink,
@@ -81,7 +83,7 @@ fn bench_kernel(kernel: &Kernel, iters: u32, samples: usize, sink: &mut u64) -> 
         calls_per_sec: 1e9 / median,
     });
     let median = measure(
-        || dead_code_report(&refs, &live_out).len() as u64,
+        || flow::dead_instructions(&spec.program, &live_out).len() as u64,
         iters,
         samples,
         sink,
@@ -150,8 +152,8 @@ fn main() {
         entries.push(json_for(kernel, &measurements));
     }
     let json = format!(
-        "{{\n  \"description\": \"median per-call time of the stoke-analysis static \
-         analyses (taint + constant-time scan, dead-code report, relative leakage \
+        "{{\n  \"description\": \"median per-call time of the static analyses \
+         (taint + constant-time scan, dead-code report, relative leakage \
          check); regenerate with: cargo run --release -p stoke-bench --bin \
          bench-analysis\",\n  \"quick\": {quick},\n  \"samples_per_analysis\": {samples},\n  \
          \"calls_per_sample\": {iters},\n  \"kernels\": [\n{}\n  ]\n}}\n",

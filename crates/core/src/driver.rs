@@ -481,7 +481,7 @@ impl Session {
 
     fn verifier(&self) -> &dyn Verifier {
         // An explicit with_verifier override wins; otherwise the config's
-        // spec selects among the built-ins (or its own custom verifier).
+        // spec selects among the built-ins.
         match &self.verifier {
             Some(v) => v.as_ref(),
             None => match &self.config.verifier {
@@ -489,7 +489,6 @@ impl Session {
                 VerifierSpec::TestOnly => &TEST_ONLY_VERIFIER,
                 VerifierSpec::Symbolic => &SYMBOLIC_VERIFIER,
                 VerifierSpec::LeakageCascade => &LEAKAGE_VERIFIER,
-                VerifierSpec::Custom(v) => v.as_ref(),
             },
         }
     }
@@ -589,17 +588,16 @@ impl Session {
         let slots: Vec<Mutex<Option<Result<StokeResult, StokeError>>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
                     let result = self.run_target(spec, None, None, &clock, i);
                     *slots[i].lock().expect("batch result lock") = Some(result);
                 });
             }
-        })
-        .expect("crossbeam scope");
+        });
         slots
             .into_iter()
             .map(|slot| {
@@ -749,11 +747,11 @@ impl TargetRun<'_> {
         let results: Vec<ChainResult> = if threads == 1 {
             vec![self.synthesis_chain(self.config.seed ^ 0xa5a5, iterations, 0)]
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..threads)
                     .map(|i| {
                         let seed = self.config.seed ^ (0xa5a5 + i as u64 * 7919);
-                        scope.spawn(move |_| self.synthesis_chain(seed, iterations, i))
+                        scope.spawn(move || self.synthesis_chain(seed, iterations, i))
                     })
                     .collect();
                 handles
@@ -761,7 +759,6 @@ impl TargetRun<'_> {
                     .map(|h| h.join().expect("synthesis thread panicked"))
                     .collect()
             })
-            .expect("crossbeam scope")
         };
         stats.synthesis_time += t0.elapsed();
         let mut found = Vec::new();
@@ -795,13 +792,13 @@ impl TargetRun<'_> {
                 })
                 .collect()
         } else {
-            crossbeam::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = starts
                     .iter()
                     .enumerate()
                     .map(|(i, s)| {
                         let seed = self.config.seed ^ (17 + i as u64 * 104729);
-                        scope.spawn(move |_| self.optimization_chain(s, seed, iterations, i))
+                        scope.spawn(move || self.optimization_chain(s, seed, iterations, i))
                     })
                     .collect();
                 handles
@@ -809,7 +806,6 @@ impl TargetRun<'_> {
                     .map(|h| h.join().expect("optimization thread panicked"))
                     .collect()
             })
-            .expect("crossbeam scope")
         };
         stats.optimization_time += t0.elapsed();
         // Re-rank only candidates that passed every test case (`eq' == 0`),
@@ -979,8 +975,7 @@ impl TargetRun<'_> {
     fn strip_dead_code(&self, program: Program) -> Program {
         let mut stripped = program.clone();
         loop {
-            let instrs: Vec<&stoke_x86::Instruction> = stripped.iter().collect();
-            let dead = stoke_analysis::dead_code_report(&instrs, &self.spec.live_out);
+            let dead = stoke_x86::flow::dead_instructions(&stripped, &self.spec.live_out);
             if dead.is_empty() {
                 break;
             }

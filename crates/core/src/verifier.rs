@@ -415,7 +415,9 @@ impl<V: Verifier> Verifier for LeakageCheck<V> {
 /// Which verifier a search uses when none is installed explicitly with
 /// [`Session::with_verifier`](crate::driver::Session::with_verifier),
 /// selected through [`Config::verifier`](crate::config::Config::verifier).
-#[derive(Clone, Default)]
+/// A third-party [`Verifier`] is installed with `with_verifier` (or
+/// `ServeConfig::verifier` in `stoke-serve`), not through the spec.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VerifierSpec {
     /// [`Cascade`] over [`Symbolic`] — the paper's flow and the default.
     #[default]
@@ -428,8 +430,6 @@ pub enum VerifierSpec {
     /// [`LeakageCheck`] over the default cascade: candidates introducing
     /// new secret observations are refuted before verification.
     LeakageCascade,
-    /// A third-party verifier, shared across sessions.
-    Custom(std::sync::Arc<dyn Verifier>),
 }
 
 impl VerifierSpec {
@@ -441,34 +441,6 @@ impl VerifierSpec {
             VerifierSpec::TestOnly => "test-only",
             VerifierSpec::Symbolic => "symbolic",
             VerifierSpec::LeakageCascade => "leakage-cascade",
-            VerifierSpec::Custom(v) => v.name(),
-        }
-    }
-}
-
-impl std::fmt::Debug for VerifierSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifierSpec::Cascade => write!(f, "Cascade"),
-            VerifierSpec::TestOnly => write!(f, "TestOnly"),
-            VerifierSpec::Symbolic => write!(f, "Symbolic"),
-            VerifierSpec::LeakageCascade => write!(f, "LeakageCascade"),
-            VerifierSpec::Custom(v) => write!(f, "Custom({})", v.name()),
-        }
-    }
-}
-
-impl PartialEq for VerifierSpec {
-    fn eq(&self, other: &VerifierSpec) -> bool {
-        match (self, other) {
-            (VerifierSpec::Cascade, VerifierSpec::Cascade) => true,
-            (VerifierSpec::TestOnly, VerifierSpec::TestOnly) => true,
-            (VerifierSpec::Symbolic, VerifierSpec::Symbolic) => true,
-            (VerifierSpec::LeakageCascade, VerifierSpec::LeakageCascade) => true,
-            // Custom verifiers are opaque: equal only if they are the same
-            // allocation.
-            (VerifierSpec::Custom(a), VerifierSpec::Custom(b)) => std::sync::Arc::ptr_eq(a, b),
-            _ => false,
         }
     }
 }
@@ -635,11 +607,9 @@ mod tests {
         assert_eq!(VerifierSpec::Symbolic.name(), "symbolic");
         assert_eq!(VerifierSpec::LeakageCascade.name(), "leakage-cascade");
         assert_ne!(VerifierSpec::Cascade, VerifierSpec::LeakageCascade);
-        let custom = std::sync::Arc::new(TestOnly);
-        let a = VerifierSpec::Custom(custom.clone());
-        assert_eq!(a, VerifierSpec::Custom(custom));
-        assert_eq!(a.name(), "test-only");
-        assert_ne!(a, VerifierSpec::Custom(std::sync::Arc::new(TestOnly)));
-        assert_eq!(format!("{a:?}"), "Custom(test-only)");
+        assert_eq!(
+            format!("{:?}", VerifierSpec::LeakageCascade),
+            "LeakageCascade"
+        );
     }
 }

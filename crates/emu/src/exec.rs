@@ -93,8 +93,7 @@ pub fn run_instr_refs<'a>(
 ) -> Outcome {
     let mut emu = Emulator::start(input);
     for instr in instrs {
-        emu.count_undefined_reads(instr);
-        emu.execute(instr);
+        emu.step(instr);
     }
     emu.finish()
 }
@@ -107,6 +106,17 @@ pub fn run_instr_refs<'a>(
 pub(crate) struct Emulator {
     pub(crate) state: MachineState,
     pub(crate) faults: Faults,
+    /// When set, the memory hooks append the span of every access they
+    /// make, faulting or not (the taint oracle reads them after each step).
+    pub(crate) accesses: Option<Accesses>,
+}
+
+/// The `(address, length)` spans of the sandboxed accesses made since the
+/// recorder was last cleared.
+#[derive(Default)]
+pub(crate) struct Accesses {
+    pub(crate) loads: Vec<(u64, u64)>,
+    pub(crate) stores: Vec<(u64, u64)>,
 }
 
 impl Emulator {
@@ -114,6 +124,7 @@ impl Emulator {
         Emulator {
             state: input.clone(),
             faults: Faults::default(),
+            accesses: None,
         }
     }
 
@@ -124,9 +135,10 @@ impl Emulator {
         }
     }
 
-    /// Execute one instruction's semantics (the undefined-read counter is
-    /// the caller's responsibility).
-    pub(crate) fn execute(&mut self, instr: &Instruction) {
+    /// Execute one instruction: count its undefined reads, then run its
+    /// semantics.
+    pub(crate) fn step(&mut self, instr: &Instruction) {
+        self.count_undefined_reads(instr);
         execute(self, instr);
     }
 
@@ -149,7 +161,14 @@ impl Emulator {
         }
     }
 
+    fn record(&mut self, store: bool, addr: u64, len: u64) {
+        if let Some(a) = &mut self.accesses {
+            if store { &mut a.stores } else { &mut a.loads }.push((addr, len));
+        }
+    }
+
     fn sandboxed_load(&mut self, addr: u64, len: u64) -> u64 {
+        self.record(false, addr, len);
         self.state.memory.load(addr, len).unwrap_or_else(|| {
             self.faults.sigsegv += 1;
             0
@@ -157,6 +176,7 @@ impl Emulator {
     }
 
     fn sandboxed_store(&mut self, addr: u64, value: u64, len: u64) {
+        self.record(true, addr, len);
         if !self.state.memory.store(addr, value, len) {
             self.faults.sigsegv += 1;
         }
@@ -361,6 +381,7 @@ impl Machine for Emulator {
     }
     fn load128(&mut self, mem: &Mem) -> XmmValue {
         let addr = address(self, mem);
+        self.record(false, addr, 16);
         self.state.memory.load128(addr).unwrap_or_else(|| {
             self.faults.sigsegv += 1;
             [0, 0]
@@ -368,6 +389,7 @@ impl Machine for Emulator {
     }
     fn store128(&mut self, mem: &Mem, v: XmmValue) {
         let addr = address(self, mem);
+        self.record(true, addr, 16);
         if !self.state.memory.store128(addr, v) {
             self.faults.sigsegv += 1;
         }

@@ -99,9 +99,6 @@ pub struct Memory {
     /// wraps and therefore, exactly as in the sandbox rules, validates
     /// nothing) — kept so `peek`/`iter` semantics stay identical.
     orphans: BTreeMap<u64, u8>,
-    /// The raw `(start, len)` pairs passed to [`Memory::mark_valid`], in
-    /// call order, for [`Memory::valid_ranges`].
-    valid: Vec<(u64, u64)>,
 }
 
 impl Memory {
@@ -157,7 +154,6 @@ impl Memory {
         if len == 0 {
             return;
         }
-        self.valid.push((addr, len));
         // A range wrapping past the end of the address space validates
         // nothing (no address can satisfy `addr <= a < addr + len`), so it
         // gets no storage either.
@@ -183,15 +179,15 @@ impl Memory {
         }
     }
 
-    /// The valid address ranges, as `(start, len)` pairs, in the order
-    /// they were marked.
-    pub fn valid_ranges(&self) -> &[(u64, u64)] {
-        &self.valid
-    }
-
     /// Set a single byte (also marks it valid).
     pub fn poke(&mut self, addr: u64, value: u8) {
         self.mark_valid(addr, 1);
+        self.write_byte(addr, value);
+    }
+
+    /// Set a single byte without touching validity: it lands in the
+    /// covering segment, or among the orphans if none covers it.
+    fn write_byte(&mut self, addr: u64, value: u8) {
         match self.find_seg(addr) {
             Some(i) => {
                 let seg = &mut self.segs[i];
@@ -219,8 +215,17 @@ impl Memory {
     /// valid. Intended for test-case setup; sandboxed execution goes
     /// through [`Memory::store`].
     pub fn poke_wide(&mut self, addr: u64, value: u64, len: u64) {
+        if addr.checked_add(len).is_none() {
+            // A span running past the end of the address space: validate
+            // byte by byte, exactly as `poke` would.
+            for i in 0..len {
+                self.poke(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            }
+            return;
+        }
+        self.mark_valid(addr, len);
         for i in 0..len {
-            self.poke(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            self.write_byte(addr + i, (value >> (8 * i)) as u8);
         }
     }
 
@@ -490,7 +495,6 @@ impl Memory {
             self.segs.push(src.clone());
         }
         self.orphans.clone_from(&other.orphans);
-        self.valid.clone_from(&other.valid);
     }
 }
 
@@ -694,5 +698,37 @@ mod tests {
         let mut m = Memory::new();
         m.mark_valid(0x100, 8);
         assert_eq!(m.load(0x100, 8), Some(0));
+    }
+
+    #[test]
+    fn equal_images_compare_equal_whatever_the_marking_order() {
+        let mut a = Memory::new();
+        a.mark_valid(0x100, 16);
+        a.mark_valid(0x200, 8);
+        a.poke_wide(0x104, 0xdead_beef, 4);
+        let mut b = Memory::new();
+        b.mark_valid(0x200, 8);
+        b.mark_valid(0x100, 16);
+        b.poke_wide(0x104, 0xdead_beef, 4);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn poke_wide_matches_bytewise_pokes() {
+        // The second span runs past the end of the address space, whose
+        // last byte no range can validate.
+        for addr in [0x1000, u64::MAX - 3] {
+            let mut wide = Memory::new();
+            wide.poke_wide(addr, 0x0807_0605_0403_0201, 8);
+            let mut bytes = Memory::new();
+            for i in 0..8 {
+                bytes.poke(addr.wrapping_add(i), i as u8 + 1);
+            }
+            assert_eq!(wide, bytes, "poke_wide at {addr:#x}");
+            assert_eq!(
+                wide.iter().collect::<Vec<_>>(),
+                bytes.iter().collect::<Vec<_>>()
+            );
+        }
     }
 }

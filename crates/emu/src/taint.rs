@@ -11,14 +11,17 @@
 //! The propagation rule mirrors the static transfer function: an
 //! instruction's results are tainted iff any value it reads (registers,
 //! flags, loaded bytes) is tainted, with the `xor r, r` / `sub r, r`
-//! zeroing idiom treated as taint-free because its result is a constant.
+//! zeroing idiom ([`stoke_x86::flow::is_zeroing_idiom`]) treated as
+//! taint-free because its result is a constant. The memory bytes an
+//! instruction reads and writes are the spans the interpreter's memory
+//! hooks touched while running it.
 
 use std::collections::BTreeSet;
 
-use crate::exec::{Emulator, Outcome};
+use crate::exec::{Accesses, Emulator, Outcome};
 use crate::state::MachineState;
-use stoke_x86::flow::LocSet;
-use stoke_x86::{AluOp, Flag, Gpr, Instruction, Mem, Opcode, Operand, Width, Xmm};
+use stoke_x86::flow::{self, LocSet};
+use stoke_x86::{Flag, Gpr, Instruction, Width, Xmm};
 
 /// Shadow taint bits for every architectural location plus tainted memory
 /// bytes.
@@ -103,78 +106,31 @@ impl TaintState {
     }
 }
 
-/// The effective address of a memory operand under `state`, mirroring the
-/// emulator's own address computation.
-fn mem_addr(state: &MachineState, m: &Mem) -> u64 {
-    let base = m.base.map_or(0, |b| state.read_gpr64(b));
-    let index = m.index.map_or(0, |i| state.read_gpr64(i));
-    base.wrapping_add(index.wrapping_mul(m.scale.factor()))
-        .wrapping_add(m.disp as i64 as u64)
-}
-
-/// The `(address, length)` of the memory this instruction loads from,
-/// evaluated against the pre-instruction `state`. `None` when it does not
-/// load.
-fn load_span(state: &MachineState, instr: &Instruction) -> Option<(u64, u64)> {
-    if !instr.loads() {
-        return None;
-    }
-    if matches!(instr.opcode(), Opcode::Pop) {
-        return Some((state.read_gpr64(Gpr::Rsp), 8));
-    }
-    let m = instr.mem_operand()?;
-    Some((mem_addr(state, &m), instr.mem_width_bytes()?))
-}
-
-/// The `(address, length)` of the memory this instruction stores to,
-/// evaluated against the pre-instruction `state`.
-fn store_span(state: &MachineState, instr: &Instruction) -> Option<(u64, u64)> {
-    if !instr.stores() {
-        return None;
-    }
-    if matches!(instr.opcode(), Opcode::Push) {
-        return Some((state.read_gpr64(Gpr::Rsp).wrapping_sub(8), 8));
-    }
-    let m = instr.mem_operand()?;
-    Some((mem_addr(state, &m), instr.mem_width_bytes()?))
-}
-
-fn is_zeroing_idiom(instr: &Instruction) -> bool {
-    if !matches!(
-        instr.opcode(),
-        Opcode::Alu(AluOp::Xor, _) | Opcode::Alu(AluOp::Sub, _)
-    ) {
-        return false;
-    }
-    match instr.operands() {
-        [Operand::Reg(a), Operand::Reg(b)] => a == b,
-        _ => false,
-    }
-}
-
 /// Run `instrs` from `input`, shadow-propagating taint from the `secrets`
 /// entry locations. Returns the concrete [`Outcome`] (bit-identical to
 /// [`run_instrs`](crate::run_instrs)) and the final taint state.
+///
+/// The memory spans an instruction reads and writes are the ones the
+/// interpreter's memory hooks touched while executing it (push and pop
+/// included), so the oracle needs no address rules of its own.
 pub fn run_tainted<'a>(
     instrs: impl IntoIterator<Item = &'a Instruction>,
     input: &MachineState,
     secrets: &LocSet,
 ) -> (Outcome, TaintState) {
     let mut emu = Emulator::start(input);
+    emu.accesses = Some(Accesses::default());
     let mut taint = TaintState::new(secrets);
     for instr in instrs {
-        // Decide taint of the instruction's inputs against the
-        // pre-instruction state (addresses use pre-state registers).
-        let mut tainted = !is_zeroing_idiom(instr)
+        emu.step(instr);
+        let spans = emu.accesses.as_mut().expect("accesses are recorded");
+        // Taint of the instruction's inputs, against the pre-instruction
+        // taint state.
+        let tainted = !flow::is_zeroing_idiom(instr)
             && (instr.gpr_uses().iter().any(|r| taint.gpr(r.parent()))
                 || instr.xmm_uses().iter().any(|x| taint.xmm(*x))
-                || instr.flag_uses().iter().any(|f| taint.flag(*f)));
-        let load = load_span(&emu.state, instr);
-        let store = store_span(&emu.state, instr);
-        if let Some((addr, len)) = load {
-            tainted |= !is_zeroing_idiom(instr) && taint.any_mem_byte(addr, len);
-        }
-        emu.execute(instr);
+                || instr.flag_uses().iter().any(|f| taint.flag(*f))
+                || spans.loads.iter().any(|&(a, n)| taint.any_mem_byte(a, n)));
         // Propagate to the outputs. Narrow (8/16-bit) register writes
         // merge into the parent, so old taint survives there; everything
         // else is a strong update. Stores update bytes strongly too —
@@ -194,9 +150,11 @@ pub fn run_tainted<'a>(
         for f in instr.flag_defs() {
             taint.flags[*f as usize] = tainted;
         }
-        if let Some((addr, len)) = store {
+        for &(addr, len) in &spans.stores {
             taint.set_mem_bytes(addr, len, tainted);
         }
+        spans.loads.clear();
+        spans.stores.clear();
     }
     (emu.finish(), taint)
 }
@@ -283,5 +241,58 @@ mod tests {
         let reference = crate::run(&p, &input);
         assert_eq!(out.state, reference.state);
         assert_eq!(out.faults, reference.faults);
+    }
+
+    #[test]
+    fn secret_128_bit_store_taints_sixteen_bytes() {
+        let (out, t) = run("movq rdi, xmm0\nmovdqu xmm0, -32(rsp)", &[Gpr::Rdi]);
+        assert!(out.faults.is_clean());
+        let base = 0x8000 - 32;
+        assert_eq!(
+            t.mem().iter().copied().collect::<Vec<_>>(),
+            (base..base + 16).collect::<Vec<_>>(),
+            "exactly the 16 stored bytes"
+        );
+        let (_, t) = run("movdqu -32(rsp), xmm1\nmovq xmm1, rax", &[Gpr::Rdi]);
+        assert!(!t.gpr(Gpr::Rax), "public 128-bit load");
+    }
+
+    #[test]
+    fn read_modify_write_of_memory_reads_before_it_stores() {
+        // `xchg` takes register operands only in the modelled subset; a
+        // memory-destination `add` loads and stores one span in a single
+        // step the same way.
+        let (out, t) = run(
+            "movq rdi, -8(rsp)\naddq rsi, -8(rsp)\nmovq -8(rsp), rax",
+            &[Gpr::Rdi],
+        );
+        assert!(out.faults.is_clean());
+        assert!(t.any_mem_byte(0x8000 - 8, 8));
+        assert!(t.gpr(Gpr::Rax), "the stored sum carries the secret");
+        let (_, t) = run("movq rsi, -8(rsp)\naddq rsi, -8(rsp)", &[Gpr::Rdi]);
+        assert!(t.mem().is_empty(), "public bytes stay public");
+    }
+
+    #[test]
+    fn xchg_exchanges_register_taint() {
+        let (_, t) = run("xchgq rdi, rax", &[Gpr::Rdi]);
+        assert!(t.gpr(Gpr::Rax));
+        // Both outputs of the step are tainted once an input is.
+        assert!(t.gpr(Gpr::Rdi));
+        let (_, t) = run("xchgq rsi, rax", &[Gpr::Rdi]);
+        assert!(!t.gpr(Gpr::Rax) && !t.gpr(Gpr::Rsi));
+    }
+
+    #[test]
+    fn outcome_counts_undefined_reads_like_the_interpreter() {
+        let p: Program = "movq rbx, rax\npushq rdx\npopq rcx".parse().unwrap();
+        let mut input = MachineState::new();
+        input.set_gpr64(Gpr::Rsp, 0x8000);
+        input.memory.mark_valid(0x7f00, 0x200);
+        let (out, _) = run_tainted(p.iter(), &input, &LocSet::new());
+        let reference = crate::run(&p, &input);
+        assert_eq!(out.faults.undef, 2, "rbx and rdx are undefined");
+        assert_eq!(out.faults, reference.faults);
+        assert_eq!(out.state, reference.state);
     }
 }

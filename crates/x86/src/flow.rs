@@ -6,6 +6,8 @@
 //! at which the cost function and the validator compare machine states.
 
 use crate::instr::Instruction;
+use crate::opcode::{AluOp, Opcode};
+use crate::operand::Operand;
 use crate::program::Program;
 use crate::reg::{Flag, Gpr, Xmm};
 use std::collections::BTreeSet;
@@ -96,6 +98,24 @@ pub fn defs(instr: &Instruction) -> (LocSet, LocSet) {
         full.flags.insert(*f);
     }
     (full, partial)
+}
+
+/// Whether the instruction is a zeroing idiom (`xor r, r` / `sub r, r`):
+/// its result is the constant zero whatever the register holds, so no
+/// value it reads flows into what it writes. Both taint analyses (the
+/// static one in `stoke-analysis` and the emulator's dynamic oracle)
+/// apply this rule.
+pub fn is_zeroing_idiom(instr: &Instruction) -> bool {
+    if !matches!(
+        instr.opcode(),
+        Opcode::Alu(AluOp::Xor, _) | Opcode::Alu(AluOp::Sub, _)
+    ) {
+        return false;
+    }
+    match instr.operands() {
+        [Operand::Reg(a), Operand::Reg(b)] => a == b,
+        _ => false,
+    }
 }
 
 /// Backward liveness over a straight-line program.
@@ -267,5 +287,15 @@ mod tests {
             full.gprs.contains(&Gpr::Rax),
             "32-bit write zeroes the upper half: full def"
         );
+    }
+
+    #[test]
+    fn zeroing_idioms() {
+        let idiom = |text: &str| is_zeroing_idiom(&text.parse::<Program>().unwrap().instrs()[0]);
+        assert!(idiom("xorq rax, rax"));
+        assert!(idiom("subl ecx, ecx"));
+        assert!(!idiom("xorq rbx, rax"), "distinct registers");
+        assert!(!idiom("andq rax, rax"), "and r, r keeps the value");
+        assert!(!idiom("xorq (rsp), rax"), "a memory operand is read");
     }
 }

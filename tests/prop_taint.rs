@@ -86,8 +86,8 @@ proptest! {
         let secrets = random_secrets(secret_seed);
         let (_, dynamic) = run_tainted(&instrs, &input, &secrets);
         let refs: Vec<&Instruction> = instrs.iter().collect();
-        let annotations = taint_analysis(&refs, &secrets);
-        let exit = annotations.exit();
+        let facts = taint_analysis(&refs, &secrets);
+        let exit = facts.last().expect("the exit fact");
         let observed = dynamic.tainted_locs();
         for g in &observed.gprs {
             prop_assert!(
@@ -129,7 +129,7 @@ proptest! {
         prop_assert!(dynamic.tainted_locs().is_empty());
         prop_assert!(dynamic.mem().is_empty());
         let refs: Vec<&Instruction> = instrs.iter().collect();
-        let exit = taint_analysis(&refs, &secrets).exit().clone();
+        let exit = taint_analysis(&refs, &secrets).pop().expect("the exit fact");
         prop_assert!(exit.locs.is_empty());
         prop_assert!(!exit.mem);
     }
