@@ -25,3 +25,38 @@ pub mod taint;
 
 pub use leakage::{constant_time_violations, introduces_new_leaks, LeakKind, Violation};
 pub use taint::{taint_analysis, TaintFact};
+
+/// The def/use sets the taint pass reads come from [`stoke_x86::flow`];
+/// these tests pin the properties the pass relies on.
+#[cfg(test)]
+mod defuse {
+    mod tests {
+        use stoke_x86::{flow, Gpr, Program};
+
+        #[test]
+        fn narrow_write_is_partial() {
+            let p: Program = "sete dl".parse().unwrap();
+            let (defs, partial_defs) = flow::defs(&p.instrs()[0]);
+            assert!(defs.gprs.is_empty());
+            assert!(partial_defs.gprs.contains(&Gpr::Rdx));
+        }
+    }
+}
+
+/// Liveness and dead-code detection live only in [`stoke_x86::flow`].
+#[cfg(test)]
+mod liveness {
+    mod tests {
+        use stoke_x86::flow::{self, LocSet};
+        use stoke_x86::{Gpr, Program};
+
+        #[test]
+        fn dead_code_found() {
+            let p: Program = "movq rdi, rbx\nmovq rsi, rax".parse().unwrap();
+            assert_eq!(
+                flow::dead_instructions(&p, &LocSet::from_gprs([Gpr::Rax])),
+                vec![0]
+            );
+        }
+    }
+}
