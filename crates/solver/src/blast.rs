@@ -97,6 +97,11 @@ impl Checker {
         self.solver.num_clauses()
     }
 
+    /// Number of conflicts the SAT solver has met so far.
+    pub fn num_conflicts(&self) -> u64 {
+        self.solver.num_conflicts()
+    }
+
     fn false_lit(&self) -> Lit {
         !self.true_lit
     }

@@ -2,13 +2,41 @@
 //!
 //! This is the decision procedure at the bottom of the validator stack,
 //! standing in for the STP theorem prover used by the paper. It implements
-//! the standard modern architecture: two-watched-literal unit propagation,
+//! the standard architecture: two-watched-literal unit propagation,
 //! first-UIP conflict analysis with clause learning and non-chronological
 //! backjumping, VSIDS-style branching with phase saving, and geometric
-//! restarts. The solver is deliberately free of heuristic bells and
-//! whistles (no clause-database reduction, no preprocessing): the
-//! equivalence queries produced by `stoke-verify` are small enough that
-//! correctness and clarity matter more than raw speed.
+//! restarts. It has no learnt-clause minimisation, clause-database
+//! reduction or preprocessing yet.
+//!
+//! Speed matters here. An equivalence query from `stoke-verify` can make
+//! thousands of conflicts (p19 `-O0` ≡ `-O2`: 11 555 conflicts over
+//! 2 576 variables), and every `Proven` rewrite waits for one. The layout follows MiniSat (Eén and Sörensson, "An Extensible
+//! SAT-solver", SAT 2003):
+//!
+//! - **Clause arena.** Every stored clause lives in one `Vec<Lit>`: a
+//!   header whose index is the clause's length, then its literals. Watch
+//!   lists and reasons hold the header's offset. Literal values sit in an
+//!   array indexed by literal, so reading one is a single load.
+//! - **Activity heap.** Decision variables come off a binary max-heap
+//!   ordered by activity, highest first, with ties going to the lower
+//!   variable index. Assigned variables leave it lazily, when they reach
+//!   the top; backtracking puts unassigned ones back. Conflict analysis
+//!   raises activities in place and restores the heap order once per
+//!   conflict.
+//! - **Allocation-free analysis.** Conflict analysis reads reason clauses
+//!   in place and marks variables in a reused buffer.
+//!
+//! **Determinism.** The search is a function of the clauses added and
+//! their order, and two rules keep it so across layout changes. First,
+//! the heap's tie-break makes its top the variable a scan of all
+//! unassigned variables for the highest activity, lowest index first,
+//! would pick, whatever shape the heap has. Second, a clause's literals
+//! stay in the order its watch swaps leave them, and conflict analysis
+//! reads them in that order, so learnt clauses and activity bumps come
+//! out in the same order. A change that keeps both rules keeps every
+//! decision, conflict, learnt clause and model; `tests/validator_stats.rs`
+//! at the workspace root pins the conflict counts of four validator
+//! queries.
 
 use std::fmt;
 
@@ -89,6 +117,7 @@ pub enum SatResult {
     Unsat,
 }
 
+/// The value of a literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Value {
     True,
@@ -96,27 +125,126 @@ enum Value {
     Unassigned,
 }
 
-impl Value {
-    fn from_bool(b: bool) -> Value {
-        if b {
-            Value::True
-        } else {
-            Value::False
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    /// Whether the clause was learnt during conflict analysis (kept for
-    /// statistics and a future clause-database reduction pass).
-    #[allow(dead_code)]
-    learnt: bool,
-}
-
 const REASON_NONE: u32 = u32::MAX;
 const REASON_DECISION: u32 = u32::MAX - 1;
+
+/// Marks a variable that is not in the [`VarHeap`].
+const ABSENT: u32 = u32::MAX;
+
+/// A binary max-heap of variables ordered by activity, highest first, with
+/// ties going to the lower variable index. The order is total, so the top
+/// is the same variable whatever shape the heap has.
+#[derive(Debug, Default)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// position[v] = index of `v` in `heap`, or [`ABSENT`].
+    position: Vec<u32>,
+}
+
+/// Whether variable `a` belongs above variable `b`.
+fn before(activity: &[f64], a: u32, b: u32) -> bool {
+    let (x, y) = (activity[a as usize], activity[b as usize]);
+    x > y || (x == y && a < b)
+}
+
+impl VarHeap {
+    fn insert(&mut self, activity: &[f64], v: u32) {
+        let vi = v as usize;
+        if vi >= self.position.len() {
+            self.position.resize(vi + 1, ABSENT);
+        }
+        if self.position[vi] == ABSENT {
+            self.heap.push(v);
+            self.sift_up(activity, self.heap.len() - 1);
+        }
+    }
+
+    /// Remove and return the top variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("the heap is not empty");
+        self.position[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(activity, 0);
+        }
+        Some(top)
+    }
+
+    /// Restore the heap order after the activities of `raised` went up
+    /// (and, if `all_changed`, after every activity was rescaled). Clears
+    /// `raised`.
+    ///
+    /// A full rebuild costs O(n); sifting k variables up costs about
+    /// k·log n. The sifts must go in ascending heap position, ancestors
+    /// first. A sift moves only the variables on its path to the root,
+    /// all above it, so the raised variables still waiting keep their
+    /// places. Every raised ancestor has already been sifted, so each sift
+    /// starts from a heap whose only disorder lies at raised variables
+    /// further down. In another order a sift can pass a raised ancestor
+    /// that is still waiting and leave the heap out of order below it.
+    fn raised(&mut self, activity: &[f64], raised: &mut Vec<u32>, all_changed: bool) {
+        let n = self.heap.len();
+        let log_n = (usize::BITS - n.saturating_sub(1).leading_zeros()) as usize;
+        if all_changed || raised.len() * log_n > n {
+            for i in (0..n / 2).rev() {
+                self.sift_down(activity, i);
+            }
+        } else {
+            raised.retain_mut(|v| {
+                *v = self.position[*v as usize];
+                *v != ABSENT
+            });
+            raised.sort_unstable();
+            for &i in raised.iter() {
+                self.sift_up(activity, i as usize);
+            }
+        }
+        raised.clear();
+    }
+
+    fn sift_up(&mut self, activity: &[f64], mut i: usize) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !before(activity, v, p) {
+                break;
+            }
+            self.heap[i] = p;
+            self.position[p as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.position[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, activity: &[f64], mut i: usize) {
+        let v = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && before(activity, self.heap[right], self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !before(activity, c, v) {
+                break;
+            }
+            self.heap[i] = c;
+            self.position[c as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.position[v as usize] = i as u32;
+    }
+}
 
 /// The CDCL SAT solver.
 ///
@@ -132,11 +260,15 @@ const REASON_DECISION: u32 = u32::MAX - 1;
 /// ```
 #[derive(Debug, Default)]
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// watches[lit] = clause indices watching `lit`.
+    /// Every stored clause: a header whose index is the clause's length,
+    /// then its literals. Clauses are never removed.
+    arena: Vec<Lit>,
+    /// watches[lit] = arena offsets of the clauses watching `lit`.
     watches: Vec<Vec<u32>>,
-    assign: Vec<Value>,
-    /// Reason clause index for each variable, or REASON_DECISION / REASON_NONE.
+    /// values[lit] = the value of `lit`.
+    values: Vec<Value>,
+    /// Reason clause offset for each variable, or REASON_DECISION /
+    /// REASON_NONE.
     reason: Vec<u32>,
     level: Vec<u32>,
     trail: Vec<Lit>,
@@ -144,11 +276,21 @@ pub struct Solver {
     propagate_head: usize,
     activity: Vec<f64>,
     activity_inc: f64,
+    /// Decision candidates: every unassigned variable, and assigned ones
+    /// not yet popped.
+    order: VarHeap,
     phase: Vec<bool>,
+    /// Conflict analysis scratch: the variables marked so far, the list
+    /// of them (to clear the marks), and the learnt clause.
+    seen: Vec<bool>,
+    marked: Vec<u32>,
+    learnt: Vec<Lit>,
+    /// `add_clause` scratch: the clause being simplified.
+    scratch: Vec<Lit>,
     /// Set when an empty/contradictory clause has been added.
     unsat: bool,
     /// Statistics: clauses added or learnt, including unit clauses and
-    /// clauses simplified away at level 0 (which `clauses` never stores).
+    /// clauses simplified away at level 0 (which the arena never stores).
     added_clauses: usize,
     /// Statistics: number of conflicts seen.
     conflicts: u64,
@@ -169,20 +311,23 @@ impl Solver {
 
     /// Allocate a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(Value::Unassigned);
+        let v = Var(self.level.len() as u32);
+        self.values.push(Value::Unassigned);
+        self.values.push(Value::Unassigned);
         self.reason.push(REASON_NONE);
         self.level.push(0);
         self.activity.push(0.0);
         self.phase.push(false);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.insert(&self.activity, v.0);
         v
     }
 
     /// Number of variables allocated.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.level.len()
     }
 
     /// Number of clauses added (including learnt clauses). Unit clauses
@@ -201,68 +346,60 @@ impl Solver {
     ///
     /// Duplicate literals are removed; a clause containing `x ∨ !x` is
     /// ignored as trivially true. Adding an empty clause makes the
-    /// instance unsatisfiable.
+    /// instance unsatisfiable. Adding a clause after [`Solver::solve`]
+    /// drops the model it found.
     pub fn add_clause(&mut self, lits: &[Lit]) {
         self.added_clauses += 1;
-        debug_assert_eq!(
-            self.trail_lim.len(),
-            0,
-            "clauses must be added at decision level 0"
-        );
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable();
-        lits.dedup();
-        // Tautology?
-        for w in lits.windows(2) {
-            if w[0].var() == w[1].var() {
-                return;
-            }
+        if !self.trail_lim.is_empty() {
+            self.backtrack(0);
         }
-        // Remove literals already false at level 0; drop clause if any
-        // literal is already true at level 0.
-        lits.retain(|l| self.lit_value(*l) != Value::False || self.level[l.var().index()] != 0);
-        if lits
-            .iter()
-            .any(|l| self.lit_value(*l) == Value::True && self.level[l.var().index()] == 0)
-        {
-            return;
-        }
-        match lits.len() {
-            0 => self.unsat = true,
-            1 => {
-                if !self.enqueue(lits[0], REASON_NONE) || self.propagate().is_some() {
-                    self.unsat = true;
+        let mut clause = std::mem::take(&mut self.scratch);
+        clause.clear();
+        clause.extend_from_slice(lits);
+        clause.sort_unstable();
+        clause.dedup();
+        let tautology = clause.windows(2).any(|w| w[0].var() == w[1].var());
+        // Every assignment is at level 0 here: drop the clause if a
+        // literal is true, and the literals that are false.
+        clause.retain(|l| self.lit_value(*l) != Value::False);
+        if !tautology && !clause.iter().any(|l| self.lit_value(*l) == Value::True) {
+            match clause.len() {
+                0 => self.unsat = true,
+                1 => {
+                    if !self.enqueue(clause[0], REASON_NONE) || self.propagate().is_some() {
+                        self.unsat = true;
+                    }
+                }
+                _ => {
+                    self.attach_clause(&clause);
                 }
             }
-            _ => {
-                self.attach_clause(Clause {
-                    lits,
-                    learnt: false,
-                });
-            }
         }
+        self.scratch = clause;
     }
 
-    fn attach_clause(&mut self, clause: Clause) -> u32 {
-        let idx = self.clauses.len() as u32;
-        self.watches[clause.lits[0].index()].push(idx);
-        self.watches[clause.lits[1].index()].push(idx);
-        self.clauses.push(clause);
-        idx
+    /// Store a clause of at least two literals in the arena and watch its
+    /// first two. Returns its offset.
+    fn attach_clause(&mut self, lits: &[Lit]) -> u32 {
+        let offset = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|&o| o < REASON_DECISION)
+            .expect("the clause arena outgrew 32-bit offsets");
+        self.arena.push(Lit(lits.len() as u32));
+        self.arena.extend_from_slice(lits);
+        self.watches[lits[0].index()].push(offset);
+        self.watches[lits[1].index()].push(offset);
+        offset
     }
 
     fn lit_value(&self, l: Lit) -> Value {
-        match self.assign[l.var().index()] {
-            Value::Unassigned => Value::Unassigned,
-            Value::True => Value::from_bool(l.is_positive()),
-            Value::False => Value::from_bool(!l.is_positive()),
-        }
+        self.values[l.index()]
     }
 
     /// The value of a variable in the satisfying assignment found by the
     /// last successful [`Solver::solve`] call, or `None` if unassigned.
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assign[v.index()] {
+        match self.lit_value(v.positive()) {
             Value::True => Some(true),
             Value::False => Some(false),
             Value::Unassigned => None,
@@ -274,8 +411,9 @@ impl Solver {
             Value::True => true,
             Value::False => false,
             Value::Unassigned => {
+                self.values[l.index()] = Value::True;
+                self.values[(!l).index()] = Value::False;
                 let v = l.var().index();
-                self.assign[v] = Value::from_bool(l.is_positive());
                 self.reason[v] = reason;
                 self.level[v] = self.trail_lim.len() as u32;
                 self.phase[v] = l.is_positive();
@@ -285,7 +423,8 @@ impl Solver {
         }
     }
 
-    /// Unit propagation. Returns the index of a conflicting clause, if any.
+    /// Unit propagation. Returns the offset of a conflicting clause, if
+    /// any.
     fn propagate(&mut self) -> Option<u32> {
         while self.propagate_head < self.trail.len() {
             let l = self.trail[self.propagate_head];
@@ -295,42 +434,36 @@ impl Solver {
             // Clauses watching `false_lit` must be updated.
             let mut watchers = std::mem::take(&mut self.watches[false_lit.index()]);
             let mut i = 0;
-            while i < watchers.len() {
-                let ci = watchers[i];
+            'watchers: while i < watchers.len() {
+                let offset = watchers[i];
+                let start = offset as usize + 1;
+                let len = self.arena[start - 1].0 as usize;
+                let lits = &mut self.arena[start..start + len];
                 // Ensure the false literal is in slot 1.
-                let (w0, w1) = {
-                    let c = &mut self.clauses[ci as usize];
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
-                    }
-                    (c.lits[0], c.lits[1])
-                };
-                debug_assert_eq!(w1, false_lit);
-                if self.lit_value(w0) == Value::True {
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
+                }
+                debug_assert_eq!(lits[1], false_lit);
+                let w0 = lits[0];
+                if self.values[w0.index()] == Value::True {
                     i += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut moved = false;
-                let len = self.clauses[ci as usize].lits.len();
                 for k in 2..len {
-                    let cand = self.clauses[ci as usize].lits[k];
-                    if self.lit_value(cand) != Value::False {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[cand.index()].push(ci);
+                    let cand = lits[k];
+                    if self.values[cand.index()] != Value::False {
+                        lits.swap(1, k);
+                        self.watches[cand.index()].push(offset);
                         watchers.swap_remove(i);
-                        moved = true;
-                        break;
+                        continue 'watchers;
                     }
                 }
-                if moved {
-                    continue;
-                }
                 // Clause is unit or conflicting.
-                if !self.enqueue(w0, ci) {
+                if !self.enqueue(w0, offset) {
                     // Conflict: restore remaining watchers.
                     self.watches[false_lit.index()] = watchers;
-                    return Some(ci);
+                    return Some(offset);
                 }
                 i += 1;
             }
@@ -339,109 +472,111 @@ impl Solver {
         None
     }
 
-    fn bump_activity(&mut self, v: Var) {
-        self.activity[v.index()] += self.activity_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.activity_inc *= 1e-100;
+    /// Raise a variable's activity. Returns whether every activity was
+    /// rescaled to keep them finite.
+    fn bump_activity(&mut self, v: usize) -> bool {
+        self.activity[v] += self.activity_inc;
+        if self.activity[v] <= 1e100 {
+            return false;
         }
+        for a in &mut self.activity {
+            *a *= 1e-100;
+        }
+        self.activity_inc *= 1e-100;
+        true
     }
 
     fn decay_activity(&mut self) {
         self.activity_inc /= 0.95;
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (with the
-    /// asserting literal first) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = Vec::new();
-        let mut seen = vec![false; self.num_vars()];
-        let mut counter = 0usize;
-        let mut asserting = None;
-        let mut clause_idx = conflict;
-        let mut trail_pos = self.trail.len();
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt`, with the asserting literal first, and returns the
+    /// backjump level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
         let current_level = self.trail_lim.len() as u32;
+        self.learnt.clear();
+        // Slot for the asserting literal, filled in last.
+        self.learnt.push(Lit(0));
+        let mut counter = 0usize;
+        let mut resolved: Option<Lit> = None;
+        let mut offset = conflict as usize;
+        let mut trail_pos = self.trail.len();
+        let mut rescaled = false;
 
         loop {
-            let reason_lits: Vec<Lit> = match asserting {
-                None => self.clauses[clause_idx as usize].lits.clone(),
-                Some(l) => {
-                    let lits = self.clauses[clause_idx as usize].lits.clone();
-                    lits.into_iter().filter(|x| *x != l).collect()
-                }
-            };
-            for l in reason_lits {
-                let v = l.var();
-                if seen[v.index()] || self.level[v.index()] == 0 {
+            let len = self.arena[offset].0 as usize;
+            for k in offset + 1..=offset + len {
+                let l = self.arena[k];
+                let v = l.var().index();
+                if Some(l) == resolved || self.seen[v] || self.level[v] == 0 {
                     continue;
                 }
-                seen[v.index()] = true;
-                self.bump_activity(v);
-                if self.level[v.index()] == current_level {
+                self.seen[v] = true;
+                self.marked.push(v as u32);
+                rescaled |= self.bump_activity(v);
+                if self.level[v] == current_level {
                     counter += 1;
                 } else {
-                    learnt.push(l);
+                    self.learnt.push(l);
                 }
             }
             // Find the next literal on the trail to resolve on.
-            loop {
+            let l = loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var().index()] {
-                    asserting = Some(l);
-                    break;
+                if self.seen[l.var().index()] {
+                    break l;
                 }
-            }
-            let l = asserting.unwrap();
-            seen[l.var().index()] = false;
+            };
+            self.seen[l.var().index()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt.insert(0, !l);
+                self.learnt[0] = !l;
                 break;
             }
-            clause_idx = self.reason[l.var().index()];
+            resolved = Some(l);
+            let reason = self.reason[l.var().index()];
             debug_assert!(
-                clause_idx < REASON_DECISION,
+                reason < REASON_DECISION,
                 "resolved literal must have a reason"
             );
+            offset = reason as usize;
         }
 
+        for &v in &self.marked {
+            self.seen[v as usize] = false;
+        }
+        self.order
+            .raised(&self.activity, &mut self.marked, rescaled);
         // Backjump level = second highest level in the learnt clause.
-        let backjump = learnt[1..]
+        self.learnt[1..]
             .iter()
             .map(|l| self.level[l.var().index()])
             .max()
-            .unwrap_or(0);
-        (learnt, backjump)
+            .unwrap_or(0)
     }
 
     fn backtrack(&mut self, level: u32) {
-        while self.trail_lim.len() as u32 > level {
-            let lim = self.trail_lim.pop().unwrap();
-            while self.trail.len() > lim {
-                let l = self.trail.pop().unwrap();
-                let v = l.var().index();
-                self.assign[v] = Value::Unassigned;
-                self.reason[v] = REASON_NONE;
+        if let Some(&lim) = self.trail_lim.get(level as usize) {
+            for l in self.trail.drain(lim..) {
+                self.values[l.index()] = Value::Unassigned;
+                self.values[(!l).index()] = Value::Unassigned;
+                self.order.insert(&self.activity, l.var().0);
             }
+            self.trail_lim.truncate(level as usize);
         }
-        self.propagate_head = self.trail.len().min(self.propagate_head);
         self.propagate_head = self.trail.len();
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
-        let mut best: Option<(f64, Var)> = None;
-        for (i, val) in self.assign.iter().enumerate() {
-            if *val == Value::Unassigned {
-                let act = self.activity[i];
-                if best.is_none_or(|(a, _)| act > a) {
-                    best = Some((act, Var(i as u32)));
-                }
+    /// The unassigned variable of highest activity, lowest index first.
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.value(Var(v)).is_none() {
+                return Some(Var(v));
             }
         }
-        best.map(|(_, v)| v)
+        None
     }
 
     /// Decide satisfiability of the clause set added so far.
@@ -468,21 +603,19 @@ impl Solver {
                     self.unsat = true;
                     return SatResult::Unsat;
                 }
-                let (learnt, backjump) = self.analyze(conflict);
+                let backjump = self.analyze(conflict);
                 self.added_clauses += 1;
                 self.backtrack(backjump);
                 self.decay_activity();
-                if learnt.len() == 1 {
-                    let ok = self.enqueue(learnt[0], REASON_NONE);
-                    debug_assert!(ok);
+                let learnt = std::mem::take(&mut self.learnt);
+                let reason = if learnt.len() == 1 {
+                    REASON_NONE
                 } else {
-                    let ci = self.attach_clause(Clause {
-                        lits: learnt.clone(),
-                        learnt: true,
-                    });
-                    let ok = self.enqueue(learnt[0], ci);
-                    debug_assert!(ok);
-                }
+                    self.attach_clause(&learnt)
+                };
+                let ok = self.enqueue(learnt[0], reason);
+                debug_assert!(ok);
+                self.learnt = learnt;
             } else if conflicts_this_restart >= conflicts_until_restart {
                 // Restart: keep learnt clauses, drop the partial assignment.
                 conflicts_this_restart = 0;
@@ -625,7 +758,6 @@ mod tests {
         s.add_clause(&[a.positive(), b.positive()]);
         assert_eq!(s.solve(), SatResult::Sat);
         // Force a contradiction afterwards.
-        s.backtrack(0);
         s.add_clause(&[a.negative()]);
         s.add_clause(&[b.negative()]);
         assert_eq!(s.solve(), SatResult::Unsat);
@@ -659,10 +791,69 @@ mod tests {
                 s.add_clause(&clause);
             }
             assert_eq!(s.solve(), SatResult::Sat);
-            // Every clause must be satisfied by the reported model.
-            for c in &s.clauses {
-                assert!(c.lits.iter().any(|l| s.lit_value(*l) == Value::True));
+            // Every stored clause must be satisfied by the reported model.
+            let mut at = 0;
+            while at < s.arena.len() {
+                let len = s.arena[at].0 as usize;
+                let clause = &s.arena[at + 1..=at + len];
+                assert!(clause.iter().any(|l| s.lit_value(*l) == Value::True));
+                at += 1 + len;
             }
+        }
+    }
+
+    #[test]
+    fn unit_clause_added_after_sat_is_kept() {
+        // The model of the first solve sets b; the unit !b added afterwards
+        // must be simplified against level 0 only, not that model.
+        let mut s = Solver::new();
+        let a = s.new_var();
+        let b = s.new_var();
+        s.add_clause(&[a.positive(), b.positive()]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!(s.value(b), Some(true));
+        s.add_clause(&[b.negative()]);
+        assert_eq!(s.solve(), SatResult::Sat);
+        assert_eq!((s.value(a), s.value(b)), (Some(true), Some(false)));
+    }
+
+    #[test]
+    fn heap_pops_in_scan_order_after_raises() {
+        // Random activities with many ties; raise random subsets, restore
+        // the order both ways, and pop everything: the sequence must be
+        // activity descending, index ascending, as a scan would pick.
+        let mut seed = 0x9e3779b97f4a7c15u64;
+        let mut rand = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for round in 0..200 {
+            let n = 1 + (rand() % 300) as usize;
+            let mut activity: Vec<f64> = (0..n).map(|_| (rand() % 8) as f64).collect();
+            let mut heap = VarHeap::default();
+            for v in 0..n as u32 {
+                heap.insert(&activity, v);
+            }
+            let k = (rand() as usize) % (n + 1);
+            let mut raised: Vec<u32> = Vec::new();
+            for v in 0..n as u32 {
+                if raised.len() < k && rand() % 2 == 0 {
+                    activity[v as usize] += (rand() % 4) as f64;
+                    raised.push(v);
+                }
+            }
+            heap.raised(&activity, &mut raised, round % 2 == 0);
+            assert!(raised.is_empty());
+            let popped: Vec<u32> = std::iter::from_fn(|| heap.pop(&activity)).collect();
+            let mut expected: Vec<u32> = (0..n as u32).collect();
+            expected.sort_by(|&a, &b| {
+                activity[b as usize]
+                    .total_cmp(&activity[a as usize])
+                    .then(a.cmp(&b))
+            });
+            assert_eq!(popped, expected);
         }
     }
 }

@@ -58,6 +58,8 @@ pub struct ValidationStats {
     /// Number of CNF clauses in the blasted query, learnt clauses
     /// included.
     pub clauses: usize,
+    /// Number of conflicts the SAT solver met deciding the query.
+    pub conflicts: u64,
 }
 
 /// The symbolic validator.
@@ -149,6 +151,7 @@ impl Validator {
             terms: pool.len(),
             sat_vars: checker.num_sat_vars(),
             clauses: checker.num_clauses(),
+            conflicts: checker.num_conflicts(),
         };
         match result {
             CheckResult::Unsat => (EquivResult::Equivalent, stats),
