@@ -86,9 +86,9 @@ pub struct Config {
     /// so that random rewrites do not trample the stack engine.
     pub register_pool: Vec<Gpr>,
     /// Which cost model scores candidate rewrites (see
-    /// [`CostModelSpec`]): the paper's metric by default, with
-    /// correctness-only and weighted variants built in and
-    /// [`CostModelSpec::Custom`] for third-party models.
+    /// [`CostModelSpec`]): the paper's metric by default, with the
+    /// constant-time penalty built in and [`CostModelSpec::Custom`] for
+    /// third-party models.
     pub cost_model: CostModelSpec,
     /// Which verifier validates surviving candidates (see
     /// [`VerifierSpec`]): the paper's cascade by default. An explicit
@@ -249,27 +249,6 @@ impl Config {
         }
         if self.num_testcases == 0 {
             return Err(ConfigError::ZeroTestcases);
-        }
-        if let CostModelSpec::Weighted {
-            correctness,
-            performance,
-        } = self.cost_model
-        {
-            for (field, value) in [("correctness", correctness), ("performance", performance)] {
-                if !value.is_finite() || value < 0.0 {
-                    return Err(ConfigError::InvalidCostWeight { field, value });
-                }
-            }
-            // A zero correctness weight silently degenerates the whole
-            // search: every rewrite scores as "correct", synthesis
-            // "succeeds" on its first random rewrite, and optimization
-            // ranks arbitrary incorrect programs by speed alone.
-            if correctness == 0.0 {
-                return Err(ConfigError::InvalidCostWeight {
-                    field: "correctness",
-                    value: correctness,
-                });
-            }
         }
         if let CostModelSpec::ConstantTime { penalty } = self.cost_model {
             if !penalty.is_finite() || penalty < 0.0 {

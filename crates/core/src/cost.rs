@@ -458,11 +458,6 @@ impl CostFn {
         self.config.perf_weight * h as f64
     }
 
-    /// The full cost used by the optimization phase.
-    pub fn full_cost(&mut self, rewrite: &[Instruction]) -> f64 {
-        self.eq_prime(rewrite) as f64 + self.perf_term(rewrite)
-    }
-
     /// Evaluate `eq'` but stop as soon as the running sum exceeds `bound`
     /// (the early-termination optimization of §4.5). Returns `None` when
     /// the bound was exceeded — the proposal is guaranteed to be rejected.

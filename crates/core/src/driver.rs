@@ -35,7 +35,6 @@ use stoke_x86::Program;
 static NULL_OBSERVER: NullObserver = NullObserver;
 static DEFAULT_VERIFIER: Cascade<Symbolic> = Cascade::new(Symbolic);
 static TEST_ONLY_VERIFIER: TestOnly = TestOnly;
-static SYMBOLIC_VERIFIER: Symbolic = Symbolic;
 static LEAKAGE_VERIFIER: LeakageCheck<Cascade<Symbolic>> =
     LeakageCheck::new(Cascade::new(Symbolic));
 
@@ -431,6 +430,9 @@ impl Session {
     /// callers export it with
     /// [`snapshot()`](stoke_obs::MetricsRegistry::snapshot) or
     /// [`render_text()`](stoke_obs::MetricsRegistry::render_text).
+    /// The metrics are a fold of the run's trace records (the ones
+    /// [`with_trace`](Session::with_trace) streams), so every number the
+    /// registry shows is also a field of some record.
     ///
     /// Attaching metrics never changes search decisions: the instrumented
     /// callbacks draw no randomness and feed nothing back into the chains.
@@ -487,7 +489,6 @@ impl Session {
             None => match &self.config.verifier {
                 VerifierSpec::Cascade => &DEFAULT_VERIFIER,
                 VerifierSpec::TestOnly => &TEST_ONLY_VERIFIER,
-                VerifierSpec::Symbolic => &SYMBOLIC_VERIFIER,
                 VerifierSpec::LeakageCascade => &LEAKAGE_VERIFIER,
             },
         }
@@ -518,19 +519,6 @@ impl Session {
     ///   the best partial result assembled from the work done so far.
     pub fn run(&self, spec: &TargetSpec) -> Result<StokeResult, StokeError> {
         self.run_request(spec, RunRequest::new())
-    }
-
-    /// Run the full pipeline on one target reusing an existing test suite
-    /// (the `Testcases` phase is skipped).
-    ///
-    /// # Errors
-    /// As for [`Session::run`].
-    pub fn run_with_suite(
-        &self,
-        spec: &TargetSpec,
-        suite: TestSuite,
-    ) -> Result<StokeResult, StokeError> {
-        self.run_request(spec, RunRequest::new().with_suite(suite))
     }
 
     /// Run the full pipeline on one target with explicit per-run options:

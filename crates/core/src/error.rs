@@ -69,14 +69,12 @@ pub enum ConfigError {
     /// `num_testcases` is zero: with an empty suite every rewrite has
     /// cost 0, so synthesis instantly "succeeds" with garbage.
     ZeroTestcases,
-    /// A [`CostModelSpec::Weighted`](crate::model::CostModelSpec::Weighted)
-    /// term weight is out of range: weights must be finite and
-    /// non-negative, and the correctness weight strictly positive — a
-    /// negative weight would reward *incorrect* or *slower* rewrites, and
-    /// a zero correctness weight makes every rewrite score as "correct",
-    /// silently degenerating the search into a perf-only random walk.
+    /// A cost-model weight is out of range: the
+    /// [`CostModelSpec::ConstantTime`](crate::model::CostModelSpec::ConstantTime)
+    /// penalty must be finite and non-negative — a negative penalty would
+    /// reward rewrites for leaking secrets.
     InvalidCostWeight {
-        /// The offending weight (`correctness` or `performance`).
+        /// The offending weight (`penalty`).
         field: &'static str,
         /// The offending value.
         value: f64,
@@ -131,8 +129,7 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidCostWeight { field, value } => {
                 write!(
                     f,
-                    "cost model weight `{field}` must be finite and non-negative \
-                     (and `correctness` strictly positive), got {value}"
+                    "cost model weight `{field}` must be finite and non-negative, got {value}"
                 )
             }
         }
@@ -161,6 +158,12 @@ pub enum StokeError {
         /// [`Verification::TestsOnly`](crate::search::Verification::TestsOnly).
         partial: Box<StokeResult>,
     },
+    /// The run panicked, for example inside a custom
+    /// [`CostModel`](crate::model::CostModel) or
+    /// [`Verifier`](crate::verifier::Verifier). The session does not catch
+    /// panics itself; a host that does, such as `stoke-serve`, reports
+    /// the panic's message here.
+    Panicked(String),
 }
 
 impl fmt::Display for StokeError {
@@ -172,6 +175,7 @@ impl fmt::Display for StokeError {
             StokeError::BudgetExhausted { .. } => {
                 write!(f, "search budget exhausted before the pipeline completed")
             }
+            StokeError::Panicked(message) => write!(f, "the search panicked: {message}"),
         }
     }
 }

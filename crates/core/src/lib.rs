@@ -87,7 +87,7 @@ pub use mcmc::{
 };
 pub use model::{
     ConstantTimePenalty, CorrectnessOnly, Cost, CostModel, CostModelFactory, CostModelSpec,
-    EvalContext, PaperCost, Weighted,
+    EvalContext, PaperCost,
 };
 pub use observer::{
     ChainProgress, ChainStats, NullObserver, Phase, SearchObserver, TeeObserver, ValidationVerdict,

@@ -14,8 +14,8 @@
 //! - [`CorrectnessOnly`] — a combinator dropping the performance term,
 //!   which is exactly the synthesis phase of §4.4 (`perf_weight = 0`) as
 //!   its own model;
-//! - [`Weighted`] — a combinator rescaling the two terms of an inner
-//!   model.
+//! - [`ConstantTimePenalty`] — a combinator charging each constant-time
+//!   violation of the rewrite on top of an inner model's performance term.
 //!
 //! Third-party models plug in through [`CostModelFactory`] and
 //! [`CostModelSpec::Custom`], selected per search via
@@ -277,60 +277,6 @@ impl<M: CostModel> CostModel for CorrectnessOnly<M> {
     }
 }
 
-/// A combinator rescaling the two terms of an inner model:
-/// `correctness · eq' + performance · perf`. Weights must be finite and
-/// non-negative, and the correctness weight strictly positive (enforced
-/// by [`Config::validate`](crate::config::Config::validate) when selected
-/// through [`CostModelSpec::Weighted`]). Constructed directly with a zero
-/// correctness weight, the correctness term short-circuits to `0.0`
-/// without running any test case — every rewrite then scores as
-/// "correct", so such a model is only useful for measurement harnesses,
-/// never for a real search.
-#[derive(Debug, Clone, Copy)]
-pub struct Weighted<M = PaperCost> {
-    inner: M,
-    correctness: f64,
-    performance: f64,
-}
-
-impl<M: CostModel> Weighted<M> {
-    /// Scale `inner`'s terms by the given weights.
-    pub fn new(inner: M, correctness: f64, performance: f64) -> Weighted<M> {
-        debug_assert!(correctness.is_finite() && correctness >= 0.0);
-        debug_assert!(performance.is_finite() && performance >= 0.0);
-        Weighted {
-            inner,
-            correctness,
-            performance,
-        }
-    }
-}
-
-impl<M: CostModel> CostModel for Weighted<M> {
-    fn name(&self) -> &'static str {
-        "weighted"
-    }
-
-    fn perf_term(&mut self, rewrite: &PreparedProgram<'_>, ctx: &mut EvalContext<'_>) -> f64 {
-        self.performance * self.inner.perf_term(rewrite, ctx)
-    }
-
-    fn correctness_term(
-        &mut self,
-        rewrite: &PreparedProgram<'_>,
-        bound: Option<f64>,
-        ctx: &mut EvalContext<'_>,
-    ) -> Option<f64> {
-        if self.correctness == 0.0 {
-            // The term is identically zero; skip the test cases entirely.
-            return Some(0.0);
-        }
-        self.inner
-            .correctness_term(rewrite, bound.map(|b| b / self.correctness), ctx)
-            .map(|c| c * self.correctness)
-    }
-}
-
 /// A combinator adding a fixed penalty per constant-time violation of the
 /// rewrite, on top of an inner model's performance term.
 ///
@@ -440,19 +386,6 @@ pub enum CostModelSpec {
     /// synthesis — the paper's pipeline and the default.
     #[default]
     Paper,
-    /// [`CorrectnessOnly`] for both phases: optimization stops rewarding
-    /// speed and searches for *any* equivalent code (useful for pure
-    /// synthesis experiments).
-    CorrectnessOnly,
-    /// [`Weighted`] over [`PaperCost`] for optimization (and its
-    /// correctness-only projection for synthesis). Both weights must be
-    /// finite and non-negative, and `correctness` strictly positive.
-    Weighted {
-        /// Scale of the correctness term.
-        correctness: f64,
-        /// Scale of the performance term.
-        performance: f64,
-    },
     /// [`ConstantTimePenalty`] over [`PaperCost`] for optimization (and
     /// plain [`CorrectnessOnly`] for synthesis): each statically detected
     /// secret-dependent memory address, shift count or division adds
@@ -470,11 +403,6 @@ impl CostModelSpec {
     pub fn optimization_model(&self) -> Box<dyn CostModel> {
         match self {
             CostModelSpec::Paper => Box::new(PaperCost),
-            CostModelSpec::CorrectnessOnly => Box::<CorrectnessOnly>::default(),
-            CostModelSpec::Weighted {
-                correctness,
-                performance,
-            } => Box::new(Weighted::new(PaperCost, *correctness, *performance)),
             CostModelSpec::ConstantTime { penalty } => {
                 Box::new(ConstantTimePenalty::new(PaperCost, *penalty))
             }
@@ -485,17 +413,9 @@ impl CostModelSpec {
     /// Build the synthesis-phase model.
     pub fn synthesis_model(&self) -> Box<dyn CostModel> {
         match self {
-            CostModelSpec::Paper
-            | CostModelSpec::CorrectnessOnly
-            | CostModelSpec::ConstantTime { .. } => Box::<CorrectnessOnly>::default(),
-            CostModelSpec::Weighted {
-                correctness,
-                performance,
-            } => Box::new(CorrectnessOnly::new(Weighted::new(
-                PaperCost,
-                *correctness,
-                *performance,
-            ))),
+            CostModelSpec::Paper | CostModelSpec::ConstantTime { .. } => {
+                Box::<CorrectnessOnly>::default()
+            }
             CostModelSpec::Custom(factory) => factory.synthesis_model(),
         }
     }
@@ -505,15 +425,6 @@ impl fmt::Debug for CostModelSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CostModelSpec::Paper => write!(f, "Paper"),
-            CostModelSpec::CorrectnessOnly => write!(f, "CorrectnessOnly"),
-            CostModelSpec::Weighted {
-                correctness,
-                performance,
-            } => f
-                .debug_struct("Weighted")
-                .field("correctness", correctness)
-                .field("performance", performance)
-                .finish(),
             CostModelSpec::ConstantTime { penalty } => f
                 .debug_struct("ConstantTime")
                 .field("penalty", penalty)
@@ -527,17 +438,6 @@ impl PartialEq for CostModelSpec {
     fn eq(&self, other: &CostModelSpec) -> bool {
         match (self, other) {
             (CostModelSpec::Paper, CostModelSpec::Paper) => true,
-            (CostModelSpec::CorrectnessOnly, CostModelSpec::CorrectnessOnly) => true,
-            (
-                CostModelSpec::Weighted {
-                    correctness: ac,
-                    performance: ap,
-                },
-                CostModelSpec::Weighted {
-                    correctness: bc,
-                    performance: bp,
-                },
-            ) => ac == bc && ap == bp,
             (
                 CostModelSpec::ConstantTime { penalty: a },
                 CostModelSpec::ConstantTime { penalty: b },
@@ -591,26 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rescales_both_terms() {
-        let mut cf = cost_fn();
-        let program: Program = "movq rdi, rax\nsubq rsi, rax".parse().unwrap();
-        let prepared = stoke_emu::PreparedProgram::of_program(&program);
-        let base = PaperCost.score(&prepared, &mut cf.eval_context());
-        let scaled = Weighted::new(PaperCost, 2.0, 0.5).score(&prepared, &mut cf.eval_context());
-        assert_eq!(scaled.correctness, 2.0 * base.correctness);
-        assert_eq!(scaled.performance, 0.5 * base.performance);
-        // A zero correctness weight skips test execution entirely.
-        let before = cf.stats.testcases_run;
-        let zero = Weighted::new(PaperCost, 0.0, 1.0).correctness_term(
-            &prepared,
-            None,
-            &mut cf.eval_context(),
-        );
-        assert_eq!(zero, Some(0.0));
-        assert_eq!(cf.stats.testcases_run, before);
-    }
-
-    #[test]
     fn bounded_evaluation_early_terminates_through_the_trait() {
         let mut cf = cost_fn();
         let wrong: Program = "movq 0, rax".parse().unwrap();
@@ -658,24 +538,20 @@ mod tests {
             "correctness-only"
         );
         assert_eq!(
-            CostModelSpec::CorrectnessOnly.optimization_model().name(),
-            "correctness-only"
-        );
-        assert_eq!(
-            CostModelSpec::Weighted {
-                correctness: 1.0,
-                performance: 2.0
-            }
-            .optimization_model()
-            .name(),
-            "weighted"
+            CostModelSpec::ConstantTime { penalty: 1.0 }
+                .optimization_model()
+                .name(),
+            "constant-time"
         );
     }
 
     #[test]
     fn spec_equality_and_debug() {
         assert_eq!(CostModelSpec::Paper, CostModelSpec::Paper);
-        assert_ne!(CostModelSpec::Paper, CostModelSpec::CorrectnessOnly);
+        assert_ne!(
+            CostModelSpec::Paper,
+            CostModelSpec::ConstantTime { penalty: 0.0 }
+        );
         struct F;
         impl CostModelFactory for F {
             fn optimization_model(&self) -> Box<dyn CostModel> {

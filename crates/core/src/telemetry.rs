@@ -1,13 +1,22 @@
 //! The bridge between the search pipeline and `stoke-obs`:
-//! [`MetricsObserver`] implements [`SearchObserver`] and translates
-//! pipeline callbacks into registry updates and structured trace records.
+//! [`MetricsObserver`] implements [`SearchObserver`] and records every
+//! pipeline callback as exactly one [`TraceRecord`].
+//!
+//! The record is the only thing an event produces. The adapter folds it
+//! into the metrics registry through [`count`] and then forwards it to the
+//! trace sink, so the registry is a fold of the trace: every number the
+//! registry shows is a field of some record. `chain_end` carries the
+//! per-phase proposal and acceptance counts, the per-move-kind
+//! `moves_<kind>` / `accepted_<kind>` counts and the evaluation counters;
+//! `search_end` carries the verdict, the wall time, the counterexamples
+//! and the leakage rejections.
 //!
 //! The adapter is strictly passive: it draws no randomness, feeds nothing
 //! back into the chains, and therefore cannot perturb a fixed-seed search
 //! (the `obs_integration` snapshot tests pin this down bit-for-bit).
-//! Metric handles are registered once at construction; the callbacks only
-//! touch atomics, plus one small mutex for per-target phase timing on the
-//! (cold) phase-transition path.
+//! Records are built on phase transitions, chain ends, candidates,
+//! validations and the periodic progress reports, never per proposal; the
+//! fold looks each metric up by name, which takes the registry lock.
 
 use crate::mcmc::{MoveKind, MoveStats};
 use crate::observer::{ChainProgress, ChainStats, Phase, SearchObserver, ValidationVerdict};
@@ -15,7 +24,7 @@ use crate::search::{StokeResult, Verification};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use stoke_obs::{Counter, Histogram, MetricsRegistry, TraceRecord, TraceSink, Value};
+use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
 
 /// Label value for a pipeline phase.
 fn phase_name(phase: Phase) -> &'static str {
@@ -24,15 +33,6 @@ fn phase_name(phase: Phase) -> &'static str {
         Phase::Synthesis => "synthesis",
         Phase::Optimization => "optimization",
         Phase::Validation => "validation",
-    }
-}
-
-fn phase_index(phase: Phase) -> usize {
-    match phase {
-        Phase::Testcases => 0,
-        Phase::Synthesis => 1,
-        Phase::Optimization => 2,
-        Phase::Validation => 3,
     }
 }
 
@@ -54,91 +54,103 @@ fn verification_name(v: &Verification) -> &'static str {
     }
 }
 
-/// Pre-registered metric handles, created once per adapter so the callback
-/// hot path is pure atomics.
-struct Handles {
-    proposals: [Counter; 4],
-    accepted: [Counter; 4],
-    moves_proposed: [Counter; 4],
-    moves_accepted: [Counter; 4],
-    testcases: Counter,
-    evaluations: Counter,
-    early_terminations: Counter,
-    candidates: Counter,
-    validations_proven: Counter,
-    validations_refuted: Counter,
-    counterexamples: Counter,
-    leakage_rejections: Counter,
-    searches: [Counter; 3],
-    phase_seconds: [Histogram; 4],
-    search_seconds: Histogram,
-}
+/// Upper bounds of the phase and search wall-time histograms, in seconds.
+const DURATION_BOUNDS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
 
-impl Handles {
-    fn new(registry: &MetricsRegistry) -> Handles {
-        let phase_counter = |family: &str| {
-            [
-                Phase::Testcases,
-                Phase::Synthesis,
-                Phase::Optimization,
-                Phase::Validation,
-            ]
-            .map(|p| registry.counter_with(family, &[("phase", phase_name(p))]))
-        };
-        let move_counter = |family: &str| {
-            MoveStats::KINDS.map(|k| registry.counter_with(family, &[("kind", move_name(k))]))
-        };
-        let duration_bounds = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
-        Handles {
-            proposals: phase_counter("stoke_proposals_total"),
-            accepted: phase_counter("stoke_accepted_total"),
-            moves_proposed: move_counter("stoke_moves_total"),
-            moves_accepted: move_counter("stoke_move_accepted_total"),
-            testcases: registry.counter("stoke_testcases_total"),
-            evaluations: registry.counter("stoke_evaluations_total"),
-            early_terminations: registry.counter("stoke_early_terminations_total"),
-            candidates: registry.counter("stoke_candidates_total"),
-            validations_proven: registry
-                .counter_with("stoke_validations_total", &[("verdict", "proven")]),
-            validations_refuted: registry
-                .counter_with("stoke_validations_total", &[("verdict", "refuted")]),
-            counterexamples: registry.counter("stoke_counterexamples_total"),
-            leakage_rejections: registry.counter("stoke_leakage_rejections_total"),
-            searches: [
-                registry.counter_with("stoke_searches_total", &[("verification", "proven")]),
-                registry.counter_with("stoke_searches_total", &[("verification", "tests_only")]),
-                registry.counter_with(
-                    "stoke_searches_total",
-                    &[("verification", "target_returned")],
-                ),
-            ],
-            phase_seconds: [
-                Phase::Testcases,
-                Phase::Synthesis,
-                Phase::Optimization,
-                Phase::Validation,
-            ]
-            .map(|p| {
-                registry.histogram_with(
-                    "stoke_phase_seconds",
-                    &[("phase", phase_name(p))],
-                    &duration_bounds,
-                )
-            }),
-            search_seconds: registry.histogram("stoke_search_seconds", &duration_bounds),
-        }
+/// The string field `key` of `record`, or `""` when it is absent.
+fn str_field<'r>(record: &'r TraceRecord, key: &str) -> &'r str {
+    match record.field(key) {
+        Some(Value::Str(s)) => s,
+        _ => "",
     }
 }
 
-/// A [`SearchObserver`] that records pipeline activity into a
-/// [`MetricsRegistry`] and/or a [`TraceSink`].
+/// Fold one search record into `registry`: the only place the search
+/// metrics are updated.
+///
+/// A phase span end observes `stoke_phase_seconds`; a `candidate` or
+/// `validation` event counts itself; a `chain_end` adds its counts to the
+/// per-phase, per-move-kind and evaluation counters; a `search_end` counts
+/// the search by verdict and adds its wall time, counterexamples and
+/// leakage rejections. `progress` events carry no metric.
+pub(crate) fn count(registry: &MetricsRegistry, record: &TraceRecord) {
+    let (name, fields) = match record {
+        TraceRecord::SpanEnd { name, micros, .. } => {
+            if let Some(phase) = name.strip_prefix("phase:") {
+                registry
+                    .histogram_with("stoke_phase_seconds", &[("phase", phase)], &DURATION_BOUNDS)
+                    .observe(*micros as f64 / 1e6);
+            }
+            return;
+        }
+        TraceRecord::Event { name, fields, .. } => (name.as_str(), fields),
+        _ => return,
+    };
+    match name {
+        "candidate" => registry.counter("stoke_candidates_total").inc(),
+        "validation" => registry
+            .counter_with(
+                "stoke_validations_total",
+                &[("verdict", str_field(record, "verdict"))],
+            )
+            .inc(),
+        "chain_end" => {
+            let phase = [("phase", str_field(record, "phase"))];
+            for (key, value) in fields {
+                let &Value::U64(n) = value else { continue };
+                let counter = match key.as_str() {
+                    "proposals" => registry.counter_with("stoke_proposals_total", &phase),
+                    "accepted" => registry.counter_with("stoke_accepted_total", &phase),
+                    "evaluations" => registry.counter("stoke_evaluations_total"),
+                    "testcases_run" => registry.counter("stoke_testcases_total"),
+                    "early_terminations" => registry.counter("stoke_early_terminations_total"),
+                    key => {
+                        if let Some(kind) = key.strip_prefix("moves_") {
+                            registry.counter_with("stoke_moves_total", &[("kind", kind)])
+                        } else if let Some(kind) = key.strip_prefix("accepted_") {
+                            registry.counter_with("stoke_move_accepted_total", &[("kind", kind)])
+                        } else {
+                            continue;
+                        }
+                    }
+                };
+                counter.add(n);
+            }
+        }
+        "search_end" => {
+            registry
+                .counter_with(
+                    "stoke_searches_total",
+                    &[("verification", str_field(record, "verification"))],
+                )
+                .inc();
+            for (key, value) in fields {
+                let &Value::U64(n) = value else { continue };
+                match key.as_str() {
+                    "total_us" => registry
+                        .histogram("stoke_search_seconds", &DURATION_BOUNDS)
+                        .observe(n as f64 / 1e6),
+                    "counterexamples" => registry.counter("stoke_counterexamples_total").add(n),
+                    "leakage_rejections" => {
+                        registry.counter("stoke_leakage_rejections_total").add(n)
+                    }
+                    _ => {}
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// A [`SearchObserver`] that records pipeline activity as trace records,
+/// folded into a [`MetricsRegistry`] and/or streamed to a [`TraceSink`].
 ///
 /// [`Session::with_metrics`](crate::Session::with_metrics) and
 /// [`Session::with_trace`](crate::Session::with_trace) install one of these
 /// behind the caller's observer for every run.
 pub(crate) struct MetricsObserver {
+    metrics: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
-    handles: Option<Handles>,
     /// Per-target currently open phase span, for wall-time accounting.
     /// Only touched on phase transitions and search end — never on the
     /// per-proposal path.
@@ -153,30 +165,30 @@ impl MetricsObserver {
         trace: Option<Arc<dyn TraceSink>>,
     ) -> MetricsObserver {
         MetricsObserver {
+            metrics,
             trace,
-            handles: metrics.map(|registry| Handles::new(&registry)),
             open_phase: Mutex::new(HashMap::new()),
         }
     }
 
+    /// Fold `record` into the registry, then forward it to the sink.
     fn emit(&self, record: TraceRecord) {
+        if let Some(registry) = &self.metrics {
+            count(registry, &record);
+        }
         if let Some(sink) = &self.trace {
             sink.record(record);
         }
     }
 
-    /// Close the open phase span for `target` (if any), observing its wall
-    /// time and emitting the span-end record.
+    /// Close the open phase span for `target` (if any), emitting the
+    /// span-end record with its wall time.
     fn close_phase(&self, target: usize, open: &mut HashMap<usize, (Phase, Instant)>) {
         if let Some((phase, since)) = open.remove(&target) {
-            let elapsed = since.elapsed();
-            if let Some(handles) = &self.handles {
-                handles.phase_seconds[phase_index(phase)].observe(elapsed.as_secs_f64());
-            }
             self.emit(TraceRecord::SpanEnd {
                 name: format!("phase:{}", phase_name(phase)),
                 target: target as u64,
-                micros: elapsed.as_micros() as u64,
+                micros: since.elapsed().as_micros() as u64,
             });
         }
     }
@@ -195,7 +207,7 @@ impl SearchObserver for MetricsObserver {
 
     fn on_chain_progress(&self, progress: &ChainProgress) {
         // Progress snapshots carry the cost-over-time signal (Figure 10);
-        // they go to the trace only — per-chain gauges would have unbounded
+        // they fold into no metric — per-chain gauges would have unbounded
         // cardinality in the registry.
         self.emit(TraceRecord::Event {
             name: "progress".into(),
@@ -217,9 +229,6 @@ impl SearchObserver for MetricsObserver {
     }
 
     fn on_candidate(&self, target: usize, candidate: &stoke_x86::Program, cost: f64) {
-        if let Some(handles) = &self.handles {
-            handles.candidates.inc();
-        }
         self.emit(TraceRecord::Event {
             name: "candidate".into(),
             target: target as u64,
@@ -235,12 +244,6 @@ impl SearchObserver for MetricsObserver {
             ValidationVerdict::Proven => "proven",
             ValidationVerdict::Refuted => "refuted",
         };
-        if let Some(handles) = &self.handles {
-            match verdict {
-                ValidationVerdict::Proven => handles.validations_proven.inc(),
-                ValidationVerdict::Refuted => handles.validations_refuted.inc(),
-            }
-        }
         self.emit(TraceRecord::Event {
             name: "validation".into(),
             target: target as u64,
@@ -249,34 +252,33 @@ impl SearchObserver for MetricsObserver {
     }
 
     fn on_chain_end(&self, stats: &ChainStats) {
-        if let Some(handles) = &self.handles {
-            let phase = phase_index(stats.phase);
-            handles.proposals[phase].add(stats.proposals);
-            handles.accepted[phase].add(stats.accepted);
-            for (i, kind) in MoveStats::KINDS.into_iter().enumerate() {
-                handles.moves_proposed[i].add(stats.moves.proposed(kind));
-                handles.moves_accepted[i].add(stats.moves.accepted(kind));
-            }
-            handles.testcases.add(stats.eval.testcases_run);
-            handles.evaluations.add(stats.eval.evaluations);
-            handles
-                .early_terminations
-                .add(stats.eval.early_terminations);
+        let mut fields = vec![
+            ("phase".into(), Value::Str(phase_name(stats.phase).into())),
+            ("chain".into(), Value::U64(stats.chain as u64)),
+            ("proposals".into(), Value::U64(stats.proposals)),
+            ("accepted".into(), Value::U64(stats.accepted)),
+            ("evaluations".into(), Value::U64(stats.eval.evaluations)),
+            ("testcases_run".into(), Value::U64(stats.eval.testcases_run)),
+            (
+                "early_terminations".into(),
+                Value::U64(stats.eval.early_terminations),
+            ),
+        ];
+        for kind in MoveStats::KINDS {
+            let name = move_name(kind);
+            fields.push((
+                format!("moves_{name}"),
+                Value::U64(stats.moves.proposed(kind)),
+            ));
+            fields.push((
+                format!("accepted_{name}"),
+                Value::U64(stats.moves.accepted(kind)),
+            ));
         }
         self.emit(TraceRecord::Event {
             name: "chain_end".into(),
             target: stats.target as u64,
-            fields: vec![
-                ("phase".into(), Value::Str(phase_name(stats.phase).into())),
-                ("chain".into(), Value::U64(stats.chain as u64)),
-                ("proposals".into(), Value::U64(stats.proposals)),
-                ("accepted".into(), Value::U64(stats.accepted)),
-                ("testcases_run".into(), Value::U64(stats.eval.testcases_run)),
-                (
-                    "early_terminations".into(),
-                    Value::U64(stats.eval.early_terminations),
-                ),
-            ],
+            fields,
         });
     }
 
@@ -285,21 +287,7 @@ impl SearchObserver for MetricsObserver {
             let mut open = self.open_phase.lock().expect("telemetry lock");
             self.close_phase(target, &mut open);
         }
-        if let Some(handles) = &self.handles {
-            let which = match result.verification {
-                Verification::Proven => 0,
-                Verification::TestsOnly => 1,
-                Verification::TargetReturned => 2,
-            };
-            handles.searches[which].inc();
-            handles
-                .search_seconds
-                .observe(result.stats.total_time.as_secs_f64());
-            handles.counterexamples.add(result.stats.counterexamples);
-            handles
-                .leakage_rejections
-                .add(result.stats.leakage_rejections);
-        }
+        let stats = &result.stats;
         self.emit(TraceRecord::Event {
             name: "search_end".into(),
             target: target as u64,
@@ -309,13 +297,15 @@ impl SearchObserver for MetricsObserver {
                     Value::Str(verification_name(&result.verification).into()),
                 ),
                 ("speedup".into(), Value::F64(result.speedup())),
-                (
-                    "proposals".into(),
-                    Value::U64(result.stats.total_proposals()),
-                ),
+                ("proposals".into(), Value::U64(stats.total_proposals())),
                 (
                     "total_us".into(),
-                    Value::U64(result.stats.total_time.as_micros() as u64),
+                    Value::U64(stats.total_time.as_micros() as u64),
+                ),
+                ("counterexamples".into(), Value::U64(stats.counterexamples)),
+                (
+                    "leakage_rejections".into(),
+                    Value::U64(stats.leakage_rejections),
                 ),
             ],
         });
@@ -406,6 +396,48 @@ mod tests {
         assert_eq!(snap.counter("stoke_move_accepted_total{kind=\"swap\"}"), 1);
         assert_eq!(snap.counter("stoke_moves_total{kind=\"opcode\"}"), 1);
         assert_eq!(snap.counter("stoke_testcases_total"), 24);
+        assert_eq!(snap.counter("stoke_evaluations_total"), 3);
         assert_eq!(snap.counter("stoke_early_terminations_total"), 1);
+    }
+
+    #[test]
+    fn replaying_the_trace_rebuilds_the_registry() {
+        use crate::driver::Session;
+        use crate::testcase::TargetSpec;
+        use stoke_x86::Gpr;
+
+        let registry = Arc::new(MetricsRegistry::new());
+        let ring = Arc::new(RingSink::new(1 << 16));
+        let config = crate::config::Config::builder()
+            .synthesis_iterations(1_000)
+            .optimization_iterations(2_000)
+            .num_testcases(4)
+            .threads(1)
+            .build()
+            .unwrap();
+        let target = "movq rdi, rbx\nmovq rbx, rax\naddq rsi, rax"
+            .parse()
+            .unwrap();
+        let spec = TargetSpec::with_gprs(target, &[Gpr::Rdi, Gpr::Rsi], &[Gpr::Rax]);
+        Session::new(config)
+            .with_metrics(registry.clone())
+            .with_trace(ring.clone())
+            .run(&spec)
+            .unwrap();
+        let replayed = MetricsRegistry::new();
+        for (_, record) in ring.records() {
+            count(&replayed, &record);
+        }
+        let (live, replayed) = (registry.snapshot(), replayed.snapshot());
+        assert!(live.counter("stoke_evaluations_total") > 0);
+        assert_eq!(live.counters, replayed.counters);
+        assert_eq!(live.gauges, replayed.gauges);
+        let buckets = |s: &stoke_obs::Snapshot| {
+            s.histograms
+                .iter()
+                .map(|h| (h.name.clone(), h.buckets.clone()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(buckets(&live), buckets(&replayed));
     }
 }

@@ -424,9 +424,6 @@ pub enum VerifierSpec {
     Cascade,
     /// [`TestOnly`]: the test suite alone, no symbolic validation.
     TestOnly,
-    /// [`Symbolic`] without the cascade's pre-test and spurious-cex
-    /// re-test.
-    Symbolic,
     /// [`LeakageCheck`] over the default cascade: candidates introducing
     /// new secret observations are refuted before verification.
     LeakageCascade,
@@ -439,7 +436,6 @@ impl VerifierSpec {
         match self {
             VerifierSpec::Cascade => "cascade",
             VerifierSpec::TestOnly => "test-only",
-            VerifierSpec::Symbolic => "symbolic",
             VerifierSpec::LeakageCascade => "leakage-cascade",
         }
     }
@@ -604,7 +600,6 @@ mod tests {
         assert_eq!(VerifierSpec::default(), VerifierSpec::Cascade);
         assert_eq!(VerifierSpec::Cascade.name(), "cascade");
         assert_eq!(VerifierSpec::TestOnly.name(), "test-only");
-        assert_eq!(VerifierSpec::Symbolic.name(), "symbolic");
         assert_eq!(VerifierSpec::LeakageCascade.name(), "leakage-cascade");
         assert_ne!(VerifierSpec::Cascade, VerifierSpec::LeakageCascade);
         assert_eq!(

@@ -8,8 +8,9 @@ use crate::cache::{CacheConfig, CacheStats, RewriteCache};
 use crate::key::{CacheKey, PipelineFingerprint};
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stoke::{
@@ -17,7 +18,7 @@ use stoke::{
     TargetSpec, Verifier,
 };
 use stoke_emu::TimingModel;
-use stoke_obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceRecord, TraceSink, Value};
+use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
 use stoke_x86::Program;
 
 /// Identifier of a submitted job, unique within one [`Service`].
@@ -129,6 +130,26 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    /// Fold one lifecycle event into the counters.
+    fn count(&mut self, record: &TraceRecord) {
+        let TraceRecord::Event { name, .. } = record else {
+            return;
+        };
+        match name.as_str() {
+            "job_submitted" => self.submitted += 1,
+            "job_cancelled" => self.cancelled += 1,
+            "job_completed" => self.completed += 1,
+            "job_failed" => self.failed += 1,
+            _ => return,
+        }
+        match disposition(record) {
+            "cache_hit" => self.cache_hits += 1,
+            "warm_start" => self.warm_starts += 1,
+            "cold_search" => self.cold_searches += 1,
+            _ => {}
+        }
+    }
+
     /// Fraction of finished jobs served straight from the cache.
     pub fn hit_rate(&self) -> f64 {
         let finished = self.completed + self.failed;
@@ -195,15 +216,20 @@ pub struct ServeConfig {
     /// Verifier for every job's re-rank stage (`None` = the session
     /// default cascade). Its name is part of the pipeline fingerprint.
     pub verifier: Option<Arc<dyn Verifier>>,
-    /// Optional metrics registry. When set, the service records queue
-    /// depth, job latency histograms, and cache hit/miss/warm-start
-    /// counters under the `stoke_serve_*` families, and every job's
-    /// session records its search metrics into the same registry.
+    /// Optional metrics registry. When set, the service folds its
+    /// lifecycle events (see [`ServeConfig::trace`]) into the
+    /// `stoke_serve_*` families: job counters by outcome and disposition,
+    /// cache misses (finished jobs not served from the cache), the queue
+    /// and run latency histograms, and the `stoke_serve_queue_depth` gauge
+    /// (jobs submitted, less those started or withdrawn while queued).
+    /// Every job's session folds its search events into the same
+    /// registry.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Optional structured trace sink: the service's record of what every
     /// job did. It receives the lifecycle events `job_submitted`,
     /// `job_started`, `job_completed` / `job_failed` (with the
-    /// `disposition`, plus the warm-start `distance`) and `job_cancelled`,
+    /// `disposition`, plus the warm-start `distance`; a failed job also
+    /// carries its `error`) and `job_cancelled`,
     /// and every job session's span/event records, all with
     /// `target` = [`JobId::value`].
     pub trace: Option<Arc<dyn TraceSink>>,
@@ -229,40 +255,73 @@ impl ServeConfig {
     }
 }
 
-/// Pre-registered serve-layer metric handles (see
-/// [`ServeConfig::metrics`]); all updates after registration are single
-/// atomic operations.
-struct ServeMetrics {
-    queue_depth: Gauge,
-    submitted: Counter,
-    completed: Counter,
-    failed: Counter,
-    cancelled: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    warm_starts: Counter,
-    cold_searches: Counter,
-    queue_seconds: Histogram,
-    run_seconds: Histogram,
+/// Latency histogram bounds of the serve layer, in seconds.
+const LATENCY_BOUNDS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
+
+/// The `disposition` field of a finished job's event, or `""`.
+fn disposition(record: &TraceRecord) -> &str {
+    match record.field("disposition") {
+        Some(Value::Str(d)) => d,
+        _ => "",
+    }
 }
 
-impl ServeMetrics {
-    fn new(registry: &MetricsRegistry) -> ServeMetrics {
-        let latency_bounds = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
-        ServeMetrics {
-            queue_depth: registry.gauge("stoke_serve_queue_depth"),
-            submitted: registry.counter("stoke_serve_jobs_submitted_total"),
-            completed: registry.counter("stoke_serve_jobs_completed_total"),
-            failed: registry.counter("stoke_serve_jobs_failed_total"),
-            cancelled: registry.counter("stoke_serve_jobs_cancelled_total"),
-            cache_hits: registry.counter("stoke_serve_cache_hits_total"),
-            cache_misses: registry.counter("stoke_serve_cache_misses_total"),
-            warm_starts: registry.counter("stoke_serve_warm_starts_total"),
-            cold_searches: registry.counter("stoke_serve_cold_searches_total"),
-            queue_seconds: registry.histogram("stoke_serve_queue_seconds", &latency_bounds),
-            run_seconds: registry.histogram("stoke_serve_run_seconds", &latency_bounds),
+/// Fold one lifecycle event into the `stoke_serve_*` metrics of
+/// `registry`: the only place they are updated.
+fn count(registry: &MetricsRegistry, record: &TraceRecord) {
+    let TraceRecord::Event { name, .. } = record else {
+        return;
+    };
+    let queue_depth = || registry.gauge("stoke_serve_queue_depth");
+    let seconds = |key: &str| match record.field(key) {
+        Some(&Value::U64(us)) => us as f64 / 1e6,
+        _ => 0.0,
+    };
+    match name.as_str() {
+        "job_submitted" => {
+            registry.counter("stoke_serve_jobs_submitted_total").inc();
+            queue_depth().inc();
         }
+        "job_started" => queue_depth().dec(),
+        "job_cancelled" => {
+            registry.counter("stoke_serve_jobs_cancelled_total").inc();
+            queue_depth().dec();
+        }
+        "job_completed" | "job_failed" => {
+            let outcome = if name == "job_failed" {
+                "stoke_serve_jobs_failed_total"
+            } else {
+                "stoke_serve_jobs_completed_total"
+            };
+            registry.counter(outcome).inc();
+            let served_by = disposition(record);
+            let served = match served_by {
+                "cache_hit" => "stoke_serve_cache_hits_total",
+                "warm_start" => "stoke_serve_warm_starts_total",
+                _ => "stoke_serve_cold_searches_total",
+            };
+            registry.counter(served).inc();
+            if served_by != "cache_hit" {
+                registry.counter("stoke_serve_cache_misses_total").inc();
+            }
+            registry
+                .histogram("stoke_serve_queue_seconds", &LATENCY_BOUNDS)
+                .observe(seconds("queue_us"));
+            registry
+                .histogram("stoke_serve_run_seconds", &LATENCY_BOUNDS)
+                .observe(seconds("run_us"));
+        }
+        _ => {}
     }
+}
+
+/// Take a lock (or wake from a condition variable) even if a thread
+/// panicked while holding it. A job's panic is caught around its session
+/// run, outside every lock here, and each critical section leaves the
+/// service state consistent at every step, so a poisoned lock guards
+/// nothing broken and one panic never turns into a dead service.
+fn unpoison<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 struct PendingJob {
@@ -324,7 +383,6 @@ struct Shared {
     cache: Mutex<RewriteCache>,
     registry: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
-    metrics: Option<ServeMetrics>,
 }
 
 impl Shared {
@@ -332,21 +390,26 @@ impl Shared {
     /// job is counted and traced before any `wait` caller sees it.
     fn withdraw(&self, q: &mut QueueState, job: JobId) {
         q.jobs.get_mut(&job).expect("record exists").status = JobStatus::Cancelled;
-        q.stats.cancelled += 1;
-        if let Some(m) = &self.metrics {
-            m.cancelled.inc();
-        }
-        self.trace_event("job_cancelled", job, Vec::new());
+        self.record(q, "job_cancelled", job, Vec::new());
         self.done.notify_all();
     }
 
-    fn trace_event(&self, name: &str, job: JobId, fields: Vec<(String, Value)>) {
+    /// Record one lifecycle event: fold it into the service counters and
+    /// the registry, then forward it to the trace sink. Called under the
+    /// queue lock, which owns the counters and keeps each job's events in
+    /// lifecycle order.
+    fn record(&self, q: &mut QueueState, name: &str, job: JobId, fields: Vec<(String, Value)>) {
+        let record = TraceRecord::Event {
+            name: name.to_string(),
+            target: job.value(),
+            fields,
+        };
+        q.stats.count(&record);
+        if let Some(registry) = &self.registry {
+            count(registry, &record);
+        }
         if let Some(sink) = &self.trace {
-            sink.record(TraceRecord::Event {
-                name: name.to_string(),
-                target: job.value(),
-                fields,
-            });
+            sink.record(record);
         }
     }
 }
@@ -421,7 +484,6 @@ impl Service {
             done: Condvar::new(),
             batch_clock: Arc::new(BudgetClock::start(&config.batch_budget)),
             cache: Mutex::new(cache),
-            metrics: config.metrics.as_deref().map(ServeMetrics::new),
             registry: config.metrics,
             trace: config.trace,
             config: config.search,
@@ -447,7 +509,7 @@ impl Service {
     /// Submit a target with an explicit priority and/or budget; returns
     /// immediately.
     pub fn submit_with(&self, spec: TargetSpec, options: SubmitOptions) -> JobId {
-        let mut q = self.shared.queue.lock().expect("queue lock");
+        let mut q = unpoison(self.shared.queue.lock());
         let id = JobId(q.next_id);
         q.next_id += 1;
         let seq = q.next_seq;
@@ -474,16 +536,12 @@ impl Service {
             budget,
             submitted: Instant::now(),
         });
-        q.stats.submitted += 1;
         // Account for the job before a worker can see it: a worker takes
         // the queue lock to pop the job, so recording here keeps
         // `job_submitted` ahead of `job_started` in the trace and the
         // queue-depth gauge from dipping below zero.
-        if let Some(m) = &self.shared.metrics {
-            m.submitted.inc();
-            m.queue_depth.inc();
-        }
-        self.shared.trace_event(
+        self.shared.record(
+            &mut q,
             "job_submitted",
             id,
             vec![(
@@ -497,7 +555,7 @@ impl Service {
 
     /// The job's lifecycle state, or `None` for an unknown id.
     pub fn status(&self, job: JobId) -> Option<JobStatus> {
-        let q = self.shared.queue.lock().expect("queue lock");
+        let q = unpoison(self.shared.queue.lock());
         q.jobs.get(&job).map(|r| r.status)
     }
 
@@ -510,7 +568,7 @@ impl Service {
     /// A job cancelled *mid-run* instead completes with
     /// `Err(StokeError::BudgetExhausted { .. })` in its outcome.
     pub fn wait(&self, job: JobId) -> Result<JobOutcome, ServeError> {
-        let mut q = self.shared.queue.lock().expect("queue lock");
+        let mut q = unpoison(self.shared.queue.lock());
         loop {
             match q.jobs.get(&job) {
                 None => return Err(ServeError::UnknownJob(job)),
@@ -520,7 +578,7 @@ impl Service {
                     _ => {}
                 },
             }
-            q = self.shared.done.wait(q).expect("queue lock");
+            q = unpoison(self.shared.done.wait(q));
         }
     }
 
@@ -528,7 +586,7 @@ impl Service {
     /// job's budget is cancelled, preempting its chains at the next
     /// proposal. Returns `false` for unknown or already-finished jobs.
     pub fn cancel(&self, job: JobId) -> bool {
-        let mut q = self.shared.queue.lock().expect("queue lock");
+        let mut q = unpoison(self.shared.queue.lock());
         let Some(record) = q.jobs.get_mut(&job) else {
             return false;
         };
@@ -540,9 +598,8 @@ impl Service {
             }
             JobStatus::Queued => {
                 record.cancel.cancel();
-                // The heap entry is left in place (a worker skips it on
-                // pickup), so the queue-depth gauge is untouched here: it
-                // tracks heap occupancy and drops when the entry is popped.
+                // The heap entry is left in place; a worker skips it on
+                // pickup.
                 self.shared.withdraw(&mut q, job);
                 true
             }
@@ -551,17 +608,17 @@ impl Service {
 
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.queue.lock().expect("queue lock").stats
+        unpoison(self.shared.queue.lock()).stats
     }
 
     /// A snapshot of the rewrite-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.lock().expect("cache lock").stats()
+        unpoison(self.shared.cache.lock()).stats()
     }
 
     /// Live entries in the rewrite cache.
     pub fn cache_len(&self) -> usize {
-        self.shared.cache.lock().expect("cache lock").len()
+        unpoison(self.shared.cache.lock()).len()
     }
 
     /// Stop the service: cancel still-queued jobs, wait for running jobs
@@ -578,13 +635,10 @@ impl Service {
 
     fn shutdown_impl(&mut self) -> Result<(), ServeError> {
         {
-            let mut q = self.shared.queue.lock().expect("queue lock");
+            let mut q = unpoison(self.shared.queue.lock());
             if !q.shutdown {
                 q.shutdown = true;
                 while let Some(job) = q.pending.pop() {
-                    if let Some(m) = &self.shared.metrics {
-                        m.queue_depth.dec();
-                    }
                     if q.jobs[&job.id].status == JobStatus::Queued {
                         self.shared.withdraw(&mut q, job.id);
                     }
@@ -597,10 +651,7 @@ impl Service {
             let _ = handle.join();
         }
         if let Some(path) = &self.cache_path {
-            self.shared
-                .cache
-                .lock()
-                .expect("cache lock")
+            unpoison(self.shared.cache.lock())
                 .save(path)
                 .map_err(crate::cache::PersistError::Io)?;
         }
@@ -617,7 +668,7 @@ impl Drop for Service {
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let job = {
-            let mut q = shared.queue.lock().expect("queue lock");
+            let mut q = unpoison(shared.queue.lock());
             loop {
                 if let Some(job) = q.pending.pop() {
                     break job;
@@ -625,7 +676,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 if q.shutdown {
                     return;
                 }
-                q = shared.work.wait(q).expect("queue lock");
+                q = unpoison(shared.work.wait(q));
             }
         };
         run_job(&shared, job);
@@ -640,37 +691,33 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
         submitted,
         ..
     } = job;
-    // Popped off the heap: the queue-depth gauge drops whether the job
-    // runs or was cancelled while queued.
-    if let Some(m) = &shared.metrics {
-        m.queue_depth.dec();
-    }
     // Jobs cancelled while queued are skipped (the cancel call already
     // marked the record and recorded `job_cancelled`).
+    let queue_time = submitted.elapsed();
     {
-        let mut q = shared.queue.lock().expect("queue lock");
+        let mut q = unpoison(shared.queue.lock());
         let record = q.jobs.get_mut(&id).expect("record exists for queued job");
         if record.status == JobStatus::Cancelled {
             return;
         }
         record.status = JobStatus::Running;
+        shared.record(
+            &mut q,
+            "job_started",
+            id,
+            vec![(
+                "queue_us".to_string(),
+                Value::U64(queue_time.as_micros() as u64),
+            )],
+        );
     }
-    let queue_time = submitted.elapsed();
-    shared.trace_event(
-        "job_started",
-        id,
-        vec![(
-            "queue_us".to_string(),
-            Value::U64(queue_time.as_micros() as u64),
-        )],
-    );
     let started = Instant::now();
 
     let key = CacheKey::for_spec(&spec, shared.fingerprint);
     let timing = TimingModel::default();
 
     // 1. Exact canonical hit: serve without searching.
-    let exact = shared.cache.lock().expect("cache lock").lookup(&key);
+    let exact = unpoison(shared.cache.lock()).lookup(&key);
     if let Some(hit) = exact {
         let rewrite = key.renaming().inverse().apply_program(&hit.rewrite);
         let result = StokeResult {
@@ -692,17 +739,10 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
         );
         return;
     }
-    if let Some(m) = &shared.metrics {
-        m.cache_misses.inc();
-    }
 
     // 2. Near miss: seed synthesis from the closest cached rewrite.
     let near = if shared.warm_start_max_distance > 0 {
-        shared
-            .cache
-            .lock()
-            .expect("cache lock")
-            .nearest(&key, shared.warm_start_max_distance)
+        unpoison(shared.cache.lock()).nearest(&key, shared.warm_start_max_distance)
     } else {
         None
     };
@@ -730,18 +770,18 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
     if let Some((program, _)) = &warm {
         request = request.warm_start(program);
     }
-    let result = session.run_request(&spec, request);
+    // A panic in the run (from a custom verifier or cost model, or any
+    // `expect` below the session) fails this job alone: the worker lives
+    // on to serve the next one.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| session.run_request(&spec, request)))
+        .unwrap_or_else(|payload| Err(StokeError::Panicked(panic_message(payload.as_ref()))));
 
     if let Ok(found) = &result {
         // Only fully completed results are cached: a partial result's
         // rewrite passed fewer guarantees than the fingerprint claims.
         // TargetReturned results are still cached — "no improvement
         // exists within this effort" is exactly as reusable.
-        shared.cache.lock().expect("cache lock").insert(
-            &key,
-            &found.rewrite,
-            found.verification.clone(),
-        );
+        unpoison(shared.cache.lock()).insert(&key, &found.rewrite, found.verification.clone());
     }
     let disposition = match warm {
         Some((_, distance)) => Disposition::WarmStart { distance },
@@ -765,7 +805,6 @@ fn complete(
     queue_time: Duration,
     run_time: Duration,
 ) {
-    let failed = result.is_err();
     let mut fields = vec![
         (
             "disposition".to_string(),
@@ -790,42 +829,18 @@ fn complete(
     if let Disposition::WarmStart { distance } = disposition {
         fields.push(("distance".to_string(), Value::U64(distance as u64)));
     }
+    if let Err(e) = &result {
+        fields.push(("error".to_string(), Value::Str(e.to_string())));
+    }
+    let name = if result.is_err() {
+        "job_failed"
+    } else {
+        "job_completed"
+    };
     // Everything is recorded before `wait` callers can see the outcome,
     // so a returned `wait` implies the job's metrics and trace are final.
-    let mut q = shared.queue.lock().expect("queue lock");
-    if failed {
-        q.stats.failed += 1;
-    } else {
-        q.stats.completed += 1;
-    }
-    match disposition {
-        Disposition::CacheHit => q.stats.cache_hits += 1,
-        Disposition::WarmStart { .. } => q.stats.warm_starts += 1,
-        Disposition::ColdSearch => q.stats.cold_searches += 1,
-    }
-    if let Some(m) = &shared.metrics {
-        if failed {
-            m.failed.inc();
-        } else {
-            m.completed.inc();
-        }
-        match disposition {
-            Disposition::CacheHit => m.cache_hits.inc(),
-            Disposition::WarmStart { .. } => m.warm_starts.inc(),
-            Disposition::ColdSearch => m.cold_searches.inc(),
-        }
-        m.queue_seconds.observe(queue_time.as_secs_f64());
-        m.run_seconds.observe(run_time.as_secs_f64());
-    }
-    shared.trace_event(
-        if failed {
-            "job_failed"
-        } else {
-            "job_completed"
-        },
-        id,
-        fields,
-    );
+    let mut q = unpoison(shared.queue.lock());
+    shared.record(&mut q, name, id, fields);
     let record = q.jobs.get_mut(&id).expect("record exists");
     record.status = JobStatus::Done;
     record.outcome = Some(JobOutcome {
@@ -836,6 +851,18 @@ fn complete(
         run_time,
     });
     shared.done.notify_all();
+}
+
+/// The message of a caught panic: its `&str` or `String` payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(s), _) => s.to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "a panic with a non-string payload".to_string(),
+    }
 }
 
 #[cfg(test)]

@@ -426,3 +426,105 @@ fn metrics_and_trace_cover_the_job_lifecycle() {
     }
     assert_eq!(ring.dropped(), 0);
 }
+
+/// A verifier whose first call panics; later calls run the test suite.
+#[derive(Default)]
+struct PanicsOnce(std::sync::atomic::AtomicBool);
+
+impl stoke::Verifier for PanicsOnce {
+    fn name(&self) -> &'static str {
+        "panics-once"
+    }
+
+    fn verify(&self, candidate: &Program, ctx: &mut stoke::VerifyContext<'_>) -> stoke::Verdict {
+        if !self.0.swap(true, std::sync::atomic::Ordering::SeqCst) {
+            panic!("verifier exploded");
+        }
+        stoke::TestOnly.verify(candidate, ctx)
+    }
+}
+
+#[test]
+fn a_panicking_job_fails_alone() {
+    use std::sync::Arc;
+    use stoke_obs::{MetricsRegistry, RingSink, TraceRecord, Value};
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let ring = Arc::new(RingSink::new(1 << 16));
+    let mut config = ServeConfig::new(quick_config());
+    config.verifier = Some(Arc::new(PanicsOnce::default()));
+    config.metrics = Some(registry.clone());
+    config.trace = Some(ring.clone());
+    let service = Service::start(config).unwrap();
+
+    let first = service.submit(clumsy_add());
+    let outcome = service.wait(first).unwrap();
+    match outcome.result {
+        Err(StokeError::Panicked(ref message)) => assert_eq!(message, "verifier exploded"),
+        ref other => panic!("expected Panicked, got {other:?}"),
+    }
+    assert_eq!(service.status(first), Some(JobStatus::Done));
+    // The worker survived: the next job runs and completes.
+    let second = service.submit(clumsy_add());
+    let outcome = service.wait(second).unwrap();
+    assert_eq!(outcome.disposition, Disposition::ColdSearch);
+    assert!(outcome.result.is_ok());
+    let stats = service.shutdown().unwrap();
+    assert_eq!((stats.failed, stats.completed), (1, 1));
+
+    let snap = registry.snapshot();
+    assert_eq!(snap.counter("stoke_serve_jobs_failed_total"), 1);
+    assert_eq!(snap.counter("stoke_serve_jobs_completed_total"), 1);
+    assert_eq!(snap.gauge("stoke_serve_queue_depth"), 0);
+    let failed = ring
+        .records()
+        .into_iter()
+        .find_map(|(_, r)| match r {
+            TraceRecord::Event {
+                ref name, target, ..
+            } if name == "job_failed" && target == first.value() => Some(r),
+            _ => None,
+        })
+        .expect("a job_failed event for the panicking job");
+    assert_eq!(
+        failed.field("error"),
+        Some(&Value::Str("the search panicked: verifier exploded".into()))
+    );
+}
+
+#[test]
+fn queue_depth_counts_queued_jobs_not_withdrawn() {
+    use std::sync::Arc;
+    use stoke_obs::MetricsRegistry;
+
+    let registry = Arc::new(MetricsRegistry::new());
+    // Unbounded phases, so jobs only end by cancellation.
+    let mut config = ServeConfig::new(Config {
+        synthesis_iterations: u64::MAX / 2,
+        optimization_iterations: u64::MAX / 2,
+        ..quick_config()
+    });
+    config.metrics = Some(registry.clone());
+    let service = Service::start(config).unwrap();
+    let depth = || registry.snapshot().gauge("stoke_serve_queue_depth");
+    let running = service.submit(clumsy_add());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.status(running) != Some(JobStatus::Running) {
+        assert!(Instant::now() < deadline, "job never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(depth(), 0);
+    let queued_a = service.submit(clumsy_add());
+    let queued_b = service.submit(clumsy_add());
+    assert_eq!(depth(), 2);
+    // A withdrawn job leaves the count at once, although its heap entry
+    // stays until a worker skips it.
+    assert!(service.cancel(queued_a));
+    assert_eq!(depth(), 1);
+    assert!(service.cancel(queued_b));
+    assert_eq!(depth(), 0);
+    service.cancel(running);
+    service.wait(running).unwrap();
+    service.shutdown().unwrap();
+    assert_eq!(depth(), 0);
+}

@@ -62,6 +62,9 @@ pub struct Checker {
     var_bits: HashMap<String, Vec<Lit>>,
     /// (func, args, result bits) for Ackermann expansion.
     uf_apps: Vec<(u32, Vec<TermId>, Vec<Lit>)>,
+    /// How many of `uf_apps` (a prefix) already have their pairwise
+    /// congruence clauses in the solver.
+    uf_constrained: usize,
     true_lit: Lit,
 }
 
@@ -83,6 +86,7 @@ impl Checker {
             bits: HashMap::new(),
             var_bits: HashMap::new(),
             uf_apps: Vec::new(),
+            uf_constrained: 0,
             true_lit,
         }
     }
@@ -438,12 +442,15 @@ impl Checker {
         self.solver.add_clause(&[bits[0]]);
     }
 
-    /// Apply Ackermann congruence constraints for all uninterpreted
-    /// function applications recorded so far.
+    /// Apply Ackermann congruence constraints to every pair of
+    /// uninterpreted function applications that involves one recorded
+    /// since the last call; pairs constrained by an earlier call are not
+    /// added again. A first call adds the pairs in `(i, j)` order.
     fn apply_ackermann(&mut self) {
         let apps = std::mem::take(&mut self.uf_apps);
+        let done = self.uf_constrained;
         for i in 0..apps.len() {
-            for j in (i + 1)..apps.len() {
+            for j in (i + 1).max(done)..apps.len() {
                 let (f1, args1, res1) = &apps[i];
                 let (f2, args2, res2) = &apps[j];
                 if f1 != f2 || args1.len() != args2.len() {
@@ -464,6 +471,7 @@ impl Checker {
                 }
             }
         }
+        self.uf_constrained = apps.len();
         self.uf_apps = apps;
     }
 
@@ -686,6 +694,30 @@ mod tests {
         assert_eq!(check(&p, &[xeqy, fneq]), CheckResult::Unsat);
         // Without x == y it is satisfiable (f is unconstrained).
         assert!(check(&p, &[fneq]).is_sat());
+    }
+
+    #[test]
+    fn repeated_check_adds_no_congruence_clauses() {
+        let mut p = TermPool::new();
+        let x = p.var(8, "x");
+        let y = p.var(8, "y");
+        let fx = p.uf(3, vec![x], 8);
+        let fy = p.uf(3, vec![y], 8);
+        let fneq = p.ne(fx, fy);
+        let mut checker = Checker::new();
+        checker.assert_true(&p, fneq);
+        assert!(checker.check(&p).is_sat());
+        let clauses = checker.num_clauses();
+        assert!(checker.check(&p).is_sat());
+        assert_eq!(checker.num_clauses(), clauses);
+        // A new application is constrained against the old ones only.
+        let z = p.var(8, "z");
+        let fz = p.uf(3, vec![z], 8);
+        let xeqz = p.eq(x, z);
+        let fxneqz = p.ne(fx, fz);
+        checker.assert_true(&p, xeqz);
+        checker.assert_true(&p, fxneqz);
+        assert_eq!(checker.check(&p), CheckResult::Unsat);
     }
 
     #[test]

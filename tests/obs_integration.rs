@@ -6,9 +6,11 @@
 
 use std::sync::Arc;
 use stoke_suite::obs::{validate_trace, JsonlSink, MetricsRegistry, RingSink, TraceRecord};
-use stoke_suite::stoke::{Config, InputSpec, Session, StokeResult, TargetSpec};
+use stoke_suite::stoke::{
+    Config, InputSpec, Session, StokeResult, Symbolic, TargetSpec, Verdict, Verifier, VerifyContext,
+};
 use stoke_suite::workloads::{hackers_delight, Kernel};
-use stoke_suite::x86::Gpr;
+use stoke_suite::x86::{Gpr, Program};
 
 fn spec_for(kernel: &Kernel) -> TargetSpec {
     let inputs = [Gpr::Rdi, Gpr::Rsi]
@@ -177,4 +179,83 @@ fn ring_trace_records_the_search_lifecycle() {
     assert!(records
         .iter()
         .any(|(_, r)| matches!(r, TraceRecord::Event { name, .. } if name == "search_end")));
+}
+
+/// Validates each candidate with one more instruction, `addq 1, rax`,
+/// appended: the symbolic validator refutes every call with a real
+/// counterexample, which lands in the suite and in `SearchStats`.
+struct RefutesEveryCandidate;
+
+impl Verifier for RefutesEveryCandidate {
+    fn name(&self) -> &'static str {
+        "refutes-every-candidate"
+    }
+
+    fn verify(&self, candidate: &Program, ctx: &mut VerifyContext<'_>) -> Verdict {
+        let broken: Program = format!("{candidate}\naddq 1, rax").parse().unwrap();
+        Symbolic.verify(&broken, ctx)
+    }
+}
+
+#[test]
+fn trace_fields_sum_to_search_stats_and_registry() {
+    use stoke_suite::obs::Value;
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let ring = Arc::new(RingSink::new(1 << 20));
+    let result = Session::new(base_config())
+        .with_metrics(registry.clone())
+        .with_trace(ring.clone())
+        .with_verifier(Arc::new(RefutesEveryCandidate))
+        .run(&spec_for(&hackers_delight::p01()))
+        .expect("search completes");
+    assert_eq!(ring.dropped(), 0);
+    let records: Vec<TraceRecord> = ring.records().into_iter().map(|(_, r)| r).collect();
+    let sum = |event: &str, phase: Option<&str>, field: &str| -> u64 {
+        records
+            .iter()
+            .filter(|r| matches!(r, TraceRecord::Event { name, .. } if name == event))
+            .filter(|r| phase.is_none_or(|p| r.field("phase") == Some(&Value::Str(p.into()))))
+            .map(|r| match r.field(field) {
+                Some(Value::U64(n)) => *n,
+                other => panic!("{event} field {field}: {other:?}"),
+            })
+            .sum()
+    };
+    let snap = registry.snapshot();
+    let stats = &result.stats;
+    for (phase, proposals) in [
+        ("synthesis", stats.synthesis_proposals),
+        ("optimization", stats.optimization_proposals),
+    ] {
+        assert!(proposals > 0, "{phase} ran");
+        assert_eq!(
+            sum("chain_end", Some(phase), "proposals"),
+            proposals,
+            "{phase}"
+        );
+        assert_eq!(
+            snap.counter(&format!(r#"stoke_proposals_total{{phase="{phase}"}}"#)),
+            proposals,
+            "{phase}"
+        );
+    }
+    assert_eq!(sum("chain_end", None, "testcases_run"), stats.testcases_run);
+    assert_eq!(
+        sum("chain_end", None, "moves_swap"),
+        stats.moves.proposed(stoke_suite::stoke::MoveKind::Swap)
+    );
+    assert_eq!(
+        sum("chain_end", None, "evaluations"),
+        snap.counter("stoke_evaluations_total")
+    );
+    assert!(stats.counterexamples > 0);
+    assert_eq!(
+        sum("search_end", None, "counterexamples"),
+        stats.counterexamples
+    );
+    assert_eq!(
+        snap.counter("stoke_counterexamples_total"),
+        stats.counterexamples
+    );
 }

@@ -6,9 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use stoke_suite::emu::PreparedProgram;
 use stoke_suite::stoke::{
-    Cascade, Config, ConfigError, CostModel, CostModelFactory, CostModelSpec, EvalContext,
-    PaperCost, Session, TargetSpec, TestOnly, Verdict, Verification, Verifier, VerifyContext,
-    VerifyStatus,
+    Cascade, Config, CostModel, CostModelFactory, CostModelSpec, EvalContext, PaperCost, Session,
+    TargetSpec, TestOnly, Verdict, Verification, Verifier, VerifyContext, VerifyStatus,
 };
 use stoke_suite::verify::Counterexample;
 use stoke_suite::workloads::hackers_delight;
@@ -108,47 +107,6 @@ fn custom_cost_model_is_driven_by_the_whole_pipeline() {
         .expect("run succeeds");
     assert_eq!(custom.rewrite, default.rewrite);
     assert_eq!(custom.verification, default.verification);
-}
-
-#[test]
-fn weighted_cost_model_weights_are_validated() {
-    let err = Config::builder()
-        .cost_model(CostModelSpec::Weighted {
-            correctness: 1.0,
-            performance: -2.0,
-        })
-        .build()
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        ConfigError::InvalidCostWeight {
-            field: "performance",
-            ..
-        }
-    ));
-    // A zero correctness weight would make every rewrite score as
-    // "correct" and degenerate the search; it is rejected too.
-    let err = Config::builder()
-        .cost_model(CostModelSpec::Weighted {
-            correctness: 0.0,
-            performance: 1.0,
-        })
-        .build()
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        ConfigError::InvalidCostWeight {
-            field: "correctness",
-            ..
-        }
-    ));
-    assert!(Config::builder()
-        .cost_model(CostModelSpec::Weighted {
-            correctness: 2.0,
-            performance: 0.5,
-        })
-        .build()
-        .is_ok());
 }
 
 /// A verifier double that injects a fabricated counterexample through the
