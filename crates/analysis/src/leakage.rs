@@ -13,8 +13,8 @@
 //! target, so superoptimization never introduces a new side channel even
 //! when the target itself is not fully constant-time.
 
-use crate::taint::{reads_taint, taint_analysis, TaintFact};
-use stoke_x86::flow::LocSet;
+use crate::taint::{taint_analysis, TaintFact};
+use stoke_x86::flow::{Access, LocSet};
 use stoke_x86::{Instruction, Opcode, Operand};
 
 /// A way an instruction's observable behaviour can depend on a secret.
@@ -70,8 +70,11 @@ fn violations_at(instr: &Instruction, fact: &TaintFact) -> Vec<LeakKind> {
                 }
             }
         }
-        Opcode::Div(_) | Opcode::Idiv(_) if reads_taint(instr, fact) => {
-            kinds.push(LeakKind::SecretDivOperand);
+        Opcode::Div(_) | Opcode::Idiv(_) => {
+            let a = Access::of(instr);
+            if a.reads.intersects(&fact.locs) || (a.loads && fact.mem) {
+                kinds.push(LeakKind::SecretDivOperand);
+            }
         }
         _ => {}
     }

@@ -4,8 +4,9 @@
 //! whether an instruction's latency or memory traffic can depend on a
 //! secret input is a *static* question about a rewrite. STOKE's search
 //! space is loop-free, so each analysis here is one pass in program
-//! order over the def/use sets of [`stoke_x86::flow`] (which also holds
-//! the workspace's one liveness and dead-code analysis):
+//! order over the reads and writes [`stoke_x86::flow::Access`] records
+//! from each instruction's semantics ([`stoke_x86::flow`] also holds the
+//! workspace's one liveness and dead-code analysis):
 //!
 //! - [`taint`] — forward secret-taint propagation, one fact per program
 //!   point;
@@ -26,19 +27,21 @@ pub mod taint;
 pub use leakage::{constant_time_violations, introduces_new_leaks, LeakKind, Violation};
 pub use taint::{taint_analysis, TaintFact};
 
-/// The def/use sets the taint pass reads come from [`stoke_x86::flow`];
-/// these tests pin the properties the pass relies on.
+/// What the taint pass reads and writes comes from
+/// [`stoke_x86::flow::Access`]; these tests pin the properties the pass
+/// relies on.
 #[cfg(test)]
 mod defuse {
     mod tests {
-        use stoke_x86::{flow, Gpr, Program};
+        use stoke_x86::flow::Access;
+        use stoke_x86::{Gpr, Program};
 
         #[test]
         fn narrow_write_is_partial() {
             let p: Program = "sete dl".parse().unwrap();
-            let (defs, partial_defs) = flow::defs(&p.instrs()[0]);
-            assert!(defs.gprs.is_empty());
-            assert!(partial_defs.gprs.contains(&Gpr::Rdx));
+            let a = Access::of(&p.instrs()[0]);
+            assert!(a.kills.gprs.is_empty());
+            assert!(a.merges.gprs.contains(&Gpr::Rdx));
         }
     }
 }

@@ -21,7 +21,7 @@
 use crate::mcmc::{MoveKind, MoveStats};
 use crate::observer::{ChainProgress, ChainStats, Phase, SearchObserver, ValidationVerdict};
 use crate::search::{StokeResult, Verification};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
@@ -154,7 +154,7 @@ pub(crate) struct MetricsObserver {
     /// Per-target currently open phase span, for wall-time accounting.
     /// Only touched on phase transitions and search end — never on the
     /// per-proposal path.
-    open_phase: Mutex<HashMap<usize, (Phase, Instant)>>,
+    open_phase: Mutex<BTreeMap<usize, (Phase, Instant)>>,
 }
 
 impl MetricsObserver {
@@ -167,7 +167,7 @@ impl MetricsObserver {
         MetricsObserver {
             metrics,
             trace,
-            open_phase: Mutex::new(HashMap::new()),
+            open_phase: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -183,13 +183,40 @@ impl MetricsObserver {
 
     /// Close the open phase span for `target` (if any), emitting the
     /// span-end record with its wall time.
-    fn close_phase(&self, target: usize, open: &mut HashMap<usize, (Phase, Instant)>) {
+    fn close_phase(&self, target: usize, open: &mut BTreeMap<usize, (Phase, Instant)>) {
         if let Some((phase, since)) = open.remove(&target) {
             self.emit(TraceRecord::SpanEnd {
                 name: format!("phase:{}", phase_name(phase)),
                 target: target as u64,
                 micros: since.elapsed().as_micros() as u64,
             });
+        }
+    }
+}
+
+/// A run that fails or unwinds (a panicking verifier or cost model) never
+/// reaches [`SearchObserver::on_search_end`]. The driver owns one adapter
+/// per run and drops it on every way out, so the drop closes the run's
+/// open phase span and ends its search with the verdict `failed`: every
+/// trace stays balanced.
+impl Drop for MetricsObserver {
+    fn drop(&mut self) {
+        let mut open = std::mem::take(
+            self.open_phase
+                .get_mut()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        let targets: Vec<usize> = open.keys().copied().collect();
+        for target in targets {
+            self.close_phase(target, &mut open);
+            self.emit(TraceRecord::Event {
+                name: "search_end".into(),
+                target: target as u64,
+                fields: vec![("verification".into(), Value::Str("failed".into()))],
+            });
+        }
+        if let Some(sink) = &self.trace {
+            sink.flush();
         }
     }
 }
@@ -364,6 +391,64 @@ mod tests {
             .count();
         assert_eq!(starts, 2);
         assert_eq!(ends, 2);
+    }
+
+    #[test]
+    fn a_run_that_never_ends_is_closed_on_drop() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let ring = Arc::new(RingSink::new(64));
+        let obs = MetricsObserver::from_parts(Some(registry.clone()), Some(ring.clone()));
+        obs.on_phase_start(3, Phase::Synthesis);
+        obs.on_phase_start(3, Phase::Validation);
+        drop(obs);
+        let records = ring.records();
+        let names: Vec<String> = records
+            .iter()
+            .map(|(_, r)| match r {
+                TraceRecord::SpanStart { name, .. } => format!("start {name}"),
+                TraceRecord::SpanEnd { name, .. } => format!("end {name}"),
+                TraceRecord::Event { name, .. } => name.clone(),
+                TraceRecord::Meta { .. } => "meta".into(),
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "start phase:synthesis",
+                "end phase:synthesis",
+                "start phase:validation",
+                "end phase:validation",
+                "search_end",
+            ]
+        );
+        assert_eq!(
+            records[4].1.field("verification"),
+            Some(&Value::Str("failed".into()))
+        );
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("stoke_searches_total{verification=\"failed\"}"),
+            1
+        );
+        // A run that ended normally emits nothing more on drop.
+        let ring = Arc::new(RingSink::new(64));
+        let obs = MetricsObserver::from_parts(None, Some(ring.clone()));
+        obs.on_phase_start(0, Phase::Synthesis);
+        obs.on_search_end(
+            0,
+            &StokeResult {
+                rewrite: "movq rdi, rax".parse().unwrap(),
+                verification: Verification::TargetReturned,
+                target_latency: 1,
+                rewrite_latency: 1,
+                target_cycles: 1,
+                rewrite_cycles: 1,
+                stats: Default::default(),
+            },
+        );
+        let before = ring.records().len();
+        drop(obs);
+        assert_eq!(ring.records().len(), before);
     }
 
     #[test]

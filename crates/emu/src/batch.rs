@@ -346,7 +346,7 @@ impl BatchState {
     }
 
     /// Advance every live column by one instruction: count each live
-    /// column's undefined reads over the decoded use lists, then run the
+    /// column's undefined reads over the decoded reads, then run the
     /// shared semantics once per chunk (once per column for a division).
     pub(crate) fn step(&mut self, d: &Decoded) {
         let one_column = matches!(d.instruction().opcode(), Opcode::Div(_) | Opcode::Idiv(_));
@@ -355,16 +355,14 @@ impl BatchState {
             if live == 0 {
                 continue;
             }
-            for r in d.gpr_uses() {
-                self.count_undefined(
-                    c,
-                    live & !self.rows.gpr_defined[c * 16 + r.parent().index()],
-                );
+            let reads = d.reads();
+            for g in &reads.gprs {
+                self.count_undefined(c, live & !self.rows.gpr_defined[c * 16 + g.index()]);
             }
-            for x in d.xmm_uses() {
+            for x in &reads.xmms {
                 self.count_undefined(c, live & !self.rows.xmm_defined[c * 16 + x.index()]);
             }
-            for f in d.flag_uses() {
+            for f in &reads.flags {
                 self.count_undefined(c, live & !self.rows.flag_defined[c * 5 + f.index()]);
             }
             if one_column {

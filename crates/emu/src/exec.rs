@@ -18,6 +18,7 @@
 //! applies the same functions lane by lane.
 
 use crate::state::{MachineState, XmmValue};
+use stoke_x86::flow::Access;
 use stoke_x86::semantics::address;
 use stoke_x86::{execute, Flag, Gpr, Instruction, Machine, Mem, Program, Reg, Width, Xmm};
 
@@ -91,11 +92,18 @@ pub fn run_instr_refs<'a>(
     instrs: impl IntoIterator<Item = &'a Instruction>,
     input: &MachineState,
 ) -> Outcome {
-    let mut emu = Emulator::start(input);
+    let mut emu = Emulator {
+        state: input.clone(),
+        faults: Faults::default(),
+    };
     for instr in instrs {
-        emu.step(instr);
+        emu.count_undefined_reads(instr);
+        execute(&mut emu, instr);
     }
-    emu.finish()
+    Outcome {
+        state: emu.state,
+        faults: emu.faults,
+    }
 }
 
 /// The sandboxed interpreter behind [`run_instrs`]: one [`MachineState`]
@@ -103,72 +111,28 @@ pub fn run_instr_refs<'a>(
 /// value domain. Memory accesses run in the sandbox, where an invalid
 /// access counts a `sigsegv` and reads zero or drops the store; a division
 /// that faults counts a `sigfpe` and leaves the state unchanged.
-pub(crate) struct Emulator {
-    pub(crate) state: MachineState,
-    pub(crate) faults: Faults,
-    /// When set, the memory hooks append the span of every access they
-    /// make, faulting or not (the taint oracle reads them after each step).
-    pub(crate) accesses: Option<Accesses>,
-}
-
-/// The `(address, length)` spans of the sandboxed accesses made since the
-/// recorder was last cleared.
-#[derive(Default)]
-pub(crate) struct Accesses {
-    pub(crate) loads: Vec<(u64, u64)>,
-    pub(crate) stores: Vec<(u64, u64)>,
+struct Emulator {
+    state: MachineState,
+    faults: Faults,
 }
 
 impl Emulator {
-    pub(crate) fn start(input: &MachineState) -> Emulator {
-        Emulator {
-            state: input.clone(),
-            faults: Faults::default(),
-            accesses: None,
-        }
-    }
-
-    pub(crate) fn finish(self) -> Outcome {
-        Outcome {
-            state: self.state,
-            faults: self.faults,
-        }
-    }
-
-    /// Execute one instruction: count its undefined reads, then run its
-    /// semantics.
-    pub(crate) fn step(&mut self, instr: &Instruction) {
-        self.count_undefined_reads(instr);
-        execute(self, instr);
-    }
-
-    /// Count reads from registers or flags that have not been defined.
+    /// Count one undefined read per register or flag the instruction
+    /// reads that has not been defined.
     fn count_undefined_reads(&mut self, instr: &Instruction) {
-        for r in instr.gpr_uses() {
-            if !self.state.gpr_is_defined(r.parent()) {
-                self.faults.undef += 1;
-            }
-        }
-        for x in instr.xmm_uses() {
-            if !self.state.xmm_is_defined(x) {
-                self.faults.undef += 1;
-            }
-        }
-        for f in instr.flag_uses() {
-            if !self.state.flag_is_defined(*f) {
-                self.faults.undef += 1;
-            }
-        }
-    }
-
-    fn record(&mut self, store: bool, addr: u64, len: u64) {
-        if let Some(a) = &mut self.accesses {
-            if store { &mut a.stores } else { &mut a.loads }.push((addr, len));
-        }
+        let reads = Access::of(instr).reads;
+        let s = &self.state;
+        let undefined = reads.gprs.iter().filter(|g| !s.gpr_is_defined(**g)).count()
+            + reads.xmms.iter().filter(|x| !s.xmm_is_defined(**x)).count()
+            + reads
+                .flags
+                .iter()
+                .filter(|f| !s.flag_is_defined(**f))
+                .count();
+        self.faults.undef += undefined as u64;
     }
 
     fn sandboxed_load(&mut self, addr: u64, len: u64) -> u64 {
-        self.record(false, addr, len);
         self.state.memory.load(addr, len).unwrap_or_else(|| {
             self.faults.sigsegv += 1;
             0
@@ -176,7 +140,6 @@ impl Emulator {
     }
 
     fn sandboxed_store(&mut self, addr: u64, value: u64, len: u64) {
-        self.record(true, addr, len);
         if !self.state.memory.store(addr, value, len) {
             self.faults.sigsegv += 1;
         }
@@ -381,7 +344,6 @@ impl Machine for Emulator {
     }
     fn load128(&mut self, mem: &Mem) -> XmmValue {
         let addr = address(self, mem);
-        self.record(false, addr, 16);
         self.state.memory.load128(addr).unwrap_or_else(|| {
             self.faults.sigsegv += 1;
             [0, 0]
@@ -389,7 +351,6 @@ impl Machine for Emulator {
     }
     fn store128(&mut self, mem: &Mem, v: XmmValue) {
         let addr = address(self, mem);
-        self.record(true, addr, 16);
         if !self.state.memory.store128(addr, v) {
             self.faults.sigsegv += 1;
         }

@@ -32,12 +32,53 @@ pub mod batch;
 pub mod exec;
 pub mod prepare;
 pub mod state;
-pub mod taint;
 pub mod timing;
 
 pub use batch::{BatchState, ColumnRef};
 pub use exec::{run, run_instr_refs, run_instrs, Faults, Outcome};
 pub use prepare::{DecodeCache, Decoded, PreparedProgram};
 pub use state::{MachineState, Memory, XmmValue};
-pub use taint::{run_tainted, TaintState};
 pub use timing::{estimate_cycles, TimingModel};
+
+/// Condition codes have one definition, in the shared semantics; this
+/// pins a few of them through the interpreter.
+#[cfg(test)]
+mod opcode {
+    mod tests {
+        use crate::{run, MachineState};
+        use stoke_x86::{Cond, Flag, Gpr, Program};
+
+        /// Whether `set{c}` sets its byte under the given flags.
+        fn holds(c: Cond, cf: bool, zf: bool, sf: bool, of: bool) -> bool {
+            let p: Program = format!("set{} al", c.name()).parse().unwrap();
+            let mut s = MachineState::new();
+            s.set_gpr64(Gpr::Rax, 0);
+            for (f, v) in [
+                (Flag::Cf, cf),
+                (Flag::Zf, zf),
+                (Flag::Sf, sf),
+                (Flag::Of, of),
+            ] {
+                s.write_flag(f, v);
+            }
+            run(&p, &s).state.read_gpr64(Gpr::Rax) == 1
+        }
+
+        #[test]
+        fn cond_eval_matches_flags() {
+            // cmp 3, 5 (i.e. 5 - 3): no carry, non-zero, positive.
+            assert!(holds(Cond::A, false, false, false, false));
+            assert!(holds(Cond::Ne, false, false, false, false));
+            assert!(!holds(Cond::E, false, false, false, false));
+            assert!(holds(Cond::G, false, false, false, false));
+            // Equal case.
+            assert!(holds(Cond::E, false, true, false, false));
+            assert!(holds(Cond::Le, false, true, false, false));
+            assert!(!holds(Cond::A, false, true, false, false));
+            // Signed less: SF != OF.
+            assert!(holds(Cond::L, false, false, true, false));
+            assert!(holds(Cond::L, false, false, false, true));
+            assert!(!holds(Cond::L, false, false, true, true));
+        }
+    }
+}

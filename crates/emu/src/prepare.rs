@@ -3,12 +3,12 @@
 //! The MCMC inner loop evaluates one candidate rewrite on *every* test
 //! case of a suite, and the interpreter ([`run_instrs`](crate::run_instrs))
 //! repeats per-instruction work on each case that does not depend on the
-//! machine state at all — most importantly the def/use analysis behind the
+//! machine state at all — most importantly the read recording behind the
 //! undefined-read fault counter of Equation 11. This module hoists that
 //! work out of the per-case loop:
 //!
 //! - [`Decoded`] is one instruction decoded once: the instruction itself,
-//!   its inline register/flag use lists and its latency. [`Decoded::new`]
+//!   the locations it reads and its latency. [`Decoded::new`]
 //!   is the crate's only per-instruction decode.
 //! - [`PreparedProgram`] is a dense sequence of decoded entries, executed
 //!   across all test cases in lockstep
@@ -28,31 +28,19 @@ use crate::batch::BatchState;
 use crate::exec::Outcome;
 use crate::state::MachineState;
 use std::borrow::Cow;
-use std::fmt;
-use stoke_x86::{Flag, Gpr, Instruction, Program, Reg, Xmm};
+use stoke_x86::flow::{Access, LocSet};
+use stoke_x86::{Instruction, Program};
 
-/// Most GPR uses of one instruction (see
-/// [`Instruction::for_each_gpr_use`]).
-const MAX_GPR_USES: usize = 4;
-/// Most SSE uses of one instruction (see
-/// [`Instruction::for_each_xmm_use`]).
-const MAX_XMM_USES: usize = 2;
-
-/// One instruction decoded once for execution: the instruction, its
-/// register and flag use lists for the undefined-read counter (same
-/// elements, same order as [`Instruction::gpr_uses`] and friends), and its
-/// latency.
+/// One instruction decoded once for execution: the instruction, the
+/// locations it reads (its [`Access`] recording, for the undefined-read
+/// counter) and its latency.
 ///
-/// A `Decoded` is `Copy` and owns no heap memory, so a decoded program can
-/// be patched and rebuilt without allocating.
-#[derive(Clone, Copy, PartialEq)]
+/// A `Decoded` owns no heap memory, so a decoded program can be patched
+/// and rebuilt without allocating.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decoded {
     instr: Instruction,
-    gpr_uses: [Reg; MAX_GPR_USES],
-    xmm_uses: [Xmm; MAX_XMM_USES],
-    n_gpr: u8,
-    n_xmm: u8,
-    flag_uses: &'static [Flag],
+    reads: LocSet,
     latency: u32,
 }
 
@@ -61,25 +49,9 @@ impl Decoded {
     /// [`PreparedProgram`] and each slot of a [`DecodeCache`] — is built by
     /// this function.
     pub fn new(instr: &Instruction) -> Decoded {
-        let mut gpr_uses = [Gpr::Rax.full(); MAX_GPR_USES];
-        let mut n_gpr = 0;
-        instr.for_each_gpr_use(|r| {
-            gpr_uses[n_gpr] = r;
-            n_gpr += 1;
-        });
-        let mut xmm_uses = [Xmm(0); MAX_XMM_USES];
-        let mut n_xmm = 0;
-        instr.for_each_xmm_use(|x| {
-            xmm_uses[n_xmm] = x;
-            n_xmm += 1;
-        });
         Decoded {
             instr: *instr,
-            gpr_uses,
-            xmm_uses,
-            n_gpr: n_gpr as u8,
-            n_xmm: n_xmm as u8,
-            flag_uses: instr.flag_uses(),
+            reads: Access::of(instr).reads,
             latency: instr.latency(),
         }
     }
@@ -89,37 +61,14 @@ impl Decoded {
         &self.instr
     }
 
-    /// The registers the instruction reads (same elements and order as
-    /// [`Instruction::gpr_uses`]).
-    pub fn gpr_uses(&self) -> &[Reg] {
-        &self.gpr_uses[..usize::from(self.n_gpr)]
-    }
-
-    /// The SSE registers the instruction reads.
-    pub fn xmm_uses(&self) -> &[Xmm] {
-        &self.xmm_uses[..usize::from(self.n_xmm)]
-    }
-
-    /// The flags the instruction reads.
-    pub fn flag_uses(&self) -> &'static [Flag] {
-        self.flag_uses
+    /// The locations the instruction reads ([`Access::reads`]).
+    pub fn reads(&self) -> &LocSet {
+        &self.reads
     }
 
     /// The instruction's latency (`LATENCY(i)` of Equation 13).
     pub fn latency(&self) -> u32 {
         self.latency
-    }
-}
-
-impl fmt::Debug for Decoded {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Decoded")
-            .field("instr", &self.instr)
-            .field("gpr_uses", &self.gpr_uses())
-            .field("xmm_uses", &self.xmm_uses())
-            .field("flag_uses", &self.flag_uses)
-            .field("latency", &self.latency)
-            .finish()
     }
 }
 
@@ -190,7 +139,7 @@ impl<'a> PreparedProgram<'a> {
     }
 
     /// The decoded entries, in execution order: each instruction with its
-    /// precomputed use lists and latency. Static analyses can read these
+    /// precomputed reads and latency. Static analyses can read these
     /// instead of re-deriving use sets per proposal.
     pub fn decoded(&self) -> &[Decoded] {
         &self.decoded
@@ -333,14 +282,14 @@ impl DecodeCache {
     /// Panics if `slot` is out of range.
     pub fn set(&mut self, slot: usize, instr: Option<&Instruction>) {
         let new = instr.map(Decoded::new);
+        self.latency += new.as_ref().map_or(0, |d| u64::from(d.latency));
         let old = std::mem::replace(&mut self.slots[slot], new);
-        self.latency -= old.map_or(0, |d| u64::from(d.latency));
-        self.latency += new.map_or(0, |d| u64::from(d.latency));
-        match (old, new) {
+        self.latency -= old.as_ref().map_or(0, |d| u64::from(d.latency));
+        match (old, &self.slots[slot]) {
             (Some(_), Some(d)) if !self.stale => {
                 // Same filled slots: the entry keeps its dense position.
                 let rank = self.slots[..slot].iter().flatten().count();
-                self.dense[rank] = d;
+                self.dense[rank] = d.clone();
             }
             (None, None) => {}
             _ => self.stale = true,
@@ -351,7 +300,7 @@ impl DecodeCache {
     pub fn prepared(&mut self) -> PreparedProgram<'_> {
         if self.stale {
             self.dense.clear();
-            self.dense.extend(self.slots.iter().flatten());
+            self.dense.extend(self.slots.iter().flatten().cloned());
             self.stale = false;
         }
         PreparedProgram {
@@ -432,9 +381,9 @@ mod tests {
 
     #[test]
     fn decoded_use_lists_match_instruction_metadata() {
-        // The widest use lists the ISA model produces: a memory divide
-        // (two address registers plus rdx:rax), a store through a
-        // base+index address, and a two-source SSE op.
+        // A memory divide (two address registers plus rdx:rax), a store
+        // through a base+index address, a two-source SSE op and a read of
+        // CF.
         let p: Program =
             "divq (rsi,rcx,8)\nmovq rax, (rsi,rcx,1)\nshufps 0, xmm1, xmm0\nadcq rdi, rax"
                 .parse()
@@ -445,9 +394,7 @@ mod tests {
             .zip(p.iter())
         {
             assert_eq!(d.instruction(), instr);
-            assert_eq!(d.gpr_uses(), instr.gpr_uses().as_slice());
-            assert_eq!(d.xmm_uses(), instr.xmm_uses().as_slice());
-            assert_eq!(d.flag_uses(), instr.flag_uses());
+            assert_eq!(*d.reads(), Access::of(instr).reads);
             assert_eq!(d.latency(), instr.latency());
         }
     }

@@ -13,7 +13,8 @@
 //! search (§4.2: "recomputing perf(·) using the slower JIT compilation
 //! method as a postprocessing step" — our substitute for native execution).
 
-use stoke_x86::{Flag, Gpr, Instruction, Program, Xmm};
+use stoke_x86::flow::Access;
+use stoke_x86::{Instruction, Program};
 
 /// Configuration of the issue model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,22 +57,25 @@ impl TimingModel {
 
         let mut finish_max = 0u64;
         for (idx, instr) in instrs.iter().enumerate() {
-            // Operands must be ready.
+            let access = Access::of(instr);
+            // Operands must be ready: every location whose old value the
+            // instruction may use, merged destinations included.
+            let uses = access.uses();
             let mut ready = 0u64;
-            for r in instr.gpr_uses() {
-                ready = ready.max(gpr_ready[r.parent().index()]);
+            for g in &uses.gprs {
+                ready = ready.max(gpr_ready[g.index()]);
             }
-            for x in instr.xmm_uses() {
+            for x in &uses.xmms {
                 ready = ready.max(xmm_ready[x.index()]);
             }
-            for f in instr.flag_uses() {
+            for f in &uses.flags {
                 ready = ready.max(flag_ready[f.index()]);
             }
-            if instr.loads() {
+            if access.loads {
                 // Loads must wait for earlier stores (no alias analysis).
                 ready = ready.max(mem_ready);
             }
-            if instr.stores() {
+            if access.stores {
                 ready = ready.max(last_store);
             }
             // Issue-width constraint: at most `issue_width` instructions
@@ -80,30 +84,30 @@ impl TimingModel {
             let start = ready.max(issue_floor);
 
             let mut latency = u64::from(instr.opcode().latency().max(1));
-            if instr.loads() {
+            if access.loads {
                 latency += u64::from(self.load_latency);
             }
-            if instr.stores() {
+            if access.stores {
                 latency += u64::from(self.store_latency);
             }
             let finish = start + latency;
             finish_max = finish_max.max(finish);
 
-            for r in instr.gpr_defs() {
-                gpr_ready[r.parent().index()] = finish;
+            let writes = access.writes();
+            for g in &writes.gprs {
+                gpr_ready[g.index()] = finish;
             }
-            for x in instr.xmm_defs() {
+            for x in &writes.xmms {
                 xmm_ready[x.index()] = finish;
             }
-            for f in instr.flag_defs() {
+            for f in &writes.flags {
                 flag_ready[f.index()] = finish;
             }
-            if instr.stores() {
+            if access.stores {
                 mem_ready = finish;
                 last_store = finish;
             }
         }
-        let _ = (Gpr::ALL, Xmm::ALL, Flag::ALL); // (documentation of the location space)
         finish_max
     }
 }
@@ -172,6 +176,17 @@ mod tests {
             t.cycles(&p) > t.cycles(&q),
             "stack round trip must be slower"
         );
+    }
+
+    #[test]
+    fn a_cmov_waits_for_the_producer_of_its_destination() {
+        // The load takes 5 cycles to produce rax; the cmov may keep rax,
+        // so it cannot finish before it. A plain move does not wait.
+        let t = TimingModel::default();
+        let cmov: Program = "movq (rsi), rax\ncmoveq rdi, rax".parse().unwrap();
+        let mov: Program = "movq (rsi), rax\nmovq rdi, rax".parse().unwrap();
+        assert_eq!(t.cycles(&mov), 5);
+        assert_eq!(t.cycles(&cmov), 7);
     }
 
     #[test]

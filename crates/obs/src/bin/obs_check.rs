@@ -3,8 +3,9 @@
 //! Usage: `obs-check <trace.jsonl>`
 //!
 //! Exits 0 and prints summary counts when the file is a well-formed trace
-//! (every line parses, the first record is a supported `meta` header, and
-//! timestamps never go backwards); exits 1 with a diagnostic otherwise.
+//! (every line parses, the first record is a supported `meta` header,
+//! timestamps never go backwards, and every span that starts also ends);
+//! exits 1 with a diagnostic otherwise.
 
 use std::process::ExitCode;
 

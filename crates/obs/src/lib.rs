@@ -11,8 +11,9 @@
 //! - [`TraceSink`] — structured trace export as versioned JSONL span/event
 //!   records with monotonic timestamps. [`JsonlSink`] writes to a file or
 //!   any writer; [`RingSink`] is a bounded in-memory sink for tests.
-//!   [`validate_trace`] checks a stream against the wire schema (the
-//!   `obs-check` binary wraps it for CI).
+//!   [`validate_trace`] checks a stream against the wire schema and
+//!   checks that its spans balance (the `obs-check` binary wraps it for
+//!   CI).
 //!
 //! ```
 //! use stoke_obs::{MetricsRegistry, RingSink, TraceRecord, TraceSink, Value};

@@ -127,6 +127,16 @@ pub enum TraceError {
         /// Timestamp of the offending record.
         found: u64,
     },
+    /// A `span_end` with no open `span_start` of the same name and target
+    /// (at `line`), or a `span_start` the stream never ends (`line: 0`).
+    UnbalancedSpan {
+        /// 1-based line number of the `span_end`, or 0.
+        line: usize,
+        /// The span's name.
+        name: String,
+        /// The span's target.
+        target: u64,
+    },
 }
 
 impl std::fmt::Display for TraceError {
@@ -143,6 +153,10 @@ impl std::fmt::Display for TraceError {
             TraceError::NonMonotonic { line, prev, found } => write!(
                 f,
                 "line {line}: timestamp went backwards ({found} after {prev})"
+            ),
+            TraceError::UnbalancedSpan { line, name, target } => write!(
+                f,
+                "line {line}: span `{name}` of target {target} does not balance"
             ),
         }
     }
@@ -511,13 +525,17 @@ pub struct TraceSummary {
 }
 
 /// Validate a JSONL trace stream against the schema: every line parses, the
-/// first record is a `meta` with the supported version, and timestamps never
-/// go backwards. Blank lines are rejected. Returns summary counts on success.
+/// first record is a `meta` with the supported version, timestamps never go
+/// backwards, and spans balance: every `span_end` closes an open
+/// `span_start` of the same name and target, and no span is left open at
+/// the end. Blank lines are rejected. Returns summary counts on success.
 pub fn validate_trace<'a, I: IntoIterator<Item = &'a str>>(
     lines: I,
 ) -> Result<TraceSummary, TraceError> {
     let mut summary = TraceSummary::default();
     let mut prev_ts: Option<u64> = None;
+    // The (name, target) of every open span.
+    let mut open: Vec<(String, u64)> = Vec::new();
     for (idx, line) in lines.into_iter().enumerate() {
         let line_no = idx + 1;
         let (ts_us, record) = parse_line(line).map_err(|e| match e {
@@ -550,14 +568,34 @@ pub fn validate_trace<'a, I: IntoIterator<Item = &'a str>>(
         prev_ts = Some(ts_us);
         summary.records += 1;
         match record {
-            TraceRecord::SpanStart { .. } => summary.spans_started += 1,
-            TraceRecord::SpanEnd { .. } => summary.spans_ended += 1,
+            TraceRecord::SpanStart { name, target } => {
+                summary.spans_started += 1;
+                open.push((name, target));
+            }
+            TraceRecord::SpanEnd { name, target, .. } => {
+                summary.spans_ended += 1;
+                let Some(i) = open.iter().position(|s| s.0 == name && s.1 == target) else {
+                    return Err(TraceError::UnbalancedSpan {
+                        line: line_no,
+                        name,
+                        target,
+                    });
+                };
+                open.swap_remove(i);
+            }
             TraceRecord::Event { .. } => summary.events += 1,
             TraceRecord::Meta { .. } => {}
         }
     }
     if prev_ts.is_none() {
         return Err(TraceError::MissingMeta);
+    }
+    if let Some((name, target)) = open.pop() {
+        return Err(TraceError::UnbalancedSpan {
+            line: 0,
+            name,
+            target,
+        });
     }
     Ok(summary)
 }
@@ -857,6 +895,66 @@ mod tests {
                 line: 2,
                 prev: 10,
                 found: 4
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_unbalanced_spans() {
+        let line = |ts, record| encode_line(ts, &record);
+        let meta = line(
+            0,
+            TraceRecord::Meta {
+                version: TRACE_VERSION,
+                source: "t".into(),
+            },
+        );
+        let start = |name: &str, target| {
+            line(
+                1,
+                TraceRecord::SpanStart {
+                    name: name.into(),
+                    target,
+                },
+            )
+        };
+        let end = |name: &str, target| {
+            line(
+                2,
+                TraceRecord::SpanEnd {
+                    name: name.into(),
+                    target,
+                    micros: 1,
+                },
+            )
+        };
+        // Two jobs may interleave spans of one name.
+        let ok = [
+            meta.clone(),
+            start("s", 1),
+            start("s", 2),
+            start("s", 1),
+            end("s", 1),
+            end("s", 2),
+            end("s", 1),
+        ];
+        assert!(validate_trace(ok.iter().map(String::as_str)).is_ok());
+        let unclosed = [meta.clone(), start("s", 1), start("t", 1), end("s", 1)];
+        assert_eq!(
+            validate_trace(unclosed.iter().map(String::as_str)),
+            Err(TraceError::UnbalancedSpan {
+                line: 0,
+                name: "t".into(),
+                target: 1
+            })
+        );
+        let unopened = [meta, start("s", 1), end("s", 2)];
+        assert_eq!(
+            validate_trace(unopened.iter().map(String::as_str)),
+            Err(TraceError::UnbalancedSpan {
+                line: 3,
+                name: "s".into(),
+                target: 2
             })
         );
     }

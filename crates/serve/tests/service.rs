@@ -490,6 +490,32 @@ fn a_panicking_job_fails_alone() {
         failed.field("error"),
         Some(&Value::Str("the search panicked: verifier exploded".into()))
     );
+    // The panicked run's open phase span is closed and its search ended,
+    // so the whole trace balances.
+    let records = ring.records();
+    let search_end = records.iter().find_map(|(_, r)| match r {
+        TraceRecord::Event { name, target, .. }
+            if name == "search_end" && *target == first.value() =>
+        {
+            Some(r)
+        }
+        _ => None,
+    });
+    assert_eq!(
+        search_end.and_then(|r| r.field("verification")),
+        Some(&Value::Str("failed".into()))
+    );
+    let meta = TraceRecord::Meta {
+        version: stoke_obs::TRACE_VERSION,
+        source: "test".into(),
+    };
+    let lines: Vec<String> = std::iter::once((0, meta))
+        .chain(records)
+        .map(|(ts, r)| stoke_obs::encode_line(ts, &r))
+        .collect();
+    let summary =
+        stoke_obs::validate_trace(lines.iter().map(String::as_str)).expect("the trace balances");
+    assert_eq!(summary.spans_started, summary.spans_ended);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 use crate::semantics::SymExecutor;
 use crate::symstate::SymState;
 use stoke_solver::{CheckResult, Checker, TermId, TermPool};
-use stoke_x86::flow::LocSet;
+use stoke_x86::flow::{Access, LocSet};
 use stoke_x86::{Flag, Gpr, Opcode, Operand, Program, Xmm};
 
 /// A counterexample input produced by a failed equivalence proof.
@@ -189,7 +189,7 @@ pub fn stack_slots_sound(programs: [&Program; 2]) -> bool {
     let mut accesses: Vec<(i64, i64)> = Vec::new();
     for instr in programs.into_iter().flatten() {
         if matches!(instr.opcode(), Opcode::Push | Opcode::Pop)
-            || instr.gpr_defs().iter().any(|r| r.parent() == Gpr::Rsp)
+            || Access::of(instr).writes().gprs.contains(&Gpr::Rsp)
         {
             return false;
         }

@@ -22,11 +22,14 @@
 //! any renaming π that fixes the pinned registers,
 //! `canonicalize(π(p)) == canonicalize(p)`.
 
-use crate::instr::Instruction;
+use crate::flow::{Access, BitSet};
+use crate::instr::{Instruction, MAX_OPERANDS};
 use crate::opcode::Opcode;
 use crate::operand::{Mem, Operand};
 use crate::program::Program;
-use crate::reg::{Gpr, Reg, Width};
+use crate::reg::{Gpr, Reg, Width, Xmm};
+use std::mem::{discriminant, Discriminant};
+use std::sync::{Mutex, PoisonError};
 
 /// A total permutation of the sixteen general purpose registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,18 +106,56 @@ impl Renaming {
 /// sandboxed stack) plus every register some opcode in the program reads
 /// or writes implicitly (renaming those would change semantics without
 /// rewriting the opcode itself).
+///
+/// This depends on the program's opcodes only, never on its operands, so
+/// a renamed program pins the same registers as the original.
 pub fn pinned_registers(program: &Program) -> [bool; 16] {
+    // The cache keys every submission through here, so each opcode
+    // variant is recorded once per process. The implicit registers of the
+    // modelled opcodes depend on the variant only, never on its width or
+    // operation (`pinned_registers_are_the_implicit_ones` checks every
+    // opcode at every width).
+    static KNOWN: Mutex<Vec<(Discriminant<Opcode>, BitSet<Gpr>)>> = Mutex::new(Vec::new());
+    let mut known = KNOWN.lock().unwrap_or_else(PoisonError::into_inner);
     let mut pinned = [false; 16];
     pinned[Gpr::Rsp.index()] = true;
-    for instr in program.iter() {
-        for g in instr.opcode().implicit_uses() {
-            pinned[g.index()] = true;
-        }
-        for g in instr.opcode().implicit_defs() {
+    for op in program.iter().map(Instruction::opcode) {
+        let variant = discriminant(&op);
+        let implicit = match known.iter().find(|(v, _)| *v == variant) {
+            Some(&(_, implicit)) => implicit,
+            None => {
+                let implicit = implicit_gprs(op);
+                known.push((variant, implicit));
+                implicit
+            }
+        };
+        for g in implicit.iter() {
             pinned[g.index()] = true;
         }
     }
     pinned
+}
+
+/// The registers every instance of `opcode` touches whatever its
+/// operands: what the recordings of two instances with disjoint operand
+/// registers share.
+fn implicit_gprs(opcode: Opcode) -> BitSet<Gpr> {
+    let touched = |regs: [Gpr; MAX_OPERANDS]| {
+        let mut operands = [Operand::Imm(1); MAX_OPERANDS];
+        for ((slot, g), operand) in opcode.signature().iter().zip(regs).zip(&mut operands) {
+            *operand = match slot.reg {
+                Some(w) => Operand::Reg(g.view(w)),
+                None if slot.xmm => Operand::Xmm(Xmm(g.index() as u8)),
+                None if slot.imm => Operand::Imm(1),
+                None => Operand::Mem(Mem::base(g)),
+            };
+        }
+        let instr = Instruction::new(opcode, &operands[..opcode.arity()])
+            .expect("every slot takes the operand chosen for it");
+        let a = Access::of(&instr);
+        &a.uses() | &a.writes()
+    };
+    (&touched([Gpr::Rcx, Gpr::Rbx, Gpr::Rsi]) & &touched([Gpr::R8, Gpr::R9, Gpr::R10])).gprs
 }
 
 /// The alpha-renaming mapping `program` onto canonical register order.
@@ -296,6 +337,74 @@ mod tests {
         assert_eq!(renaming.apply_gpr(Gpr::Rdx), Gpr::Rdx);
         assert_eq!(renaming.apply_gpr(Gpr::Rsp), Gpr::Rsp);
         assert!(canon.to_string().contains("rax"));
+    }
+
+    /// Every opcode of the search's pool at every width the parser
+    /// accepts, with the registers it pins. The cache key hashes the
+    /// canonical form, so this list is what keeps persisted keys stable.
+    #[test]
+    fn pinned_registers_are_the_implicit_ones() {
+        use crate::reg::Width::{B, L, Q, W};
+        let mut opcodes = Vec::new();
+        for op in Opcode::all() {
+            for w in [B, W, L, Q] {
+                let widened = match op {
+                    Opcode::Mov(_) => Opcode::Mov(w),
+                    Opcode::Lea(_) => Opcode::Lea(w),
+                    Opcode::Xchg(_) => Opcode::Xchg(w),
+                    Opcode::Cmov(c, _) => Opcode::Cmov(c, w),
+                    Opcode::Alu(a, _) => Opcode::Alu(a, w),
+                    Opcode::Cmp(_) => Opcode::Cmp(w),
+                    Opcode::Test(_) => Opcode::Test(w),
+                    Opcode::Un(u, _) => Opcode::Un(u, w),
+                    Opcode::Imul2(_) => Opcode::Imul2(w),
+                    Opcode::Imul1(_) => Opcode::Imul1(w),
+                    Opcode::Mul1(_) => Opcode::Mul1(w),
+                    Opcode::Div(_) => Opcode::Div(w),
+                    Opcode::Idiv(_) => Opcode::Idiv(w),
+                    Opcode::Shift(s, _) => Opcode::Shift(s, w),
+                    Opcode::Bits(b, _) => Opcode::Bits(b, w),
+                    other => other,
+                };
+                if !opcodes.contains(&widened) {
+                    opcodes.push(widened);
+                }
+            }
+        }
+        assert!(opcodes.len() > Opcode::all().len());
+        for op in opcodes {
+            let expected: &[Gpr] = match op {
+                Opcode::Mul1(_)
+                | Opcode::Imul1(_)
+                | Opcode::Div(_)
+                | Opcode::Idiv(_)
+                | Opcode::Cqto
+                | Opcode::Cltd => &[Gpr::Rax, Gpr::Rdx, Gpr::Rsp],
+                Opcode::Cltq => &[Gpr::Rax, Gpr::Rsp],
+                _ => &[Gpr::Rsp],
+            };
+            let program = Program::from_instrs(vec![Instruction::new(
+                op,
+                &{
+                    let mut ops = [Operand::Imm(1); MAX_OPERANDS];
+                    for (slot, o) in op.signature().iter().zip(&mut ops) {
+                        *o = match slot.reg {
+                            Some(w) => Operand::Reg(Gpr::R11.view(w)),
+                            None if slot.xmm => Operand::Xmm(Xmm(3)),
+                            None if slot.imm => Operand::Imm(5),
+                            None => Operand::Mem(Mem::base(Gpr::R12)),
+                        };
+                    }
+                    ops
+                }[..op.arity()],
+            )
+            .unwrap()]);
+            let pinned: Vec<Gpr> = Gpr::ALL
+                .into_iter()
+                .filter(|g| pinned_registers(&program)[g.index()])
+                .collect();
+            assert_eq!(pinned, expected, "{op:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Instructions: an [`Opcode`] plus its operands, with validation against
-//! the opcode's operand signature and def/use information used by the
-//! liveness analysis, the emulator and the symbolic validator.
+//! the opcode's operand signature. What an instruction reads and writes is
+//! recorded from its semantics by [`Access::of`].
 
+use crate::flow::Access;
 use crate::opcode::{BitOp, Opcode};
 use crate::operand::{Mem, Operand, OperandKind};
-use crate::reg::{Flag, Gpr, Reg, Width, Xmm};
+use crate::reg::Width;
 use std::fmt;
 
 /// An error produced when constructing an ill-formed instruction.
@@ -197,192 +198,17 @@ impl Instruction {
         out
     }
 
-    /// The destination operand, if the opcode writes one.
-    pub fn dst(&self) -> Option<&Operand> {
-        if self.opcode.writes_dst() {
-            self.operands().last()
-        } else {
-            None
-        }
-    }
-
     /// The memory operand, if any (at most one by construction).
     pub fn mem_operand(&self) -> Option<Mem> {
         self.operands().iter().find_map(|o| o.as_mem())
-    }
-
-    /// Whether this instruction reads memory.
-    pub fn loads(&self) -> bool {
-        if matches!(self.opcode, Opcode::Lea(_)) {
-            return false;
-        }
-        if matches!(self.opcode, Opcode::Pop) {
-            return true;
-        }
-        let Some(mem_slot) = self.operands().iter().position(|o| o.is_mem()) else {
-            return false;
-        };
-        let is_dst_slot = self.opcode.writes_dst() && mem_slot == self.operands().len() - 1;
-        !is_dst_slot || self.opcode.dst_is_also_src()
-    }
-
-    /// Whether this instruction writes memory.
-    pub fn stores(&self) -> bool {
-        if matches!(self.opcode, Opcode::Push) {
-            return true;
-        }
-        if !self.opcode.writes_dst() {
-            return false;
-        }
-        self.operands().last().is_some_and(Operand::is_mem)
-    }
-
-    /// The memory access width in bytes for loads/stores performed by this
-    /// instruction (None if it does not access memory).
-    pub fn mem_width_bytes(&self) -> Option<u64> {
-        if matches!(self.opcode, Opcode::Lea(_)) {
-            return None;
-        }
-        if matches!(self.opcode, Opcode::Push | Opcode::Pop) {
-            return Some(8);
-        }
-        self.mem_operand()?;
-        Some(match self.opcode {
-            Opcode::Mov128(_)
-            | Opcode::SseBin(_)
-            | Opcode::Pshufd
-            | Opcode::Shufps
-            | Opcode::Punpckldq
-            | Opcode::Punpcklqdq => 16,
-            Opcode::Movslq => 4,
-            Opcode::Movsbq | Opcode::Movsbl | Opcode::Movzbq | Opcode::Movzbl => 1,
-            op => op.width().map(Width::bytes).unwrap_or(8),
-        })
-    }
-
-    /// General purpose registers read by this instruction, as (register,
-    /// width) views. Includes address registers of memory operands and
-    /// implicit uses.
-    pub fn gpr_uses(&self) -> Vec<Reg> {
-        let mut uses = Vec::new();
-        self.for_each_gpr_use(|r| uses.push(r));
-        uses
-    }
-
-    /// Visit this instruction's GPR uses (same elements, same order as
-    /// [`gpr_uses`](Instruction::gpr_uses)) without allocating: the
-    /// emulator decodes every proposal's changed instructions into inline
-    /// use lists through this.
-    ///
-    /// There are at most four: a memory operand contributes two address
-    /// registers, every other operand at most one, and only the
-    /// one-operand multiply/divide family adds implicit uses beyond one.
-    pub fn for_each_gpr_use(&self, mut f: impl FnMut(Reg)) {
-        let arity = self.operands().len();
-        let (writes_dst, rmw) = (self.opcode.writes_dst(), self.opcode.dst_is_also_src());
-        for (slot, opnd) in self.operands().iter().enumerate() {
-            let is_dst_slot = writes_dst && slot == arity - 1;
-            match opnd {
-                // `xchg` reads both operands through this arm: it is
-                // read-modify-write in its destination.
-                Operand::Reg(r) => {
-                    if !is_dst_slot || rmw {
-                        f(*r);
-                    } else if r.width() == Width::B || r.width() == Width::W {
-                        // Narrow destination writes merge into the parent
-                        // register, so the old value is also read.
-                        f(r.parent().full());
-                    }
-                }
-                Operand::Mem(m) => m.regs().map(Gpr::full).for_each(&mut f),
-                Operand::Xmm(_) | Operand::Imm(_) => {}
-            }
-        }
-        for g in self.opcode.implicit_uses() {
-            f(g.view(self.opcode.width().unwrap_or(Width::Q)));
-        }
-    }
-
-    /// General purpose registers written by this instruction (as views).
-    pub fn gpr_defs(&self) -> Vec<Reg> {
-        let mut defs = Vec::new();
-        if self.opcode.writes_dst() {
-            if let Some(Operand::Reg(r)) = self.operands().last() {
-                defs.push(*r);
-            }
-        }
-        if matches!(self.opcode, Opcode::Xchg(_)) {
-            if let Some(Operand::Reg(r)) = self.operands().first() {
-                defs.push(*r);
-            }
-        }
-        for g in self.opcode.implicit_defs() {
-            let w = self.opcode.width().unwrap_or(Width::Q);
-            let w = match self.opcode {
-                Opcode::Cqto | Opcode::Cltq => Width::Q,
-                Opcode::Cltd => Width::L,
-                _ => w,
-            };
-            defs.push(g.view(w));
-        }
-        defs
-    }
-
-    /// SSE registers read by this instruction.
-    pub fn xmm_uses(&self) -> Vec<Xmm> {
-        let mut uses = Vec::new();
-        self.for_each_xmm_use(|x| uses.push(x));
-        uses
-    }
-
-    /// Visit this instruction's SSE uses without allocating (see
-    /// [`for_each_gpr_use`](Instruction::for_each_gpr_use)). There are at
-    /// most two: the three-operand forms take an immediate first.
-    pub fn for_each_xmm_use(&self, mut f: impl FnMut(Xmm)) {
-        let arity = self.operands().len();
-        for (slot, opnd) in self.operands().iter().enumerate() {
-            if let Operand::Xmm(x) = opnd {
-                let is_dst_slot = self.opcode.writes_dst() && slot == arity - 1;
-                if !is_dst_slot || self.opcode.dst_is_also_src() {
-                    f(*x);
-                }
-            }
-        }
-    }
-
-    /// SSE registers written by this instruction.
-    pub fn xmm_defs(&self) -> Vec<Xmm> {
-        if !self.opcode.writes_dst() {
-            return vec![];
-        }
-        match self.operands().last() {
-            Some(Operand::Xmm(x)) => vec![*x],
-            _ => vec![],
-        }
-    }
-
-    /// Condition flags read by this instruction.
-    pub fn flag_uses(&self) -> &'static [Flag] {
-        self.opcode.flags_read()
-    }
-
-    /// Condition flags written by this instruction.
-    pub fn flag_defs(&self) -> &'static [Flag] {
-        self.opcode.flags_written()
     }
 
     /// The latency of the instruction: the opcode's base latency plus a
     /// memory-access penalty when an operand references memory. This is
     /// the `LATENCY(i)` of the paper's Equation 13.
     pub fn latency(&self) -> u32 {
-        let mut l = self.opcode.latency();
-        if self.loads() {
-            l += 3;
-        }
-        if self.stores() {
-            l += 3;
-        }
-        l
+        let a = Access::of(self);
+        self.opcode.latency() + 3 * u32::from(a.loads) + 3 * u32::from(a.stores)
     }
 }
 
@@ -553,6 +379,7 @@ mod tests {
     use super::*;
     use crate::opcode::{AluOp, Cond, ShiftOp};
     use crate::operand::Scale;
+    use crate::reg::{Flag, Gpr, Reg, Xmm};
 
     fn r(g: Gpr, w: Width) -> Operand {
         Operand::Reg(Reg::new(g, w))
@@ -603,66 +430,65 @@ mod tests {
         assert_eq!(Instruction::nullary(Opcode::Cqto).to_string(), "cqto");
     }
 
+    fn access(i: &Instruction) -> Access {
+        Access::of(i)
+    }
+
     #[test]
     fn def_use_explicit() {
-        let i = addq(r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q));
-        let uses = i.gpr_uses();
-        assert!(uses.contains(&Gpr::Rdi.full()));
+        let a = access(&addq(r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q)));
+        assert!(a.reads.gprs.contains(&Gpr::Rdi));
         assert!(
-            uses.contains(&Gpr::Rax.full()),
+            a.reads.gprs.contains(&Gpr::Rax),
             "read-modify-write dst is also read"
         );
-        assert_eq!(i.gpr_defs(), vec![Gpr::Rax.full()]);
-        assert!(i.flag_defs().contains(&Flag::Cf));
+        assert_eq!(a.kills.gprs.iter().collect::<Vec<_>>(), [&Gpr::Rax]);
+        assert!(a.kills.flags.contains(&Flag::Cf));
     }
 
     #[test]
     fn def_use_mov_dst_not_read() {
-        let i = movq(r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q));
-        assert!(!i.gpr_uses().contains(&Gpr::Rax.full()));
-        assert_eq!(i.gpr_defs(), vec![Gpr::Rax.full()]);
+        let a = access(&movq(r(Gpr::Rdi, Width::Q), r(Gpr::Rax, Width::Q)));
+        assert!(!a.reads.gprs.contains(&Gpr::Rax));
+        assert_eq!(a.kills.gprs.iter().collect::<Vec<_>>(), [&Gpr::Rax]);
     }
 
     #[test]
     fn def_use_implicit_mul() {
-        let i = mulq(r(Gpr::Rsi, Width::Q));
-        let uses = i.gpr_uses();
-        assert!(uses.contains(&Gpr::Rax.view(Width::Q)));
-        let defs = i.gpr_defs();
-        assert!(defs.contains(&Gpr::Rax.view(Width::Q)));
-        assert!(defs.contains(&Gpr::Rdx.view(Width::Q)));
+        let a = access(&mulq(r(Gpr::Rsi, Width::Q)));
+        assert!(a.reads.gprs.contains(&Gpr::Rax));
+        assert!(a.kills.gprs.contains(&Gpr::Rax));
+        assert!(a.kills.gprs.contains(&Gpr::Rdx));
     }
 
     #[test]
     fn def_use_memory_addressing() {
         let m = Mem::base_index(Gpr::Rsi, Gpr::Rcx, Scale::S4, 0);
         let i = movl(Operand::Mem(m), r(Gpr::Rax, Width::L));
-        let uses = i.gpr_uses();
-        assert!(uses.contains(&Gpr::Rsi.full()));
-        assert!(uses.contains(&Gpr::Rcx.full()));
-        assert!(i.loads());
-        assert!(!i.stores());
+        let a = access(&i);
+        assert!(a.reads.gprs.contains(&Gpr::Rsi));
+        assert!(a.reads.gprs.contains(&Gpr::Rcx));
+        assert!(a.loads && !a.stores);
 
-        let st = movl(r(Gpr::Rax, Width::L), Operand::Mem(m));
-        assert!(st.stores());
-        assert!(!st.loads());
-        assert!(st.gpr_uses().contains(&Gpr::Rax.view(Width::L)));
+        let st = access(&movl(r(Gpr::Rax, Width::L), Operand::Mem(m)));
+        assert!(st.stores && !st.loads);
+        assert!(st.reads.gprs.contains(&Gpr::Rax));
     }
 
     #[test]
     fn byte_dest_write_merges() {
         // sete dl writes only the low byte, so the rest of rdx is preserved
         // (i.e. the old value is an input).
-        let i = setcc(Cond::E, r(Gpr::Rdx, Width::B));
-        assert!(i.gpr_uses().contains(&Gpr::Rdx.full()));
+        let a = access(&setcc(Cond::E, r(Gpr::Rdx, Width::B)));
+        assert!(a.reads.gprs.contains(&Gpr::Rdx));
+        assert!(a.merges.gprs.contains(&Gpr::Rdx));
     }
 
     #[test]
     fn lea_does_not_load() {
         let i = leaq(Mem::base_disp(Gpr::Rsp, -8), r(Gpr::Rax, Width::Q));
-        assert!(!i.loads());
-        assert!(!i.stores());
-        assert_eq!(i.mem_width_bytes(), None);
+        let a = access(&i);
+        assert!(!a.loads && !a.stores);
     }
 
     #[test]
@@ -673,9 +499,8 @@ mod tests {
             vec![Operand::Imm(1), m],
         )
         .unwrap();
-        assert!(i.loads());
-        assert!(i.stores());
-        assert_eq!(i.mem_width_bytes(), Some(4));
+        let a = access(&i);
+        assert!(a.loads && a.stores);
     }
 
     #[test]
@@ -691,27 +516,30 @@ mod tests {
 
     #[test]
     fn xchg_defs_and_uses_both() {
-        let i = Instruction::new(
-            Opcode::Xchg(Width::Q),
-            vec![r(Gpr::Rax, Width::Q), r(Gpr::Rbx, Width::Q)],
-        )
-        .unwrap();
-        let defs = i.gpr_defs();
-        let uses = i.gpr_uses();
-        assert!(defs.contains(&Gpr::Rax.full()) && defs.contains(&Gpr::Rbx.full()));
-        assert!(uses.contains(&Gpr::Rax.full()) && uses.contains(&Gpr::Rbx.full()));
+        let a = access(
+            &Instruction::new(
+                Opcode::Xchg(Width::Q),
+                vec![r(Gpr::Rax, Width::Q), r(Gpr::Rbx, Width::Q)],
+            )
+            .unwrap(),
+        );
+        let both = [Gpr::Rax, Gpr::Rbx].into_iter().collect();
+        assert_eq!(a.kills.gprs, both);
+        assert_eq!(a.reads.gprs, both);
     }
 
     #[test]
     fn xmm_def_use() {
         use crate::opcode::SseBinOp;
-        let i = Instruction::new(
-            Opcode::SseBin(SseBinOp::Paddd),
-            vec![Operand::Xmm(Xmm(1)), Operand::Xmm(Xmm(0))],
-        )
-        .unwrap();
-        assert_eq!(i.xmm_uses(), vec![Xmm(1), Xmm(0)]);
-        assert_eq!(i.xmm_defs(), vec![Xmm(0)]);
+        let a = access(
+            &Instruction::new(
+                Opcode::SseBin(SseBinOp::Paddd),
+                vec![Operand::Xmm(Xmm(1)), Operand::Xmm(Xmm(0))],
+            )
+            .unwrap(),
+        );
+        assert_eq!(a.reads.xmms.iter().collect::<Vec<_>>(), [&Xmm(0), &Xmm(1)]);
+        assert_eq!(a.kills.xmms.iter().collect::<Vec<_>>(), [&Xmm(0)]);
     }
 
     #[test]

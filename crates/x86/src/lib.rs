@@ -2,12 +2,13 @@
 //!
 //! The x86-64 instruction-set model underlying the STOKE reproduction:
 //! registers, operands, the modelled opcode subset with its metadata
-//! (operand signatures, implicit registers, flag effects, latencies), a
-//! parser and printer for the AT&T-flavoured syntax used in the paper's
-//! figures, dataflow/liveness analysis, and the opcode/operand equivalence
-//! classes that drive the MCMC proposal distribution, and the one
+//! (operand signatures, latencies), a parser and printer for the
+//! AT&T-flavoured syntax used in the paper's figures, the opcode/operand
+//! equivalence classes that drive the MCMC proposal distribution, the one
 //! definition of every instruction's meaning ([`semantics`]) that both the
-//! emulator and the symbolic validator execute.
+//! emulator and the symbolic validator execute, and dataflow/liveness
+//! analysis over the reads and writes recorded from that definition
+//! ([`flow::Access`]).
 //!
 //! ## Quick example
 //!

@@ -9,12 +9,13 @@
 //!
 //! Every opcode carries the metadata the rest of the system needs:
 //! operand-slot signatures (for instruction validation and for the MCMC
-//! opcode/operand equivalence classes), implicit register uses and
-//! definitions, condition-flag effects, and an average latency used by the
-//! `perf(·)` term of the cost function.
+//! opcode/operand equivalence classes) and an average latency used by the
+//! `perf(·)` term of the cost function. What an opcode reads and writes,
+//! implicit registers and flags included, is not a table here: it is
+//! recorded from its semantics ([`crate::flow::Access`]).
 
 use crate::operand::SlotSpec;
-use crate::reg::{Flag, Gpr, Width};
+use crate::reg::Width;
 use std::fmt;
 
 /// A condition code, as used by `set{cc}`, `cmov{cc}` (and, in real x86,
@@ -85,36 +86,6 @@ impl Cond {
     /// Parse a condition suffix.
     pub fn parse(s: &str) -> Option<Cond> {
         Cond::ALL.into_iter().find(|c| c.name() == s)
-    }
-
-    /// The flags read when evaluating this condition.
-    pub fn flags_read(self) -> &'static [Flag] {
-        match self {
-            Cond::E | Cond::Ne => &[Flag::Zf],
-            Cond::A | Cond::Be => &[Flag::Cf, Flag::Zf],
-            Cond::Ae | Cond::B => &[Flag::Cf],
-            Cond::G | Cond::Le => &[Flag::Sf, Flag::Of, Flag::Zf],
-            Cond::Ge | Cond::L => &[Flag::Sf, Flag::Of],
-            Cond::S | Cond::Ns => &[Flag::Sf],
-        }
-    }
-
-    /// Evaluate the condition from concrete flag values.
-    pub fn eval(self, cf: bool, zf: bool, sf: bool, of: bool) -> bool {
-        match self {
-            Cond::E => zf,
-            Cond::Ne => !zf,
-            Cond::A => !cf && !zf,
-            Cond::Ae => !cf,
-            Cond::B => cf,
-            Cond::Be => cf || zf,
-            Cond::G => (sf == of) && !zf,
-            Cond::Ge => sf == of,
-            Cond::L => sf != of,
-            Cond::Le => (sf != of) || zf,
-            Cond::S => sf,
-            Cond::Ns => !sf,
-        }
     }
 }
 
@@ -604,67 +575,6 @@ impl Opcode {
         self.signature().len()
     }
 
-    /// Implicit general purpose registers read by the opcode (beyond its
-    /// explicit operands).
-    pub fn implicit_uses(&self) -> &'static [Gpr] {
-        match self {
-            Opcode::Imul1(_) | Opcode::Mul1(_) => &[Gpr::Rax],
-            Opcode::Div(_) | Opcode::Idiv(_) => &[Gpr::Rax, Gpr::Rdx],
-            Opcode::Cqto | Opcode::Cltq | Opcode::Cltd => &[Gpr::Rax],
-            Opcode::Push | Opcode::Pop => &[Gpr::Rsp],
-            _ => &[],
-        }
-    }
-
-    /// Implicit general purpose registers written by the opcode.
-    pub fn implicit_defs(&self) -> &'static [Gpr] {
-        match self {
-            Opcode::Imul1(_) | Opcode::Mul1(_) | Opcode::Div(_) | Opcode::Idiv(_) => {
-                &[Gpr::Rax, Gpr::Rdx]
-            }
-            Opcode::Cqto => &[Gpr::Rdx],
-            Opcode::Cltq => &[Gpr::Rax],
-            Opcode::Cltd => &[Gpr::Rdx],
-            Opcode::Push | Opcode::Pop => &[Gpr::Rsp],
-            _ => &[],
-        }
-    }
-
-    /// Condition flags written by the opcode.
-    pub fn flags_written(&self) -> &'static [Flag] {
-        const ARITH: &[Flag] = &[Flag::Cf, Flag::Zf, Flag::Sf, Flag::Of, Flag::Pf];
-        const LOGIC: &[Flag] = ARITH; // CF/OF cleared, still written
-        const SHIFT: &[Flag] = ARITH;
-        const ROT: &[Flag] = &[Flag::Cf, Flag::Of];
-        const INCDEC: &[Flag] = &[Flag::Zf, Flag::Sf, Flag::Of, Flag::Pf];
-        match self {
-            Opcode::Alu(op, _) => match op {
-                AluOp::And | AluOp::Or | AluOp::Xor => LOGIC,
-                _ => ARITH,
-            },
-            Opcode::Cmp(_) | Opcode::Test(_) => ARITH,
-            Opcode::Un(UnOp::Neg, _) => ARITH,
-            Opcode::Un(UnOp::Not, _) => &[],
-            Opcode::Un(UnOp::Inc, _) | Opcode::Un(UnOp::Dec, _) => INCDEC,
-            Opcode::Imul2(_) | Opcode::Imul1(_) | Opcode::Mul1(_) => &[Flag::Cf, Flag::Of],
-            Opcode::Div(_) | Opcode::Idiv(_) => ARITH, // undefined in hardware; modelled as written
-            Opcode::Shift(ShiftOp::Rol, _) | Opcode::Shift(ShiftOp::Ror, _) => ROT,
-            Opcode::Shift(_, _) => SHIFT,
-            Opcode::Bits(BitOp::Popcnt, _) => ARITH,
-            Opcode::Bits(BitOp::Bsf, _) | Opcode::Bits(BitOp::Bsr, _) => &[Flag::Zf],
-            _ => &[],
-        }
-    }
-
-    /// Condition flags read by the opcode.
-    pub fn flags_read(&self) -> &'static [Flag] {
-        match self {
-            Opcode::Alu(AluOp::Adc, _) | Opcode::Alu(AluOp::Sbb, _) => &[Flag::Cf],
-            Opcode::Cmov(c, _) | Opcode::Set(c) => c.flags_read(),
-            _ => &[],
-        }
-    }
-
     /// Whether the opcode writes its last (destination) operand.
     ///
     /// `cmp` and `test` only set flags; stores write memory rather than a
@@ -687,24 +597,6 @@ impl Opcode {
                 | Opcode::Div(_)
                 | Opcode::Idiv(_)
         ) && self.arity() > 0
-    }
-
-    /// Whether the destination operand is also read (read-modify-write).
-    pub fn dst_is_also_src(&self) -> bool {
-        matches!(
-            self,
-            Opcode::Alu(_, _)
-                | Opcode::Un(_, _)
-                | Opcode::Imul2(_)
-                | Opcode::Shift(_, _)
-                | Opcode::Xchg(_)
-                | Opcode::SseBin(_)
-                | Opcode::SseShift(_)
-                | Opcode::Shufps
-                | Opcode::Punpckldq
-                | Opcode::Punpcklqdq
-                | Opcode::Bits(BitOp::Bswap, _)
-        )
     }
 
     /// Average instruction latency in cycles, following the static
@@ -820,28 +712,6 @@ impl Opcode {
             Opcode::Punpcklqdq => "punpcklqdq".to_string(),
         }
     }
-
-    /// Whether this opcode may read memory through an explicit memory
-    /// operand. `lea` computes an address without dereferencing it and is
-    /// therefore excluded.
-    pub fn may_load(&self) -> bool {
-        if matches!(self, Opcode::Lea(_)) {
-            return false;
-        }
-        self.signature()
-            .iter()
-            .take(self.arity().saturating_sub(usize::from(self.writes_dst())))
-            .any(|s| s.mem)
-            || (self.dst_is_also_src() && self.signature().last().is_some_and(|s| s.mem))
-            || matches!(self, Opcode::Pop)
-    }
-
-    /// Whether this opcode may write memory through its destination
-    /// operand.
-    pub fn may_store(&self) -> bool {
-        (self.writes_dst() && self.signature().last().is_some_and(|s| s.mem))
-            || matches!(self, Opcode::Push)
-    }
 }
 
 impl fmt::Display for Opcode {
@@ -890,23 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn cond_eval_matches_flags() {
-        // cmp 3, 5 (i.e. 5 - 3): no carry, non-zero, positive.
-        assert!(Cond::A.eval(false, false, false, false));
-        assert!(Cond::Ne.eval(false, false, false, false));
-        assert!(!Cond::E.eval(false, false, false, false));
-        assert!(Cond::G.eval(false, false, false, false));
-        // Equal case.
-        assert!(Cond::E.eval(false, true, false, false));
-        assert!(Cond::Le.eval(false, true, false, false));
-        assert!(!Cond::A.eval(false, true, false, false));
-        // Signed less: SF != OF.
-        assert!(Cond::L.eval(false, false, true, false));
-        assert!(Cond::L.eval(false, false, false, true));
-        assert!(!Cond::L.eval(false, false, true, true));
-    }
-
-    #[test]
     fn signatures_are_consistent() {
         for op in Opcode::all() {
             let sig = op.signature();
@@ -917,32 +770,37 @@ mod tests {
         }
     }
 
+    fn access(text: &str) -> crate::flow::Access {
+        crate::flow::Access::of(&text.parse::<crate::Program>().unwrap().instrs()[0])
+    }
+
     #[test]
     fn implicit_regs() {
-        assert!(Opcode::Mul1(Width::Q).implicit_defs().contains(&Gpr::Rdx));
-        assert!(Opcode::Mul1(Width::Q).implicit_uses().contains(&Gpr::Rax));
-        assert!(Opcode::Div(Width::Q).implicit_uses().contains(&Gpr::Rdx));
-        assert!(Opcode::Cqto.implicit_defs().contains(&Gpr::Rdx));
-        assert!(Opcode::Alu(AluOp::Add, Width::Q).implicit_defs().is_empty());
+        use crate::reg::Gpr;
+        assert!(access("mulq rsi").kills.gprs.contains(&Gpr::Rdx));
+        assert!(access("mulq rsi").reads.gprs.contains(&Gpr::Rax));
+        assert!(access("divq rsi").reads.gprs.contains(&Gpr::Rdx));
+        assert!(access("cqto").kills.gprs.contains(&Gpr::Rdx));
+        assert_eq!(
+            access("addq rsi, rdi").writes(),
+            crate::flow::LocSet {
+                gprs: [Gpr::Rdi].into_iter().collect(),
+                flags: crate::reg::Flag::ALL.into_iter().collect(),
+                ..Default::default()
+            }
+        );
     }
 
     #[test]
     fn flag_effects() {
-        assert!(Opcode::Alu(AluOp::Adc, Width::Q)
-            .flags_read()
-            .contains(&Flag::Cf));
-        assert!(Opcode::Alu(AluOp::Add, Width::Q)
-            .flags_written()
-            .contains(&Flag::Cf));
-        assert!(Opcode::Un(UnOp::Not, Width::Q).flags_written().is_empty());
-        assert!(Opcode::Cmov(Cond::E, Width::Q)
-            .flags_read()
-            .contains(&Flag::Zf));
-        assert!(Opcode::Mov(Width::Q).flags_written().is_empty());
+        use crate::reg::Flag;
+        assert!(access("adcq rsi, rax").reads.flags.contains(&Flag::Cf));
+        assert!(access("addq rsi, rax").kills.flags.contains(&Flag::Cf));
+        assert!(access("notq rax").writes().flags.is_empty());
+        assert!(access("cmoveq rsi, rax").reads.flags.contains(&Flag::Zf));
+        assert!(access("movq rsi, rax").writes().flags.is_empty());
         // inc/dec preserve CF.
-        assert!(!Opcode::Un(UnOp::Inc, Width::Q)
-            .flags_written()
-            .contains(&Flag::Cf));
+        assert!(!access("incq rax").writes().flags.contains(&Flag::Cf));
     }
 
     #[test]
@@ -957,12 +815,14 @@ mod tests {
 
     #[test]
     fn load_store_classification() {
-        assert!(Opcode::Mov(Width::Q).may_load());
-        assert!(Opcode::Mov(Width::Q).may_store());
+        let (mov_load, mov_store) = (access("movq (rsi), rax"), access("movq rax, (rsi)"));
+        assert!(mov_load.loads && !mov_load.stores);
+        assert!(mov_store.stores && !mov_store.loads);
         assert!(Opcode::Lea(Width::Q).signature()[0].mem);
-        assert!(!Opcode::Lea(Width::Q).may_store());
-        assert!(Opcode::Push.may_store());
-        assert!(Opcode::Pop.may_load());
-        assert!(!Opcode::Set(Cond::E).may_load());
+        let lea = access("leaq 8(rsi), rax");
+        assert!(!lea.loads && !lea.stores);
+        assert!(access("pushq rax").stores);
+        assert!(access("popq rax").loads);
+        assert!(!access("sete (rsi)").loads);
     }
 }

@@ -7,7 +7,12 @@
 //! the interpreter and the batched engine's column view; `stoke-verify`
 //! instantiates it over solver terms for the symbolic executor. Because
 //! both run the same code, the cost function (§4) and the validator (§5.2)
-//! cannot drift apart.
+//! cannot drift apart. The fourth `Machine` is the recorder behind
+//! [`crate::flow::Access`]: its values are known constants or unknown,
+//! tagged with the locations they come from, so running `execute` over it
+//! yields what the instruction reads, overwrites and merges into. That
+//! recording is the workspace's only definition of an instruction's reads
+//! and writes.
 //!
 //! Where the two deliberately model an instruction differently, the
 //! difference is a named hook of [`Machine`] rather than a branch here:

@@ -82,7 +82,7 @@ const P01_SNAPSHOT: &str = concat!(
     r#"" "#,
     "verification=Proven target_latency=47 rewrite_latency=47 target_cycles=32 ",
     "rewrite_cycles=32 synthesis_proposals=2000 optimization_proposals=10000 ",
-    "testcases_run=93620 validations=1 counterexamples=0 synthesis_succeeded=false",
+    "testcases_run=93448 validations=1 counterexamples=0 synthesis_succeeded=false",
 );
 
 /// [`snapshot`] of the p14 search, recorded with the fixed seed.
@@ -116,7 +116,7 @@ const P14_SNAPSHOT: &str = concat!(
     r#"" "#,
     "verification=Proven target_latency=85 rewrite_latency=85 target_cycles=57 ",
     "rewrite_cycles=57 synthesis_proposals=2000 optimization_proposals=10000 ",
-    "testcases_run=78818 validations=1 counterexamples=0 synthesis_succeeded=false",
+    "testcases_run=90313 validations=1 counterexamples=0 synthesis_succeeded=false",
 );
 
 #[test]
