@@ -146,7 +146,6 @@ pub struct BudgetClock {
     used_proposals: AtomicU64,
     cancel: CancelToken,
     tripped: AtomicBool,
-    parent: Option<Arc<BudgetClock>>,
 }
 
 impl BudgetClock {
@@ -159,18 +158,6 @@ impl BudgetClock {
             used_proposals: AtomicU64::new(0),
             cancel: budget.cancel.clone(),
             tripped: AtomicBool::new(false),
-            parent: None,
-        }
-    }
-
-    /// Start a clock on `budget` nested under `parent`: every proposal is
-    /// charged to *both* clocks, and the run stops when either is
-    /// exhausted. This is how a service composes a per-job budget with a
-    /// batch-wide one.
-    pub fn start_with_parent(budget: &Budget, parent: Arc<BudgetClock>) -> BudgetClock {
-        BudgetClock {
-            parent: Some(parent),
-            ..BudgetClock::start(budget)
         }
     }
 
@@ -193,12 +180,6 @@ impl BudgetClock {
                 return false;
             }
         }
-        if let Some(parent) = &self.parent {
-            if !parent.admit_proposal() {
-                self.tripped.store(true, Ordering::Relaxed);
-                return false;
-            }
-        }
         true
     }
 
@@ -213,15 +194,14 @@ impl BudgetClock {
         self.tripped.load(Ordering::Relaxed)
             || self.cancel.is_cancelled()
             || self.deadline.is_some_and(|d| Instant::now() >= d)
-            || self.parent.as_ref().is_some_and(|p| p.exhausted())
     }
 }
 
 /// Per-run options beyond the target itself, consumed by
 /// [`Session::run_request`]: an existing test suite to reuse, a warm-start
-/// program to seed the synthesis chains, an external [`BudgetClock`]
-/// (e.g. a batch-wide clock shared across jobs), and a target index for
-/// tagging observer events.
+/// program to seed the synthesis chains, and a target index for tagging
+/// observer events. The run is bounded by the session's own budget
+/// ([`Session::with_budget`]).
 ///
 /// ```
 /// use stoke::RunRequest;
@@ -232,7 +212,6 @@ impl BudgetClock {
 pub struct RunRequest<'a> {
     suite: Option<TestSuite>,
     warm_start: Option<&'a Program>,
-    clock: Option<&'a BudgetClock>,
     target: usize,
 }
 
@@ -254,13 +233,6 @@ impl<'a> RunRequest<'a> {
     /// The chains still diverge through their per-chain seeds.
     pub fn warm_start(mut self, program: &'a Program) -> RunRequest<'a> {
         self.warm_start = Some(program);
-        self
-    }
-
-    /// Charge the run to an already-running clock instead of starting a
-    /// fresh one from the session's budget.
-    pub fn under_clock(mut self, clock: &'a BudgetClock) -> RunRequest<'a> {
-        self.clock = Some(clock);
         self
     }
 
@@ -523,8 +495,7 @@ impl Session {
 
     /// Run the full pipeline on one target with explicit per-run options:
     /// a reused test suite, a warm-start program seeding the synthesis
-    /// chains, an external budget clock, and an observer target index.
-    /// See [`RunRequest`].
+    /// chains, and an observer target index. See [`RunRequest`].
     ///
     /// # Errors
     /// As for [`Session::run`].
@@ -533,25 +504,14 @@ impl Session {
         spec: &TargetSpec,
         request: RunRequest<'_>,
     ) -> Result<StokeResult, StokeError> {
-        match request.clock {
-            Some(clock) => self.run_target(
-                spec,
-                request.suite,
-                request.warm_start,
-                clock,
-                request.target,
-            ),
-            None => {
-                let clock = BudgetClock::start(&self.budget);
-                self.run_target(
-                    spec,
-                    request.suite,
-                    request.warm_start,
-                    &clock,
-                    request.target,
-                )
-            }
-        }
+        let clock = BudgetClock::start(&self.budget);
+        self.run_target(
+            spec,
+            request.suite,
+            request.warm_start,
+            &clock,
+            request.target,
+        )
     }
 
     /// Run the full pipeline on every target, scheduling them across the
@@ -1298,26 +1258,6 @@ mod tests {
         let mut cf = CostFn::new(quick_config(), fresh, 0);
         let instrs: Vec<_> = warm.rewrite.iter().cloned().collect();
         assert_eq!(cf.eq_prime(&instrs), 0);
-    }
-
-    #[test]
-    fn nested_clock_charges_parent_and_stops_on_parent_exhaustion() {
-        let parent = Arc::new(BudgetClock::start(
-            &Budget::unlimited().with_max_proposals(10),
-        ));
-        let child = BudgetClock::start_with_parent(&Budget::unlimited(), parent.clone());
-        let mut admitted = 0;
-        while child.admit_proposal() {
-            admitted += 1;
-            assert!(admitted <= 11, "parent cap never tripped the child");
-        }
-        assert_eq!(admitted, 10);
-        assert!(child.exhausted());
-        assert!(parent.exhausted());
-        // A sibling under the same parent is exhausted from the start.
-        let sibling = BudgetClock::start_with_parent(&Budget::unlimited(), parent);
-        assert!(sibling.exhausted());
-        assert!(!sibling.admit_proposal());
     }
 
     #[test]

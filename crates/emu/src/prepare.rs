@@ -49,10 +49,11 @@ impl Decoded {
     /// [`PreparedProgram`] and each slot of a [`DecodeCache`] — is built by
     /// this function.
     pub fn new(instr: &Instruction) -> Decoded {
+        let access = Access::of(instr);
         Decoded {
             instr: *instr,
-            reads: Access::of(instr).reads,
-            latency: instr.latency(),
+            latency: access.latency(instr.opcode()),
+            reads: access.reads,
         }
     }
 

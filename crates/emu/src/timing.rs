@@ -16,26 +16,17 @@
 use stoke_x86::flow::Access;
 use stoke_x86::{Instruction, Program};
 
-/// Configuration of the issue model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimingModel {
-    /// Maximum number of instructions issued per cycle.
-    pub issue_width: u32,
-    /// Additional latency charged to loads (address generation + cache hit).
-    pub load_latency: u32,
-    /// Additional latency charged to stores.
-    pub store_latency: u32,
-}
+/// Maximum number of instructions issued per cycle.
+const ISSUE_WIDTH: u64 = 4;
+/// Additional latency charged to loads (address generation + cache hit).
+const LOAD_LATENCY: u64 = 4;
+/// Additional latency charged to stores.
+const STORE_LATENCY: u64 = 1;
 
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            issue_width: 4,
-            load_latency: 4,
-            store_latency: 1,
-        }
-    }
-}
+/// The issue model: four instructions issue per cycle, a load adds four
+/// cycles to its instruction's latency and a store adds one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TimingModel {}
 
 impl TimingModel {
     /// Estimate the number of cycles the program takes to execute once,
@@ -78,17 +69,17 @@ impl TimingModel {
             if access.stores {
                 ready = ready.max(last_store);
             }
-            // Issue-width constraint: at most `issue_width` instructions
+            // Issue-width constraint: at most `ISSUE_WIDTH` instructions
             // can begin per cycle, in program order.
-            let issue_floor = idx as u64 / u64::from(self.issue_width);
+            let issue_floor = idx as u64 / ISSUE_WIDTH;
             let start = ready.max(issue_floor);
 
             let mut latency = u64::from(instr.opcode().latency().max(1));
             if access.loads {
-                latency += u64::from(self.load_latency);
+                latency += LOAD_LATENCY;
             }
             if access.stores {
-                latency += u64::from(self.store_latency);
+                latency += STORE_LATENCY;
             }
             let finish = start + latency;
             finish_max = finish_max.max(finish);

@@ -1,5 +1,5 @@
 //! The canonical rewrite cache: exact lookups, near-miss scans for warm
-//! starts, LRU/TTL eviction, and optional disk persistence in a
+//! starts, LRU eviction, and optional disk persistence in a
 //! hand-rolled line-oriented wire format (no serde available in this
 //! workspace).
 
@@ -7,43 +7,36 @@ use crate::key::{edit_distance_within, CacheKey};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::SystemTime;
 use stoke::Verification;
 use stoke_x86::Program;
 
-/// Sizing and expiry policy for a [`RewriteCache`].
+/// Sizing policy for a [`RewriteCache`]. Entries never expire; the
+/// capacity bound is what keeps the cache small.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
     /// Maximum number of entries; the least-recently-used entry is
     /// evicted when a new insertion would exceed it.
     pub capacity: usize,
-    /// Entries older than this are dropped at lookup (and on load from
-    /// disk). `None` disables expiry.
-    pub ttl: Option<Duration>,
 }
 
 impl Default for CacheConfig {
     fn default() -> CacheConfig {
-        CacheConfig {
-            capacity: 4096,
-            ttl: None,
-        }
+        CacheConfig { capacity: 4096 }
     }
 }
 
 /// Counters describing cache behaviour since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Exact-key lookups that found a live entry.
+    /// Exact-key lookups that found an entry.
     pub hits: u64,
-    /// Exact-key lookups that found nothing (or only an expired entry).
+    /// Exact-key lookups that found nothing.
     pub misses: u64,
     /// Entries inserted.
     pub insertions: u64,
     /// Entries evicted by the LRU capacity bound.
     pub evictions: u64,
-    /// Entries dropped because their TTL had passed.
-    pub expirations: u64,
 }
 
 /// A cached rewrite, in canonical register space.
@@ -58,13 +51,21 @@ pub struct CachedRewrite {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    rewrite_text: String,
+    rewrite: Program,
     verification: Verification,
     iface: String,
     prog_lines: Vec<String>,
-    created: Instant,
     created_unix: u64,
     last_used: u64,
+}
+
+impl Entry {
+    fn cached(&self) -> CachedRewrite {
+        CachedRewrite {
+            rewrite: self.rewrite.clone(),
+            verification: self.verification.clone(),
+        }
+    }
 }
 
 /// An in-memory map from canonical target keys to canonical rewrites.
@@ -96,7 +97,7 @@ impl RewriteCache {
         }
     }
 
-    /// Number of live entries.
+    /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -111,42 +112,23 @@ impl RewriteCache {
         self.stats
     }
 
-    fn expired(&self, entry: &Entry) -> bool {
-        self.config
-            .ttl
-            .is_some_and(|ttl| entry.created.elapsed() >= ttl)
-    }
-
     /// Exact lookup. A hit bumps the entry's LRU position.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedRewrite> {
         self.tick += 1;
-        let tick = self.tick;
-        let ttl = self.config.ttl;
-        let mut expired = false;
-        if let Some(entry) = self.entries.get_mut(key.text()) {
-            if ttl.is_some_and(|ttl| entry.created.elapsed() >= ttl) {
-                expired = true;
-            } else {
-                entry.last_used = tick;
+        match self.entries.get_mut(key.text()) {
+            Some(entry) => {
+                entry.last_used = self.tick;
                 self.stats.hits += 1;
-                return Some(CachedRewrite {
-                    rewrite: entry
-                        .rewrite_text
-                        .parse()
-                        .expect("cached rewrites are validated on insert/load"),
-                    verification: entry.verification.clone(),
-                });
+                Some(entry.cached())
+            }
+            None => {
+                self.stats.misses += 1;
+                None
             }
         }
-        if expired {
-            self.entries.remove(key.text());
-            self.stats.expirations += 1;
-        }
-        self.stats.misses += 1;
-        None
     }
 
-    /// Near-miss lookup for warm starts: among live entries whose
+    /// Near-miss lookup for warm starts: among entries whose
     /// pipeline/interface section equals `key`'s, find the one whose
     /// canonical program body is closest to `key`'s within `max_distance`
     /// whole-instruction edits. Does not bump LRU (a warm start is a hint,
@@ -154,7 +136,7 @@ impl RewriteCache {
     pub fn nearest(&self, key: &CacheKey, max_distance: usize) -> Option<(CachedRewrite, usize)> {
         let mut best: Option<(usize, &Entry)> = None;
         for entry in self.entries.values() {
-            if entry.iface != key.interface() || self.expired(entry) {
+            if entry.iface != key.interface() {
                 continue;
             }
             // An exact-text entry would have been an exact hit already;
@@ -168,17 +150,7 @@ impl RewriteCache {
                 }
             }
         }
-        best.and_then(|(d, entry)| {
-            entry.rewrite_text.parse::<Program>().ok().map(|rewrite| {
-                (
-                    CachedRewrite {
-                        rewrite,
-                        verification: entry.verification.clone(),
-                    },
-                    d,
-                )
-            })
-        })
+        best.map(|(d, entry)| (entry.cached(), d))
     }
 
     /// Insert the rewrite found for `key` (submitter register space).
@@ -199,11 +171,10 @@ impl RewriteCache {
         }
         self.tick += 1;
         let entry = Entry {
-            rewrite_text: key.canonical_rewrite(rewrite).to_string(),
+            rewrite: key.canonical_rewrite(rewrite),
             verification,
             iface: key.interface().to_string(),
             prog_lines: key.program_lines().to_vec(),
-            created: Instant::now(),
             created_unix: SystemTime::now()
                 .duration_since(SystemTime::UNIX_EPOCH)
                 .map(|d| d.as_secs())
@@ -226,25 +197,20 @@ impl RewriteCache {
     }
 
     /// Serialize the cache to `path` in the versioned line format (see
-    /// [`RewriteCache::load`]). Expired entries are skipped.
+    /// [`RewriteCache::load`]).
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let mut out = String::from("stoke-rewrite-cache v1\n");
-        let mut count = 0usize;
         for (key, entry) in &self.entries {
-            if self.expired(entry) {
-                continue;
-            }
             out.push_str(&format!(
                 "entry\t{}\t{}\t{}\t{}\t{}\n",
                 entry.created_unix,
                 entry.last_used,
                 verification_tag(&entry.verification),
                 escape(key),
-                escape(&entry.rewrite_text),
+                escape(&entry.rewrite.to_string()),
             ));
-            count += 1;
         }
-        out.push_str(&format!("end\t{count}\n"));
+        out.push_str(&format!("end\t{}\n", self.entries.len()));
         std::fs::write(path, out)
     }
 
@@ -254,15 +220,11 @@ impl RewriteCache {
     /// verification tag, an unparseable cached program, a broken escape
     /// sequence or a missing/incorrect `end` count all reject the file
     /// with a typed [`PersistError`] rather than silently serving
-    /// corrupted rewrites. Entries whose TTL (under `config`) has already
-    /// passed are dropped on load.
+    /// corrupted rewrites. The creation timestamp of each record is
+    /// checked and kept, but no entry expires.
     pub fn load(path: &Path, config: CacheConfig) -> Result<RewriteCache, PersistError> {
         let text = std::fs::read_to_string(path)?;
         let mut cache = RewriteCache::new(config);
-        let now_unix = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
         let mut lines = text.split_terminator('\n').enumerate();
         match lines.next() {
             Some((_, "stoke-rewrite-cache v1")) => {}
@@ -310,29 +272,21 @@ impl RewriteCache {
                     let verification = parse_verification(fields[3])
                         .ok_or_else(|| record("unknown verification tag"))?;
                     let key = unescape(fields[4]).ok_or_else(|| record("broken escape in key"))?;
-                    let rewrite_text =
-                        unescape(fields[5]).ok_or_else(|| record("broken escape in rewrite"))?;
-                    if rewrite_text.parse::<Program>().is_err() {
-                        return Err(record("cached rewrite does not parse"));
-                    }
+                    let rewrite = unescape(fields[5])
+                        .ok_or_else(|| record("broken escape in rewrite"))?
+                        .parse::<Program>()
+                        .map_err(|_| record("cached rewrite does not parse"))?;
                     parsed += 1;
-                    let age = Duration::from_secs(now_unix.saturating_sub(created_unix));
-                    if cache.config.ttl.is_some_and(|ttl| age >= ttl) {
-                        cache.stats.expirations += 1;
-                        continue;
-                    }
                     let (iface, prog_lines) = split_key(&key)
                         .ok_or_else(|| record("key text is not a v1 canonical key"))?;
-                    let created = Instant::now().checked_sub(age).unwrap_or_else(Instant::now);
                     cache.tick = cache.tick.max(last_used);
                     cache.entries.insert(
                         key,
                         Entry {
-                            rewrite_text,
+                            rewrite,
                             verification,
                             iface,
                             prog_lines,
-                            created,
                             created_unix,
                             last_used,
                         },

@@ -2,11 +2,11 @@
 //!
 //! Superoptimization as a service, on top of the STOKE reproduction's
 //! [`Session`](stoke::Session) pipeline: a [`Service`] owns worker
-//! threads that drain a priority [job queue](Service::submit) of
-//! [`TargetSpec`](stoke::TargetSpec)s, each job bounded by its own
-//! [`Budget`](stoke::Budget) (composed with a batch-wide one) and
-//! cancellable from any thread, with every lifecycle step recorded as a
-//! structured trace event through [`ServeConfig::trace`].
+//! threads that drain a first-in, first-out [job queue](Service::submit)
+//! of [`TargetSpec`](stoke::TargetSpec)s, each job bounded by its own
+//! [`Budget`](stoke::Budget) and cancellable from any thread, with every
+//! lifecycle step recorded as a structured trace event through
+//! [`ServeConfig::trace`].
 //!
 //! The economics come from the [`RewriteCache`]: targets are keyed by a
 //! canonical form — registers alpha-renamed into canonical order,
@@ -67,6 +67,5 @@ pub mod service;
 pub use cache::{CacheConfig, CacheStats, CachedRewrite, PersistError, RewriteCache};
 pub use key::{edit_distance_within, fnv1a64, CacheKey, PipelineFingerprint, SEMANTICS_REVISION};
 pub use service::{
-    Disposition, JobId, JobOutcome, JobStatus, Priority, ServeConfig, ServeError, Service,
-    ServiceStats, SubmitOptions,
+    Disposition, JobId, JobOutcome, JobStatus, ServeConfig, ServeError, Service, ServiceStats,
 };

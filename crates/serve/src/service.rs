@@ -1,4 +1,4 @@
-//! The long-running service: a priority job queue over worker threads,
+//! The long-running service: a FIFO job queue over worker threads,
 //! each job a full [`Session`] pipeline run with its own budget and
 //! cancellation, short-circuited through the [`RewriteCache`] when a
 //! canonically-equal target was already solved and warm-started when a
@@ -6,7 +6,7 @@
 
 use crate::cache::{CacheConfig, CacheStats, RewriteCache};
 use crate::key::{CacheKey, PipelineFingerprint};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -14,8 +14,7 @@ use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use stoke::{
-    Budget, BudgetClock, Config, RunRequest, SearchStats, Session, StokeError, StokeResult,
-    TargetSpec, Verifier,
+    Budget, Config, RunRequest, SearchStats, Session, StokeError, StokeResult, TargetSpec, Verifier,
 };
 use stoke_emu::TimingModel;
 use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
@@ -36,31 +35,6 @@ impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "job-{}", self.0)
     }
-}
-
-/// Scheduling priority; higher priorities run first, FIFO within a
-/// priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum Priority {
-    /// Behind every normal job.
-    Low,
-    /// The default.
-    #[default]
-    Normal,
-    /// Ahead of everything else.
-    High,
-}
-
-/// Per-submission options for [`Service::submit_with`].
-#[derive(Debug, Default)]
-pub struct SubmitOptions {
-    /// Scheduling priority (default [`Priority::Normal`]).
-    pub priority: Priority,
-    /// Per-job budget. `None` stamps a fresh copy of the service's
-    /// [`ServeConfig::job_budget`] template; `Some` uses the given budget
-    /// as-is, sharing its [`CancelToken`](stoke::CancelToken) with the
-    /// caller.
-    pub budget: Option<Budget>,
 }
 
 /// Where a job's result came from.
@@ -100,8 +74,7 @@ pub struct JobOutcome {
     pub disposition: Disposition,
     /// The pipeline result — exactly what [`Session::run`] would return,
     /// including [`StokeError::BudgetExhausted`] with a partial result
-    /// when the job's (or the batch's) budget ran out or the job was
-    /// cancelled mid-run.
+    /// when the job's budget ran out or the job was cancelled mid-run.
     pub result: Result<StokeResult, StokeError>,
     /// Time spent queued before a worker picked the job up.
     pub queue_time: Duration,
@@ -202,14 +175,8 @@ pub struct ServeConfig {
     /// Template for per-job budgets: each job gets a
     /// [detached](Budget::detached) copy so jobs cancel independently.
     pub job_budget: Budget,
-    /// Batch-wide budget: a single clock started when the service starts,
-    /// charged by every proposal of every job.
-    pub batch_budget: Budget,
-    /// Rewrite-cache sizing and expiry.
+    /// Rewrite-cache sizing.
     pub cache: CacheConfig,
-    /// Maximum canonical edit distance for warm-start seeding (`0`
-    /// disables warm starts).
-    pub warm_start_max_distance: usize,
     /// When set, the cache is loaded from this file at start (if it
     /// exists) and saved back on [`Service::shutdown`].
     pub cache_path: Option<PathBuf>,
@@ -237,16 +204,14 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A service configuration with `search` and defaults everywhere
-    /// else: one worker, unlimited budgets, a 4096-entry cache with no
-    /// TTL, warm starts within distance 2, no persistence.
+    /// else: one worker, an unlimited job budget, a 4096-entry cache, no
+    /// persistence.
     pub fn new(search: Config) -> ServeConfig {
         ServeConfig {
             search,
             workers: 1,
             job_budget: Budget::unlimited(),
-            batch_budget: Budget::unlimited(),
             cache: CacheConfig::default(),
-            warm_start_max_distance: 2,
             cache_path: None,
             verifier: None,
             metrics: None,
@@ -254,6 +219,10 @@ impl ServeConfig {
         }
     }
 }
+
+/// Maximum canonical edit distance between a submission and the cached
+/// entry that warm-starts its synthesis chains.
+const WARM_START_MAX_DISTANCE: usize = 2;
 
 /// Latency histogram bounds of the serve layer, in seconds.
 const LATENCY_BOUNDS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
@@ -325,32 +294,10 @@ fn unpoison<G>(result: LockResult<G>) -> G {
 }
 
 struct PendingJob {
-    seq: u64,
     id: JobId,
-    priority: Priority,
     spec: TargetSpec,
     budget: Budget,
     submitted: Instant,
-}
-
-impl PartialEq for PendingJob {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for PendingJob {}
-impl PartialOrd for PendingJob {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingJob {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Max-heap: higher priority first, then lower sequence (FIFO).
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
 }
 
 struct JobRecord {
@@ -360,10 +307,11 @@ struct JobRecord {
 }
 
 struct QueueState {
-    pending: BinaryHeap<PendingJob>,
+    /// Jobs waiting for a worker, oldest first. Holds exactly the jobs
+    /// whose status is [`JobStatus::Queued`].
+    pending: VecDeque<PendingJob>,
     jobs: HashMap<JobId, JobRecord>,
     next_id: u64,
-    next_seq: u64,
     shutdown: bool,
     stats: ServiceStats,
 }
@@ -373,13 +321,11 @@ struct Shared {
     fingerprint: PipelineFingerprint,
     verifier: Option<Arc<dyn Verifier>>,
     job_budget: Budget,
-    warm_start_max_distance: usize,
     queue: Mutex<QueueState>,
     /// Wakes workers (new job / shutdown).
     work: Condvar,
     /// Wakes `wait` callers (job finished / cancelled).
     done: Condvar,
-    batch_clock: Arc<BudgetClock>,
     cache: Mutex<RewriteCache>,
     registry: Option<Arc<MetricsRegistry>>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -414,8 +360,8 @@ impl Shared {
     }
 }
 
-/// Superoptimization as a service: worker threads drain a priority queue
-/// of [`TargetSpec`] jobs through the [`Session`] pipeline, short-circuit
+/// Superoptimization as a service: worker threads drain a FIFO queue of
+/// [`TargetSpec`] jobs through the [`Session`] pipeline, short-circuit
 /// canonically-cached targets, and warm-start near misses.
 ///
 /// ```
@@ -449,8 +395,7 @@ pub struct Service {
 
 impl Service {
     /// Start the service: load the persistent cache (when configured and
-    /// present), start the batch-wide budget clock, and spawn the worker
-    /// threads.
+    /// present) and spawn the worker threads.
     ///
     /// # Errors
     /// [`ServeError::Persist`] if a configured cache file exists but is
@@ -471,18 +416,15 @@ impl Service {
             fingerprint,
             verifier: config.verifier,
             job_budget: config.job_budget,
-            warm_start_max_distance: config.warm_start_max_distance,
             queue: Mutex::new(QueueState {
-                pending: BinaryHeap::new(),
+                pending: VecDeque::new(),
                 jobs: HashMap::new(),
                 next_id: 0,
-                next_seq: 0,
                 shutdown: false,
                 stats: ServiceStats::default(),
             }),
             work: Condvar::new(),
             done: Condvar::new(),
-            batch_clock: Arc::new(BudgetClock::start(&config.batch_budget)),
             cache: Mutex::new(cache),
             registry: config.metrics,
             trace: config.trace,
@@ -501,25 +443,14 @@ impl Service {
         })
     }
 
-    /// Submit a target with default options; returns immediately.
+    /// Submit a target to the back of the queue; returns immediately.
+    /// Jobs start in submission order, each under a fresh, independently
+    /// cancellable copy of [`ServeConfig::job_budget`].
     pub fn submit(&self, spec: TargetSpec) -> JobId {
-        self.submit_with(spec, SubmitOptions::default())
-    }
-
-    /// Submit a target with an explicit priority and/or budget; returns
-    /// immediately.
-    pub fn submit_with(&self, spec: TargetSpec, options: SubmitOptions) -> JobId {
         let mut q = unpoison(self.shared.queue.lock());
         let id = JobId(q.next_id);
         q.next_id += 1;
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        // A caller-provided budget is used as-is (its cancel token is
-        // shared with the caller); otherwise the job gets a fresh,
-        // independently cancellable copy of the service template.
-        let budget = options
-            .budget
-            .unwrap_or_else(|| self.shared.job_budget.detached());
+        let budget = self.shared.job_budget.detached();
         q.jobs.insert(
             id,
             JobRecord {
@@ -528,10 +459,8 @@ impl Service {
                 outcome: None,
             },
         );
-        q.pending.push(PendingJob {
-            seq,
+        q.pending.push_back(PendingJob {
             id,
-            priority: options.priority,
             spec,
             budget,
             submitted: Instant::now(),
@@ -540,15 +469,7 @@ impl Service {
         // the queue lock to pop the job, so recording here keeps
         // `job_submitted` ahead of `job_started` in the trace and the
         // queue-depth gauge from dipping below zero.
-        self.shared.record(
-            &mut q,
-            "job_submitted",
-            id,
-            vec![(
-                "priority".to_string(),
-                Value::Str(format!("{:?}", options.priority).to_ascii_lowercase()),
-            )],
-        );
+        self.shared.record(&mut q, "job_submitted", id, Vec::new());
         self.shared.work.notify_one();
         id
     }
@@ -597,9 +518,7 @@ impl Service {
                 true
             }
             JobStatus::Queued => {
-                record.cancel.cancel();
-                // The heap entry is left in place; a worker skips it on
-                // pickup.
+                q.pending.retain(|pending| pending.id != job);
                 self.shared.withdraw(&mut q, job);
                 true
             }
@@ -616,7 +535,7 @@ impl Service {
         unpoison(self.shared.cache.lock()).stats()
     }
 
-    /// Live entries in the rewrite cache.
+    /// Entries in the rewrite cache.
     pub fn cache_len(&self) -> usize {
         unpoison(self.shared.cache.lock()).len()
     }
@@ -638,10 +557,8 @@ impl Service {
             let mut q = unpoison(self.shared.queue.lock());
             if !q.shutdown {
                 q.shutdown = true;
-                while let Some(job) = q.pending.pop() {
-                    if q.jobs[&job.id].status == JobStatus::Queued {
-                        self.shared.withdraw(&mut q, job.id);
-                    }
+                while let Some(job) = q.pending.pop_front() {
+                    self.shared.withdraw(&mut q, job.id);
                 }
             }
         }
@@ -667,50 +584,38 @@ impl Drop for Service {
 
 fn worker_loop(shared: Arc<Shared>) {
     loop {
-        let job = {
-            let mut q = unpoison(shared.queue.lock());
-            loop {
-                if let Some(job) = q.pending.pop() {
-                    break job;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = unpoison(shared.work.wait(q));
-            }
-        };
-        run_job(&shared, job);
-    }
-}
-
-fn run_job(shared: &Arc<Shared>, job: PendingJob) {
-    let PendingJob {
-        id,
-        spec,
-        budget,
-        submitted,
-        ..
-    } = job;
-    // Jobs cancelled while queued are skipped (the cancel call already
-    // marked the record and recorded `job_cancelled`).
-    let queue_time = submitted.elapsed();
-    {
         let mut q = unpoison(shared.queue.lock());
-        let record = q.jobs.get_mut(&id).expect("record exists for queued job");
-        if record.status == JobStatus::Cancelled {
-            return;
-        }
-        record.status = JobStatus::Running;
+        let job = loop {
+            if let Some(job) = q.pending.pop_front() {
+                break job;
+            }
+            if q.shutdown {
+                return;
+            }
+            q = unpoison(shared.work.wait(q));
+        };
+        // Marked running under the same lock that took it off the queue,
+        // so `cancel` finds every `Queued` job in `pending`.
+        let queue_time = job.submitted.elapsed();
+        q.jobs.get_mut(&job.id).expect("record exists").status = JobStatus::Running;
         shared.record(
             &mut q,
             "job_started",
-            id,
+            job.id,
             vec![(
                 "queue_us".to_string(),
                 Value::U64(queue_time.as_micros() as u64),
             )],
         );
+        drop(q);
+        run_job(&shared, job, queue_time);
     }
+}
+
+fn run_job(shared: &Arc<Shared>, job: PendingJob, queue_time: Duration) {
+    let PendingJob {
+        id, spec, budget, ..
+    } = job;
     let started = Instant::now();
 
     let key = CacheKey::for_spec(&spec, shared.fingerprint);
@@ -741,19 +646,15 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
     }
 
     // 2. Near miss: seed synthesis from the closest cached rewrite.
-    let near = if shared.warm_start_max_distance > 0 {
-        unpoison(shared.cache.lock()).nearest(&key, shared.warm_start_max_distance)
-    } else {
-        None
-    };
+    let near = unpoison(shared.cache.lock()).nearest(&key, WARM_START_MAX_DISTANCE);
     let warm: Option<(Program, usize)> = near.map(|(cached, distance)| {
         (
             key.renaming().inverse().apply_program(&cached.rewrite),
             distance,
         )
     });
-    // 3. Full pipeline run under the composed job + batch clocks.
-    let mut session = Session::new(shared.config.clone());
+    // 3. Full pipeline run under the job's own budget.
+    let mut session = Session::new(shared.config.clone()).with_budget(budget);
     if let Some(verifier) = &shared.verifier {
         session = session.with_verifier(verifier.clone());
     }
@@ -763,10 +664,7 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob) {
     if let Some(sink) = &shared.trace {
         session = session.with_trace(sink.clone());
     }
-    let clock = BudgetClock::start_with_parent(&budget, shared.batch_clock.clone());
-    let mut request = RunRequest::new()
-        .under_clock(&clock)
-        .for_target(id.value() as usize);
+    let mut request = RunRequest::new().for_target(id.value() as usize);
     if let Some((program, _)) = &warm {
         request = request.warm_start(program);
     }
@@ -862,37 +760,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         (Some(s), _) => s.to_string(),
         (_, Some(s)) => s.clone(),
         _ => "a panic with a non-string payload".to_string(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn pending(seq: u64, priority: Priority) -> PendingJob {
-        PendingJob {
-            seq,
-            id: JobId(seq),
-            priority,
-            spec: TargetSpec::with_gprs(
-                "movq rdi, rax".parse().unwrap(),
-                &[stoke_x86::Gpr::Rdi],
-                &[stoke_x86::Gpr::Rax],
-            ),
-            budget: Budget::unlimited(),
-            submitted: Instant::now(),
-        }
-    }
-
-    #[test]
-    fn queue_orders_by_priority_then_fifo() {
-        let mut heap = BinaryHeap::new();
-        heap.push(pending(0, Priority::Normal));
-        heap.push(pending(1, Priority::Low));
-        heap.push(pending(2, Priority::High));
-        heap.push(pending(3, Priority::Normal));
-        heap.push(pending(4, Priority::High));
-        let order: Vec<u64> = std::iter::from_fn(|| heap.pop()).map(|j| j.seq).collect();
-        assert_eq!(order, vec![2, 4, 0, 3, 1]);
     }
 }

@@ -1,9 +1,8 @@
-//! RewriteCache behaviour: LRU eviction, TTL expiry, near-miss scans,
+//! RewriteCache behaviour: LRU eviction, near-miss scans,
 //! the implicit-register soundness gate, and the strict persistence
 //! format (round trip and every rejection path).
 
 use std::path::PathBuf;
-use std::time::Duration;
 use stoke::{Config, TargetSpec, Verification};
 use stoke_serve::{CacheConfig, CacheKey, PersistError, PipelineFingerprint, RewriteCache};
 use stoke_x86::{Gpr, Program};
@@ -24,10 +23,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn lru_evicts_the_least_recently_used_entry() {
-    let mut cache = RewriteCache::new(CacheConfig {
-        capacity: 2,
-        ttl: None,
-    });
+    let mut cache = RewriteCache::new(CacheConfig { capacity: 2 });
     let (k1, k2, k3) = (
         key_for("addq 1, rax"),
         key_for("addq 2, rax"),
@@ -44,24 +40,6 @@ fn lru_evicts_the_least_recently_used_entry() {
     assert!(cache.lookup(&k1).is_some());
     assert!(cache.lookup(&k3).is_some());
     assert_eq!(cache.stats().evictions, 1);
-}
-
-#[test]
-fn ttl_expires_entries_at_lookup() {
-    let mut cache = RewriteCache::new(CacheConfig {
-        capacity: 16,
-        ttl: Some(Duration::from_millis(30)),
-    });
-    let key = key_for("addq 1, rax");
-    let rewrite: Program = "addq 1, rax".parse().unwrap();
-    assert!(cache.insert(&key, &rewrite, Verification::Proven));
-    assert!(cache.lookup(&key).is_some());
-    std::thread::sleep(Duration::from_millis(40));
-    assert!(cache.lookup(&key).is_none());
-    assert_eq!(cache.len(), 0);
-    assert_eq!(cache.stats().expirations, 1);
-    // And nearest() also ignores expired entries.
-    assert!(cache.nearest(&key, 4).is_none());
 }
 
 #[test]
@@ -138,42 +116,6 @@ fn save_load_round_trips_entries_and_verification_levels() {
     // reconstructed from the persisted key).
     let near = key_for("addq 2, rax\nsubq 1, rax\nsubq 0, rax");
     assert_eq!(loaded.nearest(&near, 2).expect("near miss").1, 1);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn load_drops_entries_whose_ttl_passed() {
-    let path = temp_path("ttl-load.cache");
-    let mut cache = RewriteCache::new(CacheConfig::default());
-    let key = key_for("addq 1, rax");
-    let rewrite: Program = "addq 1, rax".parse().unwrap();
-    assert!(cache.insert(&key, &rewrite, Verification::Proven));
-    cache.save(&path).unwrap();
-
-    // Rewind the persisted timestamp to the epoch, then load with a TTL:
-    // the record parses (it still counts against the end marker) but the
-    // entry is dropped as expired.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let aged: String = text
-        .lines()
-        .map(|line| {
-            if let Some(rest) = line.strip_prefix("entry\t") {
-                let (_, tail) = rest.split_once('\t').unwrap();
-                format!("entry\t1\t{tail}\n")
-            } else {
-                format!("{line}\n")
-            }
-        })
-        .collect();
-    std::fs::write(&path, aged).unwrap();
-
-    let config = CacheConfig {
-        capacity: 16,
-        ttl: Some(Duration::from_secs(3600)),
-    };
-    let loaded = RewriteCache::load(&path, config).unwrap();
-    assert_eq!(loaded.len(), 0);
-    assert_eq!(loaded.stats().expirations, 1);
     let _ = std::fs::remove_file(&path);
 }
 

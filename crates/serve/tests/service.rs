@@ -1,11 +1,13 @@
 //! End-to-end service tests: cache-hit serving after register renaming
 //! (the acceptance-critical zero-proposal resubmission), warm starts from
-//! near-miss entries, cancellation, budgets, the lifecycle trace, and
-//! persistence across service restarts.
+//! near-miss entries, cancellation, per-job budgets, the lifecycle trace,
+//! and persistence across service restarts.
 
 use std::time::{Duration, Instant};
 use stoke::{generate_testcases, Budget, Config, CostFn, StokeError, TargetSpec};
-use stoke_serve::{Disposition, JobId, JobStatus, ServeConfig, ServeError, Service};
+use stoke_serve::{
+    CacheKey, Disposition, JobId, JobStatus, PipelineFingerprint, ServeConfig, ServeError, Service,
+};
 use stoke_x86::canon::Renaming;
 use stoke_x86::{Gpr, Program};
 
@@ -200,6 +202,8 @@ fn event_stream_reports_the_job_lifecycle() {
             "{job}: submitted at {submitted}, started at {started}, completed at {completed}"
         );
     }
+    // One worker drains the queue in submission order.
+    assert!(position(first, "job_started") < position(second, "job_started"));
     // The first job runs cold; the second is served from the cache.
     let disposition = |job: JobId| records[position(job, "job_completed")].field("disposition");
     assert_eq!(disposition(first), Some(&Value::Str("cold_search".into())));
@@ -275,14 +279,13 @@ fn cancellation_preempts_running_jobs_and_withdraws_queued_ones() {
 }
 
 #[test]
-fn batch_budget_is_shared_across_jobs() {
+fn job_budget_bounds_each_job_on_its_own() {
     let mut config = ServeConfig::new(quick_config());
-    config.batch_budget = Budget::unlimited().with_max_proposals(50);
+    config.job_budget = Budget::unlimited().with_max_proposals(50);
     let service = Service::start(config).unwrap();
 
     let first = service.submit(clumsy_add());
-    // A different target, so neither the cache nor a warm start applies
-    // (its interface matches but the batch clock is already exhausted).
+    // A different target, so neither the cache nor a warm start applies.
     let other: Program = "movq rdi, rax\nsubq rsi, rax\nsubq rsi, rax"
         .parse()
         .unwrap();
@@ -292,14 +295,14 @@ fn batch_budget_is_shared_across_jobs() {
         &[Gpr::Rax],
     ));
 
+    // Each job gets its own 50 proposals: the first job's spending does
+    // not leave the second with less.
     for job in [first, second] {
         let outcome = service.wait(job).unwrap();
         match outcome.result {
             Err(StokeError::BudgetExhausted { ref partial }) => {
-                assert!(
-                    partial.stats.total_proposals() <= 50,
-                    "{job} overspent the batch budget"
-                );
+                let spent = partial.stats.total_proposals();
+                assert!(spent > 0 && spent <= 50, "{job} ran {spent} proposals");
             }
             ref other => panic!("expected BudgetExhausted for {job}, got {other:?}"),
         }
@@ -368,6 +371,44 @@ fn cache_persists_across_service_restarts() {
         Ok(_) => panic!("corrupt cache file must be rejected"),
         Err(other) => panic!("expected Persist error, got {other:?}"),
     }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A `stoke-rewrite-cache v1` file, laid out record for record as
+/// `RewriteCache::save` writes it, loads and is served. Its timestamp is
+/// decades old: entries never expire.
+#[test]
+fn a_v1_cache_file_is_loaded_and_served() {
+    let path = std::env::temp_dir().join(format!("stoke-serve-v1-{}.cache", std::process::id()));
+    let config = quick_config();
+    let fp = PipelineFingerprint::new(&config, config.verifier.name());
+    let key = CacheKey::for_spec(&clumsy_add(), fp);
+    // The key text is the canonical form (its own tests pin it); the rest
+    // of the file is the literal v1 layout: tab-separated `entry` fields
+    // (creation time in Unix seconds, LRU tick, verification tag, escaped
+    // key, escaped canonical rewrite) and an `end` record count.
+    let escaped_key = key
+        .text()
+        .replace('\\', "\\\\")
+        .replace('\t', "\\t")
+        .replace('\n', "\\n");
+    let file = format!(
+        "stoke-rewrite-cache v1\n\
+         entry\t1\t7\tproven\t{escaped_key}\tmovq rax, rbx\\naddq rbp, rbx\\n\n\
+         end\t1\n"
+    );
+    std::fs::write(&path, &file).unwrap();
+
+    let mut serve_config = ServeConfig::new(config);
+    serve_config.cache_path = Some(path.clone());
+    let service = Service::start(serve_config).unwrap();
+    assert_eq!(service.cache_len(), 1);
+    let job = service.submit(clumsy_add());
+    let outcome = service.wait(job).unwrap();
+    assert_eq!(outcome.disposition, Disposition::CacheHit);
+    let served = outcome.result.unwrap();
+    assert_eq!(served.verification, stoke::Verification::Proven);
+    assert_eq!(served.rewrite.to_string(), "movq rdi, rax\naddq rsi, rax\n");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -543,8 +584,7 @@ fn queue_depth_counts_queued_jobs_not_withdrawn() {
     let queued_a = service.submit(clumsy_add());
     let queued_b = service.submit(clumsy_add());
     assert_eq!(depth(), 2);
-    // A withdrawn job leaves the count at once, although its heap entry
-    // stays until a worker skips it.
+    // A withdrawn job leaves the queue and the count at once.
     assert!(service.cancel(queued_a));
     assert_eq!(depth(), 1);
     assert!(service.cancel(queued_b));

@@ -307,6 +307,13 @@ impl Access {
     pub fn writes(&self) -> LocSet {
         &self.kills | &self.merges
     }
+
+    /// The `LATENCY(i)` of the paper's Equation 13 for an instruction of
+    /// `opcode` with this access: the opcode's base latency plus a
+    /// three-cycle penalty for a load and another for a store.
+    pub fn latency(&self, opcode: Opcode) -> u32 {
+        opcode.latency() + 3 * u32::from(self.loads) + 3 * u32::from(self.stores)
+    }
 }
 
 /// A value of the recorder, bit-vector or single bit alike: its bits when
@@ -587,11 +594,16 @@ pub fn is_zeroing_idiom(instr: &Instruction) -> bool {
 /// with the last entry equal to `live_out`. A merged location stays live
 /// across its write: the old bits may survive it.
 pub fn liveness(program: &Program, live_out: &LocSet) -> Vec<LocSet> {
-    let n = program.len();
+    let accesses: Vec<Access> = program.instrs().iter().map(Access::of).collect();
+    live_sets(&accesses, live_out)
+}
+
+/// [`liveness`] over already-recorded accesses, one per instruction.
+fn live_sets(accesses: &[Access], live_out: &LocSet) -> Vec<LocSet> {
+    let n = accesses.len();
     let mut live = vec![LocSet::new(); n + 1];
     live[n] = live_out.clone();
-    for (i, instr) in program.instrs().iter().enumerate().rev() {
-        let a = Access::of(instr);
+    for (i, a) in accesses.iter().enumerate().rev() {
         live[i] = &(&live[i + 1] - &a.kills) | &a.uses();
     }
     live
@@ -610,10 +622,10 @@ pub fn live_inputs(program: &Program, live_out: &LocSet) -> LocSet {
 /// Instruction indices whose results cannot influence the live outputs
 /// (dead code). Useful for sanity checks on generated baselines.
 pub fn dead_instructions(program: &Program, live_out: &LocSet) -> Vec<usize> {
-    let live = liveness(program, live_out);
+    let accesses: Vec<Access> = program.instrs().iter().map(Access::of).collect();
+    let live = live_sets(&accesses, live_out);
     let mut dead = Vec::new();
-    for (i, instr) in program.instrs().iter().enumerate() {
-        let a = Access::of(instr);
+    for (i, (instr, a)) in program.instrs().iter().zip(&accesses).enumerate() {
         // Stores are always observable.
         if !a.stores && !a.writes().intersects(&live[i + 1]) && instr.opcode().writes_dst() {
             dead.push(i);

@@ -207,8 +207,7 @@ impl Instruction {
     /// memory-access penalty when an operand references memory. This is
     /// the `LATENCY(i)` of the paper's Equation 13.
     pub fn latency(&self) -> u32 {
-        let a = Access::of(self);
-        self.opcode.latency() + 3 * u32::from(a.loads) + 3 * u32::from(a.stores)
+        Access::of(self).latency(self.opcode)
     }
 }
 
