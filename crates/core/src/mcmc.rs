@@ -290,9 +290,14 @@ impl Proposer {
         } else {
             None
         };
-        let scale = *[Scale::S1, Scale::S2, Scale::S4, Scale::S8]
+        // The scale is drawn even without an index, keeping the random
+        // stream of earlier versions, but stored only where it is read:
+        // an index-less address always has scale 1, as the parser makes
+        // it, so a move that redraws only that scale is seen as a no-op.
+        let drawn = *[Scale::S1, Scale::S2, Scale::S4, Scale::S8]
             .choose(&mut self.rng)
             .unwrap();
+        let scale = if with_index { drawn } else { Scale::S1 };
         let disp = *[-16i32, -8, -4, 0, 4, 8, 16, 32]
             .choose(&mut self.rng)
             .unwrap();
@@ -742,6 +747,24 @@ mod tests {
         let spec = TargetSpec::with_gprs(target.clone(), &[Gpr::Rdi, Gpr::Rsi], &[Gpr::Rax]);
         let suite = generate_testcases(&spec, 8, 1);
         CostFn::new(Config::quick_test(), suite, target.static_latency())
+    }
+
+    // An index-less address used to keep the scale drawn for it, which no
+    // semantics reads and `Display` drops: such an instruction printed
+    // and parsed back came out unequal, and a move that redrew only that
+    // scale did not compare equal to the rewrite it left unchanged.
+    #[test]
+    fn random_instructions_survive_printing_and_parsing() {
+        let mut proposer = Proposer::new(Config::default(), 7);
+        let mut with_mem = 0;
+        for _ in 0..4000 {
+            let instr = proposer.random_instruction();
+            let text = instr.to_string();
+            let parsed = stoke_x86::parse_instruction(&text, &Default::default()).unwrap();
+            assert_eq!(parsed, instr, "{text}");
+            with_mem += usize::from(instr.mem_operand().is_some());
+        }
+        assert!(with_mem > 100, "only {with_mem} memory operands drawn");
     }
 
     #[test]

@@ -2,6 +2,10 @@
 //! starts, LRU eviction, and optional disk persistence in a
 //! hand-rolled line-oriented wire format (no serde available in this
 //! workspace).
+//!
+//! Entries are keyed by the structural [`CacheKey`]; a key's text is
+//! rendered only when the cache is saved, and parsed back (and checked to
+//! render identically) when it is loaded.
 
 use crate::key::{edit_distance_within, CacheKey};
 use std::collections::HashMap;
@@ -9,6 +13,7 @@ use std::fmt;
 use std::path::Path;
 use std::time::SystemTime;
 use stoke::Verification;
+use stoke_emu::TimingModel;
 use stoke_x86::Program;
 
 /// Sizing policy for a [`RewriteCache`]. Entries never expire; the
@@ -39,7 +44,12 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A cached rewrite, in canonical register space.
+/// A cached rewrite, in canonical register space, with the static
+/// latency and timing-model cycles of it and of the cached target.
+///
+/// The four figures are invariant under the key's register renaming and
+/// immediate normalization, so they hold for every submission with an
+/// equal key: a hit reports them without measuring either program again.
 #[derive(Debug, Clone)]
 pub struct CachedRewrite {
     /// The rewrite, alpha-renamed into canonical registers. Apply the
@@ -47,41 +57,53 @@ pub struct CachedRewrite {
     pub rewrite: Program,
     /// The verification level the rewrite earned when it was cached.
     pub verification: Verification,
+    /// Static latency (`H(T)`) of the target.
+    pub target_latency: u64,
+    /// Static latency (`H(R)`) of the rewrite.
+    pub rewrite_latency: u64,
+    /// Timing-model cycles of the target.
+    pub target_cycles: u64,
+    /// Timing-model cycles of the rewrite.
+    pub rewrite_cycles: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    rewrite: Program,
-    verification: Verification,
-    iface: String,
-    prog_lines: Vec<String>,
-    created_unix: u64,
-    last_used: u64,
-}
-
-impl Entry {
-    fn cached(&self) -> CachedRewrite {
+impl CachedRewrite {
+    /// `rewrite` cached for canonical target `target`, measured once.
+    fn measure(target: &Program, rewrite: Program, verification: Verification) -> CachedRewrite {
+        let timing = TimingModel::default();
         CachedRewrite {
-            rewrite: self.rewrite.clone(),
-            verification: self.verification.clone(),
+            target_latency: target.static_latency(),
+            rewrite_latency: rewrite.static_latency(),
+            target_cycles: timing.cycles(target),
+            rewrite_cycles: timing.cycles(&rewrite),
+            rewrite,
+            verification,
         }
     }
 }
 
+#[derive(Debug, Clone)]
+struct Entry {
+    cached: CachedRewrite,
+    created_unix: u64,
+    last_used: u64,
+}
+
 /// An in-memory map from canonical target keys to canonical rewrites.
 ///
-/// Exact lookups are hash lookups on the full canonical key text, so two
-/// targets share an entry exactly when their canonical serializations are
-/// byte-identical. [`RewriteCache::nearest`] additionally scans entries
+/// Exact lookups hash only each key's 64-bit digest and compare the full
+/// interface and canonical program for equality, so two targets share an
+/// entry exactly when their canonical forms are equal; nothing is printed
+/// or parsed. [`RewriteCache::nearest`] additionally scans entries
 /// with the same pipeline/interface section for a program body within a
 /// bounded edit distance — the warm-start path. The scan is `O(entries)`;
-/// with the default capacity of 4096 and whole-instruction-line
-/// comparisons this is microseconds, far below the cost of even one MCMC
-/// proposal evaluation, so no index structure is kept.
+/// with the default capacity of 4096 and whole-instruction comparisons
+/// this is microseconds, far below the cost of even one MCMC proposal
+/// evaluation, so no index structure is kept.
 #[derive(Debug)]
 pub struct RewriteCache {
     config: CacheConfig,
-    entries: HashMap<String, Entry>,
+    entries: HashMap<CacheKey, Entry>,
     tick: u64,
     stats: CacheStats,
 }
@@ -115,11 +137,11 @@ impl RewriteCache {
     /// Exact lookup. A hit bumps the entry's LRU position.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedRewrite> {
         self.tick += 1;
-        match self.entries.get_mut(key.text()) {
+        match self.entries.get_mut(key) {
             Some(entry) => {
                 entry.last_used = self.tick;
                 self.stats.hits += 1;
-                Some(entry.cached())
+                Some(entry.cached.clone())
             }
             None => {
                 self.stats.misses += 1;
@@ -135,22 +157,24 @@ impl RewriteCache {
     /// not a serve).
     pub fn nearest(&self, key: &CacheKey, max_distance: usize) -> Option<(CachedRewrite, usize)> {
         let mut best: Option<(usize, &Entry)> = None;
-        for entry in self.entries.values() {
-            if entry.iface != key.interface() {
+        for (cached_key, entry) in &self.entries {
+            if cached_key.interface() != key.interface() {
                 continue;
             }
-            // An exact-text entry would have been an exact hit already;
-            // distance 0 entries can still appear if the caller skipped
-            // `lookup`, and are simply the best possible warm start.
+            // An equal key would have been an exact hit already; distance
+            // 0 entries can still appear if the caller skipped `lookup`,
+            // and are simply the best possible warm start.
             let cap = best.map_or(max_distance, |(d, _)| d.saturating_sub(1));
-            if let Some(d) = edit_distance_within(key.program_lines(), &entry.prog_lines, cap) {
+            if let Some(d) =
+                edit_distance_within(key.program_lines(), cached_key.program_lines(), cap)
+            {
                 best = Some((d, entry));
                 if d == 0 {
                     break;
                 }
             }
         }
-        best.map(|(d, entry)| (entry.cached(), d))
+        best.map(|(d, entry)| (entry.cached.clone(), d))
     }
 
     /// Insert the rewrite found for `key` (submitter register space).
@@ -171,17 +195,18 @@ impl RewriteCache {
         }
         self.tick += 1;
         let entry = Entry {
-            rewrite: key.canonical_rewrite(rewrite),
-            verification,
-            iface: key.interface().to_string(),
-            prog_lines: key.program_lines().to_vec(),
+            cached: CachedRewrite::measure(
+                key.program(),
+                key.canonical_rewrite(rewrite),
+                verification,
+            ),
             created_unix: SystemTime::now()
                 .duration_since(SystemTime::UNIX_EPOCH)
                 .map(|d| d.as_secs())
                 .unwrap_or(0),
             last_used: self.tick,
         };
-        self.entries.insert(key.text().to_string(), entry);
+        self.entries.insert(key.clone(), entry);
         self.stats.insertions += 1;
         while self.entries.len() > self.config.capacity.max(1) {
             let lru = self
@@ -197,17 +222,24 @@ impl RewriteCache {
     }
 
     /// Serialize the cache to `path` in the versioned line format (see
-    /// [`RewriteCache::load`]).
+    /// [`RewriteCache::load`]). Records are written in key-text order, so
+    /// the file depends on the cache's contents only.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let mut records: Vec<(String, &Entry)> = self
+            .entries
+            .iter()
+            .map(|(key, entry)| (key.text(), entry))
+            .collect();
+        records.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = String::from("stoke-rewrite-cache v1\n");
-        for (key, entry) in &self.entries {
+        for (key, entry) in records {
             out.push_str(&format!(
                 "entry\t{}\t{}\t{}\t{}\t{}\n",
                 entry.created_unix,
                 entry.last_used,
-                verification_tag(&entry.verification),
-                escape(key),
-                escape(&entry.rewrite.to_string()),
+                verification_tag(&entry.cached.verification),
+                escape(&key),
+                escape(&entry.cached.rewrite.to_string()),
             ));
         }
         out.push_str(&format!("end\t{}\n", self.entries.len()));
@@ -217,10 +249,11 @@ impl RewriteCache {
     /// Load a cache previously written by [`RewriteCache::save`].
     ///
     /// The format is strict: a bad header, a malformed record, an unknown
-    /// verification tag, an unparseable cached program, a broken escape
-    /// sequence or a missing/incorrect `end` count all reject the file
-    /// with a typed [`PersistError`] rather than silently serving
-    /// corrupted rewrites. The creation timestamp of each record is
+    /// verification tag, an unparseable cached program, a key whose
+    /// program does not parse or does not print back to the stored text,
+    /// a broken escape sequence or a missing/incorrect `end` count all
+    /// reject the file with a typed [`PersistError`] rather than silently
+    /// serving corrupted rewrites. The creation timestamp of each record is
     /// checked and kept, but no entry expires.
     pub fn load(path: &Path, config: CacheConfig) -> Result<RewriteCache, PersistError> {
         let text = std::fs::read_to_string(path)?;
@@ -277,16 +310,14 @@ impl RewriteCache {
                         .parse::<Program>()
                         .map_err(|_| record("cached rewrite does not parse"))?;
                     parsed += 1;
-                    let (iface, prog_lines) = split_key(&key)
+                    let key = CacheKey::parse(&key)
                         .ok_or_else(|| record("key text is not a v1 canonical key"))?;
                     cache.tick = cache.tick.max(last_used);
+                    let cached = CachedRewrite::measure(key.program(), rewrite, verification);
                     cache.entries.insert(
                         key,
                         Entry {
-                            rewrite,
-                            verification,
-                            iface,
-                            prog_lines,
+                            cached,
                             created_unix,
                             last_used,
                         },
@@ -307,17 +338,6 @@ impl RewriteCache {
             }),
         }
     }
-}
-
-/// Split a serialized key back into its interface section and program
-/// lines (the fields [`CacheKey`] exposes for near-miss scans).
-fn split_key(key: &str) -> Option<(String, Vec<String>)> {
-    let body = key.strip_prefix("stoke-serve key v1\n")?;
-    let (iface, prog) = body.split_once("prog\n")?;
-    Some((
-        iface.to_string(),
-        prog.split_terminator('\n').map(str::to_string).collect(),
-    ))
 }
 
 fn verification_tag(v: &Verification) -> &'static str {

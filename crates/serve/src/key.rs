@@ -1,23 +1,29 @@
 //! Canonical cache keys for submitted targets.
 //!
-//! A [`CacheKey`] is a line-oriented canonical serialization of a
-//! [`TargetSpec`] under a fixed evaluation pipeline: the program is
-//! immediate-normalized and alpha-renamed into canonical register order
-//! (see [`stoke_x86::canon`]), the interface (inputs and live-outs) is
-//! expressed in canonical registers, and the whole text is prefixed with a
+//! A [`CacheKey`] is the canonical form of a [`TargetSpec`] under a fixed
+//! evaluation pipeline: the program is immediate-normalized and
+//! alpha-renamed into canonical register order (see [`stoke_x86::canon`])
+//! and kept as instructions, and the interface (inputs and live-outs) is
+//! expressed in canonical registers as a few short text lines headed by a
 //! fingerprint of the pipeline configuration — opcode pool, cost model,
 //! verifier and correctness weights — so a rewrite proven under
 //! one pipeline is never served to a submission that demands different
 //! guarantees.
 //!
-//! Lookups compare full key texts, so two keys collide only if their
-//! canonical serializations are byte-identical — semantically different
-//! programs with distinct canonical forms *cannot* alias.
+//! Keys compare structurally: two keys are equal exactly when their
+//! interfaces and canonical programs are, so semantically different
+//! programs with distinct canonical forms *cannot* alias. A 64-bit digest
+//! of both, computed once per key, is all a hash map hashes. The
+//! `stoke-serve key v1` text of a key — the interface lines, then `prog`
+//! and one line per canonical instruction — is rendered only on demand
+//! ([`CacheKey::text`]), for persistence; equal keys have equal texts and
+//! distinct keys distinct ones.
 
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use stoke::{Config, InputKind, TargetSpec};
 use stoke_x86::canon::{canonicalize, pinned_registers, Renaming};
-use stoke_x86::{Gpr, Program};
+use stoke_x86::{Gpr, Instruction, Program};
 
 /// 64-bit FNV-1a over a byte string: tiny, dependency-free, and stable
 /// across runs — exactly what a persisted cache fingerprint needs.
@@ -103,12 +109,21 @@ fn pipeline_text(config: &Config, verifier_name: &str) -> String {
     text
 }
 
+/// The first line of every key text.
+const KEY_HEADER: &str = "stoke-serve key v1\n";
+/// The line between a key text's interface and its program.
+const PROG_MARKER: &str = "prog\n";
+
 /// The canonical cache key of one submission. See the module docs.
+///
+/// Equality and hashing see the interface and the canonical program only,
+/// never the submitter's [`renaming`](CacheKey::renaming): two submissions
+/// of one computation through different registers have equal keys.
 #[derive(Debug, Clone)]
 pub struct CacheKey {
-    text: String,
+    digest: u64,
     iface: String,
-    prog_lines: Vec<String>,
+    program: Program,
     renaming: Renaming,
     pinned: [bool; 16],
 }
@@ -117,8 +132,7 @@ impl CacheKey {
     /// Canonicalize a submission under `fingerprint`.
     pub fn for_spec(spec: &TargetSpec, fingerprint: PipelineFingerprint) -> CacheKey {
         let tail = interface_tail(spec);
-        let (canon, renaming) = canonicalize(&spec.program, &tail);
-        let pinned = pinned_registers(&spec.program);
+        let (program, renaming) = canonicalize(&spec.program, &tail);
 
         let mut iface = format!("pipeline {:016x}\n", fingerprint.value());
         // Input lines in canonical register order, so permuting the input
@@ -162,28 +176,42 @@ impl CacheKey {
         for flag in &spec.live_out.flags {
             iface.push_str(&format!("outf {flag}\n"));
         }
+        CacheKey::new(iface, program, renaming)
+    }
 
-        let prog_lines: Vec<String> = canon.iter().map(|i| i.to_string()).collect();
-        let mut text = String::from("stoke-serve key v1\n");
-        text.push_str(&iface);
-        text.push_str("prog\n");
-        for line in &prog_lines {
-            text.push_str(line);
-            text.push('\n');
-        }
+    /// The key of `program`, already canonical, behind interface text
+    /// `iface`. `renaming` maps the submitter's registers to canonical ones.
+    fn new(iface: String, program: Program, renaming: Renaming) -> CacheKey {
+        let mut hasher = DigestHasher::default();
+        iface.hash(&mut hasher);
+        program.instrs().hash(&mut hasher);
+        let pinned = pinned_registers(&program);
         CacheKey {
-            text,
+            digest: hasher.finish(),
             iface,
-            prog_lines,
+            program,
             renaming,
             pinned,
         }
     }
 
-    /// The full canonical serialization — the map key. Byte-equal texts
-    /// mean the same search problem under the same pipeline.
-    pub fn text(&self) -> &str {
-        &self.text
+    /// Parse the text [`CacheKey::text`] renders back into a key, with the
+    /// identity renaming. `None` unless the text is exactly the rendering
+    /// of the key parsed from it: a program line that does not parse, or
+    /// that parses but prints differently (`addq 0x10, rax`), is refused.
+    pub(crate) fn parse(text: &str) -> Option<CacheKey> {
+        let body = text.strip_prefix(KEY_HEADER)?;
+        let (iface, prog) = body.split_once(PROG_MARKER)?;
+        let program: Program = prog.parse().ok()?;
+        let key = CacheKey::new(iface.to_string(), program, Renaming::identity());
+        (key.text() == text).then_some(key)
+    }
+
+    /// The full canonical serialization, the `stoke-serve key v1` text a
+    /// cache file stores. Rendered on every call; equal keys render equal
+    /// texts and unequal keys unequal ones.
+    pub fn text(&self) -> String {
+        format!("{KEY_HEADER}{}{PROG_MARKER}{}", self.iface, self.program)
     }
 
     /// The pipeline + interface section (everything but the program
@@ -192,10 +220,15 @@ impl CacheKey {
         &self.iface
     }
 
-    /// The canonical program, one line per instruction — the unit of the
+    /// The canonical program, one entry per instruction — the unit of the
     /// near-miss edit distance.
-    pub fn program_lines(&self) -> &[String] {
-        &self.prog_lines
+    pub fn program_lines(&self) -> &[Instruction] {
+        self.program.instrs()
+    }
+
+    /// The canonical program.
+    pub(crate) fn program(&self) -> &Program {
+        &self.program
     }
 
     /// The renaming from submitter registers to canonical registers.
@@ -221,6 +254,71 @@ impl CacheKey {
     /// `rewrite` (submitter space) expressed in canonical registers.
     pub fn canonical_rewrite(&self, rewrite: &Program) -> Program {
         self.renaming.apply_program(rewrite)
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &CacheKey) -> bool {
+        self.digest == other.digest && self.iface == other.iface && self.program == other.program
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// The hasher of a key's digest: FxHash's word-at-a-time multiply-rotate
+/// mix. The derived `Hash` of an instruction makes a dozen writes of a
+/// few bytes each, which SipHash charges several times more for. Digests
+/// are never persisted, so the mix may change freely.
+///
+/// Submissions crafted to share a digest cost a lookup one equality test
+/// per colliding entry, at most the cache's capacity: no more than the
+/// `nearest` scan every miss already makes.
+#[derive(Default)]
+struct DigestHasher(u64);
+
+impl DigestHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for DigestHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(n.into());
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.add(n.into());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n.into());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -266,7 +364,7 @@ fn interface_tail(spec: &TargetSpec) -> Vec<Gpr> {
 /// whole-instruction insertions/deletions/substitutions, with an early
 /// exit once the distance provably exceeds `max`. Returns `None` when the
 /// programs are farther apart than `max`.
-pub fn edit_distance_within(a: &[String], b: &[String], max: usize) -> Option<usize> {
+pub fn edit_distance_within<T: PartialEq>(a: &[T], b: &[T], max: usize) -> Option<usize> {
     if a.len().abs_diff(b.len()) > max {
         return None;
     }

@@ -12,7 +12,8 @@
 //! canonical form — registers alpha-renamed into canonical order,
 //! immediates normalized where the machine semantics make it safe, the
 //! whole thing fingerprinted with the opcode pool, cost model and
-//! verifier — so a kernel that was already solved is *served*, not
+//! verifier — kept as instructions, so a hit prints nothing and a kernel
+//! that was already solved is *served*, not
 //! searched (zero proposals), no matter which registers the resubmission
 //! happens to use. A submission within a small edit distance of a cached
 //! entry instead *warm-starts*: its synthesis chains begin from the
@@ -40,11 +41,13 @@
 //! let rewrite = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
 //! assert!(cache.insert(&key, &rewrite, Verification::Proven));
 //!
-//! // The same computation through different registers is the same key.
+//! // The same computation through different registers is the same key:
+//! // keys compare their canonical instructions, and print the same text.
 //! let renamed = "movq r8, rbx\nmovq rbx, r11\naddq r9, r11".parse().unwrap();
 //! let renamed_spec = TargetSpec::with_gprs(renamed, &[Gpr::R8, Gpr::R9], &[Gpr::R11]);
 //! let renamed_key = CacheKey::for_spec(&renamed_spec, fp);
-//! assert_eq!(key.text(), renamed_key.text());
+//! assert_eq!(key, renamed_key);
+//! assert!(key.text().ends_with("prog\nmovq rax, rcx\nmovq rcx, rdx\naddq rbx, rdx\n"));
 //! let hit = cache.lookup(&renamed_key).expect("cache hit");
 //! // Map the cached rewrite back into the submitter's registers.
 //! let served = renamed_key.renaming().inverse().apply_program(&hit.rewrite);

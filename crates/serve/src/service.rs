@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 use stoke::{
     Budget, Config, RunRequest, SearchStats, Session, StokeError, StokeResult, TargetSpec, Verifier,
 };
-use stoke_emu::TimingModel;
 use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
 use stoke_x86::Program;
 
@@ -619,18 +618,16 @@ fn run_job(shared: &Arc<Shared>, job: PendingJob, queue_time: Duration) {
     let started = Instant::now();
 
     let key = CacheKey::for_spec(&spec, shared.fingerprint);
-    let timing = TimingModel::default();
 
     // 1. Exact canonical hit: serve without searching.
     let exact = unpoison(shared.cache.lock()).lookup(&key);
     if let Some(hit) = exact {
-        let rewrite = key.renaming().inverse().apply_program(&hit.rewrite);
         let result = StokeResult {
-            target_latency: spec.program.static_latency(),
-            rewrite_latency: rewrite.static_latency(),
-            target_cycles: timing.cycles(&spec.program),
-            rewrite_cycles: timing.cycles(&rewrite),
-            rewrite,
+            rewrite: key.renaming().inverse().apply_program(&hit.rewrite),
+            target_latency: hit.target_latency,
+            rewrite_latency: hit.rewrite_latency,
+            target_cycles: hit.target_cycles,
+            rewrite_cycles: hit.rewrite_cycles,
             verification: hit.verification,
             stats: SearchStats::default(),
         };

@@ -213,3 +213,38 @@ fn load_rejects_corrupt_files() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+/// A key's program section must parse, and must print back to exactly the
+/// stored text: a loaded key compares structurally with fresh keys, so a
+/// line that parses to the same instructions as another text would make
+/// two stored texts one key.
+#[test]
+fn load_rejects_key_programs_that_do_not_print_back() {
+    let path = temp_path("key-program.cache");
+    let mut cache = RewriteCache::new(CacheConfig::default());
+    let key = key_for("addq 16, rax");
+    let rewrite: Program = "addq 16, rax".parse().unwrap();
+    assert!(cache.insert(&key, &rewrite, Verification::Proven));
+    cache.save(&path).unwrap();
+    let good = std::fs::read_to_string(&path).unwrap();
+    assert!(good.contains("\\nprog\\naddq 16, rax\\n"), "{good}");
+    assert!(RewriteCache::load(&path, CacheConfig::default()).is_ok());
+
+    for (line, parses) in [
+        ("addq rax", false),
+        ("frobq 16, rax", false),
+        // These print as `addq 16, rax` and `addq 1, rax`.
+        ("addq 0x10, rax", true),
+        ("addq $1, rax", true),
+    ] {
+        assert_eq!(line.parse::<Program>().is_ok(), parses, "{line}");
+        let edited = good.replace("\\nprog\\naddq 16, rax\\n", &format!("\\nprog\\n{line}\\n"));
+        std::fs::write(&path, &edited).unwrap();
+        let err = RewriteCache::load(&path, CacheConfig::default());
+        assert!(
+            matches!(err, Err(PersistError::BadRecord { line: 2, .. })),
+            "key program line {line:?} must be rejected, got {err:?}"
+        );
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -1,13 +1,16 @@
 //! Property tests for the canonical cache key: invariance under register
 //! alpha-renaming and input reordering, no aliasing between distinct
-//! canonical programs, and persistence round trips over random entries.
+//! canonical programs, structural equality agreeing with the key text,
+//! cost figures invariant under canonicalization, and persistence round
+//! trips over random entries.
 
 use proptest::prelude::*;
 use stoke::{Config, InputSpec, Proposer, TargetSpec, Verification};
+use stoke_emu::TimingModel;
 use stoke_serve::{CacheConfig, CacheKey, PipelineFingerprint, RewriteCache};
 use stoke_x86::canon::{canonicalize, normalize_immediates, pinned_registers, Renaming};
 use stoke_x86::flow::LocSet;
-use stoke_x86::{Gpr, Program};
+use stoke_x86::{Gpr, Operand, Program, Scale};
 
 fn fingerprint() -> PipelineFingerprint {
     PipelineFingerprint::new(&Config::default(), "cascade")
@@ -23,6 +26,28 @@ fn random_program(seed: u64, len: usize) -> Program {
     };
     let mut proposer = Proposer::new(config, seed);
     (0..len).map(|_| proposer.random_instruction()).collect()
+}
+
+/// `program` with a random scale on every address that has no index
+/// register: a scale no semantics reads and `Display` does not print, as
+/// a program built other than by parsing may carry.
+fn with_hidden_scales(program: &Program, seed: u64) -> Program {
+    let mut state = seed;
+    program
+        .iter()
+        .map(|instr| {
+            let mut out = *instr;
+            for (slot, op) in instr.operands().iter().enumerate() {
+                if let Operand::Mem(mut m) = *op {
+                    if m.index.is_none() {
+                        m.scale = Scale::ALL[(splitmix(&mut state) % 4) as usize];
+                        out = out.with_operand(slot, Operand::Mem(m));
+                    }
+                }
+            }
+            out
+        })
+        .collect()
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -100,7 +125,7 @@ proptest! {
         // And the recorded renamings let both submitters round-trip a
         // canonical rewrite into their own register space: mapping the
         // canonical program back must recover each normalized original.
-        let canon: Program = key.program_lines().join("\n").parse().unwrap();
+        let canon = Program::from_instrs(key.program_lines().to_vec());
         prop_assert_eq!(
             key.renaming().inverse().apply_program(&canon).to_string(),
             normalize_immediates(&spec.program).to_string()
@@ -155,6 +180,49 @@ proptest! {
         let canon_a = canonicalize(&a.program, &tail).0.to_string();
         let canon_b = canonicalize(&b.program, &tail).0.to_string();
         prop_assert_eq!(key_a.text() == key_b.text(), canon_a == canon_b);
+    }
+
+    /// Structural key equality is text equality: two keys are equal
+    /// exactly when their `stoke-serve key v1` texts are, both for
+    /// renamed submissions of one program (whose hidden scales differ)
+    /// and for unrelated programs.
+    #[test]
+    fn keys_are_equal_iff_their_texts_are(
+        seed_a in any::<u64>(),
+        seed_b in any::<u64>(),
+        perm_seed in any::<u64>(),
+        scale_seed in any::<u64>(),
+        len in 1usize..10,
+        same in any::<bool>(),
+    ) {
+        let program_a = random_program(seed_a, len);
+        let program_b = if same { program_a.clone() } else { random_program(seed_b, len) };
+        let a = spec_for(with_hidden_scales(&program_a, scale_seed));
+        let b = spec_for(with_hidden_scales(&program_b, !scale_seed));
+        let pi = permutation_fixing(&pinned_registers(&b.program), perm_seed);
+        let b = rename_spec(&b, &pi);
+        let key_a = CacheKey::for_spec(&a, fingerprint());
+        let key_b = CacheKey::for_spec(&b, fingerprint());
+        prop_assert_eq!(key_a == key_b, key_a.text() == key_b.text());
+        if same {
+            prop_assert!(key_a == key_b);
+        }
+    }
+
+    /// A hit reports the latency and cycles stored with the entry, which
+    /// were measured on the canonical forms: canonicalization must leave
+    /// both figures unchanged.
+    #[test]
+    fn canonical_form_keeps_latency_and_cycles(
+        program_seed in any::<u64>(),
+        scale_seed in any::<u64>(),
+        len in 1usize..10,
+    ) {
+        let program = with_hidden_scales(&random_program(program_seed, len), scale_seed);
+        let (canon, _) = canonicalize(&program, &[Gpr::Rdi, Gpr::Rsi, Gpr::Rax]);
+        let timing = TimingModel::default();
+        prop_assert_eq!(canon.static_latency(), program.static_latency());
+        prop_assert_eq!(timing.cycles(&canon), timing.cycles(&program));
     }
 
     /// Saving and re-loading a cache full of random entries preserves

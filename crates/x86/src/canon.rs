@@ -25,7 +25,7 @@
 use crate::flow::{Access, BitSet};
 use crate::instr::{Instruction, MAX_OPERANDS};
 use crate::opcode::Opcode;
-use crate::operand::{Mem, Operand};
+use crate::operand::{Mem, Operand, Scale};
 use crate::program::Program;
 use crate::reg::{Gpr, Reg, Width, Xmm};
 use std::mem::{discriminant, Discriminant};
@@ -85,15 +85,10 @@ impl Renaming {
         }
     }
 
-    /// Apply the renaming to one instruction.
+    /// Apply the renaming to one instruction. Operand kinds and widths
+    /// are unchanged, so validity is preserved.
     pub fn apply_instruction(&self, instr: &Instruction) -> Instruction {
-        let operands = instr
-            .operands()
-            .iter()
-            .map(|op| self.apply_operand(op))
-            .collect::<Vec<_>>();
-        // Operand kinds and widths are unchanged, so validity is preserved.
-        Instruction::new_unchecked(instr.opcode(), operands)
+        map_operands(instr, |op| self.apply_operand(&op))
     }
 
     /// Apply the renaming to every instruction of a program.
@@ -239,41 +234,69 @@ pub fn normalize_immediates(program: &Program) -> Program {
     program
         .iter()
         .map(|instr| {
-            let norm = |imm: i64| -> Option<i64> {
-                match instr.opcode() {
-                    Opcode::Shift(_, w) => {
-                        let mask = if w == Width::Q { 0x3f } else { 0x1f };
-                        Some(imm & mask)
-                    }
-                    Opcode::Mov(w)
-                    | Opcode::Alu(_, w)
-                    | Opcode::Cmp(w)
-                    | Opcode::Test(w)
-                    | Opcode::Imul2(w) => Some(w.sign_extend(w.truncate(imm as u64)) as i64),
-                    _ => None,
-                }
-            };
-            let operands = instr
-                .operands()
-                .iter()
-                .map(|op| match op {
-                    Operand::Imm(v) => Operand::Imm(norm(*v).unwrap_or(*v)),
-                    other => *other,
-                })
-                .collect::<Vec<_>>();
-            Instruction::new_unchecked(instr.opcode(), operands)
+            map_operands(instr, |op| match op {
+                Operand::Imm(v) => Operand::Imm(normalize_imm(instr.opcode(), v)),
+                other => other,
+            })
         })
         .collect()
+}
+
+/// `instr` with every operand `op` replaced by `f(op)`, in place.
+fn map_operands(instr: &Instruction, mut f: impl FnMut(Operand) -> Operand) -> Instruction {
+    let mut out = *instr;
+    for (slot, op) in instr.operands().iter().enumerate() {
+        out = out.with_operand(slot, f(*op));
+    }
+    out
+}
+
+/// The representative of immediate `imm` as an operand of `opcode` (see
+/// [`normalize_immediates`]).
+fn normalize_imm(opcode: Opcode, imm: i64) -> i64 {
+    match opcode {
+        Opcode::Shift(_, w) => {
+            let mask = if w == Width::Q { 0x3f } else { 0x1f };
+            imm & mask
+        }
+        Opcode::Mov(w)
+        | Opcode::Alu(_, w)
+        | Opcode::Cmp(w)
+        | Opcode::Test(w)
+        | Opcode::Imul2(w) => w.sign_extend(w.truncate(imm as u64)) as i64,
+        _ => imm,
+    }
 }
 
 /// Canonicalize a program: normalize immediates, then alpha-rename into
 /// canonical register order. Returns the canonical program together with
 /// the renaming that produced it (apply [`Renaming::inverse`] to map
 /// results computed in canonical space back to the original registers).
+///
+/// The canonical form also sets the scale of every address without an
+/// index register to 1: no semantics reads that scale and `Display` does
+/// not print it, so two programs that differ only there are one program,
+/// and a canonical program survives printing and parsing unchanged.
 pub fn canonicalize(program: &Program, tail: &[Gpr]) -> (Program, Renaming) {
-    let normalized = normalize_immediates(program);
-    let renaming = canonical_renaming(&normalized, tail);
-    (renaming.apply_program(&normalized), renaming)
+    // The renaming depends on registers and opcodes only, which neither
+    // normalization touches.
+    let renaming = canonical_renaming(program, tail);
+    let canon = program
+        .iter()
+        .map(|instr| {
+            map_operands(instr, |op| {
+                renaming.apply_operand(&match op {
+                    Operand::Imm(v) => Operand::Imm(normalize_imm(instr.opcode(), v)),
+                    Operand::Mem(m) if m.index.is_none() => Operand::Mem(Mem {
+                        scale: Scale::S1,
+                        ..m
+                    }),
+                    other => other,
+                })
+            })
+        })
+        .collect();
+    (canon, renaming)
 }
 
 #[cfg(test)]
