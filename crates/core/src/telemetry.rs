@@ -485,6 +485,155 @@ mod tests {
         assert_eq!(snap.counter("stoke_early_terminations_total"), 1);
     }
 
+    /// The exposition of the stream folded in
+    /// `a_fixed_stream_renders_a_golden_exposition`.
+    const GOLDEN: &str = r#"# TYPE stoke_accepted_total counter
+stoke_accepted_total{phase="optimization"} 51
+stoke_accepted_total{phase="synthesis"} 12
+# TYPE stoke_candidates_total counter
+stoke_candidates_total 2
+# TYPE stoke_counterexamples_total counter
+stoke_counterexamples_total 1
+# TYPE stoke_early_terminations_total counter
+stoke_early_terminations_total 30
+# TYPE stoke_evaluations_total counter
+stoke_evaluations_total 583
+# TYPE stoke_leakage_rejections_total counter
+stoke_leakage_rejections_total 0
+# TYPE stoke_move_accepted_total counter
+stoke_move_accepted_total{kind="opcode"} 30
+stoke_move_accepted_total{kind="swap"} 33
+# TYPE stoke_moves_total counter
+stoke_moves_total{kind="opcode"} 290
+stoke_moves_total{kind="swap"} 290
+# TYPE stoke_proposals_total counter
+stoke_proposals_total{phase="optimization"} 400
+stoke_proposals_total{phase="synthesis"} 180
+# TYPE stoke_searches_total counter
+stoke_searches_total{verification="failed"} 1
+stoke_searches_total{verification="proven"} 1
+# TYPE stoke_testcases_total counter
+stoke_testcases_total 9280
+# TYPE stoke_validations_total counter
+stoke_validations_total{verdict="proven"} 1
+stoke_validations_total{verdict="refuted"} 1
+# TYPE stoke_phase_seconds histogram
+stoke_phase_seconds_bucket{phase="optimization",le="0.001"} 0
+stoke_phase_seconds_bucket{phase="optimization",le="0.01"} 0
+stoke_phase_seconds_bucket{phase="optimization",le="0.05"} 0
+stoke_phase_seconds_bucket{phase="optimization",le="0.1"} 0
+stoke_phase_seconds_bucket{phase="optimization",le="0.5"} 0
+stoke_phase_seconds_bucket{phase="optimization",le="1"} 0
+stoke_phase_seconds_bucket{phase="optimization",le="5"} 1
+stoke_phase_seconds_bucket{phase="optimization",le="30"} 1
+stoke_phase_seconds_bucket{phase="optimization",le="120"} 1
+stoke_phase_seconds_bucket{phase="optimization",le="+Inf"} 1
+stoke_phase_seconds_sum{phase="optimization"} 1.5
+stoke_phase_seconds_count{phase="optimization"} 1
+stoke_phase_seconds_bucket{phase="synthesis",le="0.001"} 0
+stoke_phase_seconds_bucket{phase="synthesis",le="0.01"} 0
+stoke_phase_seconds_bucket{phase="synthesis",le="0.05"} 1
+stoke_phase_seconds_bucket{phase="synthesis",le="0.1"} 2
+stoke_phase_seconds_bucket{phase="synthesis",le="0.5"} 2
+stoke_phase_seconds_bucket{phase="synthesis",le="1"} 2
+stoke_phase_seconds_bucket{phase="synthesis",le="5"} 2
+stoke_phase_seconds_bucket{phase="synthesis",le="30"} 2
+stoke_phase_seconds_bucket{phase="synthesis",le="120"} 2
+stoke_phase_seconds_bucket{phase="synthesis",le="+Inf"} 2
+stoke_phase_seconds_sum{phase="synthesis"} 0.14200000000000002
+stoke_phase_seconds_count{phase="synthesis"} 2
+# TYPE stoke_search_seconds histogram
+stoke_search_seconds_bucket{le="0.001"} 0
+stoke_search_seconds_bucket{le="0.01"} 0
+stoke_search_seconds_bucket{le="0.05"} 0
+stoke_search_seconds_bucket{le="0.1"} 0
+stoke_search_seconds_bucket{le="0.5"} 0
+stoke_search_seconds_bucket{le="1"} 0
+stoke_search_seconds_bucket{le="5"} 1
+stoke_search_seconds_bucket{le="30"} 1
+stoke_search_seconds_bucket{le="120"} 1
+stoke_search_seconds_bucket{le="+Inf"} 1
+stoke_search_seconds_sum 1.54925
+stoke_search_seconds_count 1
+"#;
+
+    /// A fixed record stream folds into exactly this exposition: the
+    /// bytes `--metrics` prints do not depend on how the registry stores
+    /// its values.
+    #[test]
+    fn a_fixed_stream_renders_a_golden_exposition() {
+        let event = |name: &str, fields: Vec<(&str, Value)>| TraceRecord::Event {
+            name: name.into(),
+            target: 0,
+            fields: fields.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        };
+        let span_end = |phase: &str, micros: u64| TraceRecord::SpanEnd {
+            name: format!("phase:{phase}"),
+            target: 0,
+            micros,
+        };
+        let chain_end = |phase: &str, proposals: u64, accepted: u64| {
+            event(
+                "chain_end",
+                vec![
+                    ("phase", Value::Str(phase.into())),
+                    ("chain", Value::U64(0)),
+                    ("proposals", Value::U64(proposals)),
+                    ("accepted", Value::U64(accepted)),
+                    ("evaluations", Value::U64(proposals + 1)),
+                    ("testcases_run", Value::U64(16 * proposals)),
+                    ("early_terminations", Value::U64(accepted / 2)),
+                    ("moves_opcode", Value::U64(proposals / 2)),
+                    ("accepted_opcode", Value::U64(accepted / 2)),
+                    ("moves_swap", Value::U64(proposals - proposals / 2)),
+                    ("accepted_swap", Value::U64(accepted - accepted / 2)),
+                ],
+            )
+        };
+        let stream = [
+            TraceRecord::SpanStart {
+                name: "phase:synthesis".into(),
+                target: 0,
+            },
+            span_end("synthesis", 42_000),
+            chain_end("synthesis", 100, 9),
+            span_end("synthesis", 100_000),
+            chain_end("synthesis", 80, 3),
+            event("candidate", vec![("cost", Value::F64(3.0))]),
+            event(
+                "progress",
+                vec![("phase", Value::Str("optimization".into()))],
+            ),
+            span_end("optimization", 1_500_000),
+            chain_end("optimization", 400, 51),
+            event("candidate", vec![("cost", Value::F64(1.0))]),
+            event(
+                "validation",
+                vec![("verdict", Value::Str("refuted".into()))],
+            ),
+            event("validation", vec![("verdict", Value::Str("proven".into()))]),
+            event(
+                "search_end",
+                vec![
+                    ("verification", Value::Str("proven".into())),
+                    ("speedup", Value::F64(2.5)),
+                    ("total_us", Value::U64(1_549_250)),
+                    ("counterexamples", Value::U64(1)),
+                    ("leakage_rejections", Value::U64(0)),
+                ],
+            ),
+            event(
+                "search_end",
+                vec![("verification", Value::Str("failed".into()))],
+            ),
+        ];
+        let registry = MetricsRegistry::new();
+        for record in &stream {
+            count(&registry, record);
+        }
+        assert_eq!(registry.render_text(), GOLDEN);
+    }
+
     #[test]
     fn replaying_the_trace_rebuilds_the_registry() {
         use crate::driver::Session;

@@ -759,3 +759,98 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         _ => "a panic with a non-string payload".to_string(),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The exposition of the stream folded in
+    /// `a_fixed_stream_renders_a_golden_exposition`.
+    const GOLDEN: &str = r#"# TYPE stoke_serve_cache_hits_total counter
+stoke_serve_cache_hits_total 1
+# TYPE stoke_serve_cache_misses_total counter
+stoke_serve_cache_misses_total 2
+# TYPE stoke_serve_cold_searches_total counter
+stoke_serve_cold_searches_total 1
+# TYPE stoke_serve_jobs_cancelled_total counter
+stoke_serve_jobs_cancelled_total 1
+# TYPE stoke_serve_jobs_completed_total counter
+stoke_serve_jobs_completed_total 2
+# TYPE stoke_serve_jobs_failed_total counter
+stoke_serve_jobs_failed_total 1
+# TYPE stoke_serve_jobs_submitted_total counter
+stoke_serve_jobs_submitted_total 5
+# TYPE stoke_serve_warm_starts_total counter
+stoke_serve_warm_starts_total 1
+# TYPE stoke_serve_queue_depth gauge
+stoke_serve_queue_depth 1
+# TYPE stoke_serve_queue_seconds histogram
+stoke_serve_queue_seconds_bucket{le="0.001"} 2
+stoke_serve_queue_seconds_bucket{le="0.01"} 2
+stoke_serve_queue_seconds_bucket{le="0.05"} 2
+stoke_serve_queue_seconds_bucket{le="0.1"} 3
+stoke_serve_queue_seconds_bucket{le="0.5"} 3
+stoke_serve_queue_seconds_bucket{le="1"} 3
+stoke_serve_queue_seconds_bucket{le="5"} 3
+stoke_serve_queue_seconds_bucket{le="30"} 3
+stoke_serve_queue_seconds_bucket{le="120"} 3
+stoke_serve_queue_seconds_bucket{le="+Inf"} 3
+stoke_serve_queue_seconds_sum 0.060739999999999995
+stoke_serve_queue_seconds_count 3
+# TYPE stoke_serve_run_seconds histogram
+stoke_serve_run_seconds_bucket{le="0.001"} 1
+stoke_serve_run_seconds_bucket{le="0.01"} 1
+stoke_serve_run_seconds_bucket{le="0.05"} 1
+stoke_serve_run_seconds_bucket{le="0.1"} 1
+stoke_serve_run_seconds_bucket{le="0.5"} 2
+stoke_serve_run_seconds_bucket{le="1"} 2
+stoke_serve_run_seconds_bucket{le="5"} 3
+stoke_serve_run_seconds_bucket{le="30"} 3
+stoke_serve_run_seconds_bucket{le="120"} 3
+stoke_serve_run_seconds_bucket{le="+Inf"} 3
+stoke_serve_run_seconds_sum 2.75003
+stoke_serve_run_seconds_count 3
+"#;
+
+    /// A fixed lifecycle stream folds into exactly this exposition: the
+    /// bytes a metrics scrape returns do not depend on how the registry
+    /// stores its values.
+    #[test]
+    fn a_fixed_stream_renders_a_golden_exposition() {
+        let event = |name: &str, job: u64, fields: Vec<(&str, Value)>| TraceRecord::Event {
+            name: name.into(),
+            target: job,
+            fields: fields.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        };
+        let finished = |name: &str, job: u64, served_by: &str, queue_us: u64, run_us: u64| {
+            event(
+                name,
+                job,
+                vec![
+                    ("disposition", Value::Str(served_by.into())),
+                    ("queue_us", Value::U64(queue_us)),
+                    ("run_us", Value::U64(run_us)),
+                ],
+            )
+        };
+        let stream = [
+            event("job_submitted", 0, Vec::new()),
+            event("job_submitted", 1, Vec::new()),
+            event("job_submitted", 2, Vec::new()),
+            event("job_submitted", 3, Vec::new()),
+            event("job_started", 0, vec![("queue_us", Value::U64(40))]),
+            finished("job_completed", 0, "cold_search", 40, 2_300_000),
+            event("job_started", 1, vec![("queue_us", Value::U64(700))]),
+            finished("job_completed", 1, "cache_hit", 700, 30),
+            event("job_cancelled", 3, Vec::new()),
+            event("job_started", 2, vec![("queue_us", Value::U64(60_000))]),
+            finished("job_failed", 2, "warm_start", 60_000, 450_000),
+            event("job_submitted", 4, Vec::new()),
+        ];
+        let registry = MetricsRegistry::new();
+        for record in &stream {
+            count(&registry, record);
+        }
+        assert_eq!(registry.render_text(), GOLDEN);
+    }
+}
