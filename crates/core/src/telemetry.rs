@@ -77,9 +77,13 @@ pub(crate) fn count(registry: &MetricsRegistry, record: &TraceRecord) {
     let (name, fields) = match record {
         TraceRecord::SpanEnd { name, micros, .. } => {
             if let Some(phase) = name.strip_prefix("phase:") {
-                registry
-                    .histogram_with("stoke_phase_seconds", &[("phase", phase)], &DURATION_BOUNDS)
-                    .observe(*micros as f64 / 1e6);
+                let seconds = *micros as f64 / 1e6;
+                registry.histogram_observe(
+                    "stoke_phase_seconds",
+                    &[("phase", phase)],
+                    &DURATION_BOUNDS,
+                    seconds,
+                );
             }
             return;
         }
@@ -87,52 +91,54 @@ pub(crate) fn count(registry: &MetricsRegistry, record: &TraceRecord) {
         _ => return,
     };
     match name {
-        "candidate" => registry.counter("stoke_candidates_total").inc(),
-        "validation" => registry
-            .counter_with(
-                "stoke_validations_total",
-                &[("verdict", str_field(record, "verdict"))],
-            )
-            .inc(),
+        "candidate" => registry.counter_add("stoke_candidates_total", &[], 1),
+        "validation" => registry.counter_add(
+            "stoke_validations_total",
+            &[("verdict", str_field(record, "verdict"))],
+            1,
+        ),
         "chain_end" => {
             let phase = [("phase", str_field(record, "phase"))];
             for (key, value) in fields {
                 let &Value::U64(n) = value else { continue };
-                let counter = match key.as_str() {
-                    "proposals" => registry.counter_with("stoke_proposals_total", &phase),
-                    "accepted" => registry.counter_with("stoke_accepted_total", &phase),
-                    "evaluations" => registry.counter("stoke_evaluations_total"),
-                    "testcases_run" => registry.counter("stoke_testcases_total"),
-                    "early_terminations" => registry.counter("stoke_early_terminations_total"),
+                match key.as_str() {
+                    "proposals" => registry.counter_add("stoke_proposals_total", &phase, n),
+                    "accepted" => registry.counter_add("stoke_accepted_total", &phase, n),
+                    "evaluations" => registry.counter_add("stoke_evaluations_total", &[], n),
+                    "testcases_run" => registry.counter_add("stoke_testcases_total", &[], n),
+                    "early_terminations" => {
+                        registry.counter_add("stoke_early_terminations_total", &[], n)
+                    }
                     key => {
                         if let Some(kind) = key.strip_prefix("moves_") {
-                            registry.counter_with("stoke_moves_total", &[("kind", kind)])
+                            registry.counter_add("stoke_moves_total", &[("kind", kind)], n);
                         } else if let Some(kind) = key.strip_prefix("accepted_") {
-                            registry.counter_with("stoke_move_accepted_total", &[("kind", kind)])
-                        } else {
-                            continue;
+                            registry.counter_add("stoke_move_accepted_total", &[("kind", kind)], n);
                         }
                     }
-                };
-                counter.add(n);
+                }
             }
         }
         "search_end" => {
-            registry
-                .counter_with(
-                    "stoke_searches_total",
-                    &[("verification", str_field(record, "verification"))],
-                )
-                .inc();
+            registry.counter_add(
+                "stoke_searches_total",
+                &[("verification", str_field(record, "verification"))],
+                1,
+            );
             for (key, value) in fields {
                 let &Value::U64(n) = value else { continue };
                 match key.as_str() {
-                    "total_us" => registry
-                        .histogram("stoke_search_seconds", &DURATION_BOUNDS)
-                        .observe(n as f64 / 1e6),
-                    "counterexamples" => registry.counter("stoke_counterexamples_total").add(n),
+                    "total_us" => registry.histogram_observe(
+                        "stoke_search_seconds",
+                        &[],
+                        &DURATION_BOUNDS,
+                        n as f64 / 1e6,
+                    ),
+                    "counterexamples" => {
+                        registry.counter_add("stoke_counterexamples_total", &[], n)
+                    }
                     "leakage_rejections" => {
-                        registry.counter("stoke_leakage_rejections_total").add(n)
+                        registry.counter_add("stoke_leakage_rejections_total", &[], n)
                     }
                     _ => {}
                 }

@@ -38,7 +38,7 @@ pub use batch::{BatchState, ColumnRef};
 pub use exec::{run, run_instr_refs, run_instrs, Faults, Outcome};
 pub use prepare::{DecodeCache, Decoded, PreparedProgram};
 pub use state::{MachineState, Memory, XmmValue};
-pub use timing::{estimate_cycles, TimingModel};
+pub use timing::TimingModel;
 
 /// Condition codes have one definition, in the shared semantics; this
 /// pins a few of them through the interpreter.

@@ -103,11 +103,6 @@ impl TimingModel {
     }
 }
 
-/// Estimate cycles with the default model.
-pub fn estimate_cycles(program: &Program) -> u64 {
-    TimingModel::default().cycles(program)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,7 +177,7 @@ mod tests {
 
     #[test]
     fn empty_program_is_free() {
-        assert_eq!(estimate_cycles(&Program::new()), 0);
+        assert_eq!(TimingModel::default().cycles(&Program::new()), 0);
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Two independent layers, both dependency-free:
 //!
-//! - [`MetricsRegistry`] — a hand-rolled metrics registry. Registration
-//!   happens once up front; the returned [`Counter`], [`Gauge`], and
-//!   [`Histogram`] handles are updated with plain atomic operations, so the
-//!   hot path takes no locks and performs no allocation. Export via
-//!   [`MetricsRegistry::snapshot`] (owned, programmatic) or
-//!   [`MetricsRegistry::render_text`] (Prometheus text exposition).
+//! - [`MetricsRegistry`] — a value store of counters, gauges and
+//!   fixed-bucket histograms, named by family and label set. It is a fold
+//!   of the trace: each update adds one record's number to one value
+//!   under one lock. Export via [`MetricsRegistry::snapshot`] (owned,
+//!   programmatic) or [`MetricsRegistry::render_text`] (Prometheus text
+//!   exposition).
 //! - [`TraceSink`] — structured trace export as versioned JSONL span/event
 //!   records with monotonic timestamps. [`JsonlSink`] writes to a file or
 //!   any writer; [`RingSink`] is a bounded in-memory sink for tests.
@@ -19,10 +19,8 @@
 //! use stoke_obs::{MetricsRegistry, RingSink, TraceRecord, TraceSink, Value};
 //!
 //! let registry = MetricsRegistry::new();
-//! let proposals = registry.counter("proposals_total");
-//! let latency = registry.histogram("latency_seconds", &[0.01, 0.1, 1.0]);
-//! proposals.add(2);
-//! latency.observe(0.05);
+//! registry.counter_add("proposals_total", &[], 2);
+//! registry.histogram_observe("latency_seconds", &[], &[0.01, 0.1, 1.0], 0.05);
 //! assert_eq!(registry.snapshot().counter("proposals_total"), 2);
 //!
 //! let trace = RingSink::new(16);
@@ -39,10 +37,7 @@
 mod metrics;
 mod trace;
 
-pub use metrics::{
-    exponential_buckets, Bucket, Counter, CounterSample, Gauge, GaugeSample, Histogram,
-    HistogramSample, MetricsRegistry, Snapshot,
-};
+pub use metrics::{Bucket, CounterSample, GaugeSample, HistogramSample, MetricsRegistry, Snapshot};
 pub use trace::{
     encode_line, parse_line, validate_trace, JsonlSink, RingSink, TraceError, TraceRecord,
     TraceSink, TraceSummary, Value, TRACE_VERSION,

@@ -1,155 +1,22 @@
-//! A hand-rolled metrics registry with atomic counters, gauges, and
-//! fixed-bucket histograms.
+//! A metrics registry that stores counters, gauges and fixed-bucket
+//! histograms as plain values.
 //!
-//! The design goal is an allocation-free hot path: registration (which
-//! allocates and takes a lock) happens once up front and hands back cheap
-//! cloneable handles; recording a sample afterwards is a handful of atomic
-//! operations. [`MetricsRegistry::snapshot`] produces an owned point-in-time
-//! copy for programmatic inspection and [`MetricsRegistry::render_text`]
-//! emits Prometheus-style text exposition.
+//! The registry is a fold target: its writers fold trace records into it
+//! one record at a time, naming each metric by family and label set.
+//! Every value lives in one map under one lock, so an update is one lock,
+//! one map entry and an integer or float add. [`MetricsRegistry::snapshot`]
+//! produces an owned point-in-time copy for programmatic inspection and
+//! [`MetricsRegistry::render_text`] emits Prometheus-style text exposition.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing counter backed by an [`AtomicU64`].
-///
-/// Handles are cheap to clone; all clones observe the same underlying cell.
-#[derive(Clone, Debug)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Increment the counter by one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Increment the counter by `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Read the current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge that can move up and down, backed by an [`AtomicI64`].
-#[derive(Clone, Debug)]
-pub struct Gauge(Arc<AtomicI64>);
-
-impl Gauge {
-    /// Set the gauge to an absolute value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add `n` (possibly negative) to the gauge.
-    pub fn add(&self, n: i64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increment the gauge by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrement the gauge by one.
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    /// Read the current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Debug)]
-struct HistogramCore {
-    /// Sorted, finite upper bounds. The implicit final `+Inf` bucket lives at
-    /// `counts[bounds.len()]`.
-    bounds: Box<[f64]>,
-    /// Per-bucket observation counts (not cumulative).
-    counts: Box<[AtomicU64]>,
-    /// Total of all observed values, stored as `f64::to_bits`.
-    sum_bits: AtomicU64,
-    /// Total number of observations.
-    total: AtomicU64,
-}
-
-/// A fixed-bucket histogram.
-///
-/// Bucket semantics follow Prometheus: an observation `v` lands in the first
-/// bucket whose upper bound satisfies `v <= bound`, with an implicit `+Inf`
-/// bucket catching everything beyond the largest bound.
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Histogram {
-    /// Record one observation. Lock- and allocation-free.
-    pub fn observe(&self, v: f64) {
-        let core = &self.0;
-        let idx = core
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(core.bounds.len());
-        core.counts[idx].fetch_add(1, Ordering::Relaxed);
-        // CAS loop to accumulate an f64 sum in an AtomicU64 bit cell.
-        let mut cur = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + v).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        core.total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.0.total.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values so far.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Build `count` exponentially spaced histogram bounds starting at `start`
-/// and multiplying by `factor` at each step.
-///
-/// ```
-/// let b = stoke_obs::exponential_buckets(0.001, 10.0, 4);
-/// assert_eq!(b.len(), 4);
-/// assert!((b[2] - 0.1).abs() < 1e-12);
-/// ```
-pub fn exponential_buckets(start: f64, factor: f64, count: usize) -> Vec<f64> {
-    assert!(start > 0.0 && factor > 1.0, "need start > 0 and factor > 1");
-    let mut out = Vec::with_capacity(count);
-    let mut v = start;
-    for _ in 0..count {
-        out.push(v);
-        v *= factor;
-    }
-    out
-}
+use std::sync::Mutex;
 
 /// Identifies one registered metric: a family name plus a rendered label set.
 ///
 /// `labels` holds the inner `key="value"` list without braces (empty when the
 /// metric has no labels) so histogram exposition can splice in `le`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     family: String,
     labels: String,
@@ -183,27 +50,44 @@ impl Key {
     }
 }
 
-#[derive(Default)]
-struct RegistryInner {
-    counters: BTreeMap<Key, Counter>,
-    gauges: BTreeMap<Key, Gauge>,
-    histograms: BTreeMap<Key, Histogram>,
-    /// Family name -> metric type, used to reject cross-type re-registration.
-    families: BTreeMap<String, &'static str>,
+/// The value of one metric.
+enum Metric {
+    Counter(u64),
+    Gauge(i64),
+    /// Bucket semantics follow Prometheus: an observation `v` lands in the
+    /// first bucket whose upper bound satisfies `v <= bound`, with an
+    /// implicit `+Inf` bucket catching everything beyond the largest bound.
+    Histogram {
+        /// Sorted, finite upper bounds. The `+Inf` bucket is
+        /// `counts[bounds.len()]`.
+        bounds: Vec<f64>,
+        /// Per-bucket observation counts (not cumulative).
+        counts: Vec<u64>,
+        /// Total of all observed values.
+        sum: f64,
+        /// Total number of observations.
+        count: u64,
+    },
 }
 
-impl RegistryInner {
-    fn claim_family(&mut self, family: &str, ty: &'static str) {
-        match self.families.get(family) {
-            Some(prev) if *prev != ty => panic!(
-                "metric family `{family}` already registered as a {prev}, cannot re-register as a {ty}"
-            ),
-            Some(_) => {}
-            None => {
-                self.families.insert(family.to_string(), ty);
-            }
+impl Metric {
+    /// The metric type, as the exposition's `# TYPE` line names it.
+    fn kind(&self) -> &'static str {
+        match self {
+            Metric::Counter(_) => "counter",
+            Metric::Gauge(_) => "gauge",
+            Metric::Histogram { .. } => "histogram",
         }
     }
+}
+
+/// The cumulative `(le, count)` buckets of a histogram, ending with `+Inf`.
+fn cumulative<'a>(bounds: &'a [f64], counts: &'a [u64]) -> impl Iterator<Item = (f64, u64)> + 'a {
+    let les = bounds.iter().copied().chain([f64::INFINITY]);
+    les.zip(counts.iter().scan(0, |total, &n| {
+        *total += n;
+        Some(*total)
+    }))
 }
 
 /// One counter sample in a [`Snapshot`].
@@ -281,28 +165,27 @@ impl Snapshot {
     }
 }
 
-/// A registry of named metrics.
+/// A registry of named metric values.
 ///
-/// Registration takes a lock and allocates; it is meant to run once during
-/// setup. The returned [`Counter`]/[`Gauge`]/[`Histogram`] handles are then
-/// updated with plain atomic operations — no locks, no allocation.
-/// Registering the same family + label set twice returns a handle to the
-/// same underlying cell (for histograms, the first registration's bounds
-/// win). Registering one family under two different metric types panics.
+/// Each update names its metric by family and label set and creates it at
+/// zero on first use: [`counter_add`](Self::counter_add),
+/// [`gauge_add`](Self::gauge_add) and
+/// [`histogram_observe`](Self::histogram_observe) (a histogram keeps the
+/// bounds of its first observation). Updating one family as two different
+/// metric types panics.
 ///
 /// ```
 /// use stoke_obs::MetricsRegistry;
 ///
 /// let registry = MetricsRegistry::new();
-/// let accepted = registry.counter_with("moves_total", &[("kind", "swap")]);
-/// accepted.add(3);
+/// registry.counter_add("moves_total", &[("kind", "swap")], 3);
 /// let text = registry.render_text();
 /// assert!(text.contains("# TYPE moves_total counter"));
 /// assert!(text.contains("moves_total{kind=\"swap\"} 3"));
 /// ```
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<RegistryInner>,
+    metrics: Mutex<BTreeMap<Key, Metric>>,
 }
 
 impl MetricsRegistry {
@@ -311,170 +194,172 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Register (or look up) an unlabelled counter.
-    pub fn counter(&self, family: &str) -> Counter {
-        self.counter_with(family, &[])
+    /// Add `n` to the counter `family` with `labels`.
+    pub fn counter_add(&self, family: &str, labels: &[(&str, &str)], n: u64) {
+        self.update(
+            family,
+            labels,
+            "counter",
+            || Metric::Counter(0),
+            |metric| {
+                if let Metric::Counter(value) = metric {
+                    *value += n;
+                }
+            },
+        );
     }
 
-    /// Register (or look up) a counter with a label set.
-    pub fn counter_with(&self, family: &str, labels: &[(&str, &str)]) -> Counter {
-        let mut inner = self.inner.lock().unwrap();
-        inner.claim_family(family, "counter");
-        inner
-            .counters
-            .entry(Key::new(family, labels))
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
+    /// Add `n` (possibly negative) to the gauge `family` with `labels`.
+    pub fn gauge_add(&self, family: &str, labels: &[(&str, &str)], n: i64) {
+        self.update(
+            family,
+            labels,
+            "gauge",
+            || Metric::Gauge(0),
+            |metric| {
+                if let Metric::Gauge(value) = metric {
+                    *value += n;
+                }
+            },
+        );
     }
 
-    /// Register (or look up) an unlabelled gauge.
-    pub fn gauge(&self, family: &str) -> Gauge {
-        self.gauge_with(family, &[])
+    /// Record the observation `v` in the histogram `family` with `labels`.
+    /// On its first observation the histogram takes `bounds` as its finite
+    /// upper bounds: sorted and deduplicated, non-finite entries dropped.
+    /// An implicit `+Inf` bucket is always appended.
+    pub fn histogram_observe(&self, family: &str, labels: &[(&str, &str)], bounds: &[f64], v: f64) {
+        let fresh = || {
+            let mut bounds: Vec<f64> = bounds.iter().copied().filter(|b| b.is_finite()).collect();
+            bounds.sort_by(f64::total_cmp);
+            bounds.dedup();
+            Metric::Histogram {
+                counts: vec![0; bounds.len() + 1],
+                bounds,
+                sum: 0.0,
+                count: 0,
+            }
+        };
+        self.update(family, labels, "histogram", fresh, |metric| {
+            if let Metric::Histogram {
+                bounds,
+                counts,
+                sum,
+                count,
+            } = metric
+            {
+                let bucket = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
+                counts[bucket] += 1;
+                *sum += v;
+                *count += 1;
+            }
+        });
     }
 
-    /// Register (or look up) a gauge with a label set.
-    pub fn gauge_with(&self, family: &str, labels: &[(&str, &str)]) -> Gauge {
-        let mut inner = self.inner.lock().unwrap();
-        inner.claim_family(family, "gauge");
-        inner
-            .gauges
-            .entry(Key::new(family, labels))
-            .or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0))))
-            .clone()
-    }
-
-    /// Register (or look up) an unlabelled histogram with the given finite
-    /// upper bounds. Bounds are sorted and deduplicated; non-finite entries
-    /// are dropped. An implicit `+Inf` bucket is always appended.
-    pub fn histogram(&self, family: &str, bounds: &[f64]) -> Histogram {
-        self.histogram_with(family, &[], bounds)
-    }
-
-    /// Register (or look up) a histogram with a label set.
-    pub fn histogram_with(
+    /// Apply `apply` to the metric `family` with `labels`, created by
+    /// `fresh` if absent, after checking that the family is a `kind`.
+    fn update(
         &self,
         family: &str,
         labels: &[(&str, &str)],
-        bounds: &[f64],
-    ) -> Histogram {
-        let mut inner = self.inner.lock().unwrap();
-        inner.claim_family(family, "histogram");
-        inner
-            .histograms
-            .entry(Key::new(family, labels))
-            .or_insert_with(|| {
-                let mut bounds: Vec<f64> =
-                    bounds.iter().copied().filter(|b| b.is_finite()).collect();
-                bounds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                bounds.dedup();
-                let counts = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-                Histogram(Arc::new(HistogramCore {
-                    bounds: bounds.into_boxed_slice(),
-                    counts,
-                    sum_bits: AtomicU64::new(0f64.to_bits()),
-                    total: AtomicU64::new(0),
-                }))
-            })
-            .clone()
+        kind: &'static str,
+        fresh: impl FnOnce() -> Metric,
+        apply: impl FnOnce(&mut Metric),
+    ) {
+        let check = |registered: &Metric| {
+            let was = registered.kind();
+            assert!(
+                was == kind,
+                "metric family `{family}` already registered as a {was}, cannot re-register as a {kind}"
+            );
+        };
+        let key = Key::new(family, labels);
+        let mut metrics = self.metrics.lock().unwrap();
+        if let Some(metric) = metrics.get_mut(&key) {
+            check(metric);
+            return apply(metric);
+        }
+        if let Some((_, sibling)) = metrics.iter().find(|(k, _)| k.family == family) {
+            check(sibling);
+        }
+        apply(metrics.entry(key).or_insert_with(fresh));
     }
 
-    /// Take a point-in-time copy of every registered metric.
+    /// Take a point-in-time copy of every metric.
     pub fn snapshot(&self) -> Snapshot {
-        let inner = self.inner.lock().unwrap();
-        let counters = inner
-            .counters
-            .iter()
-            .map(|(k, c)| CounterSample {
-                name: k.full_name(),
-                value: c.get(),
-            })
-            .collect();
-        let gauges = inner
-            .gauges
-            .iter()
-            .map(|(k, g)| GaugeSample {
-                name: k.full_name(),
-                value: g.get(),
-            })
-            .collect();
-        let histograms = inner
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let core = &h.0;
-                let mut cumulative = 0u64;
-                let mut buckets = Vec::with_capacity(core.bounds.len() + 1);
-                for (i, count) in core.counts.iter().enumerate() {
-                    cumulative += count.load(Ordering::Relaxed);
-                    let le = core.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-                    buckets.push(Bucket { le, cumulative });
-                }
-                HistogramSample {
-                    name: k.full_name(),
-                    buckets,
-                    count: h.count(),
-                    sum: h.sum(),
-                }
-            })
-            .collect();
-        Snapshot {
-            counters,
-            gauges,
-            histograms,
+        let metrics = self.metrics.lock().unwrap();
+        let mut snapshot = Snapshot::default();
+        for (key, metric) in metrics.iter() {
+            let name = key.full_name();
+            match metric {
+                &Metric::Counter(value) => snapshot.counters.push(CounterSample { name, value }),
+                &Metric::Gauge(value) => snapshot.gauges.push(GaugeSample { name, value }),
+                Metric::Histogram {
+                    bounds,
+                    counts,
+                    sum,
+                    count,
+                } => snapshot.histograms.push(HistogramSample {
+                    name,
+                    buckets: cumulative(bounds, counts)
+                        .map(|(le, cumulative)| Bucket { le, cumulative })
+                        .collect(),
+                    count: *count,
+                    sum: *sum,
+                }),
+            }
         }
+        snapshot
     }
 
-    /// Render every metric in Prometheus text exposition format: a `# TYPE`
-    /// line per family followed by one sample line per metric, histograms
-    /// expanded into cumulative `_bucket{le=...}` series plus `_sum` and
-    /// `_count`.
+    /// Render every metric in Prometheus text exposition format: counters,
+    /// then gauges, then histograms, each family under one `# TYPE` line
+    /// with one sample line per metric, histograms expanded into
+    /// cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
     pub fn render_text(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let metrics = self.metrics.lock().unwrap();
         let mut out = String::new();
-        let mut last_family = String::new();
-        for (key, counter) in &inner.counters {
-            if key.family != last_family {
-                let _ = writeln!(out, "# TYPE {} counter", key.family);
-                last_family.clone_from(&key.family);
+        for kind in ["counter", "gauge", "histogram"] {
+            let mut last_family = None;
+            for (key, metric) in metrics.iter().filter(|(_, m)| m.kind() == kind) {
+                if last_family != Some(&key.family) {
+                    let _ = writeln!(out, "# TYPE {} {kind}", key.family);
+                    last_family = Some(&key.family);
+                }
+                let name = key.full_name();
+                match metric {
+                    Metric::Counter(value) => {
+                        let _ = writeln!(out, "{name} {value}");
+                    }
+                    Metric::Gauge(value) => {
+                        let _ = writeln!(out, "{name} {value}");
+                    }
+                    Metric::Histogram {
+                        bounds,
+                        counts,
+                        sum,
+                        count,
+                    } => {
+                        let separator = if key.labels.is_empty() { "" } else { "," };
+                        for (le, total) in cumulative(bounds, counts) {
+                            let le = if le.is_finite() {
+                                le.to_string()
+                            } else {
+                                "+Inf".to_string()
+                            };
+                            let _ = writeln!(
+                                out,
+                                "{}_bucket{{{}{separator}le=\"{le}\"}} {total}",
+                                key.family, key.labels
+                            );
+                        }
+                        // `{labels}`, or empty for an unlabelled histogram.
+                        let labels = &name[key.family.len()..];
+                        let _ = writeln!(out, "{}_sum{labels} {sum}", key.family);
+                        let _ = writeln!(out, "{}_count{labels} {count}", key.family);
+                    }
+                }
             }
-            let _ = writeln!(out, "{} {}", key.full_name(), counter.get());
-        }
-        last_family.clear();
-        for (key, gauge) in &inner.gauges {
-            if key.family != last_family {
-                let _ = writeln!(out, "# TYPE {} gauge", key.family);
-                last_family.clone_from(&key.family);
-            }
-            let _ = writeln!(out, "{} {}", key.full_name(), gauge.get());
-        }
-        last_family.clear();
-        for (key, hist) in &inner.histograms {
-            if key.family != last_family {
-                let _ = writeln!(out, "# TYPE {} histogram", key.family);
-                last_family.clone_from(&key.family);
-            }
-            let core = &hist.0;
-            let mut cumulative = 0u64;
-            for (i, count) in core.counts.iter().enumerate() {
-                cumulative += count.load(Ordering::Relaxed);
-                let le = match core.bounds.get(i) {
-                    Some(b) => format!("{b}"),
-                    None => "+Inf".to_string(),
-                };
-                let labels = if key.labels.is_empty() {
-                    format!("le=\"{le}\"")
-                } else {
-                    format!("{},le=\"{le}\"", key.labels)
-                };
-                let _ = writeln!(out, "{}_bucket{{{labels}}} {cumulative}", key.family);
-            }
-            let suffix = if key.labels.is_empty() {
-                String::new()
-            } else {
-                format!("{{{}}}", key.labels)
-            };
-            let _ = writeln!(out, "{}_sum{suffix} {}", key.family, hist.sum());
-            let _ = writeln!(out, "{}_count{suffix} {}", key.family, hist.count());
         }
         out
     }
@@ -482,11 +367,12 @@ impl MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock().unwrap();
+        let metrics = self.metrics.lock().unwrap();
+        let of_kind = |kind| metrics.values().filter(|m| m.kind() == kind).count();
         f.debug_struct("MetricsRegistry")
-            .field("counters", &inner.counters.len())
-            .field("gauges", &inner.gauges.len())
-            .field("histograms", &inner.histograms.len())
+            .field("counters", &of_kind("counter"))
+            .field("gauges", &of_kind("gauge"))
+            .field("histograms", &of_kind("histogram"))
             .finish()
     }
 }
@@ -494,18 +380,18 @@ impl std::fmt::Debug for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]
     fn counters_sum_exactly_under_threaded_hammering() {
         let registry = Arc::new(MetricsRegistry::new());
-        let counter = registry.counter("hammered_total");
         let threads: Vec<_> = (0..8)
             .map(|_| {
-                let counter = counter.clone();
+                let registry = registry.clone();
                 thread::spawn(move || {
                     for _ in 0..10_000 {
-                        counter.inc();
+                        registry.counter_add("hammered_total", &[], 1);
                     }
                 })
             })
@@ -513,20 +399,19 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(counter.get(), 80_000);
         assert_eq!(registry.snapshot().counter("hammered_total"), 80_000);
     }
 
     #[test]
     fn histogram_concurrent_observations_count_exactly() {
-        let registry = MetricsRegistry::new();
-        let hist = registry.histogram("latency_seconds", &[0.5, 1.0]);
+        let registry = Arc::new(MetricsRegistry::new());
         let threads: Vec<_> = (0..4)
             .map(|i| {
-                let hist = hist.clone();
+                let registry = registry.clone();
                 thread::spawn(move || {
                     for _ in 0..5_000 {
-                        hist.observe(0.25 * (i + 1) as f64);
+                        let v = 0.25 * (i + 1) as f64;
+                        registry.histogram_observe("latency_seconds", &[], &[0.5, 1.0], v);
                     }
                 })
             })
@@ -534,22 +419,24 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(hist.count(), 20_000);
+        let snap = registry.snapshot();
+        let sample = snap.histogram("latency_seconds").unwrap();
+        assert_eq!(sample.count, 20_000);
         // Sum is exact: each thread adds 5000 * 0.25 * (i+1); all terms are
-        // representable in binary so the CAS accumulation has no rounding.
+        // representable in binary so the accumulation has no rounding.
         let expected: f64 = (1..=4).map(|i| 5_000.0 * 0.25 * i as f64).sum();
-        assert!((hist.sum() - expected).abs() < 1e-9);
+        assert!((sample.sum - expected).abs() < 1e-9);
     }
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive() {
         let registry = MetricsRegistry::new();
-        let hist = registry.histogram("bounds_seconds", &[1.0, 2.0, 4.0]);
+        let observe = |v| registry.histogram_observe("bounds_seconds", &[], &[4.0, 1.0, 2.0], v);
         // Exactly on a bound lands in that bound's bucket (v <= le).
-        hist.observe(1.0);
-        hist.observe(2.0);
-        hist.observe(2.0000001);
-        hist.observe(100.0); // +Inf bucket
+        observe(1.0);
+        observe(2.0);
+        observe(2.0000001);
+        observe(100.0); // +Inf bucket
         let snap = registry.snapshot();
         let sample = snap.histogram("bounds_seconds").unwrap();
         let cumulative: Vec<u64> = sample.buckets.iter().map(|b| b.cumulative).collect();
@@ -559,50 +446,57 @@ mod tests {
     }
 
     #[test]
-    fn reregistration_returns_same_cell() {
+    fn updates_to_one_key_share_one_value() {
         let registry = MetricsRegistry::new();
-        let a = registry.counter_with("dup_total", &[("k", "v")]);
-        let b = registry.counter_with("dup_total", &[("k", "v")]);
-        a.add(2);
-        b.inc();
-        assert_eq!(a.get(), 3);
-        // A different label set is a different cell in the same family.
-        let c = registry.counter_with("dup_total", &[("k", "other")]);
-        assert_eq!(c.get(), 0);
+        registry.counter_add("dup_total", &[("k", "v")], 2);
+        registry.counter_add("dup_total", &[("k", "v")], 1);
+        // A different label set is a different value in the same family.
+        registry.counter_add("dup_total", &[("k", "other")], 0);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter(r#"dup_total{k="v"}"#), 3);
+        assert_eq!(snap.counter(r#"dup_total{k="other"}"#), 0);
+        assert_eq!(snap.counters.len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn cross_type_registration_panics() {
         let registry = MetricsRegistry::new();
-        registry.counter("conflict");
-        registry.gauge("conflict");
+        registry.counter_add("conflict", &[], 1);
+        registry.gauge_add("conflict", &[], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as a histogram")]
+    fn cross_type_registration_panics_across_label_sets() {
+        let registry = MetricsRegistry::new();
+        registry.histogram_observe("conflict", &[("k", "a")], &[1.0], 0.5);
+        registry.counter_add("conflict", &[("k", "b")], 1);
     }
 
     #[test]
     fn gauge_moves_both_directions() {
         let registry = MetricsRegistry::new();
-        let g = registry.gauge("queue_depth");
-        g.inc();
-        g.inc();
-        g.dec();
-        assert_eq!(g.get(), 1);
-        g.set(-5);
+        registry.gauge_add("queue_depth", &[], 1);
+        registry.gauge_add("queue_depth", &[], 1);
+        registry.gauge_add("queue_depth", &[], -1);
+        assert_eq!(registry.snapshot().gauge("queue_depth"), 1);
+        registry.gauge_add("queue_depth", &[], -6);
         assert_eq!(registry.snapshot().gauge("queue_depth"), -5);
     }
 
     #[test]
     fn render_text_exposition_format() {
         let registry = MetricsRegistry::new();
-        registry.counter_with("m_total", &[("kind", "a")]).add(1);
-        registry.counter_with("m_total", &[("kind", "b")]).add(2);
-        registry.gauge("depth").set(7);
-        let h = registry.histogram("dur_seconds", &[0.1, 1.0]);
-        h.observe(0.05);
-        h.observe(0.5);
+        registry.histogram_observe("dur_seconds", &[], &[0.1, 1.0], 0.05);
+        registry.counter_add("m_total", &[("kind", "b")], 2);
+        registry.gauge_add("depth", &[], 7);
+        registry.counter_add("m_total", &[("kind", "a")], 1);
+        registry.histogram_observe("dur_seconds", &[], &[0.1, 1.0], 0.5);
         let text = registry.render_text();
         let lines: Vec<&str> = text.lines().collect();
-        // One TYPE line per family, samples sorted by label set.
+        // Counters, then gauges, then histograms; one TYPE line per
+        // family, samples sorted by label set.
         assert_eq!(
             lines,
             vec![
@@ -619,11 +513,5 @@ mod tests {
                 "dur_seconds_count 2",
             ]
         );
-    }
-
-    #[test]
-    fn exponential_buckets_grow_by_factor() {
-        let b = exponential_buckets(0.5, 2.0, 3);
-        assert_eq!(b, vec![0.5, 1.0, 2.0]);
     }
 }

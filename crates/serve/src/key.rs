@@ -20,8 +20,9 @@
 //! distinct keys distinct ones.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
-use stoke::{Config, InputKind, TargetSpec};
+use stoke::{Config, InputKind, InputSpec, TargetSpec};
 use stoke_x86::canon::{canonicalize, pinned_registers, Renaming};
 use stoke_x86::{Gpr, Instruction, Program};
 
@@ -131,35 +132,23 @@ pub struct CacheKey {
 impl CacheKey {
     /// Canonicalize a submission under `fingerprint`.
     pub fn for_spec(spec: &TargetSpec, fingerprint: PipelineFingerprint) -> CacheKey {
-        let tail = interface_tail(spec);
+        let descriptions: Vec<String> = spec.inputs.iter().map(describe).collect();
+        let tail = interface_tail(spec, &descriptions);
         let (program, renaming) = canonicalize(&spec.program, &tail);
 
-        let mut iface = format!("pipeline {:016x}\n", fingerprint.value());
+        let mut iface = String::new();
+        let _ = writeln!(iface, "pipeline {:016x}", fingerprint.value());
         // Input lines in canonical register order, so permuting the input
         // list (or renaming registers) leaves the serialization unchanged.
-        let mut inputs: Vec<(usize, String)> = spec
+        let mut inputs: Vec<(usize, &str)> = spec
             .inputs
             .iter()
-            .map(|input| {
-                let canon_reg = renaming.apply_gpr(input.reg);
-                let mut line = match input.kind {
-                    InputKind::Value { mask } => {
-                        format!("in {} val {mask:016x}", canon_reg.name64())
-                    }
-                    InputKind::Pointer { len, elem_mask } => {
-                        format!("in {} ptr {len} {elem_mask:016x}", canon_reg.name64())
-                    }
-                };
-                if input.secret {
-                    line.push_str(" secret");
-                }
-                (canon_reg.index(), line)
-            })
+            .zip(&descriptions)
+            .map(|(input, descr)| (renaming.apply_gpr(input.reg).index(), descr.as_str()))
             .collect();
         inputs.sort();
-        for (_, line) in inputs {
-            iface.push_str(&line);
-            iface.push('\n');
+        for (idx, descr) in inputs {
+            let _ = writeln!(iface, "in {} {descr}", Gpr::from_index(idx).name64());
         }
         let out_gprs: BTreeSet<usize> = spec
             .live_out
@@ -168,13 +157,13 @@ impl CacheKey {
             .map(|g| renaming.apply_gpr(*g).index())
             .collect();
         for idx in out_gprs {
-            iface.push_str(&format!("out {}\n", Gpr::from_index(idx).name64()));
+            let _ = writeln!(iface, "out {}", Gpr::from_index(idx).name64());
         }
         for xmm in &spec.live_out.xmms {
-            iface.push_str(&format!("outx xmm{}\n", xmm.index()));
+            let _ = writeln!(iface, "outx xmm{}", xmm.index());
         }
         for flag in &spec.live_out.flags {
-            iface.push_str(&format!("outf {flag}\n"));
+            let _ = writeln!(iface, "outf {flag}");
         }
         CacheKey::new(iface, program, renaming)
     }
@@ -322,26 +311,33 @@ impl Hasher for DigestHasher {
     }
 }
 
+/// What the key records about one input: `val <mask>` or
+/// `ptr <len> <element mask>`, then ` secret` for a secret input.
+fn describe(input: &InputSpec) -> String {
+    let mut descr = match input.kind {
+        InputKind::Value { mask } => format!("val {mask:016x}"),
+        InputKind::Pointer { len, elem_mask } => format!("ptr {len} {elem_mask:016x}"),
+    };
+    if input.secret {
+        descr.push_str(" secret");
+    }
+    descr
+}
+
 /// The interface registers a canonical renaming must order even when they
 /// never appear in the program body: input registers first (sorted by
-/// their serialized kind and live-out membership, which is exactly the
+/// their `descriptions` and live-out membership, which is exactly the
 /// information the key records about them, so any tie is a true symmetry),
 /// then remaining live-out registers in encoding order.
-fn interface_tail(spec: &TargetSpec) -> Vec<Gpr> {
-    let mut inputs: Vec<(String, bool, usize, Gpr)> = spec
+fn interface_tail(spec: &TargetSpec, descriptions: &[String]) -> Vec<Gpr> {
+    let mut inputs: Vec<(&str, bool, usize, Gpr)> = spec
         .inputs
         .iter()
+        .zip(descriptions)
         .enumerate()
-        .map(|(pos, input)| {
-            let mut descr = match input.kind {
-                InputKind::Value { mask } => format!("val {mask:016x}"),
-                InputKind::Pointer { len, elem_mask } => format!("ptr {len} {elem_mask:016x}"),
-            };
-            if input.secret {
-                descr.push_str(" secret");
-            }
+        .map(|(pos, (input, descr))| {
             (
-                descr,
+                descr.as_str(),
                 spec.live_out.gprs.contains(&input.reg),
                 pos,
                 input.reg,

@@ -240,44 +240,42 @@ fn count(registry: &MetricsRegistry, record: &TraceRecord) {
     let TraceRecord::Event { name, .. } = record else {
         return;
     };
-    let queue_depth = || registry.gauge("stoke_serve_queue_depth");
-    let seconds = |key: &str| match record.field(key) {
-        Some(&Value::U64(us)) => us as f64 / 1e6,
-        _ => 0.0,
+    let counter = |family: &str| registry.counter_add(family, &[], 1);
+    let queue_depth = |n: i64| registry.gauge_add("stoke_serve_queue_depth", &[], n);
+    let latency = |family: &str, key: &str| {
+        let seconds = match record.field(key) {
+            Some(&Value::U64(us)) => us as f64 / 1e6,
+            _ => 0.0,
+        };
+        registry.histogram_observe(family, &[], &LATENCY_BOUNDS, seconds);
     };
     match name.as_str() {
         "job_submitted" => {
-            registry.counter("stoke_serve_jobs_submitted_total").inc();
-            queue_depth().inc();
+            counter("stoke_serve_jobs_submitted_total");
+            queue_depth(1);
         }
-        "job_started" => queue_depth().dec(),
+        "job_started" => queue_depth(-1),
         "job_cancelled" => {
-            registry.counter("stoke_serve_jobs_cancelled_total").inc();
-            queue_depth().dec();
+            counter("stoke_serve_jobs_cancelled_total");
+            queue_depth(-1);
         }
         "job_completed" | "job_failed" => {
-            let outcome = if name == "job_failed" {
+            counter(if name == "job_failed" {
                 "stoke_serve_jobs_failed_total"
             } else {
                 "stoke_serve_jobs_completed_total"
-            };
-            registry.counter(outcome).inc();
+            });
             let served_by = disposition(record);
-            let served = match served_by {
+            counter(match served_by {
                 "cache_hit" => "stoke_serve_cache_hits_total",
                 "warm_start" => "stoke_serve_warm_starts_total",
                 _ => "stoke_serve_cold_searches_total",
-            };
-            registry.counter(served).inc();
+            });
             if served_by != "cache_hit" {
-                registry.counter("stoke_serve_cache_misses_total").inc();
+                counter("stoke_serve_cache_misses_total");
             }
-            registry
-                .histogram("stoke_serve_queue_seconds", &LATENCY_BOUNDS)
-                .observe(seconds("queue_us"));
-            registry
-                .histogram("stoke_serve_run_seconds", &LATENCY_BOUNDS)
-                .observe(seconds("run_us"));
+            latency("stoke_serve_queue_seconds", "queue_us");
+            latency("stoke_serve_run_seconds", "run_us");
         }
         _ => {}
     }

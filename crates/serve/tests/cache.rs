@@ -233,6 +233,8 @@ fn load_rejects_key_programs_that_do_not_print_back() {
     for (line, parses) in [
         ("addq rax", false),
         ("frobq 16, rax", false),
+        // An 8-bit one-operand multiply is not an instruction (AH).
+        ("mulb cl", false),
         // These print as `addq 16, rax` and `addq 1, rax`.
         ("addq 0x10, rax", true),
         ("addq $1, rax", true),

@@ -372,6 +372,12 @@ mod tests {
         for op in Opcode::all() {
             for w in [B, W, L, Q] {
                 let widened = match op {
+                    // No 8-bit one-operand multiply or divide parses.
+                    Opcode::Imul1(_) | Opcode::Mul1(_) | Opcode::Div(_) | Opcode::Idiv(_)
+                        if w == B =>
+                    {
+                        continue
+                    }
                     Opcode::Mov(_) => Opcode::Mov(w),
                     Opcode::Lea(_) => Opcode::Lea(w),
                     Opcode::Xchg(_) => Opcode::Xchg(w),

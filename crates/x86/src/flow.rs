@@ -620,18 +620,14 @@ pub fn live_inputs(program: &Program, live_out: &LocSet) -> LocSet {
 }
 
 /// Instruction indices whose results cannot influence the live outputs
-/// (dead code). Useful for sanity checks on generated baselines.
+/// (dead code): an instruction is dead if it stores nothing and writes
+/// nothing that is live after it. Stores are always observable.
 pub fn dead_instructions(program: &Program, live_out: &LocSet) -> Vec<usize> {
     let accesses: Vec<Access> = program.instrs().iter().map(Access::of).collect();
     let live = live_sets(&accesses, live_out);
-    let mut dead = Vec::new();
-    for (i, (instr, a)) in program.instrs().iter().zip(&accesses).enumerate() {
-        // Stores are always observable.
-        if !a.stores && !a.writes().intersects(&live[i + 1]) && instr.opcode().writes_dst() {
-            dead.push(i);
-        }
-    }
-    dead
+    (0..accesses.len())
+        .filter(|&i| !accesses[i].stores && !accesses[i].writes().intersects(&live[i + 1]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -723,6 +719,20 @@ mod tests {
         // Stores are never dead.
         let p: Program = "movq rdi, (rsp)\nmovq rsi, rax".parse().unwrap();
         assert!(dead_instructions(&p, &live_rax()).is_empty());
+    }
+
+    #[test]
+    fn instructions_that_write_nothing_live_are_dead() {
+        // A nop writes nothing; a cmp whose flags are overwritten before
+        // any read writes nothing live.
+        let p: Program = "nop\ncmpq rsi, rdi\naddq rdi, rax".parse().unwrap();
+        assert_eq!(dead_instructions(&p, &live_rax()), vec![0, 1]);
+        // A cmp that feeds a cmov is live.
+        let p: Program = "cmpq rsi, rdi\ncmovlq rsi, rax".parse().unwrap();
+        assert!(dead_instructions(&p, &live_rax()).is_empty());
+        // cqto and mulq whose rdx:rax results are overwritten are dead.
+        let p: Program = "cqto\nmulq rsi\nmovq rdi, rax".parse().unwrap();
+        assert_eq!(dead_instructions(&p, &live_rax()), vec![0, 1]);
     }
 
     #[test]

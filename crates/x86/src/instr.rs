@@ -26,6 +26,9 @@ pub enum InstrError {
     },
     /// More than one operand is a memory reference.
     TwoMemoryOperands { opcode: Opcode },
+    /// A one-operand 8-bit multiply or divide, whose high half lives in
+    /// AH, which is not modelled.
+    HighByteForm { opcode: Opcode },
 }
 
 impl fmt::Display for InstrError {
@@ -53,6 +56,9 @@ impl fmt::Display for InstrError {
             }
             InstrError::TwoMemoryOperands { opcode } => {
                 write!(f, "opcode {} given more than one memory operand", opcode)
+            }
+            InstrError::HighByteForm { opcode } => {
+                write!(f, "opcode {opcode} uses AH, which is not modelled")
             }
         }
     }
@@ -108,6 +114,13 @@ impl Instruction {
     /// Check `operands` against `opcode`'s signature without building an
     /// instruction (and without allocating).
     fn validate(opcode: Opcode, operands: &[Operand]) -> Result<(), InstrError> {
+        if let Opcode::Imul1(Width::B)
+        | Opcode::Mul1(Width::B)
+        | Opcode::Div(Width::B)
+        | Opcode::Idiv(Width::B) = opcode
+        {
+            return Err(InstrError::HighByteForm { opcode });
+        }
         let sig = opcode.signature();
         if sig.len() != operands.len() {
             return Err(InstrError::WrongArity {

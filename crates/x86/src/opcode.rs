@@ -498,8 +498,7 @@ impl Opcode {
     /// destination). An empty slice means the opcode takes no operands.
     ///
     /// Every signature is a constant table, so asking for one (and hence
-    /// for [`arity`](Opcode::arity) or [`writes_dst`](Opcode::writes_dst))
-    /// never allocates.
+    /// for [`arity`](Opcode::arity)) never allocates.
     pub fn signature(&self) -> &'static [SlotSpec] {
         use Width::{B, L, Q};
         /// One `&'static` table per operand width `w`.
@@ -573,30 +572,6 @@ impl Opcode {
     /// Number of operands the opcode takes.
     pub fn arity(&self) -> usize {
         self.signature().len()
-    }
-
-    /// Whether the opcode writes its last (destination) operand.
-    ///
-    /// `cmp` and `test` only set flags; stores write memory rather than a
-    /// register destination but are still considered to write their last
-    /// operand.
-    pub fn writes_dst(&self) -> bool {
-        !matches!(
-            self,
-            Opcode::Cmp(_)
-                | Opcode::Test(_)
-                | Opcode::Push
-                | Opcode::Nop
-                | Opcode::Cqto
-                | Opcode::Cltq
-                | Opcode::Cltd
-                // The one-operand multiply/divide family reads its explicit
-                // operand and writes only the implicit rdx:rax pair.
-                | Opcode::Imul1(_)
-                | Opcode::Mul1(_)
-                | Opcode::Div(_)
-                | Opcode::Idiv(_)
-        ) && self.arity() > 0
     }
 
     /// Average instruction latency in cycles, following the static
@@ -764,8 +739,14 @@ mod tests {
         for op in Opcode::all() {
             let sig = op.signature();
             assert_eq!(sig.len(), op.arity());
-            if op.writes_dst() {
-                assert!(!sig.is_empty(), "{} writes dst but has no operands", op);
+            for slot in sig {
+                assert!(
+                    slot.reg.is_some() || slot.imm || slot.mem || slot.xmm,
+                    "{op} has a slot that accepts nothing"
+                );
+            }
+            if let Some(last) = sig.last() {
+                assert!(!last.imm, "{op} takes an immediate as its last operand");
             }
         }
     }

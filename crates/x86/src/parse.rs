@@ -532,6 +532,21 @@ mod tests {
     }
 
     #[test]
+    fn rejects_one_operand_byte_multiply_and_divide() {
+        for text in ["mulb cl", "mul cl", "imulb (rdi)", "divb cl", "idivb dl"] {
+            let e = text.parse::<Program>().unwrap_err();
+            assert!(e.message.contains("AH"), "{text}: {}", e.message);
+        }
+        let cl = Operand::Reg(Reg::new(crate::Gpr::Rcx, Width::B));
+        assert!(Instruction::new(Opcode::Mul1(Width::B), [cl]).is_err());
+        // The wider forms stay.
+        let wide: Program = "mulq rcx\nimull ecx\ndivl ecx\nidivq (rdi)"
+            .parse()
+            .unwrap();
+        assert_eq!(wide.len(), 4);
+    }
+
+    #[test]
     fn rejects_bad_operand_width() {
         let e = "addq eax, rbx".parse::<Program>().unwrap_err();
         assert!(e.message.contains("does not accept"));

@@ -360,6 +360,9 @@ pub fn execute<M: Machine>(m: &mut M, instr: &Instruction) {
             result_flags(m, w, lo);
             write(m, &ops[1], w, lo);
         }
+        // No 8-bit form of these four is an instruction: its high half
+        // would be AH, which is not modelled, so `Instruction::new`
+        // rejects it.
         Opcode::Imul1(w) | Opcode::Mul1(w) => {
             let signed = matches!(instr.opcode(), Opcode::Imul1(_));
             let src = read(m, &ops[0], w);

@@ -236,12 +236,19 @@ fn mentions_uf(pool: &TermPool, t: TermId, memo: &mut HashMap<TermId, bool>) -> 
 /// Every opcode family at every operand width: [`Opcode::all`] (the
 /// search's pool) widened to all four widths, which the parser accepts
 /// through the `b`/`l`/`q` suffixes and through operand-inferred widths.
+/// The one-operand multiply and divide are not widened to 8 bits: those
+/// forms keep their high half in AH, and `Instruction::new` rejects them.
 fn opcode_table() -> Vec<Opcode> {
     let mut seen = HashSet::new();
     let mut table = Vec::new();
     for op in Opcode::all() {
         for w in Width::ALL {
             let widened = match op {
+                Opcode::Imul1(_) | Opcode::Mul1(_) | Opcode::Div(_) | Opcode::Idiv(_)
+                    if w == Width::B =>
+                {
+                    continue
+                }
                 Opcode::Mov(_) => Opcode::Mov(w),
                 Opcode::Lea(_) => Opcode::Lea(w),
                 Opcode::Xchg(_) => Opcode::Xchg(w),
