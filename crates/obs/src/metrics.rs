@@ -258,6 +258,9 @@ impl MetricsRegistry {
 
     /// Apply `apply` to the metric `family` with `labels`, created by
     /// `fresh` if absent, after checking that the family is a `kind`.
+    ///
+    /// A type clash panics only after the map lock is released, so a
+    /// caught clash leaves the registry usable and unchanged.
     fn update(
         &self,
         family: &str,
@@ -266,23 +269,19 @@ impl MetricsRegistry {
         fresh: impl FnOnce() -> Metric,
         apply: impl FnOnce(&mut Metric),
     ) {
-        let check = |registered: &Metric| {
-            let was = registered.kind();
-            assert!(
-                was == kind,
-                "metric family `{family}` already registered as a {was}, cannot re-register as a {kind}"
-            );
-        };
         let key = Key::new(family, labels);
-        let mut metrics = self.metrics.lock().unwrap();
-        if let Some(metric) = metrics.get_mut(&key) {
-            check(metric);
-            return apply(metric);
-        }
-        if let Some((_, sibling)) = metrics.iter().find(|(k, _)| k.family == family) {
-            check(sibling);
-        }
-        apply(metrics.entry(key).or_insert_with(fresh));
+        let was = {
+            let mut metrics = self.metrics.lock().unwrap();
+            match metrics.get_mut(&key) {
+                Some(metric) if metric.kind() == kind => return apply(metric),
+                Some(metric) => metric.kind(),
+                None => match metrics.iter().find(|(k, _)| k.family == family) {
+                    Some((_, sibling)) if sibling.kind() != kind => sibling.kind(),
+                    _ => return apply(metrics.entry(key).or_insert_with(fresh)),
+                },
+            }
+        };
+        panic!("metric family `{family}` already registered as a {was}, cannot re-register as a {kind}");
     }
 
     /// Take a point-in-time copy of every metric.
@@ -472,6 +471,27 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.histogram_observe("conflict", &[("k", "a")], &[1.0], 0.5);
         registry.counter_add("conflict", &[("k", "b")], 1);
+    }
+
+    #[test]
+    fn a_caught_type_clash_leaves_the_registry_usable() {
+        let fill = |registry: &MetricsRegistry| {
+            registry.counter_add("conflict_total", &[], 1);
+            registry.histogram_observe("dur_seconds", &[], &[0.1, 1.0], 0.5);
+        };
+        let clean = MetricsRegistry::new();
+        fill(&clean);
+        clean.counter_add("conflict_total", &[], 2);
+
+        let registry = MetricsRegistry::new();
+        fill(&registry);
+        let clash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            registry.gauge_add("conflict_total", &[], 1);
+        }));
+        assert!(clash.is_err(), "a gauge update of a counter family panics");
+        registry.counter_add("conflict_total", &[], 2);
+        assert_eq!(registry.snapshot().counter("conflict_total"), 3);
+        assert_eq!(registry.render_text(), clean.render_text());
     }
 
     #[test]

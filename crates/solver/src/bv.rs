@@ -497,84 +497,129 @@ impl TermPool {
     /// produce the same output, as the paper's validator assumes).
     ///
     /// # Panics
-    /// Panics if a variable is missing from `env`.
+    /// Panics if a variable the term depends on is missing from `env`.
     pub fn eval(&self, t: TermId, env: &HashMap<String, u64>) -> u64 {
-        let w = self.width(t);
-        let v = match self.data(t) {
-            TermData::Const { value, .. } => *value,
-            TermData::Var { name, .. } => *env.get(name).unwrap_or_else(|| {
+        self.eval_with(t, |name| {
+            *env.get(name).unwrap_or_else(|| {
                 panic!("variable '{}' missing from evaluation environment", name)
-            }),
-            TermData::Not(a) => !self.eval(*a, env),
-            TermData::And(a, b) => self.eval(*a, env) & self.eval(*b, env),
-            TermData::Or(a, b) => self.eval(*a, env) | self.eval(*b, env),
-            TermData::Xor(a, b) => self.eval(*a, env) ^ self.eval(*b, env),
-            TermData::Neg(a) => self.eval(*a, env).wrapping_neg(),
-            TermData::Add(a, b) => self.eval(*a, env).wrapping_add(self.eval(*b, env)),
-            TermData::Sub(a, b) => self.eval(*a, env).wrapping_sub(self.eval(*b, env)),
-            TermData::Mul(a, b) => self.eval(*a, env).wrapping_mul(self.eval(*b, env)),
-            TermData::Shl(a, b) => {
-                let (x, y) = (self.eval(*a, env), self.eval(*b, env));
-                if y >= u64::from(w) {
-                    0
-                } else {
-                    x << y
+            })
+        })
+    }
+
+    /// [`TermPool::eval`] with each variable's value, by name, taken from
+    /// `value_of` (and truncated to the variable's width).
+    ///
+    /// Terms are interned after their arguments, so one pass in creation
+    /// order over the terms `t` depends on evaluates each of them once,
+    /// however much of the DAG is shared.
+    pub fn eval_with(&self, t: TermId, mut value_of: impl FnMut(&str) -> u64) -> u64 {
+        let last = t.index();
+        let mut needed = vec![false; last + 1];
+        needed[last] = true;
+        for i in (0..=last).rev() {
+            if needed[i] {
+                self.for_each_arg(i, |a| needed[a.index()] = true);
+            }
+        }
+        let mut values = vec![0u64; last + 1];
+        for i in (0..=last).filter(|&i| needed[i]) {
+            let val = |a: &TermId| values[a.index()];
+            let width = |a: &TermId| self.widths[a.index()];
+            let w = self.widths[i];
+            let v = match &self.terms[i] {
+                TermData::Const { value, .. } => *value,
+                TermData::Var { name, .. } => value_of(name),
+                TermData::Not(a) => !val(a),
+                TermData::And(a, b) => val(a) & val(b),
+                TermData::Or(a, b) => val(a) | val(b),
+                TermData::Xor(a, b) => val(a) ^ val(b),
+                TermData::Neg(a) => val(a).wrapping_neg(),
+                TermData::Add(a, b) => val(a).wrapping_add(val(b)),
+                TermData::Sub(a, b) => val(a).wrapping_sub(val(b)),
+                TermData::Mul(a, b) => val(a).wrapping_mul(val(b)),
+                TermData::Shl(a, b) => {
+                    if val(b) >= u64::from(w) {
+                        0
+                    } else {
+                        val(a) << val(b)
+                    }
                 }
-            }
-            TermData::Lshr(a, b) => {
-                let (x, y) = (self.eval(*a, env), self.eval(*b, env));
-                if y >= u64::from(w) {
-                    0
-                } else {
-                    (x & mask(w)) >> y
+                TermData::Lshr(a, b) => {
+                    if val(b) >= u64::from(w) {
+                        0
+                    } else {
+                        val(a) >> val(b)
+                    }
                 }
-            }
-            TermData::Ashr(a, b) => {
-                let (x, y) = (self.eval(*a, env), self.eval(*b, env));
-                let shift = y.min(u64::from(w - 1)) as u32;
-                (sext(w, x) >> shift) as u64
-            }
-            TermData::Eq(a, b) => u64::from(
-                self.eval(*a, env) & mask(self.width(*a))
-                    == self.eval(*b, env) & mask(self.width(*b)),
-            ),
-            TermData::Ult(a, b) => u64::from(
-                self.eval(*a, env) & mask(self.width(*a))
-                    < self.eval(*b, env) & mask(self.width(*b)),
-            ),
-            TermData::Slt(a, b) => {
-                let wa = self.width(*a);
-                u64::from(sext(wa, self.eval(*a, env)) < sext(wa, self.eval(*b, env)))
+                TermData::Ashr(a, b) => {
+                    let shift = val(b).min(u64::from(w - 1)) as u32;
+                    (sext(w, val(a)) >> shift) as u64
+                }
+                TermData::Eq(a, b) => u64::from(val(a) == val(b)),
+                TermData::Ult(a, b) => u64::from(val(a) < val(b)),
+                TermData::Slt(a, b) => {
+                    let wa = width(a);
+                    u64::from(sext(wa, val(a)) < sext(wa, val(b)))
+                }
+                TermData::Ite(c, a, b) => {
+                    if val(c) & 1 == 1 {
+                        val(a)
+                    } else {
+                        val(b)
+                    }
+                }
+                TermData::Extract { lo, arg, .. } => val(arg) >> lo,
+                TermData::Concat(hi, lo) => (val(hi) << width(lo)) | val(lo),
+                TermData::ZeroExt { arg, .. } => val(arg),
+                TermData::SignExt { arg, .. } => sext(width(arg), val(arg)) as u64,
+                TermData::Uf { func, args, .. } => {
+                    // A deterministic pseudo-random function of the arguments.
+                    let mut h =
+                        0x9e37_79b9_7f4a_7c15u64 ^ u64::from(*func).wrapping_mul(0xff51_afd7);
+                    for a in args {
+                        h ^= val(a).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+                        h = h.rotate_left(31).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    }
+                    h
+                }
+            };
+            values[i] = v & mask(w);
+        }
+        values[last]
+    }
+
+    /// Call `f` on each argument of the term at `index`.
+    fn for_each_arg(&self, index: usize, mut f: impl FnMut(TermId)) {
+        match &self.terms[index] {
+            TermData::Const { .. } | TermData::Var { .. } => {}
+            TermData::Not(a)
+            | TermData::Neg(a)
+            | TermData::Extract { arg: a, .. }
+            | TermData::ZeroExt { arg: a, .. }
+            | TermData::SignExt { arg: a, .. } => f(*a),
+            TermData::And(a, b)
+            | TermData::Or(a, b)
+            | TermData::Xor(a, b)
+            | TermData::Add(a, b)
+            | TermData::Sub(a, b)
+            | TermData::Mul(a, b)
+            | TermData::Shl(a, b)
+            | TermData::Lshr(a, b)
+            | TermData::Ashr(a, b)
+            | TermData::Eq(a, b)
+            | TermData::Ult(a, b)
+            | TermData::Slt(a, b)
+            | TermData::Concat(a, b) => {
+                f(*a);
+                f(*b);
             }
             TermData::Ite(c, a, b) => {
-                if self.eval(*c, env) & 1 == 1 {
-                    self.eval(*a, env)
-                } else {
-                    self.eval(*b, env)
-                }
+                f(*c);
+                f(*a);
+                f(*b);
             }
-            TermData::Extract { hi: _, lo, arg } => self.eval(*arg, env) >> lo,
-            TermData::Concat(hi, lo) => {
-                let lw = self.width(*lo);
-                (self.eval(*hi, env) << lw) | (self.eval(*lo, env) & mask(lw))
-            }
-            TermData::ZeroExt { arg, .. } => self.eval(*arg, env) & mask(self.width(*arg)),
-            TermData::SignExt { arg, .. } => {
-                let aw = self.width(*arg);
-                sext(aw, self.eval(*arg, env)) as u64
-            }
-            TermData::Uf { func, args, .. } => {
-                // A deterministic pseudo-random function of the arguments.
-                let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(*func).wrapping_mul(0xff51_afd7);
-                for a in args {
-                    let v = self.eval(*a, env) & mask(self.width(*a));
-                    h ^= v.wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-                    h = h.rotate_left(31).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                }
-                h
-            }
-        };
-        v & mask(w)
+            TermData::Uf { args, .. } => args.iter().copied().for_each(f),
+        }
     }
 }
 
@@ -636,6 +681,20 @@ mod tests {
             .collect();
         assert_eq!(p.eval(shifted, &env), (3u64 + 11) << 5);
         assert_eq!(p.eval(cmp, &env), 1);
+    }
+
+    #[test]
+    fn eval_visits_each_shared_term_once() {
+        // 63 doublings: a tree walk would visit 2^63 leaves.
+        let mut p = TermPool::new();
+        let mut x = p.var(64, "x");
+        for _ in 0..63 {
+            x = p.add(x, x);
+        }
+        let mut env = HashMap::new();
+        env.insert("x".to_string(), 1);
+        assert_eq!(p.eval(x, &env), 1 << 63);
+        assert_eq!(p.eval_with(x, |_| 3), 1 << 63);
     }
 
     #[test]

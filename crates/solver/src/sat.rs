@@ -8,10 +8,13 @@
 //! restarts. It has no learnt-clause minimisation, clause-database
 //! reduction or preprocessing yet.
 //!
-//! Speed matters here. An equivalence query from `stoke-verify` can make
-//! thousands of conflicts (p19 `-O0` ≡ `-O2`: 11 555 conflicts over
-//! 2 576 variables), and every `Proven` rewrite waits for one. The layout follows MiniSat (Eén and Sörensson, "An Extensible
-//! SAT-solver", SAT 2003):
+//! Speed matters here. The bit-blaster's gate hashing closes the
+//! compiler-output miters of `stoke-verify` without a conflict, but a
+//! miter of differently built circuits still leaves the search real work
+//! (the p21 paper rewrite: 487 conflicts; one p23 search rewrite that
+//! rotates where the target shifts: 247 956 conflicts, 33–43 s), and every
+//! `Proven` rewrite waits for one. The layout follows MiniSat (Eén and
+//! Sörensson, "An Extensible SAT-solver", SAT 2003):
 //!
 //! - **Clause arena.** Every stored clause lives in one `Vec<Lit>`: a
 //!   header whose index is the clause's length, then its literals. Watch
@@ -35,7 +38,7 @@
 //! reads them in that order, so learnt clauses and activity bumps come
 //! out in the same order. A change that keeps both rules keeps every
 //! decision, conflict, learnt clause and model; `tests/validator_stats.rs`
-//! at the workspace root pins the conflict counts of four validator
+//! at the workspace root pins the conflict counts of eight validator
 //! queries.
 
 use std::fmt;

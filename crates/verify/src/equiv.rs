@@ -7,6 +7,15 @@
 //! `Unsat` means the rewrite is provably equivalent; `Sat` yields a
 //! counterexample that becomes a new test case (Equation 12's refinement
 //! loop).
+//!
+//! Before it bit-blasts the query, the validator evaluates it on ten fixed
+//! inputs: full-width values, small values of either sign, and values with
+//! many low zero bits. A pair that differs on one of them is refuted
+//! without the solver, with that input as the counterexample. A rewrite
+//! wrong on most inputs, such as a mutant of compiled code, is then
+//! refuted in the time of symbolic execution, while the SAT search would
+//! take from no conflicts to hundreds depending on the mutant. The inputs
+//! are a hash of each variable's name, so every run decides alike.
 
 use crate::semantics::SymExecutor;
 use crate::symstate::SymState;
@@ -144,6 +153,19 @@ impl Validator {
         }
 
         let some_difference = pool.bool_or(&differences);
+        // A pair that differs on a fixed input is refuted before any
+        // bit-blasting.
+        for round in 0..SIMULATION_ROUNDS.len() {
+            let input = |name: &str| simulated_input(round, name);
+            if pool.eval_with(some_difference, input) == 1 {
+                let stats = ValidationStats {
+                    terms: pool.len(),
+                    ..ValidationStats::default()
+                };
+                let cex = counterexample(input);
+                return (EquivResult::NotEquivalent(Box::new(cex)), stats);
+            }
+        }
         let mut checker = Checker::new();
         checker.assert_true(&pool, some_difference);
         let result = checker.check(&pool);
@@ -156,23 +178,75 @@ impl Validator {
         match result {
             CheckResult::Unsat => (EquivResult::Equivalent, stats),
             CheckResult::Sat(model) => {
-                let mut cex = Counterexample::default();
-                for g in Gpr::ALL {
-                    cex.gprs[g.index()] = model.value(&format!("in_{}", g.name64()));
-                }
-                for f in Flag::ALL {
-                    cex.flags[f.index()] = model.value(&format!("in_{}", f.name())) & 1 == 1;
-                }
-                for x in Xmm::ALL {
-                    cex.xmms[x.index()] = [
-                        model.value(&format!("in_xmm{}_lo", x.index())),
-                        model.value(&format!("in_xmm{}_hi", x.index())),
-                    ];
-                }
+                let cex = counterexample(|name| model.value(name));
                 (EquivResult::NotEquivalent(Box::new(cex)), stats)
             }
         }
     }
+}
+
+/// How a simulation round draws each input from a hash of its name.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// Every bit from the hash.
+    Full,
+    /// A magnitude within the mask, of either sign, so that inputs often
+    /// coincide.
+    Small(u64),
+    /// One to four low bits shifted to a hashed position, so that low
+    /// bits are often zero.
+    Sparse,
+}
+
+/// The fixed inputs the validator evaluates a miter on before it
+/// bit-blasts it, one round each.
+const SIMULATION_ROUNDS: [Draw; 10] = [
+    Draw::Full,
+    Draw::Small(3),
+    Draw::Full,
+    Draw::Small(1),
+    Draw::Full,
+    Draw::Small(0xf),
+    Draw::Full,
+    Draw::Small(7),
+    Draw::Sparse,
+    Draw::Sparse,
+];
+
+/// The value of input variable `name` in simulation round `round`: a hash
+/// of both, so every query tries the same inputs.
+fn simulated_input(round: usize, name: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (round as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    for byte in name.bytes() {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^= h >> 31;
+    match SIMULATION_ROUNDS[round] {
+        Draw::Full => h,
+        Draw::Small(mask) if h >> 63 == 1 => !(h & mask),
+        Draw::Small(mask) => h & mask,
+        Draw::Sparse => (h & 0xf | 1) << ((h >> 8) & 63),
+    }
+}
+
+/// The counterexample whose input variables take `value_of(name)`.
+fn counterexample(value_of: impl Fn(&str) -> u64) -> Counterexample {
+    let mut cex = Counterexample::default();
+    for g in Gpr::ALL {
+        cex.gprs[g.index()] = value_of(&format!("in_{}", g.name64()));
+    }
+    for f in Flag::ALL {
+        cex.flags[f.index()] = value_of(&format!("in_{}", f.name())) & 1 == 1;
+    }
+    for x in Xmm::ALL {
+        cex.xmms[x.index()] = [
+            value_of(&format!("in_xmm{}_lo", x.index())),
+            value_of(&format!("in_xmm{}_hi", x.index())),
+        ];
+    }
+    cex
 }
 
 /// Whether the named-stack-slot model (§5.2's first simplifying
@@ -343,6 +417,35 @@ mod tests {
             }
             EquivResult::Equivalent => panic!("and != or"),
         }
+    }
+
+    #[test]
+    fn a_pair_that_differs_on_a_simulated_input_skips_the_solver() {
+        let t: Program = "movq rdi, rax\naddq rsi, rax".parse().unwrap();
+        let r: Program = "movq rdi, rax\nsubq rsi, rax".parse().unwrap();
+        let (result, stats) = Validator::new(live(&[Gpr::Rax])).prove(&t, &r);
+        let EquivResult::NotEquivalent(cex) = result else {
+            panic!("add != sub");
+        };
+        let (x, y) = (cex.gprs[Gpr::Rdi.index()], cex.gprs[Gpr::Rsi.index()]);
+        assert_ne!(x.wrapping_add(y), x.wrapping_sub(y));
+        assert_eq!((stats.sat_vars, stats.clauses, stats.conflicts), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_difference_on_one_input_is_left_to_the_solver() {
+        // The rewrite differs from the target only when rdi = 0x12345,
+        // which no simulated input hits.
+        let t: Program = "movq rdi, rax".parse().unwrap();
+        let r: Program = "movq rdi, rax\nmovq 1, rcx\ncmpq 74565, rdi\ncmoveq rcx, rax"
+            .parse()
+            .unwrap();
+        let (result, stats) = Validator::new(live(&[Gpr::Rax])).prove(&t, &r);
+        let EquivResult::NotEquivalent(cex) = result else {
+            panic!("the pair differs at rdi = 0x12345");
+        };
+        assert_eq!(cex.gprs[Gpr::Rdi.index()], 0x12345);
+        assert!(stats.sat_vars > 0, "{stats:?}");
     }
 
     #[test]
