@@ -289,8 +289,8 @@ impl<M: CostModel> CostModel for CorrectnessOnly<M> {
 /// The analysis runs on every scored proposal whose suite has secret
 /// inputs, and records every instruction of the rewrite afresh: it does
 /// not reuse the prepared rewrite's decoded forms. `bench-analysis`
-/// measures the call at 10.3 µs on p01 (14 instructions) and 39.2 µs on
-/// mont (69 instructions), in `BENCH_analysis.json`.
+/// measures the cost of the call per kernel; its latest figures are the
+/// `constant_time` entries of `BENCH_analysis.json`.
 ///
 /// ```
 /// use stoke::{Config, CostModelSpec, InputSpec, TargetSpec};

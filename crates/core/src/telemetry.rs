@@ -16,7 +16,8 @@
 //! (the `obs_integration` snapshot tests pin this down bit-for-bit).
 //! Records are built on phase transitions, chain ends, candidates,
 //! validations and the periodic progress reports, never per proposal; the
-//! fold looks each metric up by name, which takes the registry lock.
+//! fold looks each metric up by its declared family and label value,
+//! which takes the registry lock.
 
 use crate::mcmc::{MoveKind, MoveStats};
 use crate::observer::{ChainProgress, ChainStats, Phase, SearchObserver, ValidationVerdict};
@@ -24,7 +25,39 @@ use crate::search::{StokeResult, Verification};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
+use stoke_obs::{
+    Counter, Histogram, MetricsRegistry, TraceRecord, TraceSink, Value, SECONDS_BOUNDS,
+};
+
+/// Wall time of one pipeline phase, from its span end.
+const PHASE_SECONDS: Histogram =
+    Histogram::new("stoke_phase_seconds", Some("phase"), &SECONDS_BOUNDS);
+/// Wall time of one search, from `search_end`'s `total_us`.
+const SEARCH_SECONDS: Histogram = Histogram::new("stoke_search_seconds", None, &SECONDS_BOUNDS);
+/// `candidate` events.
+const CANDIDATES: Counter = Counter::new("stoke_candidates_total", None);
+/// `validation` events, by verdict.
+const VALIDATIONS: Counter = Counter::new("stoke_validations_total", Some("verdict"));
+/// Chain proposals, by phase.
+const PROPOSALS: Counter = Counter::new("stoke_proposals_total", Some("phase"));
+/// Accepted chain proposals, by phase.
+const ACCEPTED: Counter = Counter::new("stoke_accepted_total", Some("phase"));
+/// Cost-function evaluations.
+const EVALUATIONS: Counter = Counter::new("stoke_evaluations_total", None);
+/// Test cases run by the cost function.
+const TESTCASES: Counter = Counter::new("stoke_testcases_total", None);
+/// Evaluations cut short by the §4.5 early-termination bound.
+const EARLY_TERMINATIONS: Counter = Counter::new("stoke_early_terminations_total", None);
+/// Chain proposals, by move kind.
+const MOVES: Counter = Counter::new("stoke_moves_total", Some("kind"));
+/// Accepted chain proposals, by move kind.
+const MOVE_ACCEPTED: Counter = Counter::new("stoke_move_accepted_total", Some("kind"));
+/// Finished searches, by verification level.
+const SEARCHES: Counter = Counter::new("stoke_searches_total", Some("verification"));
+/// Counterexamples the validator returned.
+const COUNTEREXAMPLES: Counter = Counter::new("stoke_counterexamples_total", None);
+/// Candidates the leakage check rejected.
+const LEAKAGE_REJECTIONS: Counter = Counter::new("stoke_leakage_rejections_total", None);
 
 /// Label value for a pipeline phase.
 fn phase_name(phase: Phase) -> &'static str {
@@ -54,9 +87,6 @@ fn verification_name(v: &Verification) -> &'static str {
     }
 }
 
-/// Upper bounds of the phase and search wall-time histograms, in seconds.
-const DURATION_BOUNDS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
-
 /// The string field `key` of `record`, or `""` when it is absent.
 fn str_field<'r>(record: &'r TraceRecord, key: &str) -> &'r str {
     match record.field(key) {
@@ -77,13 +107,7 @@ pub(crate) fn count(registry: &MetricsRegistry, record: &TraceRecord) {
     let (name, fields) = match record {
         TraceRecord::SpanEnd { name, micros, .. } => {
             if let Some(phase) = name.strip_prefix("phase:") {
-                let seconds = *micros as f64 / 1e6;
-                registry.histogram_observe(
-                    "stoke_phase_seconds",
-                    &[("phase", phase)],
-                    &DURATION_BOUNDS,
-                    seconds,
-                );
+                registry.histogram_observe(&PHASE_SECONDS, phase, *micros as f64 / 1e6);
             }
             return;
         }
@@ -91,55 +115,36 @@ pub(crate) fn count(registry: &MetricsRegistry, record: &TraceRecord) {
         _ => return,
     };
     match name {
-        "candidate" => registry.counter_add("stoke_candidates_total", &[], 1),
-        "validation" => registry.counter_add(
-            "stoke_validations_total",
-            &[("verdict", str_field(record, "verdict"))],
-            1,
-        ),
+        "candidate" => registry.counter_add(&CANDIDATES, "", 1),
+        "validation" => registry.counter_add(&VALIDATIONS, str_field(record, "verdict"), 1),
         "chain_end" => {
-            let phase = [("phase", str_field(record, "phase"))];
+            let phase = str_field(record, "phase");
             for (key, value) in fields {
                 let &Value::U64(n) = value else { continue };
                 match key.as_str() {
-                    "proposals" => registry.counter_add("stoke_proposals_total", &phase, n),
-                    "accepted" => registry.counter_add("stoke_accepted_total", &phase, n),
-                    "evaluations" => registry.counter_add("stoke_evaluations_total", &[], n),
-                    "testcases_run" => registry.counter_add("stoke_testcases_total", &[], n),
-                    "early_terminations" => {
-                        registry.counter_add("stoke_early_terminations_total", &[], n)
-                    }
+                    "proposals" => registry.counter_add(&PROPOSALS, phase, n),
+                    "accepted" => registry.counter_add(&ACCEPTED, phase, n),
+                    "evaluations" => registry.counter_add(&EVALUATIONS, "", n),
+                    "testcases_run" => registry.counter_add(&TESTCASES, "", n),
+                    "early_terminations" => registry.counter_add(&EARLY_TERMINATIONS, "", n),
                     key => {
                         if let Some(kind) = key.strip_prefix("moves_") {
-                            registry.counter_add("stoke_moves_total", &[("kind", kind)], n);
+                            registry.counter_add(&MOVES, kind, n);
                         } else if let Some(kind) = key.strip_prefix("accepted_") {
-                            registry.counter_add("stoke_move_accepted_total", &[("kind", kind)], n);
+                            registry.counter_add(&MOVE_ACCEPTED, kind, n);
                         }
                     }
                 }
             }
         }
         "search_end" => {
-            registry.counter_add(
-                "stoke_searches_total",
-                &[("verification", str_field(record, "verification"))],
-                1,
-            );
+            registry.counter_add(&SEARCHES, str_field(record, "verification"), 1);
             for (key, value) in fields {
                 let &Value::U64(n) = value else { continue };
                 match key.as_str() {
-                    "total_us" => registry.histogram_observe(
-                        "stoke_search_seconds",
-                        &[],
-                        &DURATION_BOUNDS,
-                        n as f64 / 1e6,
-                    ),
-                    "counterexamples" => {
-                        registry.counter_add("stoke_counterexamples_total", &[], n)
-                    }
-                    "leakage_rejections" => {
-                        registry.counter_add("stoke_leakage_rejections_total", &[], n)
-                    }
+                    "total_us" => registry.histogram_observe(&SEARCH_SECONDS, "", n as f64 / 1e6),
+                    "counterexamples" => registry.counter_add(&COUNTEREXAMPLES, "", n),
+                    "leakage_rejections" => registry.counter_add(&LEAKAGE_REJECTIONS, "", n),
                     _ => {}
                 }
             }
@@ -352,6 +357,40 @@ impl SearchObserver for MetricsObserver {
 mod tests {
     use super::*;
     use stoke_obs::RingSink;
+
+    /// The declared families have unique names, histogram bounds that are
+    /// finite and strictly increasing, and no name with the serve layer's
+    /// `stoke_serve_` prefix, so this fold and the service's can share one
+    /// registry without a clash.
+    #[test]
+    fn the_declared_families_are_unique_and_well_formed() {
+        let counters = [
+            &CANDIDATES,
+            &VALIDATIONS,
+            &PROPOSALS,
+            &ACCEPTED,
+            &EVALUATIONS,
+            &TESTCASES,
+            &EARLY_TERMINATIONS,
+            &MOVES,
+            &MOVE_ACCEPTED,
+            &SEARCHES,
+            &COUNTEREXAMPLES,
+            &LEAKAGE_REJECTIONS,
+        ];
+        let histograms = [&PHASE_SECONDS, &SEARCH_SECONDS];
+        let mut names: Vec<&str> = counters.iter().map(|c| c.name).collect();
+        names.extend(histograms.iter().map(|h| h.name));
+        assert!(names.iter().all(|n| !n.starts_with("stoke_serve_")));
+        let declared = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), declared, "a family name is declared twice");
+        for h in histograms {
+            assert!(h.bounds.iter().all(|b| b.is_finite()), "{}", h.name);
+            assert!(h.bounds.windows(2).all(|w| w[0] < w[1]), "{}", h.name);
+        }
+    }
 
     #[test]
     fn phase_transitions_observe_wall_time_and_spans() {

@@ -3,9 +3,11 @@
 //! Two independent layers, both dependency-free:
 //!
 //! - [`MetricsRegistry`] — a value store of counters, gauges and
-//!   fixed-bucket histograms, named by family and label set. It is a fold
-//!   of the trace: each update adds one record's number to one value
-//!   under one lock. Export via [`MetricsRegistry::snapshot`] (owned,
+//!   fixed-bucket histograms. Each family is declared once as a
+//!   [`Counter`], [`Gauge`] or [`Histogram`] constant (name, label key,
+//!   bounds), and each update names a declared family plus a label value.
+//!   The registry is a fold of the trace: each update adds one record's
+//!   number to one value under one lock. Export via [`MetricsRegistry::snapshot`] (owned,
 //!   programmatic) or [`MetricsRegistry::render_text`] (Prometheus text
 //!   exposition).
 //! - [`TraceSink`] — structured trace export as versioned JSONL span/event
@@ -16,12 +18,15 @@
 //!   CI).
 //!
 //! ```
-//! use stoke_obs::{MetricsRegistry, RingSink, TraceRecord, TraceSink, Value};
+//! use stoke_obs::{Counter, Histogram, MetricsRegistry, RingSink, TraceRecord, TraceSink, Value};
+//!
+//! const PROPOSALS: Counter = Counter::new("proposals_total", Some("phase"));
+//! const LATENCY: Histogram = Histogram::new("latency_seconds", None, &[0.01, 0.1, 1.0]);
 //!
 //! let registry = MetricsRegistry::new();
-//! registry.counter_add("proposals_total", &[], 2);
-//! registry.histogram_observe("latency_seconds", &[], &[0.01, 0.1, 1.0], 0.05);
-//! assert_eq!(registry.snapshot().counter("proposals_total"), 2);
+//! registry.counter_add(&PROPOSALS, "synthesis", 2);
+//! registry.histogram_observe(&LATENCY, "", 0.05);
+//! assert_eq!(registry.snapshot().counter("proposals_total{phase=\"synthesis\"}"), 2);
 //!
 //! let trace = RingSink::new(16);
 //! trace.record(TraceRecord::Event {
@@ -37,7 +42,10 @@
 mod metrics;
 mod trace;
 
-pub use metrics::{Bucket, CounterSample, GaugeSample, HistogramSample, MetricsRegistry, Snapshot};
+pub use metrics::{
+    Bucket, Counter, CounterSample, Gauge, GaugeSample, Histogram, HistogramSample,
+    MetricsRegistry, Snapshot, SECONDS_BOUNDS,
+};
 pub use trace::{
     encode_line, parse_line, validate_trace, JsonlSink, RingSink, TraceError, TraceRecord,
     TraceSink, TraceSummary, Value, TRACE_VERSION,

@@ -1,49 +1,108 @@
 //! A metrics registry that stores counters, gauges and fixed-bucket
 //! histograms as plain values.
 //!
-//! The registry is a fold target: its writers fold trace records into it
-//! one record at a time, naming each metric by family and label set.
-//! Every value lives in one map under one lock, so an update is one lock,
-//! one map entry and an integer or float add. [`MetricsRegistry::snapshot`]
-//! produces an owned point-in-time copy for programmatic inspection and
+//! Each family is declared once, as a [`Counter`], [`Gauge`] or
+//! [`Histogram`] constant that fixes its name, label key and bounds, and
+//! every update takes a declaration of its own kind plus a label value. So
+//! updating a family as the wrong type does not compile. The registry is a
+//! fold target: every value lives in one map under one lock, so an update
+//! is one lock, one map entry and an integer or float add.
+//! [`MetricsRegistry::snapshot`] produces an owned point-in-time copy and
 //! [`MetricsRegistry::render_text`] emits Prometheus-style text exposition.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
+/// Upper bounds, in seconds, of a wall-time histogram: 1 ms to 2 min.
+pub const SECONDS_BOUNDS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
+
+/// A counter family: one monotonically increasing integer per label value.
+#[derive(Debug)]
+pub struct Counter {
+    /// Family name.
+    pub name: &'static str,
+    /// Label key, or `None` for a family with one unlabelled value.
+    pub label: Option<&'static str>,
+}
+
+impl Counter {
+    /// Declare the counter family `name` with label key `label`.
+    pub const fn new(name: &'static str, label: Option<&'static str>) -> Counter {
+        Counter { name, label }
+    }
+}
+
+/// A gauge family: one integer per label value that moves both ways.
+#[derive(Debug)]
+pub struct Gauge {
+    /// Family name.
+    pub name: &'static str,
+    /// Label key, or `None` for a family with one unlabelled value.
+    pub label: Option<&'static str>,
+}
+
+impl Gauge {
+    /// Declare the gauge family `name` with label key `label`.
+    pub const fn new(name: &'static str, label: Option<&'static str>) -> Gauge {
+        Gauge { name, label }
+    }
+}
+
+/// A histogram family: fixed buckets per label value. As in Prometheus, an
+/// observation `v` lands in the first bucket with `v <= bound`, and an
+/// implicit `+Inf` bucket catches everything beyond the largest bound.
+#[derive(Debug)]
+pub struct Histogram {
+    /// Family name.
+    pub name: &'static str,
+    /// Label key, or `None` for a family with one unlabelled value.
+    pub label: Option<&'static str>,
+    /// Finite, strictly increasing bucket upper bounds.
+    pub bounds: &'static [f64],
+}
+
+impl Histogram {
+    /// Declare the histogram family `name` with label key `label` and
+    /// bucket upper bounds `bounds`.
+    pub const fn new(
+        name: &'static str,
+        label: Option<&'static str>,
+        bounds: &'static [f64],
+    ) -> Histogram {
+        Histogram {
+            name,
+            label,
+            bounds,
+        }
+    }
+}
+
 /// Identifies one registered metric: a family name plus a rendered label set.
 ///
-/// `labels` holds the inner `key="value"` list without braces (empty when the
-/// metric has no labels) so histogram exposition can splice in `le`.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// `labels` holds the inner `key="value"` text without braces (empty when
+/// the family has no label key) so histogram exposition can splice in `le`.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
-    family: String,
+    family: &'static str,
     labels: String,
 }
 
 impl Key {
-    fn new(family: &str, labels: &[(&str, &str)]) -> Key {
-        let mut rendered = String::new();
-        for (i, (k, v)) in labels.iter().enumerate() {
-            debug_assert!(
-                !k.contains('"') && !v.contains('"') && !v.contains('\\'),
-                "label keys/values must not contain quotes or backslashes"
-            );
-            if i > 0 {
-                rendered.push(',');
-            }
-            let _ = write!(rendered, "{k}=\"{v}\"");
-        }
-        Key {
-            family: family.to_string(),
-            labels: rendered,
-        }
+    /// The key of `family`'s metric for label value `value`, which an
+    /// unlabelled family ignores.
+    fn new(family: &'static str, label: Option<&'static str>, value: &str) -> Key {
+        debug_assert!(
+            !value.contains('"') && !value.contains('\\'),
+            "label values must not contain quotes or backslashes"
+        );
+        let labels = label.map_or(String::new(), |key| format!("{key}=\"{value}\""));
+        Key { family, labels }
     }
 
     fn full_name(&self) -> String {
         if self.labels.is_empty() {
-            self.family.clone()
+            self.family.to_string()
         } else {
             format!("{}{{{}}}", self.family, self.labels)
         }
@@ -51,23 +110,11 @@ impl Key {
 }
 
 /// The value of one metric.
+#[derive(Debug)]
 enum Metric {
     Counter(u64),
     Gauge(i64),
-    /// Bucket semantics follow Prometheus: an observation `v` lands in the
-    /// first bucket whose upper bound satisfies `v <= bound`, with an
-    /// implicit `+Inf` bucket catching everything beyond the largest bound.
-    Histogram {
-        /// Sorted, finite upper bounds. The `+Inf` bucket is
-        /// `counts[bounds.len()]`.
-        bounds: Vec<f64>,
-        /// Per-bucket observation counts (not cumulative).
-        counts: Vec<u64>,
-        /// Total of all observed values.
-        sum: f64,
-        /// Total number of observations.
-        count: u64,
-    },
+    Histogram(Buckets),
 }
 
 impl Metric {
@@ -76,18 +123,36 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram { .. } => "histogram",
+            Metric::Histogram(_) => "histogram",
         }
     }
 }
 
-/// The cumulative `(le, count)` buckets of a histogram, ending with `+Inf`.
-fn cumulative<'a>(bounds: &'a [f64], counts: &'a [u64]) -> impl Iterator<Item = (f64, u64)> + 'a {
-    let les = bounds.iter().copied().chain([f64::INFINITY]);
-    les.zip(counts.iter().scan(0, |total, &n| {
-        *total += n;
-        Some(*total)
-    }))
+/// The observations of one histogram metric.
+#[derive(Debug)]
+struct Buckets {
+    /// The family's bounds. The `+Inf` bucket is `counts[bounds.len()]`.
+    bounds: &'static [f64],
+    /// Per-bucket observation counts (not cumulative).
+    counts: Vec<u64>,
+    /// Total of all observed values.
+    sum: f64,
+}
+
+impl Buckets {
+    /// The cumulative `(le, count)` buckets, ending with `+Inf`.
+    fn cumulative(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        let les = self.bounds.iter().copied().chain([f64::INFINITY]);
+        les.zip(self.counts.iter().scan(0, |total, &n| {
+            *total += n;
+            Some(*total)
+        }))
+    }
+
+    /// Total number of observations.
+    fn count(&self) -> u64 {
+        self.counts.iter().sum()
+    }
 }
 
 /// One counter sample in a [`Snapshot`].
@@ -165,25 +230,27 @@ impl Snapshot {
     }
 }
 
-/// A registry of named metric values.
+/// A registry of metric values, each created at zero on its first update.
 ///
-/// Each update names its metric by family and label set and creates it at
-/// zero on first use: [`counter_add`](Self::counter_add),
-/// [`gauge_add`](Self::gauge_add) and
-/// [`histogram_observe`](Self::histogram_observe) (a histogram keeps the
-/// bounds of its first observation). Updating one family as two different
-/// metric types panics.
+/// An update names its metric by a declared family and a label value:
+/// [`counter_add`](Self::counter_add) takes a [`Counter`],
+/// [`gauge_add`](Self::gauge_add) a [`Gauge`] and
+/// [`histogram_observe`](Self::histogram_observe) a [`Histogram`]. Family
+/// names must be unique across the declarations that update one registry:
+/// an update under a name that another kind already holds is dropped.
 ///
 /// ```
-/// use stoke_obs::MetricsRegistry;
+/// use stoke_obs::{Counter, MetricsRegistry};
+///
+/// const MOVES: Counter = Counter::new("moves_total", Some("kind"));
 ///
 /// let registry = MetricsRegistry::new();
-/// registry.counter_add("moves_total", &[("kind", "swap")], 3);
+/// registry.counter_add(&MOVES, "swap", 3);
 /// let text = registry.render_text();
 /// assert!(text.contains("# TYPE moves_total counter"));
 /// assert!(text.contains("moves_total{kind=\"swap\"} 3"));
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: Mutex<BTreeMap<Key, Metric>>,
 }
@@ -194,94 +261,42 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `n` to the counter `family` with `labels`.
-    pub fn counter_add(&self, family: &str, labels: &[(&str, &str)], n: u64) {
-        self.update(
-            family,
-            labels,
-            "counter",
-            || Metric::Counter(0),
-            |metric| {
-                if let Metric::Counter(value) = metric {
-                    *value += n;
-                }
-            },
-        );
+    /// Add `n` to the counter of `family` for label value `label`.
+    pub fn counter_add(&self, family: &'static Counter, label: &str, n: u64) {
+        let key = Key::new(family.name, family.label, label);
+        let mut metrics = self.metrics.lock().unwrap();
+        if let Metric::Counter(value) = metrics.entry(key).or_insert(Metric::Counter(0)) {
+            *value += n;
+        }
     }
 
-    /// Add `n` (possibly negative) to the gauge `family` with `labels`.
-    pub fn gauge_add(&self, family: &str, labels: &[(&str, &str)], n: i64) {
-        self.update(
-            family,
-            labels,
-            "gauge",
-            || Metric::Gauge(0),
-            |metric| {
-                if let Metric::Gauge(value) = metric {
-                    *value += n;
-                }
-            },
-        );
+    /// Add `n` (possibly negative) to the gauge of `family` for label
+    /// value `label`.
+    pub fn gauge_add(&self, family: &'static Gauge, label: &str, n: i64) {
+        let key = Key::new(family.name, family.label, label);
+        let mut metrics = self.metrics.lock().unwrap();
+        if let Metric::Gauge(value) = metrics.entry(key).or_insert(Metric::Gauge(0)) {
+            *value += n;
+        }
     }
 
-    /// Record the observation `v` in the histogram `family` with `labels`.
-    /// On its first observation the histogram takes `bounds` as its finite
-    /// upper bounds: sorted and deduplicated, non-finite entries dropped.
-    /// An implicit `+Inf` bucket is always appended.
-    pub fn histogram_observe(&self, family: &str, labels: &[(&str, &str)], bounds: &[f64], v: f64) {
+    /// Record the observation `v` in the histogram of `family` for label
+    /// value `label`.
+    pub fn histogram_observe(&self, family: &'static Histogram, label: &str, v: f64) {
+        let key = Key::new(family.name, family.label, label);
         let fresh = || {
-            let mut bounds: Vec<f64> = bounds.iter().copied().filter(|b| b.is_finite()).collect();
-            bounds.sort_by(f64::total_cmp);
-            bounds.dedup();
-            Metric::Histogram {
-                counts: vec![0; bounds.len() + 1],
-                bounds,
+            Metric::Histogram(Buckets {
+                bounds: family.bounds,
+                counts: vec![0; family.bounds.len() + 1],
                 sum: 0.0,
-                count: 0,
-            }
+            })
         };
-        self.update(family, labels, "histogram", fresh, |metric| {
-            if let Metric::Histogram {
-                bounds,
-                counts,
-                sum,
-                count,
-            } = metric
-            {
-                let bucket = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
-                counts[bucket] += 1;
-                *sum += v;
-                *count += 1;
-            }
-        });
-    }
-
-    /// Apply `apply` to the metric `family` with `labels`, created by
-    /// `fresh` if absent, after checking that the family is a `kind`.
-    ///
-    /// A type clash panics only after the map lock is released, so a
-    /// caught clash leaves the registry usable and unchanged.
-    fn update(
-        &self,
-        family: &str,
-        labels: &[(&str, &str)],
-        kind: &'static str,
-        fresh: impl FnOnce() -> Metric,
-        apply: impl FnOnce(&mut Metric),
-    ) {
-        let key = Key::new(family, labels);
-        let was = {
-            let mut metrics = self.metrics.lock().unwrap();
-            match metrics.get_mut(&key) {
-                Some(metric) if metric.kind() == kind => return apply(metric),
-                Some(metric) => metric.kind(),
-                None => match metrics.iter().find(|(k, _)| k.family == family) {
-                    Some((_, sibling)) if sibling.kind() != kind => sibling.kind(),
-                    _ => return apply(metrics.entry(key).or_insert_with(fresh)),
-                },
-            }
-        };
-        panic!("metric family `{family}` already registered as a {was}, cannot re-register as a {kind}");
+        let mut metrics = self.metrics.lock().unwrap();
+        if let Metric::Histogram(h) = metrics.entry(key).or_insert_with(fresh) {
+            let bucket = h.bounds.iter().position(|&b| v <= b);
+            h.counts[bucket.unwrap_or(h.bounds.len())] += 1;
+            h.sum += v;
+        }
     }
 
     /// Take a point-in-time copy of every metric.
@@ -293,18 +308,14 @@ impl MetricsRegistry {
             match metric {
                 &Metric::Counter(value) => snapshot.counters.push(CounterSample { name, value }),
                 &Metric::Gauge(value) => snapshot.gauges.push(GaugeSample { name, value }),
-                Metric::Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    count,
-                } => snapshot.histograms.push(HistogramSample {
+                Metric::Histogram(h) => snapshot.histograms.push(HistogramSample {
                     name,
-                    buckets: cumulative(bounds, counts)
+                    buckets: h
+                        .cumulative()
                         .map(|(le, cumulative)| Bucket { le, cumulative })
                         .collect(),
-                    count: *count,
-                    sum: *sum,
+                    count: h.count(),
+                    sum: h.sum,
                 }),
             }
         }
@@ -321,9 +332,9 @@ impl MetricsRegistry {
         for kind in ["counter", "gauge", "histogram"] {
             let mut last_family = None;
             for (key, metric) in metrics.iter().filter(|(_, m)| m.kind() == kind) {
-                if last_family != Some(&key.family) {
+                if last_family != Some(key.family) {
                     let _ = writeln!(out, "# TYPE {} {kind}", key.family);
-                    last_family = Some(&key.family);
+                    last_family = Some(key.family);
                 }
                 let name = key.full_name();
                 match metric {
@@ -333,14 +344,9 @@ impl MetricsRegistry {
                     Metric::Gauge(value) => {
                         let _ = writeln!(out, "{name} {value}");
                     }
-                    Metric::Histogram {
-                        bounds,
-                        counts,
-                        sum,
-                        count,
-                    } => {
+                    Metric::Histogram(h) => {
                         let separator = if key.labels.is_empty() { "" } else { "," };
-                        for (le, total) in cumulative(bounds, counts) {
+                        for (le, total) in h.cumulative() {
                             let le = if le.is_finite() {
                                 le.to_string()
                             } else {
@@ -354,25 +360,13 @@ impl MetricsRegistry {
                         }
                         // `{labels}`, or empty for an unlabelled histogram.
                         let labels = &name[key.family.len()..];
-                        let _ = writeln!(out, "{}_sum{labels} {sum}", key.family);
-                        let _ = writeln!(out, "{}_count{labels} {count}", key.family);
+                        let _ = writeln!(out, "{}_sum{labels} {}", key.family, h.sum);
+                        let _ = writeln!(out, "{}_count{labels} {}", key.family, h.count());
                     }
                 }
             }
         }
         out
-    }
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let metrics = self.metrics.lock().unwrap();
-        let of_kind = |kind| metrics.values().filter(|m| m.kind() == kind).count();
-        f.debug_struct("MetricsRegistry")
-            .field("counters", &of_kind("counter"))
-            .field("gauges", &of_kind("gauge"))
-            .field("histograms", &of_kind("histogram"))
-            .finish()
     }
 }
 
@@ -384,13 +378,14 @@ mod tests {
 
     #[test]
     fn counters_sum_exactly_under_threaded_hammering() {
+        const HAMMERED: Counter = Counter::new("hammered_total", None);
         let registry = Arc::new(MetricsRegistry::new());
         let threads: Vec<_> = (0..8)
             .map(|_| {
                 let registry = registry.clone();
                 thread::spawn(move || {
                     for _ in 0..10_000 {
-                        registry.counter_add("hammered_total", &[], 1);
+                        registry.counter_add(&HAMMERED, "", 1);
                     }
                 })
             })
@@ -403,6 +398,7 @@ mod tests {
 
     #[test]
     fn histogram_concurrent_observations_count_exactly() {
+        const LATENCY: Histogram = Histogram::new("latency_seconds", None, &[0.5, 1.0]);
         let registry = Arc::new(MetricsRegistry::new());
         let threads: Vec<_> = (0..4)
             .map(|i| {
@@ -410,7 +406,7 @@ mod tests {
                 thread::spawn(move || {
                     for _ in 0..5_000 {
                         let v = 0.25 * (i + 1) as f64;
-                        registry.histogram_observe("latency_seconds", &[], &[0.5, 1.0], v);
+                        registry.histogram_observe(&LATENCY, "", v);
                     }
                 })
             })
@@ -429,8 +425,9 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive() {
+        const BOUNDS: Histogram = Histogram::new("bounds_seconds", None, &[1.0, 2.0, 4.0]);
         let registry = MetricsRegistry::new();
-        let observe = |v| registry.histogram_observe("bounds_seconds", &[], &[4.0, 1.0, 2.0], v);
+        let observe = |v| registry.histogram_observe(&BOUNDS, "", v);
         // Exactly on a bound lands in that bound's bucket (v <= le).
         observe(1.0);
         observe(2.0);
@@ -446,11 +443,12 @@ mod tests {
 
     #[test]
     fn updates_to_one_key_share_one_value() {
+        const DUP: Counter = Counter::new("dup_total", Some("k"));
         let registry = MetricsRegistry::new();
-        registry.counter_add("dup_total", &[("k", "v")], 2);
-        registry.counter_add("dup_total", &[("k", "v")], 1);
-        // A different label set is a different value in the same family.
-        registry.counter_add("dup_total", &[("k", "other")], 0);
+        registry.counter_add(&DUP, "v", 2);
+        registry.counter_add(&DUP, "v", 1);
+        // A different label value is a different value in the same family.
+        registry.counter_add(&DUP, "other", 0);
         let snap = registry.snapshot();
         assert_eq!(snap.counter(r#"dup_total{k="v"}"#), 3);
         assert_eq!(snap.counter(r#"dup_total{k="other"}"#), 0);
@@ -458,61 +456,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
-    fn cross_type_registration_panics() {
-        let registry = MetricsRegistry::new();
-        registry.counter_add("conflict", &[], 1);
-        registry.gauge_add("conflict", &[], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered as a histogram")]
-    fn cross_type_registration_panics_across_label_sets() {
-        let registry = MetricsRegistry::new();
-        registry.histogram_observe("conflict", &[("k", "a")], &[1.0], 0.5);
-        registry.counter_add("conflict", &[("k", "b")], 1);
-    }
-
-    #[test]
-    fn a_caught_type_clash_leaves_the_registry_usable() {
-        let fill = |registry: &MetricsRegistry| {
-            registry.counter_add("conflict_total", &[], 1);
-            registry.histogram_observe("dur_seconds", &[], &[0.1, 1.0], 0.5);
-        };
-        let clean = MetricsRegistry::new();
-        fill(&clean);
-        clean.counter_add("conflict_total", &[], 2);
-
-        let registry = MetricsRegistry::new();
-        fill(&registry);
-        let clash = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            registry.gauge_add("conflict_total", &[], 1);
-        }));
-        assert!(clash.is_err(), "a gauge update of a counter family panics");
-        registry.counter_add("conflict_total", &[], 2);
-        assert_eq!(registry.snapshot().counter("conflict_total"), 3);
-        assert_eq!(registry.render_text(), clean.render_text());
-    }
-
-    #[test]
     fn gauge_moves_both_directions() {
+        const DEPTH: Gauge = Gauge::new("queue_depth", None);
         let registry = MetricsRegistry::new();
-        registry.gauge_add("queue_depth", &[], 1);
-        registry.gauge_add("queue_depth", &[], 1);
-        registry.gauge_add("queue_depth", &[], -1);
+        registry.gauge_add(&DEPTH, "", 1);
+        registry.gauge_add(&DEPTH, "", 1);
+        registry.gauge_add(&DEPTH, "", -1);
         assert_eq!(registry.snapshot().gauge("queue_depth"), 1);
-        registry.gauge_add("queue_depth", &[], -6);
+        registry.gauge_add(&DEPTH, "", -6);
         assert_eq!(registry.snapshot().gauge("queue_depth"), -5);
     }
 
     #[test]
     fn render_text_exposition_format() {
+        const DURATION: Histogram = Histogram::new("dur_seconds", None, &[0.1, 1.0]);
+        const M: Counter = Counter::new("m_total", Some("kind"));
+        const DEPTH: Gauge = Gauge::new("depth", None);
         let registry = MetricsRegistry::new();
-        registry.histogram_observe("dur_seconds", &[], &[0.1, 1.0], 0.05);
-        registry.counter_add("m_total", &[("kind", "b")], 2);
-        registry.gauge_add("depth", &[], 7);
-        registry.counter_add("m_total", &[("kind", "a")], 1);
-        registry.histogram_observe("dur_seconds", &[], &[0.1, 1.0], 0.5);
+        registry.histogram_observe(&DURATION, "", 0.05);
+        registry.counter_add(&M, "b", 2);
+        registry.gauge_add(&DEPTH, "", 7);
+        registry.counter_add(&M, "a", 1);
+        registry.histogram_observe(&DURATION, "", 0.5);
         let text = registry.render_text();
         let lines: Vec<&str> = text.lines().collect();
         // Counters, then gauges, then histograms; one TYPE line per

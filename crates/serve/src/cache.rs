@@ -248,13 +248,23 @@ impl RewriteCache {
 
     /// Load a cache previously written by [`RewriteCache::save`].
     ///
-    /// The format is strict: a bad header, a malformed record, an unknown
-    /// verification tag, an unparseable cached program, a key whose
-    /// program does not parse or does not print back to the stored text,
-    /// a broken escape sequence or a missing/incorrect `end` count all
-    /// reject the file with a typed [`PersistError`] rather than silently
-    /// serving corrupted rewrites. The creation timestamp of each record is
-    /// checked and kept, but no entry expires.
+    /// The loader checks the file's structure, not its integrity. It
+    /// rejects the file with a typed [`PersistError`] on: a bad header; a
+    /// record of unknown type or with the wrong number of fields; an
+    /// unparseable timestamp, LRU tick or `end` count; an unknown
+    /// verification tag; a broken escape sequence; a cached rewrite that
+    /// does not parse; key text that is not a v1 canonical key (its
+    /// program does not parse, or does not print back to the stored text);
+    /// a rewrite that uses a register implicitly which its key does not pin
+    /// (the gate [`insert`](Self::insert) applies); data after the `end`
+    /// marker; and a missing `end` marker or an `end` count that disagrees
+    /// with the records.
+    ///
+    /// The v1 format has no checksum, so an edit that still parses is not
+    /// detected: a changed `out` register, `pipeline` hash digit or input
+    /// mask loads as a different key, and a changed rewrite or tag loads
+    /// as that rewrite or tag. Load only files the service wrote itself.
+    /// The creation timestamp of each record is kept, but no entry expires.
     pub fn load(path: &Path, config: CacheConfig) -> Result<RewriteCache, PersistError> {
         let text = std::fs::read_to_string(path)?;
         let mut cache = RewriteCache::new(config);
@@ -312,6 +322,11 @@ impl RewriteCache {
                     parsed += 1;
                     let key = CacheKey::parse(&key)
                         .ok_or_else(|| record("key text is not a v1 canonical key"))?;
+                    if !key.admits_rewrite(&rewrite) {
+                        return Err(record(
+                            "rewrite uses an implicit register the key does not pin",
+                        ));
+                    }
                     cache.tick = cache.tick.max(last_used);
                     let cached = CachedRewrite::measure(key.program(), rewrite, verification);
                     cache.entries.insert(

@@ -16,7 +16,9 @@ use std::time::{Duration, Instant};
 use stoke::{
     Budget, Config, RunRequest, SearchStats, Session, StokeError, StokeResult, TargetSpec, Verifier,
 };
-use stoke_obs::{MetricsRegistry, TraceRecord, TraceSink, Value};
+use stoke_obs::{
+    Counter, Gauge, Histogram, MetricsRegistry, TraceRecord, TraceSink, Value, SECONDS_BOUNDS,
+};
 use stoke_x86::Program;
 
 /// Identifier of a submitted job, unique within one [`Service`].
@@ -223,8 +225,28 @@ impl ServeConfig {
 /// entry that warm-starts its synthesis chains.
 const WARM_START_MAX_DISTANCE: usize = 2;
 
-/// Latency histogram bounds of the serve layer, in seconds.
-const LATENCY_BOUNDS: [f64; 9] = [0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
+/// Submitted jobs.
+const JOBS_SUBMITTED: Counter = Counter::new("stoke_serve_jobs_submitted_total", None);
+/// Jobs cancelled while queued.
+const JOBS_CANCELLED: Counter = Counter::new("stoke_serve_jobs_cancelled_total", None);
+/// Jobs that finished with a rewrite.
+const JOBS_COMPLETED: Counter = Counter::new("stoke_serve_jobs_completed_total", None);
+/// Jobs that finished with an error.
+const JOBS_FAILED: Counter = Counter::new("stoke_serve_jobs_failed_total", None);
+/// Finished jobs served from the cache.
+const CACHE_HITS: Counter = Counter::new("stoke_serve_cache_hits_total", None);
+/// Finished jobs not served from the cache.
+const CACHE_MISSES: Counter = Counter::new("stoke_serve_cache_misses_total", None);
+/// Finished jobs that searched from a near-miss cached rewrite.
+const WARM_STARTS: Counter = Counter::new("stoke_serve_warm_starts_total", None);
+/// Finished jobs that searched from scratch.
+const COLD_SEARCHES: Counter = Counter::new("stoke_serve_cold_searches_total", None);
+/// Jobs waiting in the queue.
+const QUEUE_DEPTH: Gauge = Gauge::new("stoke_serve_queue_depth", None);
+/// Time a finished job waited in the queue.
+const QUEUE_SECONDS: Histogram = Histogram::new("stoke_serve_queue_seconds", None, &SECONDS_BOUNDS);
+/// Time a finished job ran.
+const RUN_SECONDS: Histogram = Histogram::new("stoke_serve_run_seconds", None, &SECONDS_BOUNDS);
 
 /// The `disposition` field of a finished job's event, or `""`.
 fn disposition(record: &TraceRecord) -> &str {
@@ -240,42 +262,42 @@ fn count(registry: &MetricsRegistry, record: &TraceRecord) {
     let TraceRecord::Event { name, .. } = record else {
         return;
     };
-    let counter = |family: &str| registry.counter_add(family, &[], 1);
-    let queue_depth = |n: i64| registry.gauge_add("stoke_serve_queue_depth", &[], n);
-    let latency = |family: &str, key: &str| {
+    let counter = |family: &'static Counter| registry.counter_add(family, "", 1);
+    let queue_depth = |n: i64| registry.gauge_add(&QUEUE_DEPTH, "", n);
+    let latency = |family: &'static Histogram, key: &str| {
         let seconds = match record.field(key) {
             Some(&Value::U64(us)) => us as f64 / 1e6,
             _ => 0.0,
         };
-        registry.histogram_observe(family, &[], &LATENCY_BOUNDS, seconds);
+        registry.histogram_observe(family, "", seconds);
     };
     match name.as_str() {
         "job_submitted" => {
-            counter("stoke_serve_jobs_submitted_total");
+            counter(&JOBS_SUBMITTED);
             queue_depth(1);
         }
         "job_started" => queue_depth(-1),
         "job_cancelled" => {
-            counter("stoke_serve_jobs_cancelled_total");
+            counter(&JOBS_CANCELLED);
             queue_depth(-1);
         }
         "job_completed" | "job_failed" => {
             counter(if name == "job_failed" {
-                "stoke_serve_jobs_failed_total"
+                &JOBS_FAILED
             } else {
-                "stoke_serve_jobs_completed_total"
+                &JOBS_COMPLETED
             });
             let served_by = disposition(record);
             counter(match served_by {
-                "cache_hit" => "stoke_serve_cache_hits_total",
-                "warm_start" => "stoke_serve_warm_starts_total",
-                _ => "stoke_serve_cold_searches_total",
+                "cache_hit" => &CACHE_HITS,
+                "warm_start" => &WARM_STARTS,
+                _ => &COLD_SEARCHES,
             });
             if served_by != "cache_hit" {
-                counter("stoke_serve_cache_misses_total");
+                counter(&CACHE_MISSES);
             }
-            latency("stoke_serve_queue_seconds", "queue_us");
-            latency("stoke_serve_run_seconds", "run_us");
+            latency(&QUEUE_SECONDS, "queue_us");
+            latency(&RUN_SECONDS, "run_us");
         }
         _ => {}
     }
@@ -761,6 +783,37 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The declared families have unique names that all carry the
+    /// `stoke_serve_` prefix (which no search family uses, so this fold
+    /// and the search fold can share one registry without a clash), and
+    /// histogram bounds that are finite and strictly increasing.
+    #[test]
+    fn the_declared_families_are_unique_and_well_formed() {
+        let counters = [
+            &JOBS_SUBMITTED,
+            &JOBS_CANCELLED,
+            &JOBS_COMPLETED,
+            &JOBS_FAILED,
+            &CACHE_HITS,
+            &CACHE_MISSES,
+            &WARM_STARTS,
+            &COLD_SEARCHES,
+        ];
+        let histograms = [&QUEUE_SECONDS, &RUN_SECONDS];
+        let mut names: Vec<&str> = counters.iter().map(|c| c.name).collect();
+        names.push(QUEUE_DEPTH.name);
+        names.extend(histograms.iter().map(|h| h.name));
+        assert!(names.iter().all(|n| n.starts_with("stoke_serve_")));
+        let declared = names.len();
+        names.sort();
+        names.dedup();
+        assert_eq!(names.len(), declared, "a family name is declared twice");
+        for h in histograms {
+            assert!(h.bounds.iter().all(|b| b.is_finite()), "{}", h.name);
+            assert!(h.bounds.windows(2).all(|w| w[0] < w[1]), "{}", h.name);
+        }
+    }
 
     /// The exposition of the stream folded in
     /// `a_fixed_stream_renders_a_golden_exposition`.

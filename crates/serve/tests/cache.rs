@@ -214,6 +214,32 @@ fn load_rejects_corrupt_files() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The file is checked with the gate `insert` applies: a rewrite that uses
+/// a register implicitly (`mulq`'s `rax` and `rdx`) is refused under a key
+/// that does not pin it, since a hit's inverse renaming could move it.
+#[test]
+fn load_rejects_rewrites_with_unpinned_implicit_registers() {
+    let path = temp_path("unpinned.cache");
+    let mut cache = RewriteCache::new(CacheConfig::default());
+    let key = key_for("addq rax, rax");
+    let rewrite: Program = "addq rax, rax".parse().unwrap();
+    assert!(cache.insert(&key, &rewrite, Verification::Proven));
+    cache.save(&path).unwrap();
+    let good = std::fs::read_to_string(&path).unwrap();
+    assert!(RewriteCache::load(&path, CacheConfig::default()).is_ok());
+
+    let mut fields: Vec<&str> = good.lines().nth(1).unwrap().split('\t').collect();
+    fields[5] = "mulq rax\\n";
+    let edited = format!("stoke-rewrite-cache v1\n{}\nend\t1\n", fields.join("\t"));
+    std::fs::write(&path, edited).unwrap();
+    let err = RewriteCache::load(&path, CacheConfig::default());
+    assert!(
+        matches!(err, Err(PersistError::BadRecord { line: 2, .. })),
+        "a mulq rewrite under an unpinned key must be rejected, got {err:?}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A key's program section must parse, and must print back to exactly the
 /// stored text: a loaded key compares structurally with fresh keys, so a
 /// line that parses to the same instructions as another text would make

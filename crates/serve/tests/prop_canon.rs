@@ -1,8 +1,9 @@
 //! Property tests for the canonical cache key: invariance under register
 //! alpha-renaming and input reordering, no aliasing between distinct
 //! canonical programs, structural equality agreeing with the key text,
-//! cost figures invariant under canonicalization, and persistence round
-//! trips over random entries.
+//! cost figures invariant under canonicalization, persistence round trips
+//! over random entries, and loads of randomly corrupted cache files that
+//! never panic.
 
 use proptest::prelude::*;
 use stoke::{Config, InputSpec, Proposer, TargetSpec, Verification};
@@ -56,6 +57,32 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// `bytes` after one to eight edits drawn from `seed`: low-bit flips (so
+/// ASCII stays ASCII), deletions, and insertions of a byte copied from the
+/// file or, one time in four, of any byte.
+fn mutate(bytes: &[u8], seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    let mut out = bytes.to_vec();
+    for _ in 0..=splitmix(&mut state) % 8 {
+        let r = splitmix(&mut state);
+        let at = (r % (out.len() as u64 + 1)) as usize;
+        match (r >> 32) % 3 {
+            0 if at < out.len() => out[at] ^= 1 << ((r >> 40) % 7),
+            1 if at < out.len() => {
+                out.remove(at);
+            }
+            _ => {
+                let byte = match out.get(((r >> 40) % (out.len() as u64).max(1)) as usize) {
+                    Some(&b) if r >> 62 != 0 => b,
+                    _ => (r >> 48) as u8,
+                };
+                out.insert(at, byte);
+            }
+        }
+    }
+    out
 }
 
 /// A uniformly random register permutation that fixes every pinned
@@ -259,6 +286,36 @@ proptest! {
                 key.canonical_rewrite(program).to_string()
             );
             prop_assert_eq!(hit.verification, Verification::TestsOnly);
+        }
+    }
+
+    /// A corrupt cache file: a saved file of random entries after random
+    /// byte edits loads as a cache or is refused with a `PersistError`,
+    /// and never panics the loader.
+    #[test]
+    fn a_corrupted_cache_file_never_panics_the_loader(
+        seed in any::<u64>(),
+        count in 1usize..4,
+        len in 1usize..8,
+        mutation_seed in any::<u64>(),
+    ) {
+        let mut cache = RewriteCache::new(CacheConfig::default());
+        for i in 0..count {
+            let program = random_program(seed.wrapping_add(i as u64), len);
+            let key = CacheKey::for_spec(&spec_for(program.clone()), fingerprint());
+            prop_assert!(cache.insert(&key, &program, Verification::TestsOnly));
+        }
+        let path = std::env::temp_dir().join(format!(
+            "stoke-serve-prop-corrupt-{}.cache",
+            std::process::id()
+        ));
+        cache.save(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        std::fs::write(&path, mutate(&saved, mutation_seed)).unwrap();
+        let loaded = RewriteCache::load(&path, CacheConfig::default());
+        let _ = std::fs::remove_file(&path);
+        if let Ok(loaded) = loaded {
+            prop_assert!(loaded.len() <= count);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the ISA model: printing and re-parsing any
-//! well-formed instruction is the identity, and width arithmetic obeys its
-//! algebraic laws.
+//! well-formed instruction is the identity, mutated asm text never panics
+//! the parser, and width arithmetic obeys its algebraic laws.
 
 use proptest::prelude::*;
 use stoke_x86::{
@@ -77,8 +77,59 @@ fn any_instruction() -> impl Strategy<Value = Instruction> {
     ]
 }
 
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// `bytes` after one to eight edits drawn from `seed`: low-bit flips (so
+/// ASCII stays ASCII), deletions, and insertions of a byte copied from the
+/// text or, one time in four, of any byte.
+fn mutate(bytes: &[u8], seed: u64) -> Vec<u8> {
+    let mut state = seed;
+    let mut out = bytes.to_vec();
+    for _ in 0..=splitmix(&mut state) % 8 {
+        let r = splitmix(&mut state);
+        let at = (r % (out.len() as u64 + 1)) as usize;
+        match (r >> 32) % 3 {
+            0 if at < out.len() => out[at] ^= 1 << ((r >> 40) % 7),
+            1 if at < out.len() => {
+                out.remove(at);
+            }
+            _ => {
+                let byte = match out.get(((r >> 40) % (out.len() as u64).max(1)) as usize) {
+                    Some(&b) if r >> 62 != 0 => b,
+                    _ => (r >> 48) as u8,
+                };
+                out.insert(at, byte);
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile asm text: a printed program after random byte edits either
+    /// parses or returns an error, never panics, and whatever parses
+    /// prints back to text that parses to the same program.
+    #[test]
+    fn mutated_asm_text_never_panics_the_parser(
+        instrs in proptest::collection::vec(any_instruction(), 1..12),
+        seed in any::<u64>(),
+    ) {
+        let text = Program::from_instrs(instrs).to_string();
+        let mutated = mutate(text.as_bytes(), seed);
+        if let Ok(program) = String::from_utf8_lossy(&mutated).parse::<Program>() {
+            let reparsed: Program =
+                program.to_string().parse().expect("printed program must re-parse");
+            prop_assert_eq!(program, reparsed);
+        }
+    }
 
     /// Printing any instruction and parsing it back yields the same
     /// instruction (the printer and parser are inverses on the modelled
