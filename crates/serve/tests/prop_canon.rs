@@ -2,8 +2,10 @@
 //! alpha-renaming and input reordering, no aliasing between distinct
 //! canonical programs, structural equality agreeing with the key text,
 //! cost figures invariant under canonicalization, persistence round trips
-//! over random entries, and loads of randomly corrupted cache files that
-//! never panic.
+//! over random entries, loads of randomly corrupted cache files that
+//! never panic, and `canonicalize` over programs drawn from every opcode
+//! the parser names: it never panics, is idempotent, and its output
+//! survives printing and parsing.
 
 use proptest::prelude::*;
 use stoke::{Config, InputSpec, Proposer, TargetSpec, Verification};
@@ -11,7 +13,7 @@ use stoke_emu::TimingModel;
 use stoke_serve::{CacheConfig, CacheKey, PipelineFingerprint, RewriteCache};
 use stoke_x86::canon::{canonicalize, normalize_immediates, pinned_registers, Renaming};
 use stoke_x86::flow::LocSet;
-use stoke_x86::{Gpr, Operand, Program, Scale};
+use stoke_x86::{Gpr, Instruction, Mem, Opcode, Operand, Program, Scale, SlotSpec, Xmm};
 
 fn fingerprint() -> PipelineFingerprint {
     PipelineFingerprint::new(&Config::default(), "cascade")
@@ -27,6 +29,64 @@ fn random_program(seed: u64, len: usize) -> Program {
     };
     let mut proposer = Proposer::new(config, seed);
     (0..len).map(|_| proposer.random_instruction()).collect()
+}
+
+/// A random program over every opcode the parser names
+/// ([`Opcode::all_widths`]: 16-bit forms and opcodes outside the proposal
+/// pool included), with random operands of every kind each slot takes.
+/// Draws `Instruction::new` rejects (`leab`, two memory operands, ...)
+/// are skipped.
+fn random_named_program(seed: u64, len: usize) -> Program {
+    let opcodes = Opcode::all_widths();
+    let mut state = seed;
+    let mut instrs = Vec::with_capacity(len);
+    while instrs.len() < len {
+        let opcode = opcodes[(splitmix(&mut state) % opcodes.len() as u64) as usize];
+        let operands: Vec<Operand> = opcode
+            .signature()
+            .iter()
+            .map(|spec| random_operand(spec, &mut state))
+            .collect();
+        if let Ok(instr) = Instruction::new(opcode, operands) {
+            instrs.push(instr);
+        }
+    }
+    Program::from_instrs(instrs)
+}
+
+/// A random operand of one of the kinds `spec` accepts: any register
+/// number, immediates at the edges of every width, and addresses with
+/// and without base and index (and scales no index reads).
+fn random_operand(spec: &SlotSpec, state: &mut u64) -> Operand {
+    const IMMS: [i64; 7] = [0, 1, -1, 0x80, 0xffff, 0x8000_0000, i64::MIN];
+    let mut kinds = Vec::new();
+    if let Some(w) = spec.reg {
+        kinds.push(Operand::Reg(
+            Gpr::from_index((splitmix(state) % 16) as usize).view(w),
+        ));
+    }
+    if spec.xmm {
+        kinds.push(Operand::Xmm(Xmm((splitmix(state) % 16) as u8)));
+    }
+    if spec.imm {
+        let r = splitmix(state);
+        kinds.push(Operand::Imm(if r.is_multiple_of(2) {
+            IMMS[(r >> 8) as usize % IMMS.len()]
+        } else {
+            (r >> 1) as i64
+        }));
+    }
+    if spec.mem {
+        let r = splitmix(state);
+        let gpr = |shift: u32| Gpr::from_index(((r >> shift) % 16) as usize);
+        kinds.push(Operand::Mem(Mem {
+            base: (!r.is_multiple_of(4)).then(|| gpr(8)),
+            index: r.is_multiple_of(3).then(|| gpr(16)),
+            scale: Scale::ALL[((r >> 24) % 4) as usize],
+            disp: (r >> 32) as i32 >> ((r >> 28) % 32),
+        }));
+    }
+    kinds[(splitmix(state) % kinds.len() as u64) as usize]
 }
 
 /// `program` with a random scale on every address that has no index
@@ -317,6 +377,34 @@ proptest! {
         if let Ok(loaded) = loaded {
             prop_assert!(loaded.len() <= count);
         }
+    }
+
+    /// `canonicalize` over programs drawn from every opcode the parser
+    /// names never panics; is idempotent for the same interface tail (and,
+    /// with the tail carried into canonical registers, renames nothing);
+    /// and the canonical program's text parses back to it, as the cache
+    /// file and the key text need.
+    #[test]
+    fn canonicalize_is_idempotent_and_its_text_parses_back(
+        program_seed in any::<u64>(),
+        tail_seed in any::<u64>(),
+        len in 1usize..12,
+    ) {
+        let program = random_named_program(program_seed, len);
+        let shuffled = permutation_fixing(&[false; 16], tail_seed);
+        let tail: Vec<Gpr> = Gpr::ALL[..(tail_seed % 6) as usize]
+            .iter()
+            .map(|&g| shuffled.apply_gpr(g))
+            .collect();
+        let (canon, renaming) = canonicalize(&program, &tail);
+        prop_assert_eq!(&canonicalize(&canon, &tail).0, &canon);
+        let canon_tail: Vec<Gpr> = tail.iter().map(|&g| renaming.apply_gpr(g)).collect();
+        prop_assert_eq!(canonicalize(&canon, &canon_tail), (canon.clone(), Renaming::identity()));
+        let text = canon.to_string();
+        let reparsed: Program = text
+            .parse()
+            .unwrap_or_else(|e| panic!("canonical program does not parse: {e}\n{text}"));
+        prop_assert_eq!(reparsed, canon);
     }
 
     /// Immediate normalization is idempotent and register renaming is

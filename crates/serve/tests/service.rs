@@ -374,6 +374,33 @@ fn cache_persists_across_service_restarts() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A target holding a 16-bit instruction (`add si, ax`, printed `addw`)
+/// is saved to the cache file as text and loads back at the next start,
+/// where it is served as a hit.
+#[test]
+fn a_cached_16_bit_target_survives_a_restart() {
+    let path = std::env::temp_dir().join(format!("stoke-serve-16bit-{}.cache", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let program: Program = "movq rdi, rax\nadd si, ax".parse().unwrap();
+    let spec = TargetSpec::with_gprs(program, &[Gpr::Rdi, Gpr::Rsi], &[Gpr::Rax]);
+
+    let mut config = ServeConfig::new(quick_config());
+    config.cache_path = Some(path.clone());
+    let service = Service::start(config).unwrap();
+    let cold = service.wait(service.submit(spec.clone())).unwrap();
+    assert_eq!(cold.disposition, Disposition::ColdSearch);
+    service.shutdown().unwrap();
+
+    let mut config = ServeConfig::new(quick_config());
+    config.cache_path = Some(path.clone());
+    let service = Service::start(config).expect("the saved cache loads back");
+    assert_eq!(service.cache_len(), 1);
+    let hit = service.wait(service.submit(spec)).unwrap();
+    assert_eq!(hit.disposition, Disposition::CacheHit);
+    service.shutdown().unwrap();
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A `stoke-rewrite-cache v1` file, laid out record for record as
 /// `RewriteCache::save` writes it, loads and is served. Its timestamp is
 /// decades old: entries never expire.

@@ -302,7 +302,7 @@ pub fn canonicalize(program: &Program, tail: &[Gpr]) -> (Program, Renaming) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::build;
+    use crate::instr::{build, InstrError};
     use crate::opcode::AluOp;
 
     fn parse(src: &str) -> Program {
@@ -362,46 +362,12 @@ mod tests {
         assert!(canon.to_string().contains("rax"));
     }
 
-    /// Every opcode of the search's pool at every width the parser
-    /// accepts, with the registers it pins. The cache key hashes the
-    /// canonical form, so this list is what keeps persisted keys stable.
+    /// Every opcode the parser names that `Instruction::new` accepts, with
+    /// the registers it pins. The cache key hashes the canonical form, so
+    /// this list is what keeps persisted keys stable.
     #[test]
     fn pinned_registers_are_the_implicit_ones() {
-        use crate::reg::Width::{B, L, Q, W};
-        let mut opcodes = Vec::new();
-        for op in Opcode::all() {
-            for w in [B, W, L, Q] {
-                let widened = match op {
-                    // No 8-bit one-operand multiply or divide parses.
-                    Opcode::Imul1(_) | Opcode::Mul1(_) | Opcode::Div(_) | Opcode::Idiv(_)
-                        if w == B =>
-                    {
-                        continue
-                    }
-                    Opcode::Mov(_) => Opcode::Mov(w),
-                    Opcode::Lea(_) => Opcode::Lea(w),
-                    Opcode::Xchg(_) => Opcode::Xchg(w),
-                    Opcode::Cmov(c, _) => Opcode::Cmov(c, w),
-                    Opcode::Alu(a, _) => Opcode::Alu(a, w),
-                    Opcode::Cmp(_) => Opcode::Cmp(w),
-                    Opcode::Test(_) => Opcode::Test(w),
-                    Opcode::Un(u, _) => Opcode::Un(u, w),
-                    Opcode::Imul2(_) => Opcode::Imul2(w),
-                    Opcode::Imul1(_) => Opcode::Imul1(w),
-                    Opcode::Mul1(_) => Opcode::Mul1(w),
-                    Opcode::Div(_) => Opcode::Div(w),
-                    Opcode::Idiv(_) => Opcode::Idiv(w),
-                    Opcode::Shift(s, _) => Opcode::Shift(s, w),
-                    Opcode::Bits(b, _) => Opcode::Bits(b, w),
-                    other => other,
-                };
-                if !opcodes.contains(&widened) {
-                    opcodes.push(widened);
-                }
-            }
-        }
-        assert!(opcodes.len() > Opcode::all().len());
-        for op in opcodes {
+        for op in Opcode::all_widths() {
             let expected: &[Gpr] = match op {
                 Opcode::Mul1(_)
                 | Opcode::Imul1(_)
@@ -412,22 +378,22 @@ mod tests {
                 Opcode::Cltq => &[Gpr::Rax, Gpr::Rsp],
                 _ => &[Gpr::Rsp],
             };
-            let program = Program::from_instrs(vec![Instruction::new(
-                op,
-                &{
-                    let mut ops = [Operand::Imm(1); MAX_OPERANDS];
-                    for (slot, o) in op.signature().iter().zip(&mut ops) {
-                        *o = match slot.reg {
-                            Some(w) => Operand::Reg(Gpr::R11.view(w)),
-                            None if slot.xmm => Operand::Xmm(Xmm(3)),
-                            None if slot.imm => Operand::Imm(5),
-                            None => Operand::Mem(Mem::base(Gpr::R12)),
-                        };
-                    }
-                    ops
-                }[..op.arity()],
-            )
-            .unwrap()]);
+            let mut ops = [Operand::Imm(1); MAX_OPERANDS];
+            for (slot, o) in op.signature().iter().zip(&mut ops) {
+                *o = match slot.reg {
+                    Some(w) => Operand::Reg(Gpr::R11.view(w)),
+                    None if slot.xmm => Operand::Xmm(Xmm(3)),
+                    None if slot.imm => Operand::Imm(5),
+                    None => Operand::Mem(Mem::base(Gpr::R12)),
+                };
+            }
+            let instr = match Instruction::new(op, &ops[..op.arity()]) {
+                Ok(instr) => instr,
+                // The forms rejected whatever the operands (`mulb`, `leab`).
+                Err(InstrError::HighByteForm { .. } | InstrError::NoEncoding { .. }) => continue,
+                Err(e) => panic!("{e}"),
+            };
+            let program = Program::from_instrs(vec![instr]);
             let pinned: Vec<Gpr> = Gpr::ALL
                 .into_iter()
                 .filter(|g| pinned_registers(&program)[g.index()])

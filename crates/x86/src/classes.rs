@@ -73,7 +73,8 @@ impl OpcodeClasses {
 
     /// The opcode equivalence class of an existing instruction: every
     /// opcode in the universe that accepts the instruction's operands.
-    /// The class always contains the instruction's own opcode.
+    /// The class contains the instruction's own opcode when that opcode
+    /// is in the universe.
     pub fn class_of(&self, instr: &Instruction) -> &[Opcode] {
         let mut kinds = [OperandKind::Imm; MAX_OPERANDS];
         let arity = instr.operands().len();

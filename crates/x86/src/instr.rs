@@ -29,6 +29,9 @@ pub enum InstrError {
     /// A one-operand 8-bit multiply or divide, whose high half lives in
     /// AH, which is not modelled.
     HighByteForm { opcode: Opcode },
+    /// A form x86 cannot encode: 8-bit `lea`, `cmov`, two-operand `imul`,
+    /// `popcnt`, `bsf`, `bsr` and `bswap`, and 16-bit `bswap`.
+    NoEncoding { opcode: Opcode },
 }
 
 impl fmt::Display for InstrError {
@@ -59,6 +62,9 @@ impl fmt::Display for InstrError {
             }
             InstrError::HighByteForm { opcode } => {
                 write!(f, "opcode {opcode} uses AH, which is not modelled")
+            }
+            InstrError::NoEncoding { opcode } => {
+                write!(f, "opcode {opcode} has no x86 encoding")
             }
         }
     }
@@ -104,7 +110,8 @@ impl Instruction {
     ///
     /// # Errors
     /// Returns an [`InstrError`] if the operands do not match the opcode's
-    /// signature, or if more than one operand is a memory reference.
+    /// signature, if more than one operand is a memory reference, or if
+    /// the opcode is a form x86 cannot encode or that keeps a result in AH.
     pub fn new(opcode: Opcode, operands: impl AsRef<[Operand]>) -> Result<Instruction, InstrError> {
         let operands = operands.as_ref();
         Instruction::validate(opcode, operands)?;
@@ -114,12 +121,19 @@ impl Instruction {
     /// Check `operands` against `opcode`'s signature without building an
     /// instruction (and without allocating).
     fn validate(opcode: Opcode, operands: &[Operand]) -> Result<(), InstrError> {
-        if let Opcode::Imul1(Width::B)
-        | Opcode::Mul1(Width::B)
-        | Opcode::Div(Width::B)
-        | Opcode::Idiv(Width::B) = opcode
-        {
-            return Err(InstrError::HighByteForm { opcode });
+        match opcode {
+            Opcode::Imul1(Width::B)
+            | Opcode::Mul1(Width::B)
+            | Opcode::Div(Width::B)
+            | Opcode::Idiv(Width::B) => return Err(InstrError::HighByteForm { opcode }),
+            Opcode::Lea(Width::B)
+            | Opcode::Cmov(_, Width::B)
+            | Opcode::Imul2(Width::B)
+            | Opcode::Bits(_, Width::B)
+            | Opcode::Bits(BitOp::Bswap, Width::W) => {
+                return Err(InstrError::NoEncoding { opcode })
+            }
+            _ => {}
         }
         let sig = opcode.signature();
         if sig.len() != operands.len() {
@@ -582,6 +596,44 @@ mod tests {
             .with_operand(0, Operand::Mem(Mem::base(Gpr::Rdi)))
             .with_operand(1, Operand::Mem(Mem::base(Gpr::Rsi)));
         assert!(!two_mems.is_valid());
+    }
+
+    #[test]
+    fn forms_without_an_encoding_are_rejected() {
+        use crate::Program;
+        let al = r(Gpr::Rax, Width::B);
+        assert_eq!(
+            Instruction::new(Opcode::Bits(BitOp::Popcnt, Width::B), [al, al]),
+            Err(InstrError::NoEncoding {
+                opcode: Opcode::Bits(BitOp::Popcnt, Width::B)
+            })
+        );
+        for text in [
+            "leab (rax), bl",
+            "lea (rax), bl",
+            "cmovne al, bl",
+            "cmoveb (rdi), bl",
+            "imulb bl, al",
+            "imul 3, al",
+            "popcntb al, bl",
+            "bsfb al, bl",
+            "bsr al, bl",
+            "bswapb al",
+            "bswapw ax",
+            "bswap ax",
+        ] {
+            let e = text.parse::<Program>().unwrap_err();
+            assert!(
+                e.message.contains("no x86 encoding"),
+                "{text}: {}",
+                e.message
+            );
+        }
+        // The 16-bit forms of the others stay.
+        let wide: Program = "lea (rax), bx\ncmovne ax, bx\nimul 3, ax\npopcnt ax, bx\nbsfw ax, bx"
+            .parse()
+            .unwrap();
+        assert_eq!(wide.len(), 5);
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl Cond {
             Cond::Ns => "ns",
         }
     }
-
-    /// Parse a condition suffix.
-    pub fn parse(s: &str) -> Option<Cond> {
-        Cond::ALL.into_iter().find(|c| c.name() == s)
-    }
 }
 
 impl fmt::Display for Cond {
@@ -462,6 +457,45 @@ impl Opcode {
         v
     }
 
+    /// Every opcode the assembly text names: [`Opcode::all`] at every
+    /// operand width (through [`Opcode::with_width`]), without repeats.
+    ///
+    /// The parser resolves mnemonics over this list. It holds forms
+    /// [`Instruction::new`](crate::Instruction::new) rejects, such as
+    /// `leab` or `mulb`, so that their text gets that typed error rather
+    /// than "unknown mnemonic".
+    pub fn all_widths() -> Vec<Opcode> {
+        let mut seen = std::collections::HashSet::new();
+        Opcode::all()
+            .into_iter()
+            .flat_map(|op| Width::ALL.map(|w| op.with_width(w)))
+            .filter(|op| seen.insert(*op))
+            .collect()
+    }
+
+    /// The same operation on `w`-bit operands; fixed-width opcodes are
+    /// returned unchanged.
+    pub fn with_width(self, w: Width) -> Opcode {
+        match self {
+            Opcode::Mov(_) => Opcode::Mov(w),
+            Opcode::Lea(_) => Opcode::Lea(w),
+            Opcode::Xchg(_) => Opcode::Xchg(w),
+            Opcode::Cmov(c, _) => Opcode::Cmov(c, w),
+            Opcode::Alu(op, _) => Opcode::Alu(op, w),
+            Opcode::Cmp(_) => Opcode::Cmp(w),
+            Opcode::Test(_) => Opcode::Test(w),
+            Opcode::Un(op, _) => Opcode::Un(op, w),
+            Opcode::Imul2(_) => Opcode::Imul2(w),
+            Opcode::Imul1(_) => Opcode::Imul1(w),
+            Opcode::Mul1(_) => Opcode::Mul1(w),
+            Opcode::Div(_) => Opcode::Div(w),
+            Opcode::Idiv(_) => Opcode::Idiv(w),
+            Opcode::Shift(op, _) => Opcode::Shift(op, w),
+            Opcode::Bits(op, _) => Opcode::Bits(op, w),
+            fixed => fixed,
+        }
+    }
+
     /// The operand width for scalar opcodes, if meaningful.
     pub fn width(&self) -> Option<Width> {
         match *self {
@@ -720,7 +754,7 @@ mod tests {
         // kinds (e.g. movd to/from xmm) or arity (imul 1-op vs 2-op).
         use std::collections::HashMap;
         let mut seen: HashMap<(String, usize, Vec<bool>), Opcode> = HashMap::new();
-        for op in Opcode::all() {
+        for op in Opcode::all_widths() {
             let key = (
                 op.name(),
                 op.arity(),

@@ -13,18 +13,28 @@
 //! movq -8(rsp), rdi
 //! ```
 //!
+//! Mnemonics are the printer's names ([`Opcode::name`]), so every printed
+//! instruction parses back: `b`, `w`, `l` and `q` width suffixes, the
+//! condition codes of `cmov{cc}` and `set{cc}`, and the SSE names. A
+//! width-parametric mnemonic may drop its suffix and take the width of
+//! its last register operand (`mov edx, edx`). Mnemonics are case
+//! insensitive, and `sal*`, `push`, `pop`, `movabs`, `cqo`, `cdqe` and
+//! `cdq` are aliases of `shl*`, `pushq`, `popq`, `movabsq`, `cqto`,
+//! `cltq` and `cltd`.
+//!
 //! Immediate operands may also be written with a leading `$`, and `#`
 //! starts a comment. The parser is intentionally strict about everything
 //! else: unknown mnemonics and malformed operands are errors, because the
 //! benchmarks in `stoke-workloads` must only use modelled instructions.
 
 use crate::instr::{InstrError, Instruction};
-use crate::opcode::{AluOp, BitOp, Cond, Opcode, ShiftOp, SseBinOp, SseMov128, SseShiftOp, UnOp};
+use crate::opcode::Opcode;
 use crate::operand::{Mem, Operand, Scale};
 use crate::program::Program;
 use crate::reg::{Reg, Width, Xmm};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// An error produced while parsing assembly text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,192 +246,72 @@ fn parse_mem(text: &str, constants: &HashMap<String, i64>) -> Result<Mem, String
     })
 }
 
-/// Resolve a mnemonic, using operand kinds to disambiguate (e.g. `movd`
-/// to/from XMM, one- vs two-operand `imul`).
+/// The printer's names inverted: each mnemonic [`Opcode::name`] gives
+/// to an opcode of [`Opcode::all_widths`], with the opcodes it names
+/// (more than one only for `movq`, `movd` and `imul*`, which the operands
+/// tell apart).
+fn mnemonics() -> &'static HashMap<String, Vec<Opcode>> {
+    static TABLE: OnceLock<HashMap<String, Vec<Opcode>>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table: HashMap<String, Vec<Opcode>> = HashMap::new();
+        for op in Opcode::all_widths() {
+            table.entry(op.name()).or_default().push(op);
+        }
+        table
+    })
+}
+
+/// Resolve a mnemonic: a printed name; a width-parametric name without
+/// its suffix, taking the width of the last register operand (the paper's
+/// `mov edx, edx`); or one of the aliases below. Where opcodes share a
+/// name, the one whose signature accepts the operands is chosen.
 fn resolve_opcode(mnemonic: &str, operands: &[Operand]) -> Result<Opcode, String> {
-    use Width::{B, L, Q};
-    let m = mnemonic.to_ascii_lowercase();
-    // Width inferred from the register operands, for suffix-less mnemonics
-    // like the paper's `mov edx, edx`.
-    let inferred_width = operands
-        .iter()
-        .rev()
-        .find_map(Operand::as_reg)
-        .map(Reg::width)
-        .unwrap_or(Q);
-    // Width-suffixed scalar mnemonics; a bare mnemonic takes the width of
-    // its register operands.
-    let with_width = |base: &str, f: &dyn Fn(Width) -> Opcode| -> Option<Opcode> {
-        for (suffix, w) in [("b", B), ("l", L), ("q", Q)] {
-            if m == format!("{}{}", base, suffix) {
-                return Some(f(w));
-            }
-        }
-        if m == base {
-            return Some(f(inferred_width));
-        }
-        None
+    let mut m = mnemonic.to_ascii_lowercase();
+    if let Some(width) = m.strip_prefix("sal") {
+        m = format!("shl{width}");
+    }
+    let m = match m.as_str() {
+        "movabs" => "movabsq",
+        "push" => "pushq",
+        "pop" => "popq",
+        "cqo" => "cqto",
+        "cdqe" => "cltq",
+        "cdq" => "cltd",
+        m => m,
     };
-    // SSE / fixed mnemonics first.
-    match m.as_str() {
-        "movabsq" | "movabs" => return Ok(Opcode::Movabs),
-        "movslq" => return Ok(Opcode::Movslq),
-        "movsbq" => return Ok(Opcode::Movsbq),
-        "movsbl" => return Ok(Opcode::Movsbl),
-        "movzbq" => return Ok(Opcode::Movzbq),
-        "movzbl" => return Ok(Opcode::Movzbl),
-        "pushq" | "push" => return Ok(Opcode::Push),
-        "popq" | "pop" => return Ok(Opcode::Pop),
-        "cqto" | "cqo" => return Ok(Opcode::Cqto),
-        "cltq" | "cdqe" => return Ok(Opcode::Cltq),
-        "cltd" | "cdq" => return Ok(Opcode::Cltd),
-        "nop" => return Ok(Opcode::Nop),
-        "pshufd" => return Ok(Opcode::Pshufd),
-        "shufps" => return Ok(Opcode::Shufps),
-        "punpckldq" => return Ok(Opcode::Punpckldq),
-        "punpcklqdq" => return Ok(Opcode::Punpcklqdq),
-        "movd" => {
-            return Ok(match operands.first() {
-                Some(Operand::Xmm(_)) => Opcode::MovdFromXmm,
-                _ => Opcode::MovdToXmm,
-            })
+    let table = mnemonics();
+    let candidates = match table.get(m) {
+        Some(named) => named.clone(),
+        None => {
+            let width = operands
+                .iter()
+                .rev()
+                .find_map(Operand::as_reg)
+                .map_or(Width::Q, Reg::width);
+            let suffixed = format!("{m}{}", width.suffix());
+            let named = table.get(&suffixed).map_or(&[][..], Vec::as_slice);
+            // Only a width-parametric opcode drops its suffix: `clt` is
+            // not `cltq`.
+            named
+                .iter()
+                .copied()
+                .filter(|op| op.with_width(Width::B) != op.with_width(Width::Q))
+                .collect()
         }
-        _ => {}
-    }
-    for sse in SseMov128::ALL {
-        if m == sse.name() {
-            return Ok(Opcode::Mov128(sse));
-        }
-    }
-    for op in SseBinOp::ALL {
-        if m == op.name() {
-            return Ok(Opcode::SseBin(op));
-        }
-    }
-    for op in SseShiftOp::ALL {
-        if m == op.name() {
-            return Ok(Opcode::SseShift(op));
-        }
-    }
-    // movq is ambiguous between the GPR move and the GPR<->XMM move.
-    if m == "movq" {
-        let has_xmm = operands.iter().any(|o| matches!(o, Operand::Xmm(_)));
-        if has_xmm {
-            return Ok(match operands.first() {
-                Some(Operand::Xmm(_)) => Opcode::MovqFromXmm,
-                _ => Opcode::MovqToXmm,
-            });
-        }
-        return Ok(Opcode::Mov(Q));
-    }
-    if let Some(op) = with_width("mov", &Opcode::Mov) {
-        return Ok(op);
-    }
-    if let Some(op) = with_width("lea", &Opcode::Lea) {
-        return Ok(op);
-    }
-    if let Some(op) = with_width("xchg", &Opcode::Xchg) {
-        return Ok(op);
-    }
-    for (name, alu) in [
-        ("add", AluOp::Add),
-        ("adc", AluOp::Adc),
-        ("sub", AluOp::Sub),
-        ("sbb", AluOp::Sbb),
-        ("and", AluOp::And),
-        ("or", AluOp::Or),
-        ("xor", AluOp::Xor),
-    ] {
-        if let Some(op) = with_width(name, &|w| Opcode::Alu(alu, w)) {
-            return Ok(op);
-        }
-    }
-    if let Some(op) = with_width("cmp", &Opcode::Cmp) {
-        return Ok(op);
-    }
-    if let Some(op) = with_width("test", &Opcode::Test) {
-        return Ok(op);
-    }
-    for (name, un) in [
-        ("neg", UnOp::Neg),
-        ("not", UnOp::Not),
-        ("inc", UnOp::Inc),
-        ("dec", UnOp::Dec),
-    ] {
-        if let Some(op) = with_width(name, &|w| Opcode::Un(un, w)) {
-            return Ok(op);
-        }
-    }
-    if let Some(op) = with_width("imul", &|w| {
-        if operands.len() == 1 {
-            Opcode::Imul1(w)
-        } else {
-            Opcode::Imul2(w)
-        }
-    }) {
-        return Ok(op);
-    }
-    if let Some(op) = with_width("mul", &Opcode::Mul1) {
-        return Ok(op);
-    }
-    if let Some(op) = with_width("div", &Opcode::Div) {
-        return Ok(op);
-    }
-    if let Some(op) = with_width("idiv", &Opcode::Idiv) {
-        return Ok(op);
-    }
-    for (name, sh) in [
-        ("shl", ShiftOp::Shl),
-        ("sal", ShiftOp::Shl),
-        ("shr", ShiftOp::Shr),
-        ("sar", ShiftOp::Sar),
-        ("rol", ShiftOp::Rol),
-        ("ror", ShiftOp::Ror),
-    ] {
-        if let Some(op) = with_width(name, &|w| Opcode::Shift(sh, w)) {
-            return Ok(op);
-        }
-    }
-    for (name, bit) in [
-        ("popcnt", BitOp::Popcnt),
-        ("bsf", BitOp::Bsf),
-        ("bsr", BitOp::Bsr),
-        ("bswap", BitOp::Bswap),
-    ] {
-        if let Some(op) = with_width(name, &|w| Opcode::Bits(bit, w)) {
-            return Ok(op);
-        }
-    }
-    // cmov{cc}{w} and set{cc}.
-    if let Some(rest) = m.strip_prefix("cmov") {
-        // Try to strip a width suffix; default to the destination width.
-        for (suffix, w) in [("q", Q), ("l", L)] {
-            if let Some(cc) = rest.strip_suffix(suffix) {
-                if let Some(c) = Cond::parse(cc) {
-                    return Ok(Opcode::Cmov(c, w));
-                }
-            }
-        }
-        if let Some(c) = Cond::parse(rest) {
-            let w = operands
-                .last()
-                .and_then(Operand::as_reg)
-                .map(Reg::width)
-                .unwrap_or(Q);
-            return Ok(Opcode::Cmov(c, w));
-        }
-    }
-    if let Some(rest) = m.strip_prefix("set") {
-        if let Some(c) = Cond::parse(rest) {
-            return Ok(Opcode::Set(c));
-        }
-    }
-    Err(format!("unknown mnemonic '{}'", mnemonic))
+    };
+    candidates
+        .iter()
+        .find(|&&op| Instruction::new(op, operands).is_ok())
+        .or_else(|| candidates.iter().find(|op| op.arity() == operands.len()))
+        .or(candidates.first())
+        .copied()
+        .ok_or_else(|| format!("unknown mnemonic '{}'", mnemonic))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opcode::{Cond, ShiftOp, SseMov128};
     use crate::reg::Gpr;
 
     #[test]
