@@ -113,8 +113,7 @@ pub fn parse_instruction(
         None => (text, ""),
     };
     let operands = parse_operands(rest, constants)?;
-    let opcode = resolve_opcode(mnemonic, &operands)?;
-    Instruction::new(opcode, operands).map_err(|e: InstrError| e.to_string())
+    resolve(mnemonic, &operands)
 }
 
 fn parse_operands(text: &str, constants: &HashMap<String, i64>) -> Result<Vec<Operand>, String> {
@@ -264,8 +263,10 @@ fn mnemonics() -> &'static HashMap<String, Vec<Opcode>> {
 /// Resolve a mnemonic: a printed name; a width-parametric name without
 /// its suffix, taking the width of the last register operand (the paper's
 /// `mov edx, edx`); or one of the aliases below. Where opcodes share a
-/// name, the one whose signature accepts the operands is chosen.
-fn resolve_opcode(mnemonic: &str, operands: &[Operand]) -> Result<Opcode, String> {
+/// name, the one that accepts the operands is chosen; if none does, the
+/// error is that of the first one of the operands' arity, or else of the
+/// first one.
+fn resolve(mnemonic: &str, operands: &[Operand]) -> Result<Instruction, String> {
     let mut m = mnemonic.to_ascii_lowercase();
     if let Some(width) = m.strip_prefix("sal") {
         m = format!("shl{width}");
@@ -280,8 +281,8 @@ fn resolve_opcode(mnemonic: &str, operands: &[Operand]) -> Result<Opcode, String
         m => m,
     };
     let table = mnemonics();
-    let candidates = match table.get(m) {
-        Some(named) => named.clone(),
+    let (named, bare) = match table.get(m) {
+        Some(named) => (named.as_slice(), false),
         None => {
             let width = operands
                 .iter()
@@ -289,23 +290,29 @@ fn resolve_opcode(mnemonic: &str, operands: &[Operand]) -> Result<Opcode, String
                 .find_map(Operand::as_reg)
                 .map_or(Width::Q, Reg::width);
             let suffixed = format!("{m}{}", width.suffix());
-            let named = table.get(&suffixed).map_or(&[][..], Vec::as_slice);
-            // Only a width-parametric opcode drops its suffix: `clt` is
-            // not `cltq`.
-            named
-                .iter()
-                .copied()
-                .filter(|op| op.with_width(Width::B) != op.with_width(Width::Q))
-                .collect()
+            (table.get(&suffixed).map_or(&[][..], Vec::as_slice), true)
         }
     };
-    candidates
+    // Only a width-parametric opcode drops its suffix: `clt` is not
+    // `cltq`, nor is `movzb` `movzbq`.
+    let candidates = named
         .iter()
-        .find(|&&op| Instruction::new(op, operands).is_ok())
-        .or_else(|| candidates.iter().find(|op| op.arity() == operands.len()))
-        .or(candidates.first())
-        .copied()
-        .ok_or_else(|| format!("unknown mnemonic '{}'", mnemonic))
+        .filter(|op| !bare || op.with_width(Width::B) != op.with_width(Width::Q));
+    let mut rejected: Option<(bool, InstrError)> = None;
+    for &op in candidates {
+        let fits = op.arity() == operands.len();
+        match Instruction::new(op, operands) {
+            Ok(instr) => return Ok(instr),
+            Err(e) if rejected.as_ref().is_none_or(|(f, _)| fits && !f) => {
+                rejected = Some((fits, e));
+            }
+            Err(_) => {}
+        }
+    }
+    Err(rejected.map_or_else(
+        || format!("unknown mnemonic '{}'", mnemonic),
+        |(_, e)| e.to_string(),
+    ))
 }
 
 #[cfg(test)]
