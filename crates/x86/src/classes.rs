@@ -73,15 +73,22 @@ impl OpcodeClasses {
 
     /// The opcode equivalence class of an existing instruction: every
     /// opcode in the universe that accepts the instruction's operands.
-    /// The class contains the instruction's own opcode when that opcode
-    /// is in the universe.
-    pub fn class_of(&self, instr: &Instruction) -> &[Opcode] {
+    /// The class always contains the instruction's own opcode. An opcode
+    /// outside the universe (a target's `movw`, say) is its own class,
+    /// so the opcode move neither leaves it nor reaches it and stays
+    /// symmetric.
+    pub fn class_of<'a>(&'a self, instr: &'a Instruction) -> &'a [Opcode] {
         let mut kinds = [OperandKind::Imm; MAX_OPERANDS];
         let arity = instr.operands().len();
         for (k, opnd) in kinds.iter_mut().zip(instr.operands()) {
             *k = opnd.kind();
         }
-        self.class_for_kinds(&kinds[..arity])
+        let class = self.class_for_kinds(&kinds[..arity]);
+        if class.contains(&instr.opcode) {
+            class
+        } else {
+            std::slice::from_ref(&instr.opcode)
+        }
     }
 }
 
@@ -177,6 +184,7 @@ mod tests {
             "movups (rsi,rcx,4), xmm1",
             "pmullw xmm1, xmm0",
             "cmovel esi, ecx",
+            "movw 5, (rdi)",
         ] {
             let p: crate::program::Program = text.parse().unwrap();
             let instr = &p.instrs()[0];

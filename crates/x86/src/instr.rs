@@ -29,8 +29,11 @@ pub enum InstrError {
     /// A one-operand 8-bit multiply or divide, whose high half lives in
     /// AH, which is not modelled.
     HighByteForm { opcode: Opcode },
-    /// A form x86 cannot encode: 8-bit `lea`, `cmov`, two-operand `imul`,
-    /// `popcnt`, `bsf`, `bsr` and `bswap`, and 16-bit `bswap`.
+    /// An opcode x86 cannot encode with any operands: 8-bit `lea`, `cmov`,
+    /// two-operand `imul`, `popcnt`, `bsf`, `bsr` and `bswap`, and 16-bit
+    /// `bswap`. Operands are not checked this way: an immediate too wide
+    /// for its instruction's encoding (`addq 0x100000000, rax`) and `rsp`
+    /// as an index register are still accepted.
     NoEncoding { opcode: Opcode },
 }
 
@@ -96,7 +99,7 @@ pub const MAX_OPERANDS: usize = 3;
 /// ```
 #[derive(Clone, Copy)]
 pub struct Instruction {
-    opcode: Opcode,
+    pub(crate) opcode: Opcode,
     operands: [Operand; MAX_OPERANDS],
     arity: u8,
 }
